@@ -5,7 +5,7 @@ The symmetrized problem on a geodesic ball
 Any meshed domain has a matched ball: the geodesic ball in the model space
 with the same weighted measure.  The torsion and eigenvalue problems on
 that ball reduce to one-dimensional ODEs, solved here by quadrature and by
-shooting.  These radial solutions are the right-hand sides of every
+the closed-form ground state (a Bessel function on the flat ball).  These radial solutions are the right-hand sides of every
 comparison.
 """
 
@@ -40,7 +40,7 @@ v_half = solve_symmetrized_poisson(half, 1.0, constant_source(half))
 print(f"\nhemisphere torsion: center {v_half.values[0]:.6f}, "
       f"boundary {v_half.values[-1]:.6f}")
 
-# eigenvalues by shooting, bracketed and bisected to 1e-10
+# eigenvalues as the first root of u'(R) + beta u(R) for the Bessel ground state
 print("\nradial Robin eigenvalues on the unit disk:")
 for beta in (0.1, 1.0, 10.0):
     lam, profile = solve_radial_eigen(GeodesicBall(flat, 1.0), beta)

@@ -22,7 +22,7 @@ import sys
 
 import numpy as np
 
-from . import fem, verify
+from . import fem, radial, verify
 from .fem import RobinProblem
 from .mesh import (DegenerateGeometryError, MeasuredMesh, MeshFormatError,
                    MeshInvariantError, ScalarField, generate_domain,
@@ -30,7 +30,8 @@ from .mesh import (DegenerateGeometryError, MeasuredMesh, MeshFormatError,
 from .model_geometry import GeodesicBall, ModelSpace, radius_for_volume
 from .radial import (constant_source, solve_symmetrized_poisson,
                      source_from_profile)
-from .rearrange import distribution_function, schwarz_rearrangement
+from .rearrange import (LorentzDivergenceError, SphereOverflowError,
+                        distribution_function, schwarz_rearrangement)
 from .verify import HypothesisRangeError
 
 
@@ -431,6 +432,15 @@ class SolverStageError(RuntimeError):
         self.stage = stage
 
 
+# library failures of a solve or a check on a valid config: exit status 3
+_SOLVER_ERRORS = (
+    fem.SolverConvergenceError, fem.SingularGeometryError, fem.EigenSignError,
+    radial.ConvergenceError, radial.EigenBracketError,
+    radial.MonotonicityError, radial.PositivityError,
+    radial.DegenerateBallError, LorentzDivergenceError, SphereOverflowError,
+)
+
+
 def _build_domain(config: ExperimentConfig) -> MeasuredMesh:
     domain = dict(config.domain)
     if "mesh" in domain:
@@ -461,7 +471,10 @@ def _source_field(config, mesh) -> ScalarField | None:
             raise ConfigError("source expression is negative on the domain; "
                               "the comparison needs f >= 0")
         return ScalarField(mesh=mesh, values=values)
-    field = fem.load_field(config.source[1])
+    try:
+        field = fem.load_field(config.source[1])
+    except (OSError, MeshFormatError, MeshInvariantError) as exc:
+        raise ConfigError(f"source field: {exc}") from exc
     if (len(field.values) != len(mesh.vertices)
             or not np.array_equal(field.mesh.vertices, mesh.vertices)):
         raise ConfigError("source field lives on a different mesh than the domain")
@@ -511,7 +524,7 @@ def _solutions(state: _LevelState, space, beta):
         try:
             u = fem.solve_robin_poisson(problem)
             ball, v = _symmetrized_twin(state.source, state.mesh, space, beta)
-        except (fem.SolverConvergenceError, fem.SingularGeometryError) as exc:
+        except _SOLVER_ERRORS as exc:
             raise SolverStageError(
                 f"solve (beta={beta}, h={state.mesh.mesh_size():g})", exc)
         state.solutions[beta] = (problem, u, ball, v)
@@ -553,8 +566,7 @@ def _run_cell(cell: _Cell, state: _LevelState, space) -> list:
                 reports = [verify.check_measure_bound(u, v, space)]
     except SolverStageError:
         raise
-    except (fem.SolverConvergenceError, fem.SingularGeometryError,
-            fem.EigenSignError) as exc:
+    except _SOLVER_ERRORS as exc:
         raise SolverStageError(
             f"check {cid} (beta={cell.beta}, level={cell.level})", exc)
     tagged = []

@@ -237,71 +237,59 @@ def volume_profile_derivative(space: ModelSpace, r, order: int = 1):
 
 
 def radius_for_volume(space: ModelSpace, vol: float) -> float:
-    """Radius of the geodesic ball with weighted volume ``vol``.
-
-    Inverts the volume profile.  On the sphere, a guarded Newton iteration is
-    used (bisection steps whenever Newton leaves the bracket), switching to
-    pure bisection when vol sits within a relative 1e-6 of full measure, where
-    the profile derivative vanishes.
-    """
-    if not (vol >= 0.0) or not math.isfinite(vol):
-        raise DomainRangeError(f"volume must be non-negative and finite, got {vol}")
-    if vol == 0.0:
-        return 0.0
-    n, a = space.n, space.alpha
-    if space.kappa == 0:
-        return (vol / (a * space.omega_n)) ** (1.0 / n)
-
-    total = volume_profile(space, math.pi)
-    if vol > total * (1.0 + 1e-12):
-        raise DomainRangeError(
-            f"volume {vol} exceeds the total spherical measure {total}"
-        )
-    vol = min(vol, total)
-    if n == 2:
-        # vol = 4*pi*a*sin(r/2)^2
-        return 2.0 * math.asin(min(1.0, math.sqrt(vol / (4.0 * math.pi * a))))
-
-    if vol >= total * (1.0 - 4e-16):
-        return math.pi
-    lo, hi = 0.0, math.pi
-    if total - vol < _ENDPOINT_MARGIN * total:
-        # <= so that float-plateau values near full measure resolve upward
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if volume_profile(space, mid) <= vol:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo < 1e-15:
-                break
-        return 0.5 * (lo + hi)
-
-    r = math.pi * (vol / total) ** (1.0 / n)
-    for _ in range(100):
-        f = volume_profile(space, r) - vol
-        if f > 0.0:
-            hi = r
-        elif f < 0.0:
-            lo = r
-        else:
-            return r
-        df = volume_profile_derivative(space, r)
-        step_ok = df > 0.0
-        if step_ok:
-            r_new = r - f / df
-            step_ok = lo < r_new < hi
-        if not step_ok:
-            r_new = 0.5 * (lo + hi)
-        if abs(r_new - r) < 1e-16 * max(1.0, r):
-            return r_new
-        r = r_new
-    return r
+    """Radius of the geodesic ball with weighted volume ``vol``."""
+    return float(radii_for_volumes(space, vol)[0])
 
 
 def radii_for_volumes(space: ModelSpace, vols) -> np.ndarray:
-    """Vector form of :func:`radius_for_volume`."""
-    return np.array([radius_for_volume(space, float(v)) for v in np.atleast_1d(vols)])
+    """Radii of the geodesic balls with weighted volumes ``vols`` (1-D array).
+
+    Inverts the volume profile: in closed form for kappa=0 and for the
+    2-sphere; on S^n with n >= 3 by one guarded Newton iteration over the
+    whole array (bisection steps whenever Newton leaves the bracket),
+    switching to pure bisection where the volume sits within a relative 1e-6
+    of full measure, where the profile derivative vanishes.
+    """
+    vols = np.atleast_1d(np.asarray(vols, dtype=float)).ravel()
+    if not np.all((vols >= 0.0) & np.isfinite(vols)):
+        raise DomainRangeError(f"volumes must be non-negative and finite, got {vols}")
+    n, a = space.n, space.alpha
+    if space.kappa == 0:
+        return (vols / (a * space.omega_n)) ** (1.0 / n)
+
+    total = volume_profile(space, math.pi)
+    if np.any(vols > total * (1.0 + 1e-12)):
+        raise DomainRangeError(
+            f"volume {np.max(vols)} exceeds the total spherical measure {total}"
+        )
+    vols = np.minimum(vols, total)
+    if n == 2:
+        # vol = 4*pi*a*sin(r/2)^2
+        return 2.0 * np.arcsin(np.minimum(1.0, np.sqrt(vols / (4.0 * math.pi * a))))
+
+    out = np.full_like(vols, math.pi)
+    active = vols < total * (1.0 - 4e-16)
+    near = total - vols < _ENDPOINT_MARGIN * total
+    lo, hi = np.zeros_like(vols), np.full_like(vols, math.pi)
+    r = np.where(near, 0.5 * math.pi, math.pi * (vols / total) ** (1.0 / n))
+    for _ in range(200):
+        if not np.any(active):
+            break
+        f = volume_profile(space, r) - vols
+        hi = np.where(f > 0.0, r, hi)
+        # <= so that float-plateau values near full measure resolve upward
+        lo = np.where(f <= 0.0, r, lo)
+        df = volume_profile_derivative(space, r)
+        newton = r - f / np.where(df > 0.0, df, 1.0)
+        step_ok = ~near & (df > 0.0) & (lo < newton) & (newton < hi)
+        r_new = np.where(step_ok, newton, 0.5 * (lo + hi))
+        r_new = np.where(~near & (f == 0.0), r, r_new)
+        done = active & np.where(near, hi - lo < 1e-15,
+                                 np.abs(r_new - r) < 1e-16 * np.maximum(1.0, r))
+        out = np.where(done, r_new, out)
+        active &= ~done
+        r = r_new
+    return np.where(active, r, out)
 
 
 def isoperimetric_profile(space: ModelSpace, l):
@@ -324,15 +312,9 @@ def isoperimetric_profile(space: ModelSpace, l):
             raise DomainRangeError(
                 f"measure level exceeds the total spherical measure {total}"
             )
-        flat = np.atleast_1d(np.minimum(l, total))
-        vals = np.empty_like(flat)
-        for i, li in enumerate(flat):
-            if li == 0.0 or li == total:
-                vals[i] = 0.0
-            else:
-                r = radius_for_volume(space, float(li))
-                vals[i] = volume_profile_derivative(space, r)
-        out = vals.reshape(np.shape(l))
+        flat = np.minimum(l, total).ravel()
+        g = volume_profile_derivative(space, radii_for_volumes(space, flat))
+        out = np.where(flat < total, g, 0.0).reshape(np.shape(l))
     return float(out) if scalar else out
 
 

@@ -2,9 +2,10 @@
 
 Two solvers live here: the symmetrized Poisson problem with a Robin boundary
 condition, reduced to nested 1-D integrals of the rearranged source, and the
-first Robin eigenvalue of a ball, by shooting on the radial ODE.  Both return
-sampled profiles dense enough to serve as reference values for the 2-D
-finite element solutions.
+first Robin eigenvalue of a ball, as the first root of the Robin condition on
+the closed-form radial ground state (Bessel when flat, hypergeometric on the
+sphere).  Both return sampled profiles dense enough to serve as reference
+values for the 2-D finite element solutions.
 
 The sphere area A(r) = n omega_n sn_kappa(r)^{n-1} used by the Poisson
 reduction carries no cone-angle weight: the weight cancels between numerator
@@ -16,11 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import cumulative_simpson
+from scipy.optimize import brentq
+from scipy.special import hyp2f1, jv
 
 from .model_geometry import GeodesicBall, ModelSpace, sn_kappa, sphere_area
 
-_EIGEN_STEPS = 4096
-_EIGEN_EPS_FACTOR = 1e-8
 _LAMBDA_CAP = 2.0**20
 _POISSON_N0 = 4096
 _POISSON_NMAX = 2**21
@@ -31,7 +32,7 @@ class DegenerateBallError(ValueError):
 
 
 class EigenBracketError(RuntimeError):
-    """No eigenvalue bracket was found below the shooting cap."""
+    """No eigenvalue bracket was found below the scan cap."""
 
 
 class ConvergenceError(RuntimeError):
@@ -208,120 +209,75 @@ def flat_torsion_profile(ball: GeodesicBall, beta: float) -> RadialProfile:
 
 
 # ---------------------------------------------------------------------------
-# radial Robin eigenvalue by shooting
+# radial Robin eigenvalue in closed form
 
 
-def _shoot(ball, lams, record=False, steps=_EIGEN_STEPS):
-    """Integrate u'' + (n-1) c(r) u' + lam u = 0 for a vector of lam values.
+def _ground_state(space: ModelSpace, lam, r):
+    """Regular solution u of u'' + (n-1) c(r) u' + lam u = 0, u(0) = 1, and u'.
 
-    c(r) = 1/r (flat) or cot r (sphere).  RK4 from eps = R*1e-8 with a series
-    start; returns u(R), u'(R) (and the trajectory when record is set).
+    c(r) = 1/r (flat) or cot r (sphere); lam and r broadcast.  Flat:
+    u = Gamma(nu+1) (2/x)^nu J_nu(x) with x = sqrt(lam) r, nu = n/2 - 1.
+    Sphere: u = 2F1(a, b; n/2; sin^2(r/2)) with a + b = n - 1, ab = -lam.
     """
-    space = ball.space
-    n, kappa, R = space.n, space.kappa, ball.radius
-    lams = np.atleast_1d(np.asarray(lams, dtype=float))
-    eps = R * _EIGEN_EPS_FACTOR
-    h = (R - eps) / steps
-
-    # u = 1 - lam r^2/(2n) + lam^2 r^4/(8n(n+2)) + O(r^6), same leading terms
-    # for both curvatures
-    u = 1.0 - lams * eps**2 / (2 * n) + lams**2 * eps**4 / (8 * n * (n + 2))
-    w = -lams * eps / n + lams**2 * eps**3 / (2 * n * (n + 2))
-
-    if kappa == 0:
-        def coeff(r):
-            return (n - 1) / r
-    else:
-        def coeff(r):
-            return (n - 1) / math.tan(r)
-
-    traj = np.empty((steps + 1, len(lams))) if record else None
-    if record:
-        traj[0] = u
-    r = eps
-    for i in range(steps):
-        c1 = coeff(r)
-        c2 = coeff(r + 0.5 * h)
-        c3 = coeff(r + h)
-        k1u = w
-        k1w = -c1 * w - lams * u
-        u2 = u + 0.5 * h * k1u
-        w2 = w + 0.5 * h * k1w
-        k2u = w2
-        k2w = -c2 * w2 - lams * u2
-        u3 = u + 0.5 * h * k2u
-        w3 = w + 0.5 * h * k2w
-        k3u = w3
-        k3w = -c2 * w3 - lams * u3
-        u4 = u + h * k3u
-        w4 = w + h * k3w
-        k4u = w4
-        k4w = -c3 * w4 - lams * u4
-        u = u + (h / 6.0) * (k1u + 2 * k2u + 2 * k3u + k4u)
-        w = w + (h / 6.0) * (k1w + 2 * k2w + 2 * k3w + k4w)
-        r += h
-        if record:
-            traj[i + 1] = u
-    return u, w, traj
+    n = space.n
+    if space.kappa == 0:
+        nu = 0.5 * n - 1.0
+        k = np.sqrt(lam)
+        x = k * r
+        pos = x > 0.0
+        xs = np.where(pos, x, 1.0)
+        scale = math.gamma(nu + 1.0) * (2.0 / xs) ** nu
+        u = np.where(pos, scale * jv(nu, xs), 1.0)
+        du = np.where(pos, -k * scale * jv(nu + 1.0, xs), 0.0)
+        return u, du
+    half = 0.5 * (n - 1)
+    root = np.sqrt(half * half + lam)
+    a, b = half + root, half - root
+    z = np.sin(0.5 * r) ** 2
+    u = hyp2f1(a, b, 0.5 * n, z)
+    du = -(lam / n) * np.sin(r) * hyp2f1(a + 1.0, b + 1.0, 0.5 * n + 1.0, z)
+    return u, du
 
 
-def solve_radial_eigen(ball: GeodesicBall, beta: float, steps: int = _EIGEN_STEPS):
+def solve_radial_eigen(ball: GeodesicBall, beta: float):
     """First Robin eigenpair of a geodesic ball, (lambda, profile).
 
-    Shooting with RK4 (step R/4096 by default) and a boundary functional
-    u'(R) + beta u(R); the first sign change in lambda is refined by
-    subdivided bisection to an interval of width 1e-10.  The profile is
-    positive and normalized to u(0) = 1.
+    lambda is the first root of the secular function u'(R) + beta u(R) of the
+    closed-form ground state (Bessel when flat, hypergeometric on the
+    sphere), bracketed by a doubling scan and refined by Brent's method.  The
+    profile samples the closed form on 4097 uniform radii; it is positive
+    and normalized to u(0) = 1.
     """
     if beta <= 0.0:
         raise ValueError(f"beta must be positive, got {beta}")
     space = ball.space
-    if space.kappa == 1 and ball.radius >= math.pi - 1e-3:
+    R = ball.radius
+    if space.kappa == 1 and R >= math.pi - 1e-3:
         raise DegenerateBallError("cap radius too close to the antipode")
 
     def functional(lams):
-        u, w, _ = _shoot(ball, lams, steps=steps)
-        return w + beta * u
+        u, du = _ground_state(space, lams, R)
+        return du + beta * u
 
     # F(0) = beta > 0; scan for the first sign change, doubling the cap
     lam_cap = 16.0
-    bracket = None
-    while bracket is None:
+    while True:
         lams = np.linspace(0.0, lam_cap, 65)[1:]
-        F = functional(lams)
-        sign = np.sign(F)
-        idx = np.nonzero(sign <= 0.0)[0]
+        idx = np.nonzero(functional(lams) <= 0.0)[0]
         if len(idx):
             k = int(idx[0])
-            lo = lams[k - 1] if k > 0 else 0.0
-            bracket = (lo, float(lams[k]))
-        else:
-            lam_cap *= 2.0
-            if lam_cap > _LAMBDA_CAP:
-                raise EigenBracketError(
-                    f"no sign change below lambda = {_LAMBDA_CAP:g}"
-                )
+            lo = float(lams[k - 1]) if k > 0 else 0.0
+            hi = float(lams[k])
+            break
+        lam_cap *= 2.0
+        if lam_cap > _LAMBDA_CAP:
+            raise EigenBracketError(f"no sign change below lambda = {_LAMBDA_CAP:g}")
 
-    lo, hi = bracket
-    while hi - lo > 1e-10:
-        inner = np.linspace(lo, hi, 18)[1:-1]
-        F = functional(inner)
-        neg = np.nonzero(F <= 0.0)[0]
-        if len(neg):
-            k = int(neg[0])
-            hi = float(inner[k])
-            lo = float(inner[k - 1]) if k > 0 else lo
-        else:
-            lo = float(inner[-1])
-    lam = 0.5 * (lo + hi)
-
-    u, w, traj = _shoot(ball, np.array([lam]), record=True, steps=steps)
-    eps = ball.radius * _EIGEN_EPS_FACTOR
-    h = (ball.radius - eps) / steps
-    grid = np.concatenate([[0.0], eps + h * np.arange(steps + 1)])
-    values = np.concatenate([[1.0], traj[:, 0]])
+    lam = brentq(lambda t: float(functional(t)), lo, hi, xtol=1e-14)
+    grid = np.linspace(0.0, R, 4097)
+    values, _ = _ground_state(space, lam, grid)
     if float(np.min(values)) <= 0.0:
-        raise EigenBracketError("shooting crossed zero; bracket missed the ground state")
+        raise EigenBracketError("ground state crosses zero; bracket missed the first root")
     return lam, RadialProfile(ball=ball, grid=grid, values=values)
 
 

@@ -512,6 +512,10 @@ def lorentz_norm(dist: DistributionData, params: LorentzParams) -> float:
                 A0 + b0 * x ** (1.0 / q) * (B0 + b0 * x ** (1.0 / q) * C0),
                 0.0) ** ratio
             integral += b0**q / q * _adaptive_gl(g, 0.0, 1.0, tol)
+    if integral < 0.0:
+        raise LorentzDivergenceError(
+            f"Lorentz integral for (p={p}, q={q}) came out negative: {integral!r}"
+        )
     value = float((p * integral) ** (1.0 / q))
     if not math.isfinite(value):
         raise LorentzDivergenceError(

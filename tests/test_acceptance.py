@@ -86,7 +86,7 @@ def test_criterion_03_eigenvalue_comparison():
     for beta in (0.1, 1.0, 10.0, 1e3):
         report = verify.check_bossel_daners(square, FLAT, beta)
         assert report.passed and report.gap > 0.0
-    # the radial reference itself: shooting reproduces the frozen
+    # the radial reference itself: the closed-form route reproduces the frozen
     # unit-disk value to 1e-10
     ball = mg.GeodesicBall(FLAT, 1.0)
     lam_radial = radial.solve_radial_eigen(ball, 1.0)[0]

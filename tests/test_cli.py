@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from robinsym import cli, fem
+from robinsym import cli, fem, radial, rearrange
 from robinsym import mesh as msh
 from robinsym.cli import ConfigError, SourceExpression
 
@@ -299,3 +299,40 @@ def test_run_solver_error_exits_three(tmp_path, capsys):
                          checks=[{"id": "min-comparison"}])
     assert cli.main(["run", path]) == 3
     assert "solver:" in capsys.readouterr().err
+
+
+def test_run_missing_field_mesh_exits_two(tmp_path, capsys):
+    mesh = msh.generate_domain("square", target_h=0.25, side=1.0)
+    mesh_path = str(tmp_path / "mesh.json")
+    msh.save_mesh(mesh, mesh_path)
+    u = fem.solve_robin_poisson(fem.RobinProblem(mesh=mesh, beta=1.0))
+    field_path = str(tmp_path / "field.json")
+    fem.save_field(u, field_path, str(tmp_path / "gone.json"))
+    path = _write_config(tmp_path, domain={"mesh": mesh_path},
+                         source={"field": field_path},
+                         checks=[{"id": "min-comparison"}])
+    assert cli.main(["run", path]) == 2
+    assert "config:" in capsys.readouterr().err
+
+
+def test_run_radial_stall_exits_three(tmp_path, capsys):
+    # the symmetrized Poisson doubling stalls at level 1 for this source
+    path = _write_config(tmp_path, source={"expr": "1 + exp(-r^2)"}, h=0.05,
+                         refine_levels=1, checks=[{"id": "min-comparison"}])
+    assert cli.main(["run", path]) == 3
+    assert "Simpson doubling stalled" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("error", [
+    radial.EigenBracketError, radial.MonotonicityError,
+    radial.PositivityError, radial.DegenerateBallError,
+    rearrange.LorentzDivergenceError, rearrange.SphereOverflowError,
+])
+def test_run_library_errors_exit_three(tmp_path, capsys, monkeypatch, error):
+    def broken(*args, **kwargs):
+        raise error("injected")
+
+    monkeypatch.setattr(cli.verify, "check_min_comparison", broken)
+    path = _write_config(tmp_path, checks=[{"id": "min-comparison"}])
+    assert cli.main(["run", path]) == 3
+    assert "injected" in capsys.readouterr().err

@@ -10,6 +10,7 @@ from robinsym.model_geometry import (
     ModelSpace,
     isoperimetric_profile,
     profile_convexity_margin,
+    radii_for_volumes,
     radius_for_volume,
     sn_kappa,
     sphere_area,
@@ -133,6 +134,20 @@ def test_round_trip_inversion():
             for r in radii:
                 v = volume_profile(space, float(r))
                 assert radius_for_volume(space, v) == pytest.approx(float(r), rel=1e-12)
+    # one array call mixing zero, interior volumes, a volume within 1e-8 of
+    # full measure and the total, each held to the scalar bounds
+    for n in (3, 5):
+        space = ModelSpace(kappa=1, n=n, alpha=0.9)
+        total = volume_profile(space, math.pi)
+        radii = rng.uniform(0.02, math.pi - 0.15, size=50)
+        near = total * (1.0 - 1e-8)
+        vols = np.concatenate([[0.0], volume_profile(space, radii), [near, total]])
+        out = radii_for_volumes(space, vols)
+        assert out[0] == 0.0
+        for r, rr in zip(radii, out[1:-2]):
+            assert rr == pytest.approx(float(r), rel=1e-12)
+        assert volume_profile(space, out[-2]) == pytest.approx(near, rel=1e-9)
+        assert out[-1] == math.pi
 
 
 def test_round_trip_near_antipode_value_space():

@@ -348,6 +348,14 @@ def test_lorentz_divergence_reported():
         lorentz_norm(dist, LorentzParams(p=1e-3, q=1.0))
 
 
+def test_lorentz_negative_integral_reported():
+    # a coefficient set whose mu dips below zero gives a negative integral,
+    # which has no real root to take
+    dist = DistributionData([0.0, 1.0], [1.0, -1.0, 0.0], [0, 0, 0], [0, 0, 0], 1.0)
+    with pytest.raises(LorentzDivergenceError):
+        lorentz_norm(dist, LorentzParams(2.0, 2.0))
+
+
 def test_lorentz_params_validation():
     with pytest.raises(ValueError):
         LorentzParams(p=0.0, q=1.0)
