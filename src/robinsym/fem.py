@@ -100,10 +100,8 @@ def assemble(problem: RobinProblem) -> AssembledSystem:
     verts, tris = mesh.vertices, mesh.triangles
     nv = len(verts)
     p = verts[tris]
-    e1 = p[:, 1] - p[:, 0]
-    e2 = p[:, 2] - p[:, 0]
-    det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]  # 2 * chart area, > 0
-    area = 0.5 * det
+    area = mesh.chart_areas()
+    det = 2.0 * area
 
     # constant P1 gradients: grad phi_i = rot90(opposite edge) / det
     grads = np.empty((len(tris), 3, 2))

@@ -19,6 +19,7 @@ polygons.  Meshes serialize to a small JSON schema.
 import json
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -224,7 +225,7 @@ class MeasuredMesh:
                 self.density.shape == ref.shape and np.allclose(self.density, ref, rtol=1e-12, atol=1e-12)
             )
         self.validate()
-        self.boundary_density = self._boundary_density()
+        _, self.boundary_density = self._length_factors(self.boundary_edges)
 
     # -- structure ---------------------------------------------------------
 
@@ -257,33 +258,36 @@ class MeasuredMesh:
             raise MeshInvariantError(f"density-positive: vertex {idx} has density {self.density[idx]!r}")
 
         # conformity: directed interior edges pair up, boundary edges appear once
-        edges = np.concatenate([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]])
-        directed = {}
-        for a, bb in edges:
-            key = (int(a), int(bb))
-            directed[key] = directed.get(key, 0) + 1
-            if directed[key] > 1:
-                raise MeshInvariantError(f"edge-conformity: directed edge {key} repeats")
-        boundary_from_tris = {k for k in directed if (k[1], k[0]) not in directed}
-        declared = {(int(a), int(bb)) for a, bb in b}
+        n = len(v)
+        edges = _edge_table(t, n)
+        forward = np.bincount(edges.edge[edges.half[:, 0] < edges.half[:, 1]],
+                              minlength=len(edges.first))
+        repeats = np.nonzero((forward > 1) | (edges.count - forward > 1))[0]
+        if len(repeats):
+            e = repeats[0]
+            lo, hi = sorted(int(x) for x in edges.ends[e])
+            key = (lo, hi) if forward[e] > 1 else (hi, lo)
+            raise MeshInvariantError(f"edge-conformity: directed edge {key} repeats")
+        tail, head = edges.boundary.T
+        found = np.sort(tail * n + head)
+        declared = np.unique(b[:, 0] * n + b[:, 1])
         if len(declared) != len(b):
             raise MeshInvariantError("boundary-match: duplicate boundary edge")
-        if declared != boundary_from_tris:
-            missing = boundary_from_tris - declared
-            extra = declared - boundary_from_tris
+        if not np.array_equal(declared, found):
+            missing = [divmod(int(k), n) for k in np.setdiff1d(found, declared)[:3]]
+            extra = [divmod(int(k), n) for k in np.setdiff1d(declared, found)[:3]]
             raise MeshInvariantError(
                 f"boundary-match: declared boundary disagrees with triangulation "
-                f"(missing {sorted(missing)[:3]}, extra {sorted(extra)[:3]})"
+                f"(missing {missing}, extra {extra})"
             )
 
         # boundary edges must close up into loops
-        outdeg, indeg = {}, {}
-        for a, bb in declared:
-            outdeg[a] = outdeg.get(a, 0) + 1
-            indeg[bb] = indeg.get(bb, 0) + 1
-        for node in set(outdeg) | set(indeg):
-            if outdeg.get(node, 0) != 1 or indeg.get(node, 0) != 1:
-                raise MeshInvariantError(f"boundary-loops: vertex {node} does not chain")
+        outdeg = np.bincount(b[:, 0], minlength=n)
+        indeg = np.bincount(b[:, 1], minlength=n)
+        unchained = np.nonzero((outdeg + indeg > 0) & ((outdeg != 1) | (indeg != 1)))[0]
+        if len(unchained):
+            raise MeshInvariantError(f"boundary-loops: vertex {unchained[0]} does not chain")
+        self._edges = edges
 
         if self.geometry == "sphere_stereographic":
             rmax = float(np.max(np.hypot(v[:, 0], v[:, 1])))
@@ -317,8 +321,7 @@ class MeasuredMesh:
         return float(np.sum(self.chart_areas() * self.centroid_density()))
 
     def boundary_chart_lengths(self) -> np.ndarray:
-        seg = self.vertices[self.boundary_edges[:, 1]] - self.vertices[self.boundary_edges[:, 0]]
-        return np.hypot(seg[:, 0], seg[:, 1])
+        return _chart_lengths(self.vertices, self.boundary_edges)
 
     def boundary_measure(self) -> float:
         """Weighted boundary length: chart length times trapezoidal density."""
@@ -326,34 +329,22 @@ class MeasuredMesh:
 
     def mesh_size(self) -> float:
         """Maximum metric edge length; the h of every C*h tolerance model."""
-        out = 0.0
-        for i, j in ((0, 1), (1, 2), (2, 0)):
-            a = self.vertices[self.triangles[:, i]]
-            b = self.vertices[self.triangles[:, j]]
-            seg = b - a
-            ln = np.hypot(seg[:, 0], seg[:, 1])
-            d = seg / np.maximum(ln, 1e-300)[:, None]
-            fac = np.maximum(
-                length_factor(self.geometry, self.warp, a, d),
-                length_factor(self.geometry, self.warp, b, d),
-            )
-            out = max(out, float(np.max(ln * fac)))
-        return out
+        # length_factor sees the direction only through its square, so one
+        # orientation per undirected edge measures both half-edges
+        ln, fac = self._length_factors(self._edges.ends)
+        return float(np.max(ln * np.max(fac, axis=1)))
 
     def chart_mesh_size(self) -> float:
-        out = 0.0
-        for i, j in ((0, 1), (1, 2), (2, 0)):
-            seg = self.vertices[self.triangles[:, j]] - self.vertices[self.triangles[:, i]]
-            out = max(out, float(np.max(np.hypot(seg[:, 0], seg[:, 1]))))
-        return out
+        return float(np.max(_chart_lengths(self.vertices, self._edges.ends)))
 
-    def _boundary_density(self) -> np.ndarray:
-        a = self.vertices[self.boundary_edges[:, 0]]
-        b = self.vertices[self.boundary_edges[:, 1]]
+    def _length_factors(self, ends):
+        """Chart lengths of the (K, 2) vertex pairs and the length factors at both ends."""
+        a = self.vertices[ends[:, 0]]
+        b = self.vertices[ends[:, 1]]
         seg = b - a
         ln = np.hypot(seg[:, 0], seg[:, 1])
         d = seg / np.maximum(ln, 1e-300)[:, None]
-        return np.stack(
+        return ln, np.stack(
             [
                 length_factor(self.geometry, self.warp, a, d),
                 length_factor(self.geometry, self.warp, b, d),
@@ -393,25 +384,57 @@ class ScalarField:
 # generation helpers
 
 
-def _extract_boundary(triangles) -> np.ndarray:
-    """Directed edges that appear in exactly one triangle, chained into loops."""
-    t = np.asarray(triangles)
-    edges = np.concatenate([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]])
-    seen = {(int(a), int(b)) for a, b in edges}
-    bnd = [(a, b) for (a, b) in seen if (b, a) not in seen]
-    nxt = {a: b for a, b in bnd}
-    loops = []
-    remaining = dict(nxt)
-    while remaining:
-        start = min(remaining)
-        cur = start
-        while True:
-            nb = remaining.pop(cur)
-            loops.append((cur, nb))
-            cur = nb
-            if cur == start:
-                break
-    return np.array(loops, dtype=np.int64)
+class _EdgeTable(NamedTuple):
+    """Undirected edges of a triangulation, numbered in sorted key order."""
+
+    half: np.ndarray  # (3M, 2) half-edges ab, bc, ca of each triangle, in triangle order
+    edge: np.ndarray  # (3M,) the undirected edge of each half-edge
+    first: np.ndarray  # (E,) the first half-edge on each edge
+    count: np.ndarray  # (E,) half-edges on each edge: 1 on the boundary, 2 inside
+
+    @property
+    def ends(self) -> np.ndarray:
+        """(E, 2) endpoints of each edge, as its first half-edge runs."""
+        return self.half[self.first]
+
+    @property
+    def boundary(self) -> np.ndarray:
+        """Half-edges on one triangle only, in triangle order."""
+        return self.half[self.count[self.edge] == 1]
+
+
+def _half_edges(triangles) -> np.ndarray:
+    return triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
+
+
+def _edge_table(triangles, n_vertices) -> _EdgeTable:
+    half = _half_edges(triangles)
+    key = np.min(half, axis=1) * n_vertices + np.max(half, axis=1)
+    _, first, edge, count = np.unique(key, return_index=True, return_inverse=True,
+                                      return_counts=True)
+    return _EdgeTable(half, edge, first, count)
+
+
+def _chart_lengths(vertices, ends) -> np.ndarray:
+    seg = vertices[ends[:, 1]] - vertices[ends[:, 0]]
+    return np.hypot(seg[:, 0], seg[:, 1])
+
+
+def _extract_boundary(triangles, n_vertices) -> np.ndarray:
+    """Half-edges on exactly one triangle, chained into loops; each loop
+    starts at its smallest vertex, and the loops come in that order."""
+    tail, head = _edge_table(triangles, n_vertices).boundary.T
+    succ = np.full(n_vertices, -1, dtype=np.int64)
+    succ[tail] = head
+    unvisited = succ.copy()
+    chain = []
+    for cur in np.sort(tail).tolist():
+        while unvisited[cur] >= 0:
+            chain.append(cur)
+            unvisited[cur] = -1
+            cur = succ[cur]
+    chain = np.array(chain, dtype=np.int64)
+    return np.stack([chain, succ[chain]], axis=1)
 
 
 def _zip_rings(inner, inner_angles, outer, outer_angles):
@@ -436,10 +459,7 @@ def _disk_points(radius, target_h, n_boundary=None):
     m = max(1, math.ceil(radius / (_H_SAFETY * target_h)))
     for _ in range(8):
         verts, tris = _disk_build(radius, m, n_boundary)
-        longest = 0.0
-        for i, j in ((0, 1), (1, 2), (2, 0)):
-            seg = verts[tris[:, j]] - verts[tris[:, i]]
-            longest = max(longest, float(np.max(np.hypot(seg[:, 0], seg[:, 1]))))
+        longest = float(np.max(_chart_lengths(verts, _half_edges(tris))))
         if longest <= target_h or n_boundary is not None:
             break
         # zipper diagonals can overshoot the ring step; thicken the rings
@@ -590,24 +610,21 @@ def _ear_clip(pts):
     return np.array(tris, dtype=np.int64)
 
 
-def _refine4(verts, tris):
-    """Split every triangle into four via shared edge midpoints."""
-    verts = list(map(tuple, verts))
-    midpoint = {}
+def _refine4(verts, tris, edges):
+    """Split every triangle into four via shared edge midpoints.
 
-    def mid(a, b):
-        key = (a, b) if a < b else (b, a)
-        if key not in midpoint:
-            pa, pb = verts[a], verts[b]
-            verts.append(((pa[0] + pb[0]) / 2.0, (pa[1] + pb[1]) / 2.0))
-            midpoint[key] = len(verts) - 1
-        return midpoint[key]
-
-    out = []
-    for a, b, c in tris:
-        ab, bc, ca = mid(a, b), mid(b, c), mid(c, a)
-        out.extend([(a, ab, ca), (ab, b, bc), (ca, bc, c), (ab, bc, ca)])
-    return np.array(verts), np.array(out, dtype=np.int64)
+    Midpoints follow the old vertices, numbered in the order their edges are
+    first met.  Returns the vertices, the triangles and the (E, 2) parent
+    pair of each midpoint.
+    """
+    order = np.argsort(edges.first)
+    parents = edges.ends[order]
+    number = len(verts) + np.argsort(order)  # the inverse permutation
+    ab, bc, ca = number[edges.edge].reshape(-1, 3).T
+    a, b, c = tris.T
+    out = np.stack([a, ab, ca, ab, b, bc, ca, bc, c, ab, bc, ca], axis=1)
+    mids = (verts[parents[:, 0]] + verts[parents[:, 1]]) / 2.0
+    return np.concatenate([verts, mids]), out.reshape(-1, 3), parents
 
 
 def _polygon_points(points, target_h):
@@ -622,14 +639,10 @@ def _polygon_points(points, target_h):
     tris = _ear_clip(pts)
     verts = pts
     for _ in range(40):
-        edge_len = 0.0
-        for i, j in ((0, 1), (1, 2), (2, 0)):
-            seg = verts[tris[:, j]] - verts[tris[:, i]]
-            edge_len = max(edge_len, float(np.max(np.hypot(seg[:, 0], seg[:, 1]))))
-        if edge_len <= target_h:
+        if float(np.max(_chart_lengths(verts, _half_edges(tris)))) <= target_h:
             break
-        verts, tris = _refine4(verts, tris)
-    return np.asarray(verts, dtype=float), tris
+        verts, tris, _ = _refine4(verts, tris, _edge_table(tris, len(verts)))
+    return verts, tris
 
 
 # ---------------------------------------------------------------------------
@@ -704,31 +717,21 @@ def generate_domain(kind: str, target_h: float, geometry: str = "flat",
             raise DegenerateGeometryError(
                 f"domain reaches chart radius {rmax:.3f} > cap {CHART_RADIUS_CAP}"
             )
-    boundary = _extract_boundary(tris)
+    boundary = _extract_boundary(tris, len(verts))
     return MeasuredMesh(verts, tris, boundary, geometry=geometry, warp=warp)
 
 
 def refine(mesh: MeasuredMesh) -> MeasuredMesh:
     """Uniform midpoint refinement; densities recomputed from the geometry
     (interpolated when the mesh carries a custom density)."""
-    verts, tris = _refine4(mesh.vertices, mesh.triangles)
-    boundary = _extract_boundary(tris)
+    verts, tris, parents = _refine4(mesh.vertices, mesh.triangles, mesh._edges)
+    boundary = _extract_boundary(tris, len(verts))
     density = None
     if mesh._custom_density:
         # midpoints average their parents; parents keep their values
-        density = np.empty(len(verts))
-        density[: len(mesh.vertices)] = mesh.density
-        old = len(mesh.vertices)
-        # rebuild the midpoint map exactly as _refine4 did
-        seen = {}
-        ptr = old
-        for a, b, c in mesh.triangles:
-            for u, vtx in ((a, b), (b, c), (c, a)):
-                key = (u, vtx) if u < vtx else (vtx, u)
-                if key not in seen:
-                    seen[key] = ptr
-                    density[ptr] = 0.5 * (mesh.density[key[0]] + mesh.density[key[1]])
-                    ptr += 1
+        density = np.concatenate(
+            [mesh.density, 0.5 * (mesh.density[parents[:, 0]] + mesh.density[parents[:, 1]])]
+        )
     return MeasuredMesh(verts, tris, boundary, geometry=mesh.geometry,
                         warp=mesh.warp, density=density)
 

@@ -217,7 +217,8 @@ def _ground_state(space: ModelSpace, lam, r):
 
     c(r) = 1/r (flat) or cot r (sphere); lam and r broadcast.  Flat:
     u = Gamma(nu+1) (2/x)^nu J_nu(x) with x = sqrt(lam) r, nu = n/2 - 1.
-    Sphere: u = 2F1(a, b; n/2; sin^2(r/2)) with a + b = n - 1, ab = -lam.
+    Sphere: u = 2F1(a, b; n/2; sin^2(r/2)) with a + b = n - 1, ab = -lam,
+    which for n = 3 is the elementary u = sin(mu r) / (mu sin r), mu^2 = 1 + lam.
     """
     n = space.n
     if space.kappa == 0:
@@ -234,7 +235,12 @@ def _ground_state(space: ModelSpace, lam, r):
     root = np.sqrt(half * half + lam)
     a, b = half + root, half - root
     z = np.sin(0.5 * r) ** 2
-    u = hyp2f1(a, b, 0.5 * n, z)
+    if n == 3:
+        # hyp2f1 loses absolute accuracy near its zero, where a stiff beta
+        # puts the boundary; u' stays far from zero there
+        u = np.sinc(root * r / math.pi) / np.sinc(r / math.pi)
+    else:
+        u = hyp2f1(a, b, 0.5 * n, z)
     du = -(lam / n) * np.sin(r) * hyp2f1(a + 1.0, b + 1.0, 0.5 * n + 1.0, z)
     return u, du
 

@@ -172,10 +172,7 @@ def _space_context(space: ModelSpace, **extra) -> dict:
 
 def _integrate_field(mesh: MeasuredMesh, values: np.ndarray) -> float:
     """Weighted integral of a P1 field by the edge-midpoint rule."""
-    p = mesh.vertices[mesh.triangles]
-    e1 = p[:, 1] - p[:, 0]
-    e2 = p[:, 2] - p[:, 0]
-    area = 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
+    area = mesh.chart_areas()
     dens = mesh.density[mesh.triangles]
     vals = values[mesh.triangles]
     rho_mid = 0.5 * (dens + np.roll(dens, -1, axis=1))
@@ -666,20 +663,14 @@ def check_bossel_daners(mesh: MeasuredMesh, space: ModelSpace,
 # level-set functional
 
 
-def _triangle_geometry(mesh: MeasuredMesh):
-    p = mesh.vertices[mesh.triangles]
-    e1 = p[:, 1] - p[:, 0]
-    e2 = p[:, 2] - p[:, 0]
-    det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
-    return p, det
-
-
 def eigen_test_field(u: ScalarField, beta: float) -> ScalarField:
     """Per-vertex |grad u|_g / u from the piecewise-constant gradient,
     clamped into the admissible class (non-negative, at most beta on the
     boundary); clamping is logged, not an error."""
     mesh = u.mesh
-    p, det = _triangle_geometry(mesh)
+    p = mesh.vertices[mesh.triangles]
+    area = mesh.chart_areas()
+    det = 2.0 * area
     vals = u.values[mesh.triangles]
     gx = (vals[:, 0] * (p[:, 1, 1] - p[:, 2, 1])
           + vals[:, 1] * (p[:, 2, 1] - p[:, 0, 1])
@@ -697,7 +688,7 @@ def eigen_test_field(u: ScalarField, beta: float) -> ScalarField:
         quad = gx * gx + gy * gy
     grad_norm = np.sqrt(np.maximum(quad / rho, 0.0))
 
-    areas = 0.5 * det * rho
+    areas = area * rho
     num = np.zeros(len(mesh.vertices))
     den = np.zeros(len(mesh.vertices))
     np.add.at(num, mesh.triangles.ravel(),
@@ -762,7 +753,7 @@ def bossel_functional(u: ScalarField, phi: ScalarField, beta: float,
         if seg is not None:
             exterior += _edge_weighted_length(sig0[k], sig1[k], lengths[k], *seg)
 
-    p_all, det = _triangle_geometry(mesh)
+    p_all = mesh.vertices[mesh.triangles]
     uvals = u.values[mesh.triangles]
     pvals = phi.values[mesh.triangles]
     dens = mesh.density[mesh.triangles]

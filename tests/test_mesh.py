@@ -5,7 +5,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from robinsym import mesh as mesh_module
 from robinsym.mesh import (
     CHART_RADIUS_CAP,
     DegenerateGeometryError,
@@ -248,6 +251,30 @@ def test_invariant_violations_are_named():
         MeasuredMesh(m.vertices, t2, m.boundary_edges)
 
 
+def test_directed_edge_repeat_is_named():
+    # two overlapping triangles both run the edge 0 -> 1
+    verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    tris = np.array([[0, 1, 2], [0, 1, 3]])
+    with pytest.raises(MeshInvariantError, match=r"edge-conformity: directed edge \(0, 1\)"):
+        MeasuredMesh(verts, tris, [[0, 1], [1, 2], [2, 0]])
+
+
+def test_duplicate_boundary_edge_is_named():
+    verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    with pytest.raises(MeshInvariantError, match="boundary-match: duplicate boundary edge"):
+        MeasuredMesh(verts, [[0, 1, 2]], [[0, 1], [1, 2], [2, 0], [0, 1]])
+
+
+def test_unchained_boundary_vertex_is_named():
+    # a bowtie: two triangles touching only at vertex 0, whose boundary
+    # leaves and enters vertex 0 twice
+    verts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [-1.0, 0.0], [-1.0, -1.0]])
+    tris = np.array([[0, 1, 2], [0, 3, 4]])
+    bnd = [[0, 1], [1, 2], [2, 0], [0, 3], [3, 4], [4, 0]]
+    with pytest.raises(MeshInvariantError, match="boundary-loops: vertex 0 does not chain"):
+        MeasuredMesh(verts, tris, bnd)
+
+
 def test_save_load_round_trip(tmp_path):
     w = warped_profile("smoothed_cone", 0.5)
     m = generate_domain("disk", target_h=0.3, radius=1.0, geometry="warped", warp=w)
@@ -335,3 +362,143 @@ def test_geometry_warp_pairing():
     with pytest.raises(MeshFormatError, match="warp"):
         MeasuredMesh(m.vertices, m.triangles, m.boundary_edges,
                      geometry="flat", warp=warped_profile("cone", 0.5))
+
+
+# ---------------------------------------------------------------------------
+# the dict-and-set topology walks the edge table replaced, kept as the oracle
+
+
+def _oracle_extract_boundary(triangles):
+    edges = np.concatenate([triangles[:, [0, 1]], triangles[:, [1, 2]], triangles[:, [2, 0]]])
+    seen = {(int(a), int(b)) for a, b in edges}
+    remaining = {a: b for (a, b) in seen if (b, a) not in seen}
+    loops = []
+    while remaining:
+        start = cur = min(remaining)
+        while True:
+            nb = remaining.pop(cur)
+            loops.append((cur, nb))
+            cur = nb
+            if cur == start:
+                break
+    return np.array(loops, dtype=np.int64)
+
+
+def _oracle_refine4(verts, tris, density):
+    """Midpoint split numbering midpoints as edges are first met; the density
+    (or None) is averaged onto the midpoints."""
+    verts = list(map(tuple, verts))
+    dens = None if density is None else list(density)
+    midpoint = {}
+
+    def mid(a, b):
+        key = (a, b) if a < b else (b, a)
+        if key not in midpoint:
+            pa, pb = verts[a], verts[b]
+            verts.append(((pa[0] + pb[0]) / 2.0, (pa[1] + pb[1]) / 2.0))
+            if dens is not None:
+                dens.append(0.5 * (dens[key[0]] + dens[key[1]]))
+            midpoint[key] = len(verts) - 1
+        return midpoint[key]
+
+    out = []
+    for a, b, c in tris:
+        ab, bc, ca = mid(a, b), mid(b, c), mid(c, a)
+        out.extend([(a, ab, ca), (ab, b, bc), (ca, bc, c), (ab, bc, ca)])
+    return np.array(verts), np.array(out, dtype=np.int64), dens
+
+
+def _oracle_longest_edge(verts, tris):
+    seg = np.concatenate([verts[tris[:, j]] - verts[tris[:, i]]
+                          for i, j in ((0, 1), (1, 2), (2, 0))])
+    return float(np.max(np.hypot(seg[:, 0], seg[:, 1])))
+
+
+def _oracle_polygon(points, target_h):
+    pts = np.asarray(points, dtype=float)
+    if mesh_module._polygon_signed_area(pts) < 0:
+        pts = pts[::-1].copy()
+    verts, tris = pts, mesh_module._ear_clip(pts)
+    while _oracle_longest_edge(verts, tris) > target_h:
+        verts, tris, _ = _oracle_refine4(verts, tris, None)
+    return verts, tris
+
+
+def _assert_same_arrays(m, verts, tris, bnd, density):
+    assert np.array_equal(m.vertices, verts)
+    assert np.array_equal(m.triangles, tris)
+    assert np.array_equal(m.boundary_edges, bnd)
+    if density is not None:
+        assert np.array_equal(m.density, density)
+
+
+ORACLE_DOMAINS = {
+    "square": dict(kind="square", target_h=0.15, side=1.0),
+    "disk": dict(kind="disk", target_h=0.2, radius=1.0),
+    "polygon": dict(kind="polygon", target_h=0.3, points=L_SHAPE[::-1]),
+    "cap": dict(kind="spherical_cap", target_h=0.2, theta=1.2),
+    "annulus_sector": dict(kind="annulus_sector", target_h=0.2, r_inner=1.0, r_outer=2.0,
+                           angle0=0.3, angle1=2.0),
+    "warped": dict(kind="disk", target_h=0.25, radius=1.0, geometry="warped",
+                   warp=warped_profile("smoothed_cone", 0.5)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_DOMAINS))
+def test_topology_matches_dict_oracle(name):
+    params = dict(ORACLE_DOMAINS[name])
+    m = generate_domain(params.pop("kind"), params.pop("target_h"), **params)
+    if name == "polygon":
+        verts, tris = _oracle_polygon(L_SHAPE[::-1], 0.3)
+        assert np.array_equal(m.vertices, verts)
+        assert np.array_equal(m.triangles, tris)
+    assert np.array_equal(m.boundary_edges, _oracle_extract_boundary(m.triangles))
+    for _ in range(2):
+        verts, tris, _ = _oracle_refine4(m.vertices, m.triangles, None)
+        m = refine(m)
+        _assert_same_arrays(m, verts, tris, _oracle_extract_boundary(tris), None)
+
+
+def test_custom_density_refine_matches_dict_oracle():
+    m = generate_domain("disk", target_h=0.3, radius=1.0)
+    dens = 1.0 + m.vertices[:, 0] ** 2 + 0.3 * m.vertices[:, 1]
+    m = MeasuredMesh(m.vertices, m.triangles, m.boundary_edges, density=dens)
+    for _ in range(2):
+        verts, tris, dens = _oracle_refine4(m.vertices, m.triangles, m.density)
+        m = refine(m)
+        _assert_same_arrays(m, verts, tris, _oracle_extract_boundary(tris), np.array(dens))
+
+
+@st.composite
+def flat_meshes(draw):
+    kind = draw(st.sampled_from(["square", "disk", "polygon", "annulus_sector"]))
+    h = draw(st.floats(0.2, 0.6))
+    if kind == "square":
+        return generate_domain("square", h, side=draw(st.floats(0.5, 2.0)))
+    if kind == "disk":
+        return generate_domain("disk", h, radius=draw(st.floats(0.3, 1.2)))
+    if kind == "annulus_sector":
+        r0 = draw(st.floats(0.2, 1.0))
+        a0 = draw(st.floats(-3.0, 3.0))
+        return generate_domain("annulus_sector", h, r_inner=r0,
+                               r_outer=r0 + draw(st.floats(0.2, 1.0)),
+                               angle0=a0, angle1=a0 + draw(st.floats(0.3, 6.0)))
+    # star-shaped about the origin with angular gaps below pi, hence simple
+    n = draw(st.integers(4, 8))
+    jitter = draw(st.lists(st.floats(0.0, 0.4), min_size=n, max_size=n))
+    radii = draw(st.lists(st.floats(0.5, 1.5), min_size=n, max_size=n))
+    angles = [2.0 * math.pi * (k + j) / n for k, j in enumerate(jitter)]
+    return generate_domain("polygon", h, points=[
+        (r * math.cos(a), r * math.sin(a)) for r, a in zip(radii, angles)])
+
+
+@settings(max_examples=25, deadline=None, database=None)
+@given(flat_meshes())
+def test_refine_properties(m):
+    r = refine(m)
+    n_edges = (3 * len(m.triangles) + len(m.boundary_edges)) // 2
+    assert len(r.vertices) == len(m.vertices) + n_edges
+    assert len(r.triangles) == 4 * len(m.triangles)
+    assert r.total_measure() == pytest.approx(m.total_measure(), rel=1e-12)
+    assert r.boundary_measure() == pytest.approx(m.boundary_measure(), rel=1e-12)
+    assert r.chart_mesh_size() == pytest.approx(0.5 * m.chart_mesh_size(), rel=1e-12)

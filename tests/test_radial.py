@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.optimize import brentq
@@ -254,6 +255,27 @@ def test_eigen_cap_regression_and_residuals(n, R, beta, expected):
     res = _interior_ode_residual(g, v, lambda r: (n - 1) / np.tan(r),
                                  lambda r: lam * np.interp(r, u.grid, u.values))
     assert float(np.max(np.abs(res))) < 1e-8
+
+
+@pytest.mark.parametrize("R,beta", [(3.0, 1e6), (3.1, 1e6), (2.5, 10.0)])
+def test_eigen_s3_matches_mpmath_root(R, beta):
+    # a stiff beta near the antipode puts u(R) close to the ground state's
+    # zero, where scipy's hyp2f1 loses absolute accuracy (lambda was off by
+    # 3.3e-9 at R=3 and 3.8e-7 at R=3.1, beta=1e6); the oracle is the
+    # hypergeometric secular function in 30-digit arithmetic
+    ball = GeodesicBall(space=ModelSpace(kappa=1, n=3, alpha=1.0), radius=R)
+    lam, _ = solve_radial_eigen(ball, beta)
+
+    def secular(t):
+        root = mpmath.sqrt(1 + t)
+        z = mpmath.sin(mpmath.mpf(R) / 2) ** 2
+        u = mpmath.hyp2f1(1 + root, 1 - root, 1.5, z)
+        du = -(t / 3) * mpmath.sin(R) * mpmath.hyp2f1(2 + root, 2 - root, 2.5, z)
+        return du + beta * u
+
+    with mpmath.workdps(30):
+        expected = float(mpmath.findroot(secular, lam))
+    assert abs(lam - expected) < 1e-11 * expected
 
 
 def test_eigen_disk_robin_residual():
