@@ -13,13 +13,13 @@ h-dependent tolerance it was judged at.
 import numpy as np
 
 from robinsym import (
-    GeodesicBall, ModelSpace, RobinProblem, ScalarField, constant_source,
+    GeodesicBall, ModelSpace, RobinProblem, ScalarField,
     check_bossel_daners, check_isoperimetric, check_lemma_31,
     check_lemma_32, check_min_comparison, check_saint_venant,
     check_theorem_main1, check_theorem_main2, distribution_function,
     generate_domain, radius_for_volume, reports_to_csv,
-    schwarz_rearrangement, solve_robin_poisson, solve_symmetrized_poisson,
-    source_from_profile,
+    schwarz_rearrangement, solve_record, solve_robin_poisson,
+    solve_symmetrized_poisson, source_from_profile,
 )
 
 flat = ModelSpace(kappa=0, n=2)
@@ -48,13 +48,13 @@ umin, umax = float(u.values.min()), float(u.values.max())
 reports += check_lemma_31(u, problem, flat,
                           umin + np.linspace(0.25, 0.75, 3) * (umax - umin))
 
-# torsion-specific checks run on the constant-source problem
-u_t = solve_robin_poisson(RobinProblem(mesh=mesh, beta=1.0))
-v_t = solve_symmetrized_poisson(ball, 1.0, constant_source(ball))
+# torsion-specific checks run on the constant-source problem; its solve
+# record factors the Robin matrix once for the solution and the eigenpair
+torsion = solve_record(RobinProblem(mesh=mesh, beta=1.0), flat, eigen=True)
 reports += [
-    check_theorem_main2(u_t, v_t, flat, pointwise=True),
-    check_saint_venant(mesh, flat, 1.0),
-    check_bossel_daners(mesh, flat, 1.0),
+    check_theorem_main2(torsion.u, torsion.v, flat, pointwise=True),
+    check_saint_venant(torsion),
+    check_bossel_daners(torsion),
 ]
 
 for rep in reports:

@@ -54,6 +54,7 @@ from .fem import (
     EigenSignError,
     RobinProblem,
     SingularGeometryError,
+    SingularSystemError,
     SolverConvergenceError,
     load_field,
     save_field,
@@ -83,6 +84,7 @@ from .verify import (
     ComparisonReport,
     HypothesisRangeError,
     MatchMismatchError,
+    SolveRecord,
     bossel_functional,
     check_bossel_daners,
     check_isoperimetric,
@@ -97,6 +99,7 @@ from .verify import (
     eigen_test_field,
     reports_to_csv,
     reports_to_jsonl,
+    solve_record,
 )
 
 __version__ = "0.1.0"
@@ -121,6 +124,8 @@ __all__ = [
     "RobinProblem",
     "ScalarField",
     "SingularGeometryError",
+    "SingularSystemError",
+    "SolveRecord",
     "SolverConvergenceError",
     "bossel_functional",
     "check_bossel_daners",
@@ -153,6 +158,7 @@ __all__ = [
     "save_mesh",
     "schwarz_rearrangement",
     "solve_radial_eigen",
+    "solve_record",
     "solve_robin_eigen",
     "solve_robin_poisson",
     "solve_symmetrized_poisson",

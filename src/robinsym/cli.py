@@ -27,11 +27,9 @@ from .fem import RobinProblem
 from .mesh import (DegenerateGeometryError, MeasuredMesh, MeshFormatError,
                    MeshInvariantError, ScalarField, generate_domain,
                    load_mesh, refine, save_mesh, warped_profile)
-from .model_geometry import GeodesicBall, ModelSpace, radius_for_volume
-from .radial import (constant_source, solve_symmetrized_poisson,
-                     source_from_profile)
-from .rearrange import (LorentzDivergenceError, SphereOverflowError,
-                        distribution_function, schwarz_rearrangement)
+from .model_geometry import ModelSpace
+from .rearrange import (DistributionData, LorentzDivergenceError,
+                        SphereOverflowError, schwarz_rearrangement)
 from .verify import HypothesisRangeError
 
 
@@ -188,66 +186,81 @@ class SourceExpression:
 
 @dataclasses.dataclass(frozen=True)
 class CheckDef:
-    needs: str                  # "pair" | "mesh" | "problem"
     params: tuple               # required parameter names
     torsion_only: bool
     description: str
     ranges: str
+    run: object                 # (mesh, cell's solve record, space, params) -> reports
 
 
 _CHECKS = {
     "thm1.1": CheckDef(
-        needs="pair", params=("p", "q"), torsion_only=False,
+        params=("p", "q"), torsion_only=False,
         description="Lorentz-norm comparison of the solution against its "
                     "symmetrized twin for a general non-negative source",
         ranges="q=1: 0 < p <= n/(2n-2); q=2: p <= n/(3n-4) (kappa=0), "
-               "p <= n/(3n-3) (kappa=1, n>=3), p <= 1 (kappa=1, n=2)"),
+               "p <= n/(3n-3) (kappa=1, n>=3), p <= 1 (kappa=1, n=2)",
+        run=lambda m, r, sp, pm: [verify.check_theorem_main1(
+            r.u, r.v, sp, p=float(pm["p"]), q=pm["q"], dist=r.dist)]),
     "thm1.2": CheckDef(
-        needs="pair", params=("p", "q"), torsion_only=True,
+        params=("p", "q"), torsion_only=True,
         description="Lorentz-norm comparison for the torsion problem "
                     "(unit source), with its wider admissible range",
         ranges="q=1: 0 < p <= n/(n-2), any p for n=2; q=2: same range, "
-               "kappa=0 only"),
+               "kappa=0 only",
+        run=lambda m, r, sp, pm: [verify.check_theorem_main2(
+            r.u, r.v, sp, p=float(pm["p"]), q=pm["q"], dist=r.dist)]),
     "thm1.2-pointwise": CheckDef(
-        needs="pair", params=(), torsion_only=True,
+        params=(), torsion_only=True,
         description="Pointwise bound of the rearranged torsion solution by "
                     "the symmetrized profile",
-        ranges="n=2, kappa=0 only"),
+        ranges="n=2, kappa=0 only",
+        run=lambda m, r, sp, pm: [verify.check_theorem_main2(
+            r.u, r.v, sp, pointwise=True, dist=r.dist)]),
     "min-comparison": CheckDef(
-        needs="pair", params=(), torsion_only=False,
+        params=(), torsion_only=False,
         description="Minimum of the solution against the boundary value of "
                     "the symmetrized profile",
-        ranges="any space"),
+        ranges="any space",
+        run=lambda m, r, sp, pm: [verify.check_min_comparison(r.u, r.v)]),
     "measure-bound": CheckDef(
-        needs="pair", params=(), torsion_only=False,
+        params=(), torsion_only=False,
         description="Superlevel measures of the solution bounded by the "
                     "matched ball volumes at every threshold",
-        ranges="any space"),
+        ranges="any space",
+        run=lambda m, r, sp, pm: [verify.check_measure_bound(
+            r.u, r.v, sp, dist=r.dist)]),
     "level-set-chain": CheckDef(
-        needs="problem", params=(), torsion_only=False,
+        params=(), torsion_only=False,
         description="Differential level-set inequality at 20 generic "
                     "thresholds between distribution breakpoints",
-        ranges="any space"),
+        ranges="any space",
+        run=lambda m, r, sp, pm: verify.check_lemma_31(
+            r.u, r.problem, sp, _auto_thresholds(r.u, r.dist), dist=r.dist)),
     "flux-identity": CheckDef(
-        needs="problem", params=(), torsion_only=False,
+        params=(), torsion_only=False,
         description="Integrated level-set identity at threshold infinity: "
                     "boundary flux equals the source integral over beta",
-        ranges="any space"),
+        ranges="any space",
+        run=lambda m, r, sp, pm: [verify.check_lemma_32(r.u, r.problem, math.inf)]),
     "isoperimetric": CheckDef(
-        needs="mesh", params=(), torsion_only=False,
+        params=(), torsion_only=False,
         description="Weighted boundary measure against the isoperimetric "
                     "profile at the domain's weighted volume",
-        ranges="any space"),
+        ranges="any space",
+        run=lambda m, r, sp, pm: [verify.check_isoperimetric(m, sp)]),
     "saint-venant": CheckDef(
-        needs="mesh", params=(), torsion_only=True,
+        params=(), torsion_only=True,
         description="Torsional rigidity bounded by the matched ball's "
                     "weighted rigidity",
-        ranges="any space"),
+        ranges="any space",
+        run=lambda m, r, sp, pm: [verify.check_saint_venant(r)]),
     "bossel-daners": CheckDef(
-        needs="mesh", params=(), torsion_only=False,
+        params=(), torsion_only=False,
         description="First Robin eigenvalue bounded below by the matched "
                     "ball's eigenvalue",
-        ranges="any space"),
+        ranges="any space",
+        run=lambda m, r, sp, pm: [verify.check_bossel_daners(r)]),
 }
 
 
@@ -435,6 +448,7 @@ class SolverStageError(RuntimeError):
 # library failures of a solve or a check on a valid config: exit status 3
 _SOLVER_ERRORS = (
     fem.SolverConvergenceError, fem.SingularGeometryError, fem.EigenSignError,
+    fem.SingularSystemError,
     radial.ConvergenceError, radial.EigenBracketError,
     radial.MonotonicityError, radial.PositivityError,
     radial.DegenerateBallError, LorentzDivergenceError, SphereOverflowError,
@@ -481,18 +495,8 @@ def _source_field(config, mesh) -> ScalarField | None:
     return ScalarField(mesh=mesh, values=field.values)
 
 
-def _symmetrized_twin(u_source: ScalarField | None, mesh, space, beta):
-    ball = GeodesicBall(space, radius_for_volume(space, mesh.total_measure()))
-    if u_source is None:
-        src = constant_source(ball)
-    else:
-        sharp = schwarz_rearrangement(distribution_function(u_source), space)
-        src = source_from_profile(sharp)
-    return ball, solve_symmetrized_poisson(ball, beta, src)
-
-
-def _auto_thresholds(u: ScalarField, count=20):
-    bks = np.asarray(distribution_function(u).breakpoints, dtype=float)
+def _auto_thresholds(u: ScalarField, dist: DistributionData, count=20):
+    bks = np.asarray(dist.breakpoints, dtype=float)
     mids = 0.5 * (bks[:-1] + bks[1:])
     inside = mids[(mids > float(np.min(u.values)))
                   & (mids < float(np.max(u.values)))]
@@ -504,10 +508,8 @@ def _auto_thresholds(u: ScalarField, count=20):
 
 @dataclasses.dataclass
 class _Cell:
-    beta_index: int
     beta: float
     level: int
-    check_index: int
     request: CheckRequest
 
 
@@ -515,57 +517,14 @@ class _Cell:
 class _LevelState:
     mesh: MeasuredMesh
     source: ScalarField | None
-    solutions: dict             # beta -> (problem, u, ball, v) lazy per beta
-
-
-def _solutions(state: _LevelState, space, beta):
-    if beta not in state.solutions:
-        problem = RobinProblem(mesh=state.mesh, beta=beta, source=state.source)
-        try:
-            u = fem.solve_robin_poisson(problem)
-            ball, v = _symmetrized_twin(state.source, state.mesh, space, beta)
-        except _SOLVER_ERRORS as exc:
-            raise SolverStageError(
-                f"solve (beta={beta}, h={state.mesh.mesh_size():g})", exc)
-        state.solutions[beta] = (problem, u, ball, v)
-    return state.solutions[beta]
+    solves: dict                # beta -> verify.SolveRecord
 
 
 def _run_cell(cell: _Cell, state: _LevelState, space) -> list:
     cid = cell.request.check_id
-    cdef = _CHECKS[cid]
     try:
-        if cdef.needs == "mesh":
-            if cid == "isoperimetric":
-                reports = [verify.check_isoperimetric(state.mesh, space)]
-            elif cid == "saint-venant":
-                reports = [verify.check_saint_venant(state.mesh, space, cell.beta)]
-            else:
-                reports = [verify.check_bossel_daners(state.mesh, space, cell.beta)]
-        else:
-            problem, u, ball, v = _solutions(state, space, cell.beta)
-            if cdef.needs == "problem":
-                if cid == "level-set-chain":
-                    reports = verify.check_lemma_31(
-                        u, problem, space, _auto_thresholds(u))
-                else:
-                    reports = [verify.check_lemma_32(u, problem, math.inf)]
-            elif cid == "thm1.1":
-                reports = [verify.check_theorem_main1(
-                    u, v, space, p=float(cell.request.params["p"]),
-                    q=cell.request.params["q"])]
-            elif cid == "thm1.2":
-                reports = [verify.check_theorem_main2(
-                    u, v, space, p=float(cell.request.params["p"]),
-                    q=cell.request.params["q"])]
-            elif cid == "thm1.2-pointwise":
-                reports = [verify.check_theorem_main2(u, v, space, pointwise=True)]
-            elif cid == "min-comparison":
-                reports = [verify.check_min_comparison(u, v)]
-            else:
-                reports = [verify.check_measure_bound(u, v, space)]
-    except SolverStageError:
-        raise
+        reports = _CHECKS[cid].run(state.mesh, state.solves.get(cell.beta),
+                                   space, cell.request.params)
     except _SOLVER_ERRORS as exc:
         raise SolverStageError(
             f"check {cid} (beta={cell.beta}, level={cell.level})", exc)
@@ -592,11 +551,11 @@ def _write_plots(config, states, space, out_dir):
     os.makedirs(plots, exist_ok=True)
     for ib, beta in enumerate(config.beta):
         for level, state in enumerate(states):
-            if beta not in state.solutions:
+            if beta not in state.solves:
                 continue
-            _, u, ball, v = state.solutions[beta]
-            dist = distribution_function(u)
-            t = np.linspace(0.0, float(np.max(u.values)), 257)
+            rec = state.solves[beta]
+            dist, ball, v = rec.dist, rec.ball, rec.v
+            t = np.linspace(0.0, float(np.max(rec.u.values)), 257)
             mu = np.array([dist.evaluate(tt) for tt in t])
             _write_plot(os.path.join(plots, f"mu_b{ib}_L{level}.csv"),
                         ("t", "mu"), (t, mu))
@@ -640,41 +599,42 @@ def run(config: ExperimentConfig, jobs: int = 1, stream=None) -> int:
     except (MeshFormatError, MeshInvariantError) as exc:
         raise ConfigError(f"domain mesh: {exc}") from exc
     states = [_LevelState(mesh=base, source=_source_field(config, base),
-                          solutions={})]
+                          solves={})]
     for _ in range(config.refine_levels):
         finer = refine(states[-1].mesh)
         states.append(_LevelState(mesh=finer,
                                   source=_source_field(config, finer),
-                                  solutions={}))
+                                  solves={}))
 
-    cells = [
-        _Cell(beta_index=ib, beta=beta, level=level, check_index=ic,
-              request=request)
-        for ib, beta in enumerate(config.beta)
-        for level in range(len(states))
-        for ic, request in enumerate(config.checks)
-    ]
+    cells = [_Cell(beta=beta, level=level, request=request)
+             for beta in config.beta for level in range(len(states))
+             for request in config.checks]
     space = config.space
 
-    results = {}
-    if jobs > 1:
-        # solves are cached per (level, beta); prime the caches serially so
-        # worker threads only read shared state
-        for cell in cells:
-            if _CHECKS[cell.request.check_id].needs in ("pair", "problem"):
-                _solutions(states[cell.level], space, cell.beta)
-        with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = {
-                pool.submit(_run_cell, cell, states[cell.level], space): i
-                for i, cell in enumerate(cells)
-            }
-            for future in concurrent.futures.as_completed(futures):
-                results[futures[future]] = future.result()
-    else:
-        for i, cell in enumerate(cells):
-            results[i] = _run_cell(cell, states[cell.level], space)
+    # one solve record per (level, beta), built serially before any check
+    # runs, so cells (and worker threads) only read shared state
+    if any(c.check_id != "isoperimetric" for c in config.checks):
+        eigen = any(c.check_id == "bossel-daners" for c in config.checks)
+        for beta in config.beta:
+            for state in states:
+                problem = RobinProblem(mesh=state.mesh, beta=beta,
+                                       source=state.source)
+                try:
+                    state.solves[beta] = verify.solve_record(problem, space, eigen)
+                except _SOLVER_ERRORS as exc:
+                    raise SolverStageError(
+                        f"solve (beta={beta}, h={state.mesh.mesh_size():g})", exc)
 
-    reports = [rep for i in range(len(cells)) for rep in results[i]]
+    def run_cell(cell):
+        return _run_cell(cell, states[cell.level], space)
+
+    if jobs > 1:
+        with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
+            results = list(pool.map(run_cell, cells))
+    else:
+        results = [run_cell(cell) for cell in cells]
+
+    reports = [rep for cell_reports in results for rep in cell_reports]
     verify.reports_to_csv(reports, os.path.join(out_dir, "summary.csv"))
     verify.reports_to_jsonl(reports, os.path.join(out_dir, "reports.jsonl"))
     _write_plots(config, states, space, out_dir)
@@ -685,8 +645,7 @@ def run(config: ExperimentConfig, jobs: int = 1, stream=None) -> int:
         rep for i, cell in enumerate(cells) if cell.level == finest
         for rep in results[i] if not rep.skipped and not rep.passed
     ]
-    total = sum(len(r) for r in results.values())
-    stream.write(f"{total} report lines -> {out_dir}\n")
+    stream.write(f"{len(reports)} report lines -> {out_dir}\n")
     for rep in failed:
         stream.write(
             f"FAILED {rep.check_id}: lhs={rep.lhs!r} rhs={rep.rhs!r} "

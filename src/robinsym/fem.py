@@ -8,6 +8,11 @@ sqrt(det g) g^{-1} weight, frozen per triangle at the centroid.  Mass and
 load use the density-weighted edge-midpoint rule, the boundary mass a
 2-point Gauss rule per edge; both are exact for linear fields with linear
 densities.
+
+Both solvers use one direct factorization of the SPD Robin matrix
+K + beta B at every mesh size, a sparse LU without pivoting; the Poisson
+solve is one back-substitution, inverse power iteration one per round, and
+a caller needing both passes them the same assembly and factor.
 """
 
 import json
@@ -18,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import cg, splu
+from scipy.sparse.linalg import splu
 
 from .mesh import (
     MeasuredMesh,
@@ -28,7 +33,6 @@ from .mesh import (
     warped_metric_tensors,
 )
 
-_DIRECT_DOF_CAP = 20_000
 _EIGEN_MAX_ITERS = 400
 
 
@@ -37,7 +41,11 @@ class SingularGeometryError(ValueError):
 
 
 class SolverConvergenceError(RuntimeError):
-    """The iterative solver missed its tolerance within the iteration cap."""
+    """Inverse power iteration missed its tolerance within the round cap."""
+
+
+class SingularSystemError(RuntimeError):
+    """The sparse factorization met an exactly singular Robin matrix."""
 
 
 class EigenSignError(RuntimeError):
@@ -159,54 +167,52 @@ def assemble(problem: RobinProblem) -> AssembledSystem:
                            boundary_mass=boundary_mass, load=load)
 
 
-def _solve_spd(A: sp.csr_matrix, b: np.ndarray) -> np.ndarray:
-    """Jacobi-preconditioned CG at 1e-10 relative residual, direct fallback."""
-    n = A.shape[0]
-    diag = A.diagonal()
-    precond = sp.diags(1.0 / diag)
-    maxiter = int(50 * math.sqrt(n)) + 1
-    x, info = cg(A, b, rtol=1e-10, atol=0.0, maxiter=maxiter, M=precond)
-    if info == 0:
-        return x
-    if n < _DIRECT_DOF_CAP:
-        return splu(A.tocsc()).solve(b)
-    raise SolverConvergenceError(
-        f"CG missed 1e-10 within {maxiter} iterations on {n} dof"
-    )
+def factor_robin(A: sp.spmatrix):
+    """Sparse LU of an SPD Robin matrix K + beta B, the solvers' ``lu``:
+    minimum-degree ordering of A + A^T, diagonal pivots only."""
+    try:
+        return splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                    options={"SymmetricMode": True})
+    except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
+        raise SingularSystemError(
+            f"Robin matrix on {A.shape[0]} dof: {exc}") from exc
 
 
-def solve_robin_poisson(problem: RobinProblem) -> ScalarField:
-    """Weak solution of -div(grad u) = f with the Robin boundary condition."""
-    system = assemble(problem)
-    u = _solve_spd(system.robin_matrix(problem.beta), system.load)
+def solve_robin_poisson(problem: RobinProblem, system: AssembledSystem | None = None,
+                        lu=None) -> ScalarField:
+    """Weak solution of -div(grad u) = f with the Robin boundary condition;
+    ``system`` and ``lu`` default to the problem's assembly and factor."""
+    if system is None:
+        system = assemble(problem)
+    if lu is None:
+        lu = factor_robin(system.robin_matrix(problem.beta))
+    u = lu.solve(system.load)
     if float(np.min(u)) <= 0.0:
         warnings.warn("solution is not strictly positive; mesh too coarse",
                       RuntimeWarning, stacklevel=2)
     return ScalarField(mesh=problem.mesh, values=u)
 
 
-def solve_robin_eigen(mesh: MeasuredMesh, beta: float):
+def solve_robin_eigen(mesh: MeasuredMesh, beta: float,
+                      system: AssembledSystem | None = None, lu=None):
     """Smallest Robin eigenpair by inverse power iteration, zero shift.
 
     Returns (lambda, eigenfield) with the field positive and normalized to
-    max = 1; eigenvalue tolerance 1e-9 relative.
+    max = 1; eigenvalue tolerance 1e-9 relative.  ``system`` and ``lu`` may
+    be those of a Poisson solve at the same (mesh, beta), whatever its load.
     """
-    problem = RobinProblem(mesh=mesh, beta=beta)
-    system = assemble(problem)
-    A = system.robin_matrix(beta).tocsc()
+    if system is None:
+        system = assemble(RobinProblem(mesh=mesh, beta=beta))
+    A = system.robin_matrix(beta)
+    if lu is None:
+        lu = factor_robin(A)
     M = system.mass
-    n = A.shape[0]
-    if n < _DIRECT_DOF_CAP:
-        solver = splu(A).solve
-    else:
-        A_csr = A.tocsr()
-        solver = lambda rhs: _solve_spd(A_csr, rhs)
 
-    x = np.ones(n)
+    x = np.ones(A.shape[0])
     x /= math.sqrt(float(x @ (M @ x)))
     lam = float(x @ (A @ x))
     for _ in range(_EIGEN_MAX_ITERS):
-        y = solver(M @ x)
+        y = lu.solve(M @ x)
         y /= math.sqrt(float(y @ (M @ y)))
         lam_new = float(y @ (A @ y)) / float(y @ (M @ y))
         x = y

@@ -205,7 +205,7 @@ class MeasuredMesh:
     """
 
     def __init__(self, vertices, triangles, boundary_edges, geometry="flat",
-                 warp=None, density=None):
+                 warp=None, density=None, *, _edges=None):
         self.vertices = np.ascontiguousarray(vertices, dtype=float)
         self.triangles = np.ascontiguousarray(triangles, dtype=np.int64)
         self.boundary_edges = np.ascontiguousarray(boundary_edges, dtype=np.int64)
@@ -224,6 +224,7 @@ class MeasuredMesh:
             self._custom_density = not (
                 self.density.shape == ref.shape and np.allclose(self.density, ref, rtol=1e-12, atol=1e-12)
             )
+        self._edges = _edges  # the triangulation's table, when the caller has it
         self.validate()
         _, self.boundary_density = self._length_factors(self.boundary_edges)
 
@@ -244,7 +245,10 @@ class MeasuredMesh:
         if b.min() < 0 or b.max() >= len(v):
             raise MeshInvariantError("index-range: boundary edge index out of range")
 
-        areas = self.chart_areas()
+        p = v[t]
+        d1 = p[:, 1] - p[:, 0]
+        d2 = p[:, 2] - p[:, 0]
+        areas = 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
         bad = np.nonzero(areas <= 0.0)[0]
         if len(bad):
             raise MeshInvariantError(
@@ -259,7 +263,7 @@ class MeasuredMesh:
 
         # conformity: directed interior edges pair up, boundary edges appear once
         n = len(v)
-        edges = _edge_table(t, n)
+        edges = self._edges if self._edges is not None else _edge_table(t, n)
         forward = np.bincount(edges.edge[edges.half[:, 0] < edges.half[:, 1]],
                               minlength=len(edges.first))
         repeats = np.nonzero((forward > 1) | (edges.count - forward > 1))[0]
@@ -287,7 +291,6 @@ class MeasuredMesh:
         unchained = np.nonzero((outdeg + indeg > 0) & ((outdeg != 1) | (indeg != 1)))[0]
         if len(unchained):
             raise MeshInvariantError(f"boundary-loops: vertex {unchained[0]} does not chain")
-        self._edges = edges
 
         if self.geometry == "sphere_stereographic":
             rmax = float(np.max(np.hypot(v[:, 0], v[:, 1])))
@@ -303,13 +306,18 @@ class MeasuredMesh:
                     f"warp-curvature: vertex {idx} sees curvature {proxy[idx]!r}"
                 )
 
+        self._edges = edges
+        areas.flags.writeable = False
+        self._chart_areas = areas
+        # length_factor sees the direction only through its square, so one
+        # orientation per undirected edge measures both half-edges
+        ln, fac = self._length_factors(edges.ends)
+        self._mesh_size = float(np.max(ln * np.max(fac, axis=1)))
+
     # -- measures ----------------------------------------------------------
 
     def chart_areas(self) -> np.ndarray:
-        p = self.vertices[self.triangles]
-        d1 = p[:, 1] - p[:, 0]
-        d2 = p[:, 2] - p[:, 0]
-        return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+        return self._chart_areas  # read-only, computed once by validate
 
     def centroid_density(self) -> np.ndarray:
         """Per-triangle density frozen at the centroid (equals the vertex mean
@@ -329,10 +337,7 @@ class MeasuredMesh:
 
     def mesh_size(self) -> float:
         """Maximum metric edge length; the h of every C*h tolerance model."""
-        # length_factor sees the direction only through its square, so one
-        # orientation per undirected edge measures both half-edges
-        ln, fac = self._length_factors(self._edges.ends)
-        return float(np.max(ln * np.max(fac, axis=1)))
+        return self._mesh_size
 
     def chart_mesh_size(self) -> float:
         return float(np.max(_chart_lengths(self.vertices, self._edges.ends)))
@@ -420,10 +425,10 @@ def _chart_lengths(vertices, ends) -> np.ndarray:
     return np.hypot(seg[:, 0], seg[:, 1])
 
 
-def _extract_boundary(triangles, n_vertices) -> np.ndarray:
+def _extract_boundary(edges: _EdgeTable, n_vertices) -> np.ndarray:
     """Half-edges on exactly one triangle, chained into loops; each loop
     starts at its smallest vertex, and the loops come in that order."""
-    tail, head = _edge_table(triangles, n_vertices).boundary.T
+    tail, head = edges.boundary.T
     succ = np.full(n_vertices, -1, dtype=np.int64)
     succ[tail] = head
     unvisited = succ.copy()
@@ -717,23 +722,25 @@ def generate_domain(kind: str, target_h: float, geometry: str = "flat",
             raise DegenerateGeometryError(
                 f"domain reaches chart radius {rmax:.3f} > cap {CHART_RADIUS_CAP}"
             )
-    boundary = _extract_boundary(tris, len(verts))
-    return MeasuredMesh(verts, tris, boundary, geometry=geometry, warp=warp)
+    edges = _edge_table(tris, len(verts))
+    return MeasuredMesh(verts, tris, _extract_boundary(edges, len(verts)),
+                        geometry=geometry, warp=warp, _edges=edges)
 
 
 def refine(mesh: MeasuredMesh) -> MeasuredMesh:
     """Uniform midpoint refinement; densities recomputed from the geometry
     (interpolated when the mesh carries a custom density)."""
     verts, tris, parents = _refine4(mesh.vertices, mesh.triangles, mesh._edges)
-    boundary = _extract_boundary(tris, len(verts))
+    edges = _edge_table(tris, len(verts))
     density = None
     if mesh._custom_density:
         # midpoints average their parents; parents keep their values
         density = np.concatenate(
             [mesh.density, 0.5 * (mesh.density[parents[:, 0]] + mesh.density[parents[:, 1]])]
         )
-    return MeasuredMesh(verts, tris, boundary, geometry=mesh.geometry,
-                        warp=mesh.warp, density=density)
+    return MeasuredMesh(verts, tris, _extract_boundary(edges, len(verts)),
+                        geometry=mesh.geometry, warp=mesh.warp, density=density,
+                        _edges=edges)
 
 
 def save_mesh(mesh: MeasuredMesh, path: str):

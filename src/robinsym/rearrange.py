@@ -353,14 +353,18 @@ class DecreasingRearrangement:
         return self._invert(np.clip(s, 0.0, self.total), strict=False)
 
     def left_limit(self, s):
-        """lim_{x -> s^-} h*(x); at s = total this is the essential infimum."""
+        """lim_{x -> s^-} h*(x); at s = total this is the essential infimum,
+        with mu(0) short of the total by roundoff only taken as the total."""
         s = np.asarray(s, dtype=float)
         slack = 1e-12 * max(self.total, 1.0)
         if np.any(s < -slack) or np.any(s > self.total + slack):
             raise RearrangeDomainError(
                 f"rearrangement argument outside [0, {self.total!r}]"
             )
-        return self._invert(np.clip(s, 0.0, self.total), strict=True)
+        top = self.total
+        if self.total - self._mu_right[0] <= slack:
+            top = min(top, float(self._mu_right[0]))
+        return self._invert(np.clip(s, 0.0, top), strict=True)
 
     def cumulative(self, w):
         """Exact integral of h* over [0, w] (layer-cake identity)."""

@@ -11,7 +11,9 @@ pass.
 
 Checks that own their mesh (isoperimetric, torsional rigidity, eigenvalue)
 retry once on a uniformly refined mesh before finalizing a failure; that
-separates discretization artifacts from genuine violations.
+separates discretization artifacts from genuine violations.  A check that
+reads the distribution function of u takes it as ``dist`` when the caller
+holds it, as a :class:`SolveRecord` does.
 """
 
 import csv
@@ -41,6 +43,7 @@ from .radial import (
     radial_distribution,
     solve_radial_eigen,
     solve_symmetrized_poisson,
+    source_from_profile,
 )
 from .rearrange import (
     DecreasingRearrangement,
@@ -180,10 +183,6 @@ def _integrate_field(mesh: MeasuredMesh, values: np.ndarray) -> float:
     return float(np.sum(area / 3.0 * np.sum(v_mid * rho_mid, axis=1)))
 
 
-def _matched_ball(space: ModelSpace, volume: float) -> GeodesicBall:
-    return GeodesicBall(space, radius_for_volume(space, volume))
-
-
 def _require_match(mesh: MeasuredMesh, ball: GeodesicBall):
     lhs = mesh.total_measure()
     rhs = volume_profile(ball.space, ball.radius)
@@ -293,13 +292,13 @@ def _check_boundary_positive(u: ScalarField):
 
 
 def check_lemma_31(u: ScalarField, problem: RobinProblem, space: ModelSpace,
-                   t_grid) -> list:
+                   t_grid, *, dist: DistributionData | None = None) -> list:
     """Level-set differential inequality: isoperimetric term against the
     derivative of the distribution plus the exterior boundary term."""
     if problem.mesh is not u.mesh:
         raise ValueError("problem and field live on different meshes")
     _check_boundary_positive(u)
-    dist = distribution_function(u)
+    dist = distribution_function(u) if dist is None else dist
     breaks = np.asarray(dist.breakpoints, dtype=float)
     cumulative = _source_cumulative(problem)
     a, b, sig0, sig1, lengths = _boundary_arrays(u)
@@ -385,12 +384,12 @@ def check_lemma_32(u: ScalarField, problem: RobinProblem, t: float) -> Compariso
         context={"h": u.mesh.mesh_size(), "beta": beta, "t": t})
 
 
-def check_measure_bound(u: ScalarField, v: RadialProfile,
-                        space: ModelSpace) -> ComparisonReport:
+def check_measure_bound(u: ScalarField, v: RadialProfile, space: ModelSpace, *,
+                        dist: DistributionData | None = None) -> ComparisonReport:
     """Distribution of u never exceeds the weighted radial distribution
     below the symmetrized minimum."""
     _require_match(u.mesh, v.ball)
-    dist = distribution_function(u)
+    dist = distribution_function(u) if dist is None else dist
     rad = radial_distribution(v, space)
     v_m = float(v.values[-1])
     ts = np.linspace(0.0, v_m, 34)[1:-1]
@@ -557,10 +556,11 @@ def _main2_range(space: ModelSpace, p: float, q: int):
 
 
 def _norm_comparison(check_id: str, u: ScalarField, v: RadialProfile,
-                     space: ModelSpace, p: float, q: int) -> ComparisonReport:
+                     space: ModelSpace, p: float, q: int,
+                     dist: DistributionData | None) -> ComparisonReport:
     _require_match(u.mesh, v.ball)
     params = _norm_params(p, q)
-    lhs = lorentz_norm(distribution_function(u), params)
+    lhs = lorentz_norm(distribution_function(u) if dist is None else dist, params)
     # the weighted radial distribution already carries the alpha factor that
     # the comparison puts in front of the unweighted ball norm
     rhs = lorentz_norm(radial_distribution(v, space), params)
@@ -573,22 +573,24 @@ def _norm_comparison(check_id: str, u: ScalarField, v: RadialProfile,
 
 
 def check_theorem_main1(u: ScalarField, v: RadialProfile, space: ModelSpace,
-                        p: float, q: int) -> ComparisonReport:
+                        p: float, q: int, *,
+                        dist: DistributionData | None = None) -> ComparisonReport:
     """Lorentz-norm comparison for general non-negative sources."""
     _main1_range(space, p, q)
-    return _norm_comparison("theorem_main1", u, v, space, p, q)
+    return _norm_comparison("theorem_main1", u, v, space, p, q, dist)
 
 
 def check_theorem_main2(u: ScalarField, v: RadialProfile, space: ModelSpace,
-                        p: float = 1.0, q: int = 1,
-                        pointwise: bool = False) -> ComparisonReport:
+                        p: float = 1.0, q: int = 1, pointwise: bool = False, *,
+                        dist: DistributionData | None = None) -> ComparisonReport:
     """Torsion comparison: wider norm ranges, plus the pointwise mode."""
     if pointwise:
         if space.n != 2 or space.kappa != 0:
             raise HypothesisRangeError(
                 "pointwise comparison is stated for n=2, kappa=0")
         _require_match(u.mesh, v.ball)
-        ustar = schwarz_rearrangement(distribution_function(u), space)
+        dist = distribution_function(u) if dist is None else dist
+        ustar = schwarz_rearrangement(dist, space)
         v_at = np.interp(ustar.grid, v.grid, v.values)
         worst = float(np.max(ustar.values - v_at))
         h = u.mesh.mesh_size()
@@ -599,22 +601,67 @@ def check_theorem_main2(u: ScalarField, v: RadialProfile, space: ModelSpace,
             passed=worst <= tol,
             context=_space_context(space, h=h, p=p, q=q))
     _main2_range(space, p, q)
-    return _norm_comparison("theorem_main2", u, v, space, p, q)
+    return _norm_comparison("theorem_main2", u, v, space, p, q, dist)
 
 
 # ---------------------------------------------------------------------------
 # rigidity functionals
 
 
-def _saint_venant_once(mesh: MeasuredMesh, space: ModelSpace, beta: float,
-                       retried: bool) -> ComparisonReport:
-    u = fem.solve_robin_poisson(RobinProblem(mesh=mesh, beta=beta))
-    lhs = _integrate_field(mesh, u.values)
-    ball = _matched_ball(space, mesh.total_measure())
-    prof = solve_symmetrized_poisson(ball, beta, constant_source(ball))
+@dataclass(frozen=True)
+class SolveRecord:
+    """One Robin problem solved once, with everything the checks read: the
+    solution u and its distribution, the matched ball and its radial twin
+    v, and the first eigenpair when one was asked for."""
+
+    problem: RobinProblem
+    u: ScalarField
+    dist: DistributionData
+    ball: GeodesicBall
+    v: RadialProfile
+    # (lambda, ground state); lambda is nan when the ground state changed sign
+    eigen: tuple | None = None
+
+
+def solve_record(problem: RobinProblem, space: ModelSpace,
+                 eigen: bool = False) -> SolveRecord:
+    """Assemble and factor the problem once: the Poisson solve and, with
+    ``eigen``, the inverse iteration share the factor, freed before the rest
+    is built.  The twin's source is the Schwarz rearrangement of the
+    problem's."""
+    mesh, beta = problem.mesh, problem.beta
+    system = fem.assemble(problem)
+    lu = fem.factor_robin(system.robin_matrix(beta))
+    u = fem.solve_robin_poisson(problem, system, lu)
+    pair = None
+    if eigen:
+        try:
+            pair = fem.solve_robin_eigen(mesh, beta, system, lu)
+        except fem.EigenSignError:
+            pair = (math.nan, None)
+    del system, lu  # the largest allocations; they set the peak memory
+    ball = GeodesicBall(space, radius_for_volume(space, mesh.total_measure()))
+    if problem.source is None:
+        src = constant_source(ball)
+    else:
+        src = source_from_profile(schwarz_rearrangement(
+            distribution_function(problem.source), space))
+    return SolveRecord(problem=problem, u=u, dist=distribution_function(u),
+                       ball=ball, v=solve_symmetrized_poisson(ball, beta, src),
+                       eigen=pair)
+
+
+def _refined_record(rec: SolveRecord, eigen: bool = False) -> SolveRecord:
+    problem = RobinProblem(mesh=refine(rec.problem.mesh), beta=rec.problem.beta)
+    return solve_record(problem, rec.ball.space, eigen)
+
+
+def _saint_venant_once(rec: SolveRecord, retried: bool) -> ComparisonReport:
+    space, mesh, beta = rec.ball.space, rec.u.mesh, rec.problem.beta
+    lhs = _integrate_field(mesh, rec.u.values)
     # sphere_area carries no cone-angle weight; the ball's measure does
-    rhs = float(space.alpha * simpson(prof.values * sphere_area(space, prof.grid),
-                                      x=prof.grid))
+    rhs = float(space.alpha * simpson(rec.v.values * sphere_area(space, rec.v.grid),
+                                      x=rec.v.grid))
     h = mesh.mesh_size()
     return ComparisonReport(
         check_id="saint_venant",
@@ -623,39 +670,42 @@ def _saint_venant_once(mesh: MeasuredMesh, space: ModelSpace, beta: float,
         context=_space_context(space, h=h, beta=beta, retried=retried))
 
 
-def check_saint_venant(mesh: MeasuredMesh, space: ModelSpace,
-                       beta: float) -> ComparisonReport:
-    """Torsional rigidity of the mesh against the matched ball."""
-    report = _saint_venant_once(mesh, space, beta, retried=False)
+def check_saint_venant(rec: SolveRecord) -> ComparisonReport:
+    """Torsional rigidity of the mesh against the matched ball, from a
+    unit-source record; a failure retries once on the refined mesh."""
+    if rec.problem.source is not None:
+        raise ValueError("torsional rigidity needs the unit-source record")
+    report = _saint_venant_once(rec, retried=False)
     if not report.passed:
-        report = _saint_venant_once(refine(mesh), space, beta, retried=True)
+        report = _saint_venant_once(_refined_record(rec), retried=True)
     return report
 
 
-def _bossel_daners_once(mesh: MeasuredMesh, space: ModelSpace, beta: float,
-                        retried: bool) -> ComparisonReport:
-    lhs, _ = fem.solve_robin_eigen(mesh, beta)
-    ball = _matched_ball(space, mesh.total_measure())
-    rhs, _ = solve_radial_eigen(ball, beta)
-    h = mesh.mesh_size()
+def _bossel_daners_once(rec: SolveRecord, retried: bool) -> ComparisonReport:
+    lhs = rec.eigen[0]
+    rhs, _ = solve_radial_eigen(rec.ball, rec.problem.beta)
+    h = rec.u.mesh.mesh_size()
     return ComparisonReport(
         check_id="bossel_daners",
         lhs=lhs, rhs=rhs, gap=lhs - rhs, tolerance=5.0 * h * rhs,
         passed=lhs >= rhs * (1.0 - 5.0 * h),
-        context=_space_context(space, h=h, beta=beta, retried=retried))
+        context=_space_context(rec.ball.space, h=h, beta=rec.problem.beta,
+                               retried=retried))
 
 
-def check_bossel_daners(mesh: MeasuredMesh, space: ModelSpace,
-                        beta: float) -> ComparisonReport:
-    """First Robin eigenvalue of the mesh against the matched ball."""
-    try:
-        report = _bossel_daners_once(mesh, space, beta, retried=False)
-    except fem.EigenSignError:
-        # a sign-dipping ground state is a coarseness symptom like a failed
-        # comparison; spend the one refinement on it
-        return _bossel_daners_once(refine(mesh), space, beta, retried=True)
+def check_bossel_daners(rec: SolveRecord) -> ComparisonReport:
+    """First Robin eigenvalue of the mesh against the matched ball, from a
+    record solved with ``eigen``.  A failed comparison, or a sign-changed
+    ground state (a coarseness symptom too), retries once on the refined
+    mesh."""
+    if rec.eigen is None:
+        raise ValueError("the record holds no eigenpair; solve it with eigen=True")
+    report = _bossel_daners_once(rec, retried=False)
     if not report.passed:
-        report = _bossel_daners_once(refine(mesh), space, beta, retried=True)
+        fine = _refined_record(rec, eigen=True)
+        if math.isnan(fine.eigen[0]):
+            raise fem.EigenSignError("computed ground state changes sign")
+        report = _bossel_daners_once(fine, retried=True)
     return report
 
 

@@ -66,7 +66,8 @@ def test_criterion_02_torsion_comparison():
         mesh = msh.generate_domain("square", target_h=0.08, side=1.0)
         gaps = []
         for _ in range(3):
-            report = verify.check_saint_venant(mesh, FLAT, beta)
+            report = verify.check_saint_venant(verify.solve_record(
+                fem.RobinProblem(mesh=mesh, beta=beta), FLAT))
             assert report.passed and report.gap > 0.0
             gaps.append(report.gap)
             mesh = msh.refine(mesh)
@@ -84,7 +85,8 @@ def test_criterion_03_eigenvalue_comparison():
     start = time.perf_counter()
     square = msh.generate_domain("square", target_h=0.1, side=1.0)
     for beta in (0.1, 1.0, 10.0, 1e3):
-        report = verify.check_bossel_daners(square, FLAT, beta)
+        report = verify.check_bossel_daners(verify.solve_record(
+            fem.RobinProblem(mesh=square, beta=beta), FLAT, eigen=True))
         assert report.passed and report.gap > 0.0
     # the radial reference itself: the closed-form route reproduces the frozen
     # unit-disk value to 1e-10

@@ -246,6 +246,59 @@ def test_run_determinism_and_jobs(tmp_path, capsys):
     assert (tmp_path / "out_c" / "reports.jsonl").read_bytes() == ref_jsonl
 
 
+_ALL_CHECKS = [{"id": "thm1.1", "p": 1.0, "q": 1}, {"id": "thm1.2", "p": 1.5, "q": 1},
+               {"id": "thm1.2-pointwise"}, {"id": "saint-venant"},
+               {"id": "bossel-daners"}, {"id": "level-set-chain"},
+               {"id": "flux-identity"}, {"id": "measure-bound"},
+               {"id": "isoperimetric"}, {"id": "min-comparison"}]
+
+
+def test_run_solves_each_level_and_beta_once(tmp_path, capsys, monkeypatch):
+    counts = {"assemble": 0, "factor": 0, "distribution": 0}
+
+    def counting(key, fn):
+        def wrapped(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(fem, "assemble", counting("assemble", fem.assemble))
+    monkeypatch.setattr(fem, "splu", counting("factor", fem.splu))
+    monkeypatch.setattr(cli.verify, "distribution_function", counting(
+        "distribution", rearrange.distribution_function))
+
+    outputs = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"out_{jobs}"
+        path = _write_config(tmp_path, name=f"cfg_{jobs}.json", beta=[0.5, 2.0],
+                             refine_levels=1, checks=_ALL_CHECKS,
+                             output_dir=str(out))
+        assert cli.main(["run", path, "--jobs", jobs]) == 0
+        reports = [json.loads(line) for line in
+                   (out / "reports.jsonl").read_text().splitlines()]
+        assert not any(r["context"].get("retried") for r in reports)
+        # two levels times two betas: one assembly, one factorization and one
+        # distribution function of the solution each
+        assert counts == {"assemble": 4, "factor": 4, "distribution": 4}
+        counts.update(assemble=0, factor=0, distribution=0)
+        outputs.append(sorted(
+            (str(f.relative_to(out)), f.read_bytes()) for f in out.rglob("*")
+            if f.is_file() and f.name != "config_resolved.json"))
+    capsys.readouterr()
+    assert outputs[0] == outputs[1]
+
+
+def test_run_singular_factorization_exits_three(tmp_path, capsys, monkeypatch):
+    def singular(*args, **kwargs):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(fem, "splu", singular)
+    path = _write_config(tmp_path, checks=[{"id": "min-comparison"}])
+    assert cli.main(["run", path]) == 3
+    err = capsys.readouterr().err
+    assert "solver:" in err and "exactly singular" in err
+
+
 def test_run_expression_source(tmp_path, capsys):
     path = _write_config(
         tmp_path, domain={"kind": "disk", "radius": 1.0},
@@ -315,10 +368,17 @@ def test_run_missing_field_mesh_exits_two(tmp_path, capsys):
     assert "config:" in capsys.readouterr().err
 
 
-def test_run_radial_stall_exits_three(tmp_path, capsys):
-    # the symmetrized Poisson doubling stalls at level 1 for this source
+def test_run_radial_stall_exits_three(tmp_path, capsys, monkeypatch):
+    # this source stalled the Simpson doubling at level 1 while roundoff sent
+    # its rearrangement to 0 at the rim of the ball; it now runs through
     path = _write_config(tmp_path, source={"expr": "1 + exp(-r^2)"}, h=0.05,
                          refine_levels=1, checks=[{"id": "min-comparison"}])
+    assert cli.main(["run", path]) == 0
+
+    def stalled(*args, **kwargs):
+        raise radial.ConvergenceError("Simpson doubling stalled at n=2097152")
+
+    monkeypatch.setattr(cli.verify, "solve_symmetrized_poisson", stalled)
     assert cli.main(["run", path]) == 3
     assert "Simpson doubling stalled" in capsys.readouterr().err
 

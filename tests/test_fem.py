@@ -18,6 +18,9 @@ _DISK_EIGEN_B1 = 1.5769927308134737
 _J01_SQ = 2.404825557695773**2
 # spherical cap theta = 1, beta = 1, from the radial solver
 _CAP_EIGEN_B1 = 1.4459779225320972
+# unit square at 21,025 vertices, beta = 1: the inverse iteration's value
+# when its solves ran Jacobi-CG to 1e-10 relative residual
+_SQUARE_21K_EIGEN_B1 = 3.4141304266841193
 
 
 def _unit_square():
@@ -252,6 +255,32 @@ def test_cone_torsion_center_value():
     m = _disk(0.04, geometry="warped", warp=msh.warped_profile("cone", 0.6))
     u = fem.solve_robin_poisson(fem.RobinProblem(mesh=m, beta=1.0))
     assert _center_value(u) == pytest.approx(0.75, abs=5e-3)
+
+
+def test_eigen_above_20k_dof_on_the_shared_factor(monkeypatch):
+    m = msh.generate_domain("square", target_h=0.04, side=1.0)
+    m = msh.refine(msh.refine(m))
+    assert len(m.vertices) > 20_000
+    factored = []
+    splu = fem.splu
+
+    def counted(*args, **kwargs):
+        factored.append(args[0].shape)
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(fem, "splu", counted)
+    problem = fem.RobinProblem(mesh=m, beta=1.0)
+    system = fem.assemble(problem)
+    lu = fem.factor_robin(system.robin_matrix(1.0))
+    u = fem.solve_robin_poisson(problem, system, lu)
+    lam, ground = fem.solve_robin_eigen(m, 1.0, system, lu)
+    assert len(factored) == 1
+    assert lam == pytest.approx(_SQUARE_21K_EIGEN_B1, rel=1e-9)
+    # the shared factor gives what a solver factoring on its own gives
+    alone = fem.solve_robin_eigen(m, 1.0)
+    assert alone[0] == lam and np.array_equal(alone[1].values, ground.values)
+    assert np.array_equal(fem.solve_robin_poisson(problem).values, u.values)
+    assert len(factored) == 3
 
 
 def test_eigenfield_solves_generalized_problem():

@@ -208,6 +208,23 @@ def test_plateau_field():
     assert float(h(np.array([0.3]))[0]) == pytest.approx(0.7, abs=1e-12)
 
 
+def test_essential_infimum_survives_roundoff():
+    # mu = plateau on [0, 1), linear down to 0 on [1, 2), total measure 3: a
+    # field with values in [1, 2] when the plateau is the total
+    def infimum(plateau):
+        dist = DistributionData([0.0, 1.0, 2.0], [3.0, plateau, 2.0 * plateau, 0.0],
+                                [0.0, 0.0, -plateau, 0.0], [0.0] * 4, 3.0)
+        value = decreasing_rearrangement(dist).left_limit(3.0)
+        assert schwarz_rearrangement(dist, FLAT2).values[-1] == value
+        return value
+
+    assert infimum(3.0) == 1.0
+    # a plateau short of the total by roundoff is still the total
+    assert infimum(np.nextafter(3.0, 0.0)) == 1.0
+    # a field vanishing on a set of measure 1 has infimum 0
+    assert infimum(2.0) == 0.0
+
+
 def test_rearrangement_domain_error():
     dist = distribution_function(_strip_field(_square_mesh()))
     h = decreasing_rearrangement(dist)

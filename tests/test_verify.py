@@ -1,6 +1,7 @@
 """Inequality checks, profile functions, and the level-set functional."""
 
 import csv
+import dataclasses
 import json
 import math
 
@@ -353,8 +354,20 @@ def test_main2_norm_and_ranges():
 # rigidity checks
 
 
+def _record(mesh, space, beta, eigen=False):
+    return verify.solve_record(fem.RobinProblem(mesh=mesh, beta=beta), space, eigen)
+
+
+def _saint_venant(mesh, space, beta):
+    return verify.check_saint_venant(_record(mesh, space, beta))
+
+
+def _bossel_daners(mesh, space, beta):
+    return verify.check_bossel_daners(_record(mesh, space, beta, eigen=True))
+
+
 def test_saint_venant_square_closed_form():
-    report = verify.check_saint_venant(_square(0.07), FLAT, 1.0)
+    report = _saint_venant(_square(0.07), FLAT, 1.0)
     assert report.passed
     R = 1.0 / math.sqrt(math.pi)
     exact = math.pi * R**4 / 8.0 + math.pi * R**3 / 2.0
@@ -366,7 +379,7 @@ def test_saint_venant_cone():
     warp = msh.warped_profile("cone", 0.8)
     mesh = _disk(0.08, geometry="warped", warp=warp)
     space = mg.ModelSpace(kappa=0, n=2, alpha=0.8)
-    report = verify.check_saint_venant(mesh, space, 1.0)
+    report = _saint_venant(mesh, space, 1.0)
     assert report.passed
     assert abs(report.gap) < 0.02 * report.rhs  # cone disk is the equality case
     iso = verify.check_isoperimetric(mesh, space)
@@ -374,7 +387,7 @@ def test_saint_venant_cone():
 
 
 def test_bossel_daners_square_strict():
-    report = verify.check_bossel_daners(_square(0.08), FLAT, 1.0)
+    report = _bossel_daners(_square(0.08), FLAT, 1.0)
     assert report.passed
     assert report.lhs > report.rhs + 0.2
 
@@ -382,9 +395,27 @@ def test_bossel_daners_square_strict():
 def test_bossel_daners_beta_sweep():
     sq = _square(0.15)
     for beta in (0.1, 1.0, 10.0, 1e3):
-        report = verify.check_bossel_daners(sq, FLAT, beta)
+        report = _bossel_daners(sq, FLAT, beta)
         assert report.passed, f"beta={beta}"
         assert report.gap > 0.0
+
+
+def test_rigidity_retries_solve_on_the_refined_mesh():
+    sq = _square(0.15)
+    rec = _record(sq, FLAT, 1.0, eigen=True)
+    # a violated comparison (doubled torsion function, zero eigenvalue) and a
+    # sign-changed ground state (nan) each solve once more on the refined mesh
+    doubled = msh.ScalarField(mesh=sq, values=2.0 * rec.u.values)
+    report = verify.check_saint_venant(dataclasses.replace(rec, u=doubled))
+    assert report.passed and report.context["retried"] is True
+    assert report.context["h"] == pytest.approx(0.5 * sq.mesh_size())
+    lam_fine = fem.solve_robin_eigen(msh.refine(sq), 1.0)[0]
+    for lam in (0.0, math.nan):
+        report = verify.check_bossel_daners(dataclasses.replace(rec, eigen=(lam, None)))
+        assert report.passed and report.context["retried"] is True
+        assert report.lhs == lam_fine
+    with pytest.raises(ValueError):
+        verify.check_bossel_daners(_record(sq, FLAT, 1.0))
 
 
 def test_equality_gaps_shrink_with_order_one():
@@ -392,8 +423,8 @@ def test_equality_gaps_shrink_with_order_one():
     for h in (0.2, 0.1):
         disk = _disk(h)
         gaps["iso"].append(abs(verify.check_isoperimetric(disk, FLAT).gap))
-        gaps["sv"].append(abs(verify.check_saint_venant(disk, FLAT, 1.0).gap))
-        gaps["bd"].append(abs(verify.check_bossel_daners(disk, FLAT, 1.0).gap))
+        gaps["sv"].append(abs(_saint_venant(disk, FLAT, 1.0).gap))
+        gaps["bd"].append(abs(_bossel_daners(disk, FLAT, 1.0).gap))
         u, _ = _torsion(disk)
         v = _matched_radial(disk, FLAT)
         gaps["min"].append(abs(verify.check_min_comparison(u, v).gap))
