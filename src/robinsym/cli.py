@@ -191,6 +191,8 @@ class CheckDef:
     description: str
     ranges: str
     run: object                 # (mesh, cell's solve record, space, params) -> reports
+    # (space, params) -> None, or raises HypothesisRangeError; checked at load
+    in_range: object = lambda sp, pm: None
 
 
 _CHECKS = {
@@ -201,7 +203,8 @@ _CHECKS = {
         ranges="q=1: 0 < p <= n/(2n-2); q=2: p <= n/(3n-4) (kappa=0), "
                "p <= n/(3n-3) (kappa=1, n>=3), p <= 1 (kappa=1, n=2)",
         run=lambda m, r, sp, pm: [verify.check_theorem_main1(
-            r.u, r.v, sp, p=float(pm["p"]), q=pm["q"], dist=r.dist)]),
+            r.u, r.v, sp, p=float(pm["p"]), q=pm["q"], dist=r.dist)],
+        in_range=lambda sp, pm: verify._main1_range(sp, float(pm["p"]), pm["q"])),
     "thm1.2": CheckDef(
         params=("p", "q"), torsion_only=True,
         description="Lorentz-norm comparison for the torsion problem "
@@ -209,14 +212,16 @@ _CHECKS = {
         ranges="q=1: 0 < p <= n/(n-2), any p for n=2; q=2: same range, "
                "kappa=0 only",
         run=lambda m, r, sp, pm: [verify.check_theorem_main2(
-            r.u, r.v, sp, p=float(pm["p"]), q=pm["q"], dist=r.dist)]),
+            r.u, r.v, sp, p=float(pm["p"]), q=pm["q"], dist=r.dist)],
+        in_range=lambda sp, pm: verify._main2_range(sp, float(pm["p"]), pm["q"])),
     "thm1.2-pointwise": CheckDef(
         params=(), torsion_only=True,
         description="Pointwise bound of the rearranged torsion solution by "
                     "the symmetrized profile",
         ranges="n=2, kappa=0 only",
         run=lambda m, r, sp, pm: [verify.check_theorem_main2(
-            r.u, r.v, sp, pointwise=True, dist=r.dist)]),
+            r.u, r.v, sp, pointwise=True, dist=r.dist)],
+        in_range=lambda sp, pm: verify._pointwise_range(sp)),
     "min-comparison": CheckDef(
         params=(), torsion_only=False,
         description="Minimum of the solution against the boundary value of "
@@ -232,8 +237,8 @@ _CHECKS = {
             r.u, r.v, sp, dist=r.dist)]),
     "level-set-chain": CheckDef(
         params=(), torsion_only=False,
-        description="Differential level-set inequality at 20 generic "
-                    "thresholds between distribution breakpoints",
+        description="Differential level-set inequality at 20 thresholds "
+                    "evenly spaced between the minimum and maximum of u",
         ranges="any space",
         run=lambda m, r, sp, pm: verify.check_lemma_31(
             r.u, r.problem, sp, _auto_thresholds(r.u, r.dist), dist=r.dist)),
@@ -359,14 +364,7 @@ def load_config(path: str, output_dir: str | None = None) -> ExperimentConfig:
         # hypothesis ranges are enforced at load so a bad (p, q) never
         # reaches a solver; n=2 meshability is checked after, deliberately
         try:
-            if cid == "thm1.1":
-                verify._main1_range(space, float(params["p"]), params["q"])
-            elif cid == "thm1.2":
-                verify._main2_range(space, float(params["p"]), params["q"])
-            elif cid == "thm1.2-pointwise":
-                if space.n != 2 or space.kappa != 0:
-                    raise HypothesisRangeError(
-                        "pointwise comparison is stated for n=2, kappa=0")
+            cdef.in_range(space, params)
         except HypothesisRangeError as exc:
             raise ConfigError(f"check {cid}: {exc}") from exc
         checks.append(CheckRequest(check_id=cid, params=params))
@@ -496,14 +494,14 @@ def _source_field(config, mesh) -> ScalarField | None:
 
 
 def _auto_thresholds(u: ScalarField, dist: DistributionData, count=20):
+    """Up to ``count`` thresholds evenly spaced strictly inside (min u, max u),
+    so roundoff in u moves them only by roundoff; as many as there are
+    distribution breakpoint gaps inside, when that is fewer."""
     bks = np.asarray(dist.breakpoints, dtype=float)
     mids = 0.5 * (bks[:-1] + bks[1:])
-    inside = mids[(mids > float(np.min(u.values)))
-                  & (mids < float(np.max(u.values)))]
-    if len(inside) == 0:
-        return np.array([])
-    take = min(count, len(inside))
-    return inside[np.linspace(0, len(inside) - 1, take).astype(int)]
+    umin, umax = float(np.min(u.values)), float(np.max(u.values))
+    take = min(count, int(np.sum((mids > umin) & (mids < umax))))
+    return umin + (umax - umin) * np.arange(1, take + 1) / (take + 1)
 
 
 @dataclasses.dataclass

@@ -1,7 +1,9 @@
 """P1 finite elements for the Robin problems on a measured mesh.
 
 Assembly produces the stiffness, interior mass, boundary mass, and load of
-the weak Robin formulation.  In two dimensions the Dirichlet integrand is
+the weak Robin formulation from the P1 element kernel of the mesh module
+(chart areas, ``basis_gradients``, ``dirichlet_weighted``,
+``edge_midpoints``).  In two dimensions the Dirichlet integrand is
 conformally invariant, so for the flat and stereographic charts the
 stiffness is the plain chart stiffness; warped charts carry the full
 sqrt(det g) g^{-1} weight, frozen per triangle at the centroid.  Mass and
@@ -29,8 +31,8 @@ from .mesh import (
     MeasuredMesh,
     MeshFormatError,
     ScalarField,
+    edge_midpoints,
     load_mesh,
-    warped_metric_tensors,
 )
 
 _EIGEN_MAX_ITERS = 400
@@ -105,31 +107,16 @@ def assemble(problem: RobinProblem) -> AssembledSystem:
     """Stiffness, mass, boundary mass, and load of the weak Robin form."""
     mesh = problem.mesh
     _check_metric(mesh)
-    verts, tris = mesh.vertices, mesh.triangles
-    nv = len(verts)
-    p = verts[tris]
+    tris = mesh.triangles
+    nv = len(mesh.vertices)
     area = mesh.chart_areas()
-    det = 2.0 * area
 
-    # constant P1 gradients: grad phi_i = rot90(opposite edge) / det
-    grads = np.empty((len(tris), 3, 2))
-    for i in range(3):
-        a, b = p[:, (i + 1) % 3], p[:, (i + 2) % 3]
-        grads[:, i, 0] = (a[:, 1] - b[:, 1]) / det
-        grads[:, i, 1] = (b[:, 0] - a[:, 0]) / det
+    grads = mesh.basis_gradients()
+    k_local = area[:, None, None] * np.einsum(
+        "tia,tja->tij", mesh.dirichlet_weighted(grads), grads)
 
-    if mesh.geometry == "warped":
-        centroids = np.mean(p, axis=1)
-        weight = warped_metric_tensors(mesh.warp, centroids)
-        gw = np.einsum("tia,tab->tib", grads, weight)
-    else:
-        gw = grads  # conformal invariance of the 2-D Dirichlet integral
-    k_local = area[:, None, None] * np.einsum("tia,tja->tij", gw, grads)
-
-    dens = mesh.density[tris]
-    f = problem.source_values()[tris]
-    rho_mid = 0.5 * (dens + np.roll(dens, -1, axis=1))  # midpoints 01, 12, 20
-    f_mid = 0.5 * (f + np.roll(f, -1, axis=1))
+    rho_mid = edge_midpoints(mesh.density[tris])
+    f_mid = edge_midpoints(problem.source_values()[tris])
     # basis values at the midpoints: phi_i is 1/2 on its two adjacent ones
     phi = 0.5 * np.array([[1.0, 0.0, 1.0],
                           [1.0, 1.0, 0.0],

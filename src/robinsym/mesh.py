@@ -316,8 +316,34 @@ class MeasuredMesh:
 
     # -- measures ----------------------------------------------------------
 
+    # The P1 element kernel: chart areas, basis gradients, the Dirichlet
+    # weight and (with `edge_midpoints`) the edge-midpoint rule.
+
     def chart_areas(self) -> np.ndarray:
         return self._chart_areas  # read-only, computed once by validate
+
+    def basis_gradients(self) -> np.ndarray:
+        """(M, 3, 2) chart gradients of each triangle's three P1 hat
+        functions: rot90 of the opposite edge over twice the chart area."""
+        p = self.vertices[self.triangles]
+        det = 2.0 * self._chart_areas
+        grads = np.empty((len(p), 3, 2))
+        for i in range(3):
+            a, b = p[:, (i + 1) % 3], p[:, (i + 2) % 3]
+            grads[:, i, 0] = (a[:, 1] - b[:, 1]) / det
+            grads[:, i, 1] = (b[:, 0] - a[:, 0]) / det
+        return grads
+
+    def dirichlet_weighted(self, covectors) -> np.ndarray:
+        """Per-triangle chart covectors, shape (M, ..., 2), times the
+        Dirichlet weight sqrt(det g) g^{-1} frozen at the centroid.  On the
+        conformal charts the weight is the identity (the 2-D Dirichlet
+        integral is conformally invariant) and the input comes back as is."""
+        if self.geometry != "warped":
+            return covectors
+        weight = warped_metric_tensors(
+            self.warp, np.mean(self.vertices[self.triangles], axis=1))
+        return np.einsum("t...a,tab->t...b", covectors, weight)
 
     def centroid_density(self) -> np.ndarray:
         """Per-triangle density frozen at the centroid (equals the vertex mean
@@ -366,6 +392,13 @@ class MeasuredMesh:
             f"MeasuredMesh({len(self.vertices)} vertices, {len(self.triangles)} "
             f"triangles, {len(self.boundary_edges)} boundary edges, {self.geometry})"
         )
+
+
+def edge_midpoints(corners) -> np.ndarray:
+    """Values at the edge midpoints 01, 12, 20 of linear functions given by
+    their (M, 3) corner values: the nodes of the edge-midpoint rule, area/3
+    times the sum, exact for quadratics."""
+    return 0.5 * (corners + np.roll(corners, -1, axis=1))
 
 
 @dataclass

@@ -14,6 +14,12 @@ retry once on a uniformly refined mesh before finalizing a failure; that
 separates discretization artifacts from genuine violations.  A check that
 reads the distribution function of u takes it as ``dist`` when the caller
 holds it, as a :class:`SolveRecord` does.
+
+Mesh integrals read the P1 element kernel of the mesh module (chart areas,
+``basis_gradients``, ``dirichlet_weighted``, ``edge_midpoints``).  The
+level-set quantities clip the superlevel set {u >= t} as arrays: every
+boundary edge at once (and every threshold at once in the level-set
+chain), and every triangle at once in the Bossel functional.
 """
 
 import csv
@@ -28,7 +34,7 @@ from scipy.interpolate import PchipInterpolator
 
 from . import fem
 from .fem import RobinProblem
-from .mesh import MeasuredMesh, ScalarField, length_factor, refine
+from .mesh import MeasuredMesh, ScalarField, edge_midpoints, length_factor, refine
 from .model_geometry import (
     GeodesicBall,
     ModelSpace,
@@ -103,12 +109,9 @@ _CSV_COLUMNS = ("check_id", "lhs", "rhs", "gap", "tol", "passed",
 def _csv_cell(value):
     if value is None:
         return ""
-    if isinstance(value, float) and math.isnan(value):
-        return ""
-    if isinstance(value, bool):
-        return str(value)
-    if isinstance(value, float):
-        return repr(value)
+    if isinstance(value, (float, np.floating)):
+        # repr of a numpy scalar names its type
+        return "" if math.isnan(value) else repr(float(value))
     return str(value)
 
 
@@ -175,12 +178,9 @@ def _space_context(space: ModelSpace, **extra) -> dict:
 
 def _integrate_field(mesh: MeasuredMesh, values: np.ndarray) -> float:
     """Weighted integral of a P1 field by the edge-midpoint rule."""
-    area = mesh.chart_areas()
-    dens = mesh.density[mesh.triangles]
-    vals = values[mesh.triangles]
-    rho_mid = 0.5 * (dens + np.roll(dens, -1, axis=1))
-    v_mid = 0.5 * (vals + np.roll(vals, -1, axis=1))
-    return float(np.sum(area / 3.0 * np.sum(v_mid * rho_mid, axis=1)))
+    tri = mesh.triangles
+    mid = edge_midpoints(values[tri]) * edge_midpoints(mesh.density[tri])
+    return float(np.sum(mesh.chart_areas() / 3.0 * np.sum(mid, axis=1)))
 
 
 def _require_match(mesh: MeasuredMesh, ball: GeodesicBall):
@@ -201,33 +201,31 @@ def _boundary_arrays(field: ScalarField):
     return a, b, sig[:, 0], sig[:, 1], mesh.boundary_chart_lengths()
 
 
-def _superlevel_interval(a: float, b: float, t: float):
-    """Sub-interval of [0, 1] where the linear value a + (b-a)s is >= t."""
-    if a >= t and b >= t:
-        return 0.0, 1.0
-    if a < t and b < t:
-        return None
-    s = (t - a) / (b - a)
-    return (0.0, s) if a >= t else (s, 1.0)
+def _superlevel_clip(a, b, t):
+    """Per boundary edge, the interval [s0, s1] of [0, 1] on which the linear
+    value a + (b - a) s is >= t, with s0 = s1 = 0 where it is empty.  t
+    broadcasts: a column of thresholds clips every edge at every threshold."""
+    up_a, up_b = a >= t, b >= t
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = (t - a) / (b - a)
+    return (np.where(up_a | ~up_b, 0.0, s),
+            np.where(up_b, 1.0, np.where(up_a, s, 0.0)))
 
 
 def _edge_reciprocal(a, b, sig0, sig1, length, s0, s1):
-    """Closed form of the length integral of 1/u over a sub-edge (u linear,
-    length factor linear); u must stay positive on [s0, s1]."""
+    """Closed form of the length integral of 1/u over the sub-edges [s0, s1]
+    (u linear, length factor linear), elementwise; u must stay positive on
+    them, and an empty sub-edge gives 0."""
     d = b - a
-    if abs(d) <= 1e-13 * max(abs(a), abs(b)):
-        mid = 0.5 * (s0 + s1)
-        sig_mid = sig0 + (sig1 - sig0) * mid
-        return length * sig_mid * (s1 - s0) / (a + d * mid)
-    c1 = (sig1 - sig0) / d
-    c0 = sig0 - a * c1
-    return length * (c1 * (s1 - s0)
-                     + (c0 / d) * math.log((a + d * s1) / (a + d * s0)))
-
-
-def _edge_weighted_length(sig0, sig1, length, s0, s1):
     mid = 0.5 * (s0 + s1)
-    return length * (s1 - s0) * (sig0 + (sig1 - sig0) * mid)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        level = length * (sig0 + (sig1 - sig0) * mid) * (s1 - s0) / (a + d * mid)
+        c1 = (sig1 - sig0) / d
+        c0 = sig0 - a * c1
+        sloped = length * (c1 * (s1 - s0)
+                           + (c0 / d) * np.log((a + d * s1) / (a + d * s0)))
+    return np.where(np.abs(d) <= 1e-13 * np.maximum(np.abs(a), np.abs(b)),
+                    level, sloped)
 
 
 # ---------------------------------------------------------------------------
@@ -284,6 +282,14 @@ def _source_cumulative(problem: RobinProblem):
     return fstar.cumulative
 
 
+def _reciprocal_above(u: ScalarField, ts: np.ndarray) -> np.ndarray:
+    """Per threshold t of the 1-D ``ts``, the boundary integral of 1/u over
+    {u >= t}: every edge at every threshold in one clip."""
+    a, b, sig0, sig1, lengths = _boundary_arrays(u)
+    s0, s1 = _superlevel_clip(a, b, ts[:, None])
+    return np.sum(_edge_reciprocal(a, b, sig0, sig1, lengths, s0, s1), axis=1)
+
+
 def _check_boundary_positive(u: ScalarField):
     bmin = float(np.min(u.values[u.mesh.boundary_vertices]))
     if bmin <= 0.0:
@@ -301,7 +307,6 @@ def check_lemma_31(u: ScalarField, problem: RobinProblem, space: ModelSpace,
     dist = distribution_function(u) if dist is None else dist
     breaks = np.asarray(dist.breakpoints, dtype=float)
     cumulative = _source_cumulative(problem)
-    a, b, sig0, sig1, lengths = _boundary_arrays(u)
     umin = float(np.min(u.values))
     umax = float(np.max(u.values))
     scale = max(abs(umax), 1e-300)
@@ -309,9 +314,9 @@ def check_lemma_31(u: ScalarField, problem: RobinProblem, space: ModelSpace,
     beta = problem.beta
     ctx = _space_context(space, h=h, beta=beta)
 
+    ts = np.atleast_1d(np.asarray(t_grid, dtype=float))
     reports = []
-    for t in np.atleast_1d(np.asarray(t_grid, dtype=float)):
-        t = float(t)
+    for t, exterior in zip(ts.tolist(), _reciprocal_above(u, ts).tolist()):
         out_of_range = not (umin < t < umax) or t <= 0.0
         at_breakpoint = bool(np.any(np.abs(breaks - t) <= 1e-12 * scale))
         if out_of_range or at_breakpoint:
@@ -322,12 +327,6 @@ def check_lemma_31(u: ScalarField, problem: RobinProblem, space: ModelSpace,
             continue
         mu = dist.evaluate(t)
         dmu = dist.derivative(t)
-        exterior = 0.0
-        for k in range(len(a)):
-            seg = _superlevel_interval(a[k], b[k], t)
-            if seg is not None:
-                exterior += _edge_reciprocal(a[k], b[k], sig0[k], sig1[k],
-                                             lengths[k], *seg)
         lhs = float(isoperimetric_profile(space, mu)) ** 2
         rhs = float(cumulative(mu)) * (-dmu + exterior / beta)
         tol = 10.0 * h
@@ -350,32 +349,19 @@ def check_lemma_32(u: ScalarField, problem: RobinProblem, t: float) -> Compariso
     a, b, sig0, sig1, lengths = _boundary_arrays(u)
     beta = problem.beta
 
-    lhs = 0.0
-    for k in range(len(a)):
-        ak, bk = float(a[k]), float(b[k])
-        high = _superlevel_interval(ak, bk, t)
-        pieces = []
-        if high is None:
-            pieces.append((0.0, 1.0, False))
-        elif high == (0.0, 1.0):
-            pieces.append((0.0, 1.0, True))
-        else:
-            s0, s1 = high
-            pieces.append((s0, s1, True))
-            low = (s1, 1.0) if s0 == 0.0 else (0.0, s0)
-            pieces.append((low[0], low[1], False))
-        for s0, s1, is_high in pieces:
-            if s1 - s0 <= 0.0:
-                continue
-            if is_high:
-                lhs += 0.5 * t * t * _edge_reciprocal(
-                    ak, bk, sig0[k], sig1[k], lengths[k], s0, s1)
-            else:
-                # integrand sigma * u / 2 is quadratic: 2-point Gauss exact
-                for g in _GAUSS2:
-                    s = s0 + (s1 - s0) * g
-                    sig = sig0[k] + (sig1[k] - sig0[k]) * s
-                    lhs += 0.5 * (s1 - s0) * lengths[k] * sig * (ak + (bk - ak) * s) / 2.0
+    # where u >= t the integrand is t^2 / (2u); masked, since t may be inf
+    s0, s1 = _superlevel_clip(a, b, t)
+    high = s1 > s0
+    lhs = float(np.sum(0.5 * t * t * _edge_reciprocal(
+        a[high], b[high], sig0[high], sig1[high], lengths[high], s0[high], s1[high])))
+    # the rest of each edge, where u < t: sigma * u / 2 is quadratic there,
+    # so the 2-point Gauss rule is exact
+    l0 = np.where(s0 == 0.0, s1, 0.0)
+    l1 = np.where(s0 == 0.0, 1.0, s0)
+    for g in _GAUSS2:
+        s = l0 + (l1 - l0) * g
+        sig = sig0 + (sig1 - sig0) * s
+        lhs += float(np.sum(0.5 * (l1 - l0) * lengths * sig * (a + (b - a) * s) / 2.0))
     rhs = _integrate_field(problem.mesh, problem.source_values()) / (2.0 * beta)
     tol = 1e-8 * max(abs(rhs), 1.0)
     return ComparisonReport(
@@ -555,6 +541,11 @@ def _main2_range(space: ModelSpace, p: float, q: int):
                 f"p={p} outside the stated range (0, {limit}] for n={n}")
 
 
+def _pointwise_range(space: ModelSpace):
+    if space.n != 2 or space.kappa != 0:
+        raise HypothesisRangeError("pointwise comparison is stated for n=2, kappa=0")
+
+
 def _norm_comparison(check_id: str, u: ScalarField, v: RadialProfile,
                      space: ModelSpace, p: float, q: int,
                      dist: DistributionData | None) -> ComparisonReport:
@@ -585,9 +576,7 @@ def check_theorem_main2(u: ScalarField, v: RadialProfile, space: ModelSpace,
                         dist: DistributionData | None = None) -> ComparisonReport:
     """Torsion comparison: wider norm ranges, plus the pointwise mode."""
     if pointwise:
-        if space.n != 2 or space.kappa != 0:
-            raise HypothesisRangeError(
-                "pointwise comparison is stated for n=2, kappa=0")
+        _pointwise_range(space)
         _require_match(u.mesh, v.ball)
         dist = distribution_function(u) if dist is None else dist
         ustar = schwarz_rearrangement(dist, space)
@@ -718,27 +707,12 @@ def eigen_test_field(u: ScalarField, beta: float) -> ScalarField:
     clamped into the admissible class (non-negative, at most beta on the
     boundary); clamping is logged, not an error."""
     mesh = u.mesh
-    p = mesh.vertices[mesh.triangles]
-    area = mesh.chart_areas()
-    det = 2.0 * area
-    vals = u.values[mesh.triangles]
-    gx = (vals[:, 0] * (p[:, 1, 1] - p[:, 2, 1])
-          + vals[:, 1] * (p[:, 2, 1] - p[:, 0, 1])
-          + vals[:, 2] * (p[:, 0, 1] - p[:, 1, 1])) / det
-    gy = (vals[:, 0] * (p[:, 2, 0] - p[:, 1, 0])
-          + vals[:, 1] * (p[:, 0, 0] - p[:, 2, 0])
-          + vals[:, 2] * (p[:, 1, 0] - p[:, 0, 0])) / det
+    grad = np.einsum("ti,tia->ta", u.values[mesh.triangles], mesh.basis_gradients())
+    quad = np.sum(grad * mesh.dirichlet_weighted(grad), axis=1)
     rho = mesh.centroid_density()
-    if mesh.geometry == "warped":
-        from .mesh import warped_metric_tensors
-        W = warped_metric_tensors(mesh.warp, np.mean(p, axis=1))
-        quad = (W[:, 0, 0] * gx * gx + 2.0 * W[:, 0, 1] * gx * gy
-                + W[:, 1, 1] * gy * gy)
-    else:
-        quad = gx * gx + gy * gy
     grad_norm = np.sqrt(np.maximum(quad / rho, 0.0))
 
-    areas = area * rho
+    areas = mesh.chart_areas() * rho
     num = np.zeros(len(mesh.vertices))
     den = np.zeros(len(mesh.vertices))
     np.add.at(num, mesh.triangles.ravel(),
@@ -759,14 +733,11 @@ def eigen_test_field(u: ScalarField, beta: float) -> ScalarField:
     return ScalarField(mesh=mesh, values=phi)
 
 
-def _barycentric_interp(p_tri, vertex_values, points):
-    """P1 interpolation at chart points inside one triangle."""
-    T = np.array([[p_tri[1, 0] - p_tri[0, 0], p_tri[2, 0] - p_tri[0, 0]],
-                  [p_tri[1, 1] - p_tri[0, 1], p_tri[2, 1] - p_tri[0, 1]]])
-    lam12 = np.linalg.solve(T, (points - p_tri[0]).T).T
-    lam0 = 1.0 - lam12[:, 0] - lam12[:, 1]
-    return (lam0 * vertex_values[0] + lam12[:, 0] * vertex_values[1]
-            + lam12[:, 1] * vertex_values[2])
+def _along_edges(corners, rows, edge, s):
+    """Linear interpolation of the (M, 3) corner values at parameter s along
+    the edges (edge, edge + 1 mod 3) of the triangles ``rows``."""
+    start = corners[rows, edge]
+    return start + s * (corners[rows, (edge + 1) % 3] - start)
 
 
 def bossel_functional(u: ScalarField, phi: ScalarField, beta: float,
@@ -797,61 +768,63 @@ def bossel_functional(u: ScalarField, phi: ScalarField, beta: float,
 
     # exterior boundary portion of the superlevel set
     a, b, sig0, sig1, lengths = _boundary_arrays(u)
-    exterior = 0.0
-    for k in range(len(a)):
-        seg = _superlevel_interval(float(a[k]), float(b[k]), t)
-        if seg is not None:
-            exterior += _edge_weighted_length(sig0[k], sig1[k], lengths[k], *seg)
+    s0, s1 = _superlevel_clip(a, b, t)
+    exterior = float(np.sum(
+        lengths * (s1 - s0) * (sig0 + (sig1 - sig0) * (0.5 * (s0 + s1)))))
 
-    p_all = mesh.vertices[mesh.triangles]
-    uvals = u.values[mesh.triangles]
-    pvals = phi.values[mesh.triangles]
-    dens = mesh.density[mesh.triangles]
+    # triangles wholly inside {u >= t}: the element kernel's midpoint rule
+    tris = mesh.triangles
+    up = u.values[tris] >= t
+    full = np.all(up, axis=1)
+    mids = (edge_midpoints(phi.values[tris[full]]) ** 2
+            * edge_midpoints(mesh.density[tris[full]]))
+    volume_term = float(np.sum(mesh.chart_areas()[full] / 3.0 * np.sum(mids, axis=1)))
 
-    interior = 0.0
-    volume_term = 0.0
-    for k in range(len(mesh.triangles)):
-        uv = uvals[k]
-        if float(np.max(uv)) < t:
-            continue
-        p_tri = p_all[k]
-        if float(np.min(uv)) >= t:
-            poly = [p_tri[0], p_tri[1], p_tri[2]]
-            crossings = []
-        else:
-            poly = []
-            crossings = []
-            for i in range(3):
-                j = (i + 1) % 3
-                if uv[i] >= t:
-                    poly.append(p_tri[i])
-                if (uv[i] >= t) != (uv[j] >= t):
-                    s = (t - uv[i]) / (uv[j] - uv[i])
-                    point = p_tri[i] + s * (p_tri[j] - p_tri[i])
-                    poly.append(point)
-                    crossings.append(point)
+    # Clip the cut triangles.  Walking corners i = 0, 1, 2, the polygon takes
+    # slot 2i, corner i, when u_i >= t, and slot 2i + 1, the point at s along
+    # edge (i, i+1), when that edge crosses the level; exactly two edges do.
+    cut = np.any(up, axis=1) & ~full
+    tri, up = tris[cut], up[cut]
+    uv = u.values[tri]
+    crossed = up != np.roll(up, -1, axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s_cross = np.where(crossed, (t - uv) / (np.roll(uv, -1, axis=1) - uv), 0.0)
+    rows = np.arange(len(tri))[:, None]
+    # x, y, the test function and the density, all linear on a triangle
+    corners = [f[tri] for f in (mesh.vertices[:, 0], mesh.vertices[:, 1],
+                                phi.values, mesh.density)]
 
-        if len(crossings) == 2:
-            seg = crossings[1] - crossings[0]
-            chord = float(np.hypot(seg[0], seg[1]))
-            if chord > 0.0:
-                direction = seg / chord
-                pts = np.array([crossings[0] + g * seg for g in _GAUSS2])
-                factors = length_factor(mesh.geometry, mesh.warp, pts,
-                                        np.tile(direction, (2, 1)))
-                phis = _barycentric_interp(p_tri, pvals[k], pts)
-                interior += chord * 0.5 * float(np.sum(phis * factors))
+    # the interior level line: the chord between the two crossings,
+    # 2-point Gauss on the length factor times phi
+    edge = np.argsort(~crossed, axis=1, kind="stable")[:, :2]
+    ex, ey, ephi = (_along_edges(c, rows, edge, s_cross[rows, edge]) for c in corners[:3])
+    seg = np.stack([ex[:, 1] - ex[:, 0], ey[:, 1] - ey[:, 0]], axis=1)
+    chord = np.hypot(seg[:, 0], seg[:, 1])
+    keep = chord > 0.0
+    seg, chord, ephi = seg[keep], chord[keep], ephi[keep]
+    start = np.stack([ex[keep, 0], ey[keep, 0]], axis=1)
+    g = np.array(_GAUSS2)
+    pts = start[:, None, :] + g[None, :, None] * seg[:, None, :]
+    factors = length_factor(mesh.geometry, mesh.warp, pts.reshape(-1, 2),
+                            np.repeat(seg / chord[:, None], 2, axis=0))
+    phis = ephi[:, :1] + g * (ephi[:, 1:] - ephi[:, :1])
+    interior = float(np.sum(chord * 0.5 * np.sum(phis * factors.reshape(-1, 2), axis=1)))
 
-        # fan-triangulate the clipped polygon; edge-midpoint rule per piece
-        for i in range(1, len(poly) - 1):
-            q0, q1, q2 = poly[0], poly[i], poly[i + 1]
-            area = 0.5 * abs((q1[0] - q0[0]) * (q2[1] - q0[1])
-                             - (q1[1] - q0[1]) * (q2[0] - q0[0]))
-            if area <= 0.0:
-                continue
-            mids = np.array([0.5 * (q0 + q1), 0.5 * (q1 + q2), 0.5 * (q2 + q0)])
-            phis = _barycentric_interp(p_tri, pvals[k], mids)
-            rhos = _barycentric_interp(p_tri, dens[k], mids)
-            volume_term += area / 3.0 * float(np.sum(phis * phis * rhos))
+    # the clipped polygon, its 3 or 4 slots in walk order, fanned from the
+    # first point; the midpoint rule on each piece
+    slots = np.stack([up, crossed], axis=2).reshape(-1, 6)
+    slot_s = np.stack([np.zeros_like(s_cross), s_cross], axis=2).reshape(-1, 6)
+    take = np.argsort(~slots, axis=1, kind="stable")[:, :4]
+    poly = [_along_edges(c, rows, take // 2, np.take_along_axis(slot_s, take, axis=1))
+            for c in corners]
+    quad = np.nonzero(np.sum(slots, axis=1) == 4)[0]
+    owner = np.concatenate([rows[:, 0], quad])[:, None]
+    fan = np.concatenate([np.tile([0, 1, 2], (len(tri), 1)),
+                          np.tile([0, 2, 3], (len(quad), 1))])
+    x, y, phis, rhos = (v[owner, fan] for v in poly)
+    area = 0.5 * np.abs((x[:, 1] - x[:, 0]) * (y[:, 2] - y[:, 0])
+                        - (y[:, 1] - y[:, 0]) * (x[:, 2] - x[:, 0]))
+    volume_term += float(np.sum(area / 3.0 * np.sum(
+        edge_midpoints(phis) ** 2 * edge_midpoints(rhos), axis=1)))
 
     return (beta * exterior + interior - volume_term) / volume

@@ -6,9 +6,10 @@ import math
 import numpy as np
 import pytest
 
-from robinsym import cli, fem, radial, rearrange
+from robinsym import cli, fem, radial, rearrange, verify
 from robinsym import mesh as msh
 from robinsym.cli import ConfigError, SourceExpression
+from robinsym.model_geometry import ModelSpace
 
 
 def _write_config(tmp_path, name="cfg.json", **overrides):
@@ -396,3 +397,57 @@ def test_run_library_errors_exit_three(tmp_path, capsys, monkeypatch, error):
     path = _write_config(tmp_path, checks=[{"id": "min-comparison"}])
     assert cli.main(["run", path]) == 3
     assert "injected" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# the registry's admissibility, summary cells, level-set thresholds
+
+
+def test_registry_rejects_out_of_range_checks_at_load(tmp_path):
+    cases = [("thm1.1", {"p": 2.0, "q": 1}, {"kappa": 0, "n": 2}),
+             ("thm1.2", {"p": 1.0, "q": 2}, {"kappa": 1, "n": 2}),
+             ("thm1.2-pointwise", {}, {"kappa": 1, "n": 2})]
+    for cid, params, space in cases:
+        path = _write_config(tmp_path, space=space, checks=[dict(id=cid, **params)])
+        with pytest.raises(ConfigError, match=f"check {cid}: .*stated"):
+            cli.load_config(path)
+    sphere = cli.load_config(_write_config(
+        tmp_path, space={"kappa": 1, "n": 2},
+        checks=[{"id": "thm1.1", "p": 1.0, "q": 1}, {"id": "level-set-chain"}]))
+    assert [c.check_id for c in sphere.checks] == ["thm1.1", "level-set-chain"]
+
+
+def test_summary_cells_are_plain(tmp_path, capsys):
+    path = _write_config(tmp_path, h=0.1, checks=_ALL_CHECKS)
+    assert cli.main(["run", path]) == 0
+    capsys.readouterr()
+    rows = (tmp_path / "out" / "summary.csv").read_text().splitlines()
+    ids = {c["id"] for c in _ALL_CHECKS}
+    for row in rows[1:]:
+        cells = row.split(",")
+        assert cells[0] in ids
+        for cell in cells[1:]:
+            if cell not in ("", "True", "False"):
+                float(cell)  # a numpy repr such as np.float64(0.5) raises
+
+
+@pytest.mark.parametrize("kind, extra", [("square", {"side": 1.0}),
+                                         ("spherical_cap", {"theta": 1.0})])
+def test_auto_thresholds_stable_under_roundoff(kind, extra):
+    mesh = msh.refine(msh.generate_domain(kind, target_h=0.04, **extra))
+    problem = fem.RobinProblem(mesh=mesh, beta=1.0)
+    u = fem.solve_robin_poisson(problem)
+    rng = np.random.default_rng(0)
+    twin = msh.ScalarField(mesh=mesh, values=u.values * (
+        1.0 + 1e-13 * rng.uniform(-1.0, 1.0, len(u.values))))
+    space = ModelSpace(kappa=1 if kind == "spherical_cap" else 0, n=2)
+    flags = []
+    for field in (u, twin):
+        ts = cli._auto_thresholds(field, rearrange.distribution_function(field))
+        reports = verify.check_lemma_31(field, problem, space, ts)
+        flags.append([r.skipped for r in reports])
+        if field is u:
+            ref = ts
+    assert len(ts) == len(ref) == 20
+    np.testing.assert_allclose(ts, ref, rtol=1e-12, atol=0.0)
+    assert flags[0] == flags[1]

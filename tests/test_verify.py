@@ -503,3 +503,226 @@ def test_bossel_functional_validation():
     alien = msh.ScalarField(mesh=other, values=np.zeros(len(other.vertices)))
     with pytest.raises(ValueError):
         verify.bossel_functional(u, alien, 1.0, 0.8)
+
+
+# ---------------------------------------------------------------------------
+# the per-edge and per-triangle loops the array clips replaced, kept as the
+# oracle
+
+
+def _oracle_superlevel_interval(a, b, t):
+    if a >= t and b >= t:
+        return 0.0, 1.0
+    if a < t and b < t:
+        return None
+    s = (t - a) / (b - a)
+    return (0.0, s) if a >= t else (s, 1.0)
+
+
+def _oracle_edge_reciprocal(a, b, sig0, sig1, length, s0, s1):
+    d = b - a
+    if abs(d) <= 1e-13 * max(abs(a), abs(b)):
+        mid = 0.5 * (s0 + s1)
+        sig_mid = sig0 + (sig1 - sig0) * mid
+        return length * sig_mid * (s1 - s0) / (a + d * mid)
+    c1 = (sig1 - sig0) / d
+    c0 = sig0 - a * c1
+    return length * (c1 * (s1 - s0)
+                     + (c0 / d) * math.log((a + d * s1) / (a + d * s0)))
+
+
+def _oracle_edge_weighted_length(sig0, sig1, length, s0, s1):
+    mid = 0.5 * (s0 + s1)
+    return length * (s1 - s0) * (sig0 + (sig1 - sig0) * mid)
+
+
+def _oracle_lemma31_exterior(u, t):
+    a, b, sig0, sig1, lengths = verify._boundary_arrays(u)
+    exterior = 0.0
+    for k in range(len(a)):
+        seg = _oracle_superlevel_interval(a[k], b[k], t)
+        if seg is not None:
+            exterior += _oracle_edge_reciprocal(a[k], b[k], sig0[k], sig1[k],
+                                                lengths[k], *seg)
+    return exterior
+
+
+def _oracle_lemma32_lhs(u, t):
+    a, b, sig0, sig1, lengths = verify._boundary_arrays(u)
+    lhs = 0.0
+    for k in range(len(a)):
+        ak, bk = float(a[k]), float(b[k])
+        high = _oracle_superlevel_interval(ak, bk, t)
+        pieces = []
+        if high is None:
+            pieces.append((0.0, 1.0, False))
+        elif high == (0.0, 1.0):
+            pieces.append((0.0, 1.0, True))
+        else:
+            s0, s1 = high
+            pieces.append((s0, s1, True))
+            low = (s1, 1.0) if s0 == 0.0 else (0.0, s0)
+            pieces.append((low[0], low[1], False))
+        for s0, s1, is_high in pieces:
+            if s1 - s0 <= 0.0:
+                continue
+            if is_high:
+                lhs += 0.5 * t * t * _oracle_edge_reciprocal(
+                    ak, bk, sig0[k], sig1[k], lengths[k], s0, s1)
+            else:
+                for g in verify._GAUSS2:
+                    s = s0 + (s1 - s0) * g
+                    sig = sig0[k] + (sig1[k] - sig0[k]) * s
+                    lhs += 0.5 * (s1 - s0) * lengths[k] * sig * (ak + (bk - ak) * s) / 2.0
+    return lhs
+
+
+def _oracle_eigen_test_field(u, beta):
+    mesh = u.mesh
+    p = mesh.vertices[mesh.triangles]
+    area = mesh.chart_areas()
+    det = 2.0 * area
+    vals = u.values[mesh.triangles]
+    gx = (vals[:, 0] * (p[:, 1, 1] - p[:, 2, 1])
+          + vals[:, 1] * (p[:, 2, 1] - p[:, 0, 1])
+          + vals[:, 2] * (p[:, 0, 1] - p[:, 1, 1])) / det
+    gy = (vals[:, 0] * (p[:, 2, 0] - p[:, 1, 0])
+          + vals[:, 1] * (p[:, 0, 0] - p[:, 2, 0])
+          + vals[:, 2] * (p[:, 1, 0] - p[:, 0, 0])) / det
+    rho = mesh.centroid_density()
+    if mesh.geometry == "warped":
+        W = msh.warped_metric_tensors(mesh.warp, np.mean(p, axis=1))
+        quad = (W[:, 0, 0] * gx * gx + 2.0 * W[:, 0, 1] * gx * gy
+                + W[:, 1, 1] * gy * gy)
+    else:
+        quad = gx * gx + gy * gy
+    grad_norm = np.sqrt(np.maximum(quad / rho, 0.0))
+    areas = area * rho
+    num = np.zeros(len(mesh.vertices))
+    den = np.zeros(len(mesh.vertices))
+    np.add.at(num, mesh.triangles.ravel(), np.repeat(areas * grad_norm, 3))
+    np.add.at(den, mesh.triangles.ravel(), np.repeat(areas, 3))
+    floor = 1e-12 * float(np.max(u.values))
+    phi = np.maximum((num / den) / np.maximum(u.values, floor), 0.0)
+    boundary = mesh.boundary_vertices
+    phi[boundary] = np.minimum(phi[boundary], beta)
+    return phi
+
+
+def _oracle_barycentric_interp(p_tri, vertex_values, points):
+    T = np.array([[p_tri[1, 0] - p_tri[0, 0], p_tri[2, 0] - p_tri[0, 0]],
+                  [p_tri[1, 1] - p_tri[0, 1], p_tri[2, 1] - p_tri[0, 1]]])
+    lam12 = np.linalg.solve(T, (points - p_tri[0]).T).T
+    lam0 = 1.0 - lam12[:, 0] - lam12[:, 1]
+    return (lam0 * vertex_values[0] + lam12[:, 0] * vertex_values[1]
+            + lam12[:, 1] * vertex_values[2])
+
+
+def _oracle_bossel_functional(u, phi, beta, t):
+    mesh = u.mesh
+    volume = rr.distribution_function(u).evaluate(t)
+    a, b, sig0, sig1, lengths = verify._boundary_arrays(u)
+    exterior = 0.0
+    for k in range(len(a)):
+        seg = _oracle_superlevel_interval(float(a[k]), float(b[k]), t)
+        if seg is not None:
+            exterior += _oracle_edge_weighted_length(sig0[k], sig1[k], lengths[k], *seg)
+
+    p_all = mesh.vertices[mesh.triangles]
+    uvals = u.values[mesh.triangles]
+    pvals = phi.values[mesh.triangles]
+    dens = mesh.density[mesh.triangles]
+    interior = 0.0
+    volume_term = 0.0
+    for k in range(len(mesh.triangles)):
+        uv = uvals[k]
+        if float(np.max(uv)) < t:
+            continue
+        p_tri = p_all[k]
+        if float(np.min(uv)) >= t:
+            poly = [p_tri[0], p_tri[1], p_tri[2]]
+            crossings = []
+        else:
+            poly = []
+            crossings = []
+            for i in range(3):
+                j = (i + 1) % 3
+                if uv[i] >= t:
+                    poly.append(p_tri[i])
+                if (uv[i] >= t) != (uv[j] >= t):
+                    s = (t - uv[i]) / (uv[j] - uv[i])
+                    point = p_tri[i] + s * (p_tri[j] - p_tri[i])
+                    poly.append(point)
+                    crossings.append(point)
+        if len(crossings) == 2:
+            seg = crossings[1] - crossings[0]
+            chord = float(np.hypot(seg[0], seg[1]))
+            if chord > 0.0:
+                direction = seg / chord
+                pts = np.array([crossings[0] + g * seg for g in verify._GAUSS2])
+                factors = msh.length_factor(mesh.geometry, mesh.warp, pts,
+                                            np.tile(direction, (2, 1)))
+                phis = _oracle_barycentric_interp(p_tri, pvals[k], pts)
+                interior += chord * 0.5 * float(np.sum(phis * factors))
+        for i in range(1, len(poly) - 1):
+            q0, q1, q2 = poly[0], poly[i], poly[i + 1]
+            area = 0.5 * abs((q1[0] - q0[0]) * (q2[1] - q0[1])
+                             - (q1[1] - q0[1]) * (q2[0] - q0[0]))
+            if area <= 0.0:
+                continue
+            mids = np.array([0.5 * (q0 + q1), 0.5 * (q1 + q2), 0.5 * (q2 + q0)])
+            phis = _oracle_barycentric_interp(p_tri, pvals[k], mids)
+            rhos = _oracle_barycentric_interp(p_tri, dens[k], mids)
+            volume_term += area / 3.0 * float(np.sum(phis * phis * rhos))
+    return (beta * exterior + interior - volume_term) / volume
+
+
+_ORACLE_DOMAINS = {
+    "square": lambda: _square(0.1),
+    "disk": lambda: _disk(0.12),
+    "cap": lambda: msh.generate_domain("spherical_cap", target_h=0.12, theta=1.0),
+    "cone": lambda: _disk(0.12, geometry="warped", warp=msh.warped_profile("cone", 0.6)),
+}
+
+
+def _oracle_thresholds(u, lo, hi):
+    """Ten generic thresholds in (lo, hi), one interior and one boundary
+    vertex value in there too."""
+    vals = u.values
+    boundary = np.zeros(len(vals), dtype=bool)
+    boundary[u.mesh.boundary_vertices] = True
+    inner = vals[~boundary & (vals > lo) & (vals < hi)]
+    outer = vals[boundary & (vals > lo) & (vals < hi)]
+    assert len(inner) and len(outer)
+    picks = [float(inner[len(inner) // 2]), float(np.max(outer))]
+    return np.concatenate([np.linspace(lo, hi, 12)[1:-1], picks])
+
+
+def _close(new, old):
+    np.testing.assert_allclose(new, old, rtol=1e-12, atol=1e-14)
+
+
+@pytest.mark.parametrize("name", sorted(_ORACLE_DOMAINS))
+def test_boundary_clips_match_loop_oracle(name):
+    mesh = _ORACLE_DOMAINS[name]()
+    u, problem = _torsion(mesh)
+    umin, umax = float(np.min(u.values)), float(np.max(u.values))
+    ts = _oracle_thresholds(u, umin, umax)
+    # also below the minimum (every edge whole) and above the maximum (none)
+    ts = np.concatenate([ts, [0.5 * umin, 2.0 * umax]])
+    _close(verify._reciprocal_above(u, ts),
+           [_oracle_lemma31_exterior(u, float(t)) for t in ts])
+    for t in np.concatenate([ts, [math.inf]]):
+        _close(verify.check_lemma_32(u, problem, float(t)).lhs,
+               _oracle_lemma32_lhs(u, float(t)))
+
+
+@pytest.mark.parametrize("name", sorted(_ORACLE_DOMAINS))
+def test_triangle_clip_and_kernel_match_loop_oracle(name):
+    mesh = _ORACLE_DOMAINS[name]()
+    _, u = fem.solve_robin_eigen(mesh, 1.0)
+    phi = verify.eigen_test_field(u, 1.0)
+    _close(phi.values, _oracle_eigen_test_field(u, 1.0))
+    for t in _oracle_thresholds(u, float(np.min(u.values)), 1.0):
+        _close(verify.bossel_functional(u, phi, 1.0, float(t)),
+               _oracle_bossel_functional(u, phi, 1.0, float(t)))
