@@ -203,7 +203,7 @@ _CHECKS = {
         ranges="q=1: 0 < p <= n/(2n-2); q=2: p <= n/(3n-4) (kappa=0), "
                "p <= n/(3n-3) (kappa=1, n>=3), p <= 1 (kappa=1, n=2)",
         run=lambda m, r, sp, pm: [verify.check_theorem_main1(
-            r.u, r.v, sp, p=float(pm["p"]), q=pm["q"], dist=r.dist)],
+            r.u, r.v, sp, p=float(pm["p"]), q=pm["q"], dist=r.dist, rad=r.rad)],
         in_range=lambda sp, pm: verify._main1_range(sp, float(pm["p"]), pm["q"])),
     "thm1.2": CheckDef(
         params=("p", "q"), torsion_only=True,
@@ -212,7 +212,7 @@ _CHECKS = {
         ranges="q=1: 0 < p <= n/(n-2), any p for n=2; q=2: same range, "
                "kappa=0 only",
         run=lambda m, r, sp, pm: [verify.check_theorem_main2(
-            r.u, r.v, sp, p=float(pm["p"]), q=pm["q"], dist=r.dist)],
+            r.u, r.v, sp, p=float(pm["p"]), q=pm["q"], dist=r.dist, rad=r.rad)],
         in_range=lambda sp, pm: verify._main2_range(sp, float(pm["p"]), pm["q"])),
     "thm1.2-pointwise": CheckDef(
         params=(), torsion_only=True,
@@ -234,7 +234,7 @@ _CHECKS = {
                     "matched ball volumes at every threshold",
         ranges="any space",
         run=lambda m, r, sp, pm: [verify.check_measure_bound(
-            r.u, r.v, sp, dist=r.dist)]),
+            r.u, r.v, sp, dist=r.dist, rad=r.rad)]),
     "level-set-chain": CheckDef(
         params=(), torsion_only=False,
         description="Differential level-set inequality at 20 thresholds "
@@ -610,11 +610,13 @@ def run(config: ExperimentConfig, jobs: int = 1, stream=None) -> int:
     space = config.space
 
     # one solve record per (level, beta), built serially before any check
-    # runs, so cells (and worker threads) only read shared state
+    # runs, so cells (and worker threads) only read shared state; the finest
+    # level goes first, so its assembly, which sets the peak memory, runs
+    # before the coarser levels' records are held
     if any(c.check_id != "isoperimetric" for c in config.checks):
         eigen = any(c.check_id == "bossel-daners" for c in config.checks)
         for beta in config.beta:
-            for state in states:
+            for state in reversed(states):
                 problem = RobinProblem(mesh=state.mesh, beta=beta,
                                        source=state.source)
                 try:

@@ -413,36 +413,75 @@ def schwarz_rearrangement(dist: DistributionData, space: ModelSpace) -> RadialPr
 
 
 _GL16 = np.polynomial.legendre.leggauss(16)
-_GL32 = np.polynomial.legendre.leggauss(32)
 
 
-def _gl(f, a, b, rule):
-    x, w = rule
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    return half * float(np.sum(w * f(mid + half * x)))
+def _gauss_nodes(lo, hi):
+    """16-point Gauss nodes on each cell [lo, hi], a row each, and half-widths."""
+    half = 0.5 * (hi - lo)
+    nodes = np.multiply.outer(half, _GL16[0])
+    nodes += (0.5 * (lo + hi))[:, None]
+    return nodes, half
 
 
-def _adaptive_gl(f, a, b, tol, depth=0):
-    coarse = _gl(f, a, b, _GL16)
-    fine = _gl(f, a, b, _GL32)
-    if not (math.isfinite(coarse) and math.isfinite(fine)):
-        return fine  # overflow: propagate to the caller's divergence check
-    # the roundoff floor keeps an over-tight absolute tol from forcing a
-    # full-depth bisection tree once the two rules agree to machine noise
-    if abs(fine - coarse) <= tol + 4e-16 * abs(fine) or depth >= 24:
-        return fine
-    mid = 0.5 * (a + b)
-    return _adaptive_gl(f, a, mid, tol / 2.0, depth + 1) + _adaptive_gl(
-        f, mid, b, tol / 2.0, depth + 1
-    )
+# A fixed rule on [0, 1] for bounded integrands with a power singularity x^a
+# (a > 0) at either end: Gauss cells [x/4, x] shrinking into both ends down to
+# a width of 0.5 * 4^-22 ~ 3e-14.  Each cell lies a third of its width from
+# the end, where 16-point Gauss converges like 3^-32 ~ 5e-16.
+_END_EDGES = np.concatenate([[0.0], 0.5 * 0.25 ** np.arange(22, -1, -1)])
+_END_EDGES = np.concatenate([_END_EDGES, 1.0 - _END_EDGES[-2::-1]])
+_END_X, _END_HALF = _gauss_nodes(_END_EDGES[:-1], _END_EDGES[1:])
+
+
+def _mu_power(dist, j, t, ratio):
+    """mu(t)^ratio on slot(s) j, clipped at 0, in place on one temporary."""
+    out = dist._C[j] * t
+    out += dist._B[j]
+    out *= t
+    out += dist._A[j]
+    np.maximum(out, 0.0, out=out)
+    out **= ratio
+    return out
+
+
+def _lorentz_integral(dist, q, ratio):
+    """int_0^inf t^(q-1) mu(t)^ratio dt, one fixed rule per kind of slot.
+
+    Between the first and the top slot mu is a positive quadratic, and
+    16-point Gauss is exact to roundoff.  The top slot ends where mu jumps to
+    0 (a plateau at the maximum) or vanishes like c - t (an edge, or a
+    piecewise-linear profile) or (c - t)^2 (an isolated maximum vertex); on
+    the first t^(q-1) is singular at 0.  The end-graded rule takes both.
+    """
+    br = dist._breaks
+    K = len(br)
+    w = _GL16[1]
+    integral = 0.0
+    # an overflow leaves inf or nan, which lorentz_norm reports as divergence
+    with np.errstate(over="ignore", invalid="ignore"):
+        if K > 1:
+            # slot 1, [0, t_1): t = t_1 x^(1/q) takes the t^(q-1) power into dx
+            f = _mu_power(dist, 1, br[1] * _END_X ** (1.0 / q), ratio)
+            integral += br[1] ** q / q * (f @ w @ _END_HALF)
+        if K > 2:
+            lo, hi = br[K - 2], br[K - 1]
+            t = lo + (hi - lo) * _END_X
+            f = _mu_power(dist, K - 1, t, ratio) * t ** (q - 1.0)
+            integral += (hi - lo) * (f @ w @ _END_HALF)
+        j = np.arange(2, K - 1)
+        t, half = _gauss_nodes(br[j - 1], br[j])
+        f = _mu_power(dist, j[:, None], t, ratio)
+        f *= t ** (q - 1.0)
+        integral += f @ w @ half
+    return float(integral)
 
 
 def lorentz_norm(dist: DistributionData, params: LorentzParams) -> float:
     """Lorentz functional of the distribution.
 
     Finite q: (p * int_0^inf t^(q-1) mu(t)^(q/p) dt)^(1/q), evaluated exactly
-    per interval when q/p is 1 or 2 and by adaptive Gauss quadrature (rel.
-    tol 1e-10) otherwise.  q = inf: sup_t t^p mu(t).
+    per interval when q/p is 1 or 2 and by a fixed Gauss pass otherwise (see
+    `_lorentz_integral`).  q = inf: sup_t t^p mu(t).  A value that overflows
+    double precision raises LorentzDivergenceError.
     """
     p, q = params.p, params.q
     br = dist._breaks
@@ -472,55 +511,15 @@ def lorentz_norm(dist: DistributionData, params: LorentzParams) -> float:
     if abs(ratio - round(ratio)) < 1e-12 and round(ratio) in (1, 2):
         integral = dist.moment(q - 1.0, int(round(ratio)))
     else:
-        integral = 0.0
-        m1 = dist.moment(q - 1.0, 1)
-        log_rough = (math.log(max(m1, 1e-300))
-                     + (ratio - 1.0) * math.log(max(dist.total, 1.0)))
-        if log_rough > 700.0:  # the integrand overflows double precision
-            raise LorentzDivergenceError(
-                f"Lorentz integrand overflows for (p={p}, q={q})"
-            )
-        rough = m1 * max(dist.total, 1.0) ** (ratio - 1.0)
-        tol = 1e-10 * max(abs(rough), 1e-300) / max(K, 1)
-        # one vectorized two-level pass over all interior segments; only the
-        # few that miss the tolerance (power singularities at mu = 0) fall
-        # back to per-segment adaptive bisection
-        positive = br[:-1] > 0.0
-        lo, hi = br[:-1][positive], br[1:][positive]
-        idx = np.nonzero(positive)[0] + 1
-        Av, Bv, Cv = dist._A[idx], dist._B[idx], dist._C[idx]
-
-        def _batch(nodes):
-            x, w = nodes
-            mid = 0.5 * (lo + hi)
-            half = 0.5 * (hi - lo)
-            t = mid[:, None] + half[:, None] * x[None, :]
-            mu = np.maximum(Av[:, None] + t * (Bv[:, None] + t * Cv[:, None]),
-                            0.0)
-            return (t ** (q - 1.0) * mu**ratio) @ w * half
-
-        coarse, fine = _batch(_GL16), _batch(_GL32)
-        settled = np.abs(fine - coarse) <= tol + 4e-16 * np.abs(fine)
-        settled &= np.isfinite(fine)
-        integral += float(np.sum(fine[settled]))
-        for k in np.nonzero(~settled)[0]:
-            Aj, Bj, Cj = Av[k], Bv[k], Cv[k]
-            g = lambda t: (t ** (q - 1.0)
-                           * np.maximum(Aj + t * (Bj + t * Cj), 0.0) ** ratio)
-            integral += _adaptive_gl(g, lo[k], hi[k], tol)
-        if br[0] == 0.0 and K > 1:
-            # substitute t = b x^(1/q); removes the t^(q-1) endpoint power
-            b0 = br[1]
-            A0, B0, C0 = dist._A[1], dist._B[1], dist._C[1]
-            g = lambda x: np.maximum(
-                A0 + b0 * x ** (1.0 / q) * (B0 + b0 * x ** (1.0 / q) * C0),
-                0.0) ** ratio
-            integral += b0**q / q * _adaptive_gl(g, 0.0, 1.0, tol)
+        integral = _lorentz_integral(dist, q, ratio)
     if integral < 0.0:
         raise LorentzDivergenceError(
             f"Lorentz integral for (p={p}, q={q}) came out negative: {integral!r}"
         )
-    value = float((p * integral) ** (1.0 / q))
+    try:
+        value = float((p * integral) ** (1.0 / q))
+    except OverflowError:  # a finite integral whose 1/q-th power overflows
+        value = math.inf
     if not math.isfinite(value):
         raise LorentzDivergenceError(
             f"Lorentz integral for (p={p}, q={q}) did not converge"

@@ -12,8 +12,9 @@ pass.
 Checks that own their mesh (isoperimetric, torsional rigidity, eigenvalue)
 retry once on a uniformly refined mesh before finalizing a failure; that
 separates discretization artifacts from genuine violations.  A check that
-reads the distribution function of u takes it as ``dist`` when the caller
-holds it, as a :class:`SolveRecord` does.
+reads the distribution function of u, or the weighted one of the radial twin
+v, takes it as ``dist`` or ``rad`` when the caller holds it, as a
+:class:`SolveRecord` does.
 
 Mesh integrals read the P1 element kernel of the mesh module (chart areas,
 ``basis_gradients``, ``dirichlet_weighted``, ``edge_midpoints``).  The
@@ -371,15 +372,16 @@ def check_lemma_32(u: ScalarField, problem: RobinProblem, t: float) -> Compariso
 
 
 def check_measure_bound(u: ScalarField, v: RadialProfile, space: ModelSpace, *,
-                        dist: DistributionData | None = None) -> ComparisonReport:
+                        dist: DistributionData | None = None,
+                        rad: DistributionData | None = None) -> ComparisonReport:
     """Distribution of u never exceeds the weighted radial distribution
     below the symmetrized minimum."""
     _require_match(u.mesh, v.ball)
     dist = distribution_function(u) if dist is None else dist
-    rad = radial_distribution(v, space)
+    rad = radial_distribution(v, space) if rad is None else rad
     v_m = float(v.values[-1])
     ts = np.linspace(0.0, v_m, 34)[1:-1]
-    worst = float(np.max([dist.evaluate(t) - rad.evaluate(t) for t in ts]))
+    worst = float(np.max(dist.evaluate(ts) - rad.evaluate(ts)))
     tol = 1e-9 * max(dist.total, 1.0)
     return ComparisonReport(
         check_id="measure_bound", lhs=worst, rhs=0.0, gap=-worst,
@@ -548,13 +550,14 @@ def _pointwise_range(space: ModelSpace):
 
 def _norm_comparison(check_id: str, u: ScalarField, v: RadialProfile,
                      space: ModelSpace, p: float, q: int,
-                     dist: DistributionData | None) -> ComparisonReport:
+                     dist: DistributionData | None,
+                     rad: DistributionData | None) -> ComparisonReport:
     _require_match(u.mesh, v.ball)
     params = _norm_params(p, q)
     lhs = lorentz_norm(distribution_function(u) if dist is None else dist, params)
     # the weighted radial distribution already carries the alpha factor that
     # the comparison puts in front of the unweighted ball norm
-    rhs = lorentz_norm(radial_distribution(v, space), params)
+    rhs = lorentz_norm(radial_distribution(v, space) if rad is None else rad, params)
     h = u.mesh.mesh_size()
     tol = 5.0 * h * rhs
     return ComparisonReport(
@@ -565,15 +568,17 @@ def _norm_comparison(check_id: str, u: ScalarField, v: RadialProfile,
 
 def check_theorem_main1(u: ScalarField, v: RadialProfile, space: ModelSpace,
                         p: float, q: int, *,
-                        dist: DistributionData | None = None) -> ComparisonReport:
+                        dist: DistributionData | None = None,
+                        rad: DistributionData | None = None) -> ComparisonReport:
     """Lorentz-norm comparison for general non-negative sources."""
     _main1_range(space, p, q)
-    return _norm_comparison("theorem_main1", u, v, space, p, q, dist)
+    return _norm_comparison("theorem_main1", u, v, space, p, q, dist, rad)
 
 
 def check_theorem_main2(u: ScalarField, v: RadialProfile, space: ModelSpace,
                         p: float = 1.0, q: int = 1, pointwise: bool = False, *,
-                        dist: DistributionData | None = None) -> ComparisonReport:
+                        dist: DistributionData | None = None,
+                        rad: DistributionData | None = None) -> ComparisonReport:
     """Torsion comparison: wider norm ranges, plus the pointwise mode."""
     if pointwise:
         _pointwise_range(space)
@@ -590,7 +595,7 @@ def check_theorem_main2(u: ScalarField, v: RadialProfile, space: ModelSpace,
             passed=worst <= tol,
             context=_space_context(space, h=h, p=p, q=q))
     _main2_range(space, p, q)
-    return _norm_comparison("theorem_main2", u, v, space, p, q, dist)
+    return _norm_comparison("theorem_main2", u, v, space, p, q, dist, rad)
 
 
 # ---------------------------------------------------------------------------
@@ -600,14 +605,16 @@ def check_theorem_main2(u: ScalarField, v: RadialProfile, space: ModelSpace,
 @dataclass(frozen=True)
 class SolveRecord:
     """One Robin problem solved once, with everything the checks read: the
-    solution u and its distribution, the matched ball and its radial twin
-    v, and the first eigenpair when one was asked for."""
+    solution u and its distribution, the matched ball, its radial twin v and
+    v's weighted distribution, and the first eigenpair when one was asked
+    for."""
 
     problem: RobinProblem
     u: ScalarField
     dist: DistributionData
     ball: GeodesicBall
     v: RadialProfile
+    rad: DistributionData
     # (lambda, ground state); lambda is nan when the ground state changed sign
     eigen: tuple | None = None
 
@@ -635,8 +642,9 @@ def solve_record(problem: RobinProblem, space: ModelSpace,
     else:
         src = source_from_profile(schwarz_rearrangement(
             distribution_function(problem.source), space))
+    v = solve_symmetrized_poisson(ball, beta, src)
     return SolveRecord(problem=problem, u=u, dist=distribution_function(u),
-                       ball=ball, v=solve_symmetrized_poisson(ball, beta, src),
+                       ball=ball, v=v, rad=radial_distribution(v, space),
                        eigen=pair)
 
 
@@ -741,12 +749,13 @@ def _along_edges(corners, rows, edge, s):
 
 
 def bossel_functional(u: ScalarField, phi: ScalarField, beta: float,
-                      t: float) -> float:
+                      t: float, *, dist: DistributionData | None = None) -> float:
     """Level-set Rayleigh-type functional of the superlevel set {u > t}.
 
     Combines the weighted superlevel volume, the exterior boundary length,
     the test-function integral along the interior level polyline, and the
     volume integral of the squared test function over the clipped triangles.
+    A sweep over thresholds passes u's distribution as ``dist``.
     """
     mesh = u.mesh
     if phi.mesh is not mesh:
@@ -764,7 +773,7 @@ def bossel_functional(u: ScalarField, phi: ScalarField, beta: float,
         raise AdmissibilityError(
             f"test function exceeds beta={beta} on the boundary")
 
-    volume = distribution_function(u).evaluate(t)
+    volume = (distribution_function(u) if dist is None else dist).evaluate(t)
 
     # exterior boundary portion of the superlevel set
     a, b, sig0, sig1, lengths = _boundary_arrays(u)

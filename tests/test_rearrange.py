@@ -1,14 +1,22 @@
 """Rearrangement tests: exact distribution functions against independent
 oracles (Monte Carlo, polygon clipping, mesh quadrature) and the Lorentz
-norm identities.
+norm identities, against a per-triangle mpmath oracle and closed forms.
 """
 
 import math
+import time
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import beta as beta_fn
+from scipy.special import betainc
 
+from robinsym import verify
+from robinsym.fem import RobinProblem
 from robinsym.mesh import ScalarField, generate_domain, warped_profile
 from robinsym.model_geometry import GeodesicBall, ModelSpace, volume_profile
 from robinsym.radial import flat_torsion_profile, radial_distribution
@@ -380,6 +388,108 @@ def test_lorentz_params_validation():
         LorentzParams(p=1.0, q=-2.0)
     with pytest.raises(ValueError):
         LorentzParams(p=1.0, q=math.nan)
+
+
+# (p, q) pairs on the quadrature branch (q/p not 1 or 2), for the oracles
+_QUAD_PQ = ((1.5, 1.0), (1.5, 2.0), (1.5, 2.7), (3.0, 1.0), (0.6, 1.0))
+
+
+def _oracle_lorentz(field: ScalarField, p: float, q: float) -> float:
+    """Lorentz norm of a positive P1 field from the per-triangle superlevel
+    area fractions, integrated by mpmath between the vertex values."""
+    mesh = field.mesh
+    w = mesh.chart_areas() * mesh.centroid_density()
+    a, b, c = np.sort(field.values[mesh.triangles], axis=1).T
+
+    def integrand(t):
+        t = float(t)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            frac = np.where(t < a, 1.0,
+                            np.where(t < b, 1.0 - (t - a) ** 2 / ((b - a) * (c - a)),
+                                     np.where(t < c, (c - t) ** 2 / ((c - b) * (c - a)),
+                                              0.0)))
+        return t ** (q - 1.0) * float(np.sum(w * frac)) ** (q / p)
+
+    levels = np.unique(np.concatenate([[0.0], field.values]))
+    return float((p * mpmath.quad(integrand, list(levels))) ** (1.0 / q))
+
+
+@pytest.mark.parametrize("kind", ["random-disk", "strip"])
+def test_lorentz_matches_triangle_oracle(kind):
+    # a random field has isolated maxima, where mu vanishes like (c - t)^2;
+    # the strip attains its maximum along an edge, where mu vanishes like c - t
+    if kind == "random-disk":
+        field = _random_field(generate_domain("disk", target_h=0.4, radius=1.0),
+                              seed=7, positive=True)
+    else:
+        field = _strip_field(_square_mesh())
+    dist = distribution_function(field)
+    for p, q in _QUAD_PQ:
+        exact = _oracle_lorentz(field, p, q)
+        assert lorentz_norm(dist, LorentzParams(p, q)) == pytest.approx(exact, rel=1e-9)
+
+
+@pytest.mark.parametrize("radius,beta", [(1.0, 1.0), (0.7, 0.3), (1.3, 10.0)])
+def test_lorentz_flat_torsion_closed_form(radius, beta):
+    # v = (R^2 - r^2)/4 + R/(2 beta): mu = pi R^2 below v(R) and
+    # 4 pi (v(0) - t) above, a piecewise-linear profile with a simple root
+    v = flat_torsion_profile(GeodesicBall(space=FLAT2, radius=radius), beta)
+    dist = radial_distribution(v, FLAT2)
+    v0, vr = radius**2 / 4.0 + radius / (2.0 * beta), radius / (2.0 * beta)
+    for p, q in _QUAD_PQ:
+        r = q / p
+        integral = ((math.pi * radius**2) ** r * vr**q / q
+                    + (4.0 * math.pi) ** r * v0 ** (q + r) * beta_fn(q, r + 1.0)
+                    * (1.0 - betainc(q, r + 1.0, vr / v0)))
+        exact = (p * integral) ** (1.0 / q)
+        assert lorentz_norm(dist, LorentzParams(p, q)) == pytest.approx(exact, rel=1e-9)
+
+
+def test_lorentz_fine_square_in_budget():
+    # the 5,184-vertex torsion square: its top slot is 4e-9 wide and mu there
+    # is roundoff noise, which a fixed rule integrates at fixed cost
+    mesh = generate_domain("square", target_h=0.02, side=1.0)
+    assert len(mesh.vertices) == 5184
+    rec = verify.solve_record(RobinProblem(mesh=mesh, beta=1.0), FLAT2)
+    for p, q in ((1.5, 1.0), (1.5, 2.0)):
+        start = time.perf_counter()
+        value = lorentz_norm(rec.dist, LorentzParams(p, q))
+        assert time.perf_counter() - start < 5.0
+        assert math.isfinite(value) and value > 0.0
+
+
+_SMALL_DISK = generate_domain("disk", target_h=0.4, radius=1.0)
+
+
+@settings(max_examples=25, deadline=None, database=None)
+@given(seed=st.integers(0, 2**32 - 1), p=st.floats(0.3, 4.0),
+       q=st.floats(0.3, 4.0), scale=st.floats(1e-3, 10.0))
+def test_lorentz_monotone_under_pointwise_order(seed, p, q, scale):
+    ratio = q / p
+    if abs(ratio - round(ratio)) < 1e-9 and round(ratio) in (1, 2):
+        q *= 1.1  # stay on the quadrature branch
+    rng = np.random.default_rng(seed)
+    base = np.abs(rng.normal(size=len(_SMALL_DISK.vertices)))
+    bump = scale * rng.random(len(_SMALL_DISK.vertices))
+    small = lorentz_norm(distribution_function(
+        ScalarField(mesh=_SMALL_DISK, values=base)), LorentzParams(p, q))
+    large = lorentz_norm(distribution_function(
+        ScalarField(mesh=_SMALL_DISK, values=base + bump)), LorentzParams(p, q))
+    assert small <= large * (1.0 + 1e-9)
+
+
+@settings(max_examples=20, deadline=None, database=None)
+@given(seed=st.integers(0, 2**32 - 1), p=st.floats(1e-4, 3e-3), q=st.floats(0.5, 2.0))
+def test_lorentz_divergence_raises_without_warnings(seed, p, q):
+    # the case of test_lorentz_divergence_reported: the norm is about the
+    # measure, 4 pi, to the power 1/p >= 333, so the integrand or the norm
+    # overflows
+    mesh = generate_domain("disk", target_h=0.3, radius=2.0)
+    dist = distribution_function(_random_field(mesh, seed=seed, positive=True))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(LorentzDivergenceError):
+            lorentz_norm(dist, LorentzParams(p=p, q=q))
 
 
 # ---------------------------------------------------------------------------

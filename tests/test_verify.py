@@ -453,9 +453,13 @@ def test_bossel_functional_matches_eigenvalue():
     lam, u = fem.solve_robin_eigen(disk, 1.0)
     phi = verify.eigen_test_field(u, 1.0)
     umin = float(np.min(u.values))
-    errs = [abs(verify.bossel_functional(u, phi, 1.0, float(t)) - lam)
-            for t in np.linspace(umin + 0.03, 0.97, 10)]
+    dist = rr.distribution_function(u)
+    ts = np.linspace(umin + 0.03, 0.97, 10)
+    errs = [abs(verify.bossel_functional(u, phi, 1.0, float(t), dist=dist) - lam)
+            for t in ts]
     assert max(errs) < 0.05
+    assert verify.bossel_functional(u, phi, 1.0, float(ts[4]), dist=dist) == \
+        verify.bossel_functional(u, phi, 1.0, float(ts[4]))
 
 
 def test_bossel_functional_radial_test_function():
@@ -723,6 +727,7 @@ def test_triangle_clip_and_kernel_match_loop_oracle(name):
     _, u = fem.solve_robin_eigen(mesh, 1.0)
     phi = verify.eigen_test_field(u, 1.0)
     _close(phi.values, _oracle_eigen_test_field(u, 1.0))
+    dist = rr.distribution_function(u)
     for t in _oracle_thresholds(u, float(np.min(u.values)), 1.0):
-        _close(verify.bossel_functional(u, phi, 1.0, float(t)),
+        _close(verify.bossel_functional(u, phi, 1.0, float(t), dist=dist),
                _oracle_bossel_functional(u, phi, 1.0, float(t)))
