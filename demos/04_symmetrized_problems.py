@@ -4,8 +4,10 @@ The symmetrized problem on a geodesic ball
 
 Any meshed domain has a matched ball: the geodesic ball in the model space
 with the same weighted measure.  The torsion and eigenvalue problems on
-that ball reduce to one-dimensional ODEs, solved here by quadrature and by
-the closed-form ground state (a Bessel function on the flat ball).  These radial solutions are the right-hand sides of every
+that ball reduce to one-dimensional ODEs.  The torsion twin is one fixed
+quadrature of its exact flux V(r)/A(r) through each sphere; the eigenvalue
+is a root of the closed-form ground state (a Bessel function on the flat
+ball).  These radial solutions are the right-hand sides of every
 comparison.
 """
 
@@ -14,8 +16,8 @@ import math
 import numpy as np
 
 from robinsym import (
-    GeodesicBall, ModelSpace, constant_source, generate_domain,
-    radius_for_volume, solve_radial_eigen, solve_symmetrized_poisson,
+    GeodesicBall, ModelSpace, generate_domain, radius_for_volume,
+    solve_radial_eigen, solve_symmetrized_poisson,
 )
 
 flat = ModelSpace(kappa=0, n=2)
@@ -27,7 +29,7 @@ print(f"unit square -> ball of radius {R:.6f} "
       f"(1/sqrt(pi) = {1/math.sqrt(math.pi):.6f})")
 
 ball = GeodesicBall(flat, R)
-v = solve_symmetrized_poisson(ball, 1.0, constant_source(ball))
+v = solve_symmetrized_poisson(ball, 1.0)  # no source: the unit source
 # closed form at the center: R^2/4 + R/(2*beta)
 print(f"torsion at the center: {v.values[0]:.8f} "
       f"(exact {R*R/4 + R/2:.8f})")
@@ -36,7 +38,7 @@ print(f"monotone decreasing: {bool(np.all(np.diff(v.values) <= 0))}")
 # the same solve on the sphere: a cap holding half the area of S^2
 sphere = ModelSpace(kappa=1, n=2)
 half = GeodesicBall(sphere, radius_for_volume(sphere, 2.0 * math.pi))
-v_half = solve_symmetrized_poisson(half, 1.0, constant_source(half))
+v_half = solve_symmetrized_poisson(half, 1.0)
 print(f"\nhemisphere torsion: center {v_half.values[0]:.6f}, "
       f"boundary {v_half.values[-1]:.6f}")
 

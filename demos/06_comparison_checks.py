@@ -16,10 +16,10 @@ from robinsym import (
     GeodesicBall, ModelSpace, RobinProblem, ScalarField,
     check_bossel_daners, check_isoperimetric, check_lemma_31,
     check_lemma_32, check_min_comparison, check_saint_venant,
-    check_theorem_main1, check_theorem_main2, distribution_function,
-    generate_domain, radius_for_volume, reports_to_csv,
-    schwarz_rearrangement, solve_record, solve_robin_poisson,
-    solve_symmetrized_poisson, source_from_profile,
+    check_theorem_main1, check_theorem_main2, decreasing_rearrangement,
+    distribution_function, generate_domain, radius_for_volume,
+    reports_to_csv, solve_record, solve_robin_poisson,
+    solve_symmetrized_poisson,
 )
 
 flat = ModelSpace(kappa=0, n=2)
@@ -32,9 +32,12 @@ source = ScalarField(mesh=mesh, values=1.0 + 2.0 * np.exp(
 problem = RobinProblem(mesh=mesh, beta=1.0, source=source)
 u = solve_robin_poisson(problem)
 
+# the twin's source is the Schwarz rearrangement f# of the source; the
+# solver takes its decreasing rearrangement f*, whose running integral is
+# the exact flux of the twin through each sphere
 ball = GeodesicBall(flat, radius_for_volume(flat, mesh.total_measure()))
-f_sharp = schwarz_rearrangement(distribution_function(source), flat)
-v = solve_symmetrized_poisson(ball, 1.0, source_from_profile(f_sharp))
+f_star = decreasing_rearrangement(distribution_function(source))
+v = solve_symmetrized_poisson(ball, 1.0, f_star)
 
 reports = [
     check_isoperimetric(mesh, flat),

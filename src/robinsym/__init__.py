@@ -17,7 +17,7 @@ Layout:
 - :mod:`~robinsym.fem` -- P1 finite elements for the Robin Poisson and
   eigenvalue problems.
 - :mod:`~robinsym.radial` -- the symmetrized ODE problems on a geodesic
-  ball: torsion, general radial sources, and the radial Robin ground state.
+  ball: the radial twin of a Poisson problem and the Robin ground state.
 - :mod:`~robinsym.rearrange` -- exact piecewise-quadratic distribution
   functions of P1 fields, decreasing and Schwarz rearrangements, Lorentz
   norms.
@@ -63,12 +63,9 @@ from .fem import (
 )
 from .radial import (
     RadialProfile,
-    RadialSource,
-    constant_source,
     radial_distribution,
     solve_radial_eigen,
     solve_symmetrized_poisson,
-    source_from_profile,
 )
 from .rearrange import (
     DistributionData,
@@ -120,7 +117,6 @@ __all__ = [
     "MeshInvariantError",
     "ModelSpace",
     "RadialProfile",
-    "RadialSource",
     "RobinProblem",
     "ScalarField",
     "SingularGeometryError",
@@ -138,7 +134,6 @@ __all__ = [
     "check_saint_venant",
     "check_theorem_main1",
     "check_theorem_main2",
-    "constant_source",
     "decreasing_rearrangement",
     "distribution_function",
     "eigen_test_field",
@@ -162,7 +157,6 @@ __all__ = [
     "solve_robin_eigen",
     "solve_robin_poisson",
     "solve_symmetrized_poisson",
-    "source_from_profile",
     "sphere_area",
     "unit_ball_volume",
     "volume_profile",

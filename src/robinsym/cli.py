@@ -447,7 +447,7 @@ class SolverStageError(RuntimeError):
 _SOLVER_ERRORS = (
     fem.SolverConvergenceError, fem.SingularGeometryError, fem.EigenSignError,
     fem.SingularSystemError,
-    radial.ConvergenceError, radial.EigenBracketError,
+    radial.EigenBracketError,
     radial.MonotonicityError, radial.PositivityError,
     radial.DegenerateBallError, LorentzDivergenceError, SphereOverflowError,
 )

@@ -209,7 +209,9 @@ def volume_profile(space: ModelSpace, r):
     elif n == 3:
         small = r < 0.2
         closed = r - np.sin(r) * np.cos(r)
-        series = _r_minus_sin_cos_series(np.where(small, r, 0.0))
+        # the series loop runs on the small radii alone
+        series = np.zeros_like(r)
+        series[small] = _r_minus_sin_cos_series(np.asarray(r)[small])
         out = 2.0 * math.pi * a * np.where(small, series, closed)
     else:
         out = a * n * space.omega_n * _sin_power_integral(n - 1, r)

@@ -1,30 +1,40 @@
 """Radial problems on geodesic balls in the model spaces.
 
-Two solvers live here: the symmetrized Poisson problem with a Robin boundary
-condition, reduced to nested 1-D integrals of the rearranged source, and the
-first Robin eigenvalue of a ball, as the first root of the Robin condition on
-the closed-form radial ground state (Bessel when flat, hypergeometric on the
-sphere).  Both return sampled profiles dense enough to serve as reference
-values for the 2-D finite element solutions.
+Two solvers live here.  The symmetrized Poisson problem with a Robin
+boundary condition is Talenti's radial twin: its source is the Schwarz
+rearrangement f# of the mesh source, so by the layer-cake identity its flux
+through every sphere is the exact running integral of the decreasing
+rearrangement f*, and the twin is one fixed quadrature of that flux over
+the sphere area.  The first Robin eigenvalue of a ball is the first root of
+the Robin condition on the closed-form radial ground state (Bessel when
+flat, hypergeometric on the sphere).  Both return sampled profiles dense
+enough to serve as reference values for the 2-D finite element solutions.
 
-The sphere area A(r) = n omega_n sn_kappa(r)^{n-1} used by the Poisson
-reduction carries no cone-angle weight: the weight cancels between numerator
-and denominator of every quotient that appears.
+Volumes V(r) and sphere areas A(r) = V'(r) are the weighted ones of the
+model space; the cone-angle weight cancels in every quotient V / A.
 """
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
 from scipy.optimize import brentq
 from scipy.special import hyp2f1, jv
 
-from .model_geometry import GeodesicBall, ModelSpace, sn_kappa, sphere_area
+from .model_geometry import (
+    GeodesicBall,
+    ModelSpace,
+    radii_for_volumes,
+    sn_kappa,
+    volume_profile,
+    volume_profile_derivative,
+)
+
+if TYPE_CHECKING:  # rearrange imports this module
+    from .rearrange import DecreasingRearrangement
 
 _LAMBDA_CAP = 2.0**20
-_POISSON_N0 = 4096
-_POISSON_NMAX = 2**21
 
 
 class DegenerateBallError(ValueError):
@@ -33,10 +43,6 @@ class DegenerateBallError(ValueError):
 
 class EigenBracketError(RuntimeError):
     """No eigenvalue bracket was found below the scan cap."""
-
-
-class ConvergenceError(RuntimeError):
-    """Grid doubling failed to reach the requested tolerance."""
 
 
 class PositivityError(ValueError):
@@ -88,113 +94,58 @@ class RadialProfile:
                 fh.write(f"{float(r)!r},{float(v)!r}\n")
 
 
-@dataclass(frozen=True)
-class RadialSource:
-    """Non-increasing, non-negative source samples on a radial grid."""
-
-    grid: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        grid = np.ascontiguousarray(self.grid, dtype=float)
-        values = np.ascontiguousarray(self.values, dtype=float)
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "values", values)
-        if grid.ndim != 1 or len(grid) < 2 or values.shape != grid.shape:
-            raise ValueError("source needs matching 1-D grid and values")
-        if np.any(np.diff(grid) <= 0.0):
-            raise ValueError("source grid must be strictly increasing")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("source values must be finite")
-        scale = float(np.max(np.abs(values))) or 1.0
-        if float(np.min(values)) < -1e-12 * scale:
-            raise ValueError("source values must be non-negative")
-        if float(np.max(np.diff(values))) > 1e-12 * scale:
-            raise MonotonicityError("source values must be non-increasing")
-
-    def __call__(self, r):
-        return np.interp(r, self.grid, self.values)
-
-
-def constant_source(ball: GeodesicBall, value: float = 1.0, n: int = 129) -> RadialSource:
-    grid = np.linspace(0.0, ball.radius, n)
-    return RadialSource(grid, np.full(n, float(value)))
-
-
-def source_from_profile(profile: RadialProfile) -> RadialSource:
-    """Reinterpret a non-increasing profile (e.g. a rearranged field) as a source."""
-    return RadialSource(profile.grid, np.maximum(profile.values, 0.0))
-
-
-def _unweighted_sphere_area(space: ModelSpace, r):
-    # same shape as sphere_area but with the cone-angle weight divided out
-    return sphere_area(space, r) / space.alpha
-
-
-def _poisson_pass(ball, beta, source, n):
-    space = ball.space
-    R = ball.radius
-    r = np.linspace(0.0, R, n + 1)
-    f = source(r)
-    A = _unweighted_sphere_area(space, r)
-    fA = f * A
-    g = np.concatenate([[0.0], cumulative_simpson(fA, x=r)])
-    dv = np.zeros_like(r)
-    dv[1:] = -g[1:] / A[1:]
-    v_boundary = g[-1] / (beta * A[-1])
-    w = np.concatenate([[0.0], cumulative_simpson(-dv, x=r)])
-    v = v_boundary + (w[-1] - w)
-    return r, v
+_GL4 = np.polynomial.legendre.leggauss(4)
+_GRID_CELLS = 32768
 
 
 def solve_symmetrized_poisson(ball: GeodesicBall, beta: float,
-                              source: RadialSource,
-                              n0: int = _POISSON_N0) -> RadialProfile:
-    """Robin problem for the rearranged source on the ball, by 1-D reduction.
+                              source: "DecreasingRearrangement | None" = None
+                              ) -> RadialProfile:
+    """Robin problem for the Schwarz-rearranged source f# on the ball.
 
-    v'(r) = -(1/A(r)) * int_0^r f A, with the boundary value fixed by the
-    Robin flux balance; composite Simpson with grid doubling until successive
-    solutions agree to 1e-10 relative.  A non-increasing profile is a
-    post-condition; a violation triggers further refinement before erroring.
+    ``source`` is the decreasing rearrangement f* of the mesh source, or None
+    for the unit source.  By the layer-cake identity the flux of v through
+    the sphere of radius r is exactly cum(V(r)), with V the weighted ball
+    volume, A the weighted sphere area and cum the running integral
+    ``source.cumulative`` (w -> w for the unit source).  So
+
+        v(r) = cum(V(R)) / (beta A(R)) + int_r^R cum(V(s)) / A(s) ds.
+
+    The integral runs one fixed 4-point Gauss-Legendre rule per cell of the
+    output grid, 32,769 uniform radii, with the cells split for the
+    quadrature at the radii where f* changes analytic form; a reversed
+    cumulative sum gives v at every grid point.  The integrand, the slope
+    -v', is non-negative, so v is non-increasing by construction.
     """
     if beta <= 0.0:
         raise ValueError(f"beta must be positive, got {beta}")
     space = ball.space
-    if space.kappa == 1 and sn_kappa(1, ball.radius) < 1e-12:
+    R = ball.radius
+    if space.kappa == 1 and sn_kappa(1, R) < 1e-12:
         raise DegenerateBallError("boundary sphere degenerates at the antipode")
+    volume = volume_profile(space, R)
+    grid = np.linspace(0.0, R, _GRID_CELLS + 1)
+    if source is None:
+        cumulative = lambda w: w
+        edges = grid
+    else:
+        if abs(source.total - volume) > 1e-9 * volume:
+            raise ValueError(f"source measure {source.total!r} does not match "
+                             f"the ball volume {volume!r}")
+        total = source.total
+        cumulative = lambda w: source.cumulative(np.minimum(w, total))
+        kinks = np.clip(radii_for_volumes(space, source.kinks()), 0.0, R)
+        edges = np.unique(np.concatenate([grid, kinks]))
 
-    n = max(int(n0), 64)
-    r_prev, v_prev = _poisson_pass(ball, beta, source, n)
-    while True:
-        n *= 2
-        r_fine, v_fine = _poisson_pass(ball, beta, source, n)
-        scale = float(np.max(np.abs(v_fine))) or 1.0
-        diff = float(np.max(np.abs(v_fine[::2] - v_prev))) / scale
-        settled = diff < 1e-10
-        monotone = float(np.max(np.diff(v_fine))) <= 1e-12 * scale
-        if settled and monotone:
-            break
-        if n >= _POISSON_NMAX:
-            if not settled:
-                raise ConvergenceError(
-                    f"Simpson doubling stalled at n={n} (rel. change {diff:.2e})"
-                )
-            raise MonotonicityError(
-                "solution profile stayed non-monotone under maximal refinement"
-            )
-        r_prev, v_prev = r_fine, v_fine
-
-    # hand back at least 2^15 intervals; reference use against the FEM
-    # solutions wants samples everywhere, and the extra pass is cheap
-    if n < 32768:
-        n = 32768
-        r_fine, v_fine = _poisson_pass(ball, beta, source, n)
-    stride = max(1, n // 32768)
-    grid, values = r_fine[::stride], v_fine[::stride]
-    if grid[-1] != r_fine[-1]:
-        grid = np.append(grid, r_fine[-1])
-        values = np.append(values, v_fine[-1])
-    return RadialProfile(ball=ball, grid=grid, values=values)
+    lo, hi = edges[:-1], edges[1:]
+    half = 0.5 * (hi - lo)
+    s = np.multiply.outer(half, _GL4[0]) + (0.5 * (lo + hi))[:, None]
+    slope = cumulative(volume_profile(space, s)) / volume_profile_derivative(space, s)
+    cells = np.bincount(np.searchsorted(grid, lo, side="right") - 1,
+                        weights=(slope @ _GL4[1]) * half, minlength=_GRID_CELLS)
+    tail = np.concatenate([np.cumsum(cells[::-1])[::-1], [0.0]])
+    boundary = float(cumulative(volume)) / (beta * volume_profile_derivative(space, R))
+    return RadialProfile(ball=ball, grid=grid, values=boundary + tail)
 
 
 def flat_torsion_profile(ball: GeodesicBall, beta: float) -> RadialProfile:
@@ -310,7 +261,6 @@ def radial_distribution(profile: RadialProfile, space: ModelSpace):
     in between, the threshold-measure relation is interpolated monotonically.
     """
     from .rearrange import DistributionData  # circular at import time only
-    from .model_geometry import volume_profile
 
     values = profile.values
     scale = float(np.max(np.abs(values))) or 1.0

@@ -31,7 +31,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import cumulative_simpson, simpson
-from scipy.interpolate import PchipInterpolator
 
 from . import fem
 from .fem import RobinProblem
@@ -46,14 +45,11 @@ from .model_geometry import (
 )
 from .radial import (
     RadialProfile,
-    constant_source,
     radial_distribution,
     solve_radial_eigen,
     solve_symmetrized_poisson,
-    source_from_profile,
 )
 from .rearrange import (
-    DecreasingRearrangement,
     DistributionData,
     LorentzParams,
     decreasing_rearrangement,
@@ -390,63 +386,12 @@ def check_measure_bound(u: ScalarField, v: RadialProfile, space: ModelSpace, *,
 
 
 # ---------------------------------------------------------------------------
-# profile functions
-
-
-@dataclass(frozen=True)
-class ProfileFunctions:
-    """Nested cumulative integrals of the rearranged source against the
-    isoperimetric profile; F and H vanish at 0 and are non-decreasing."""
-
-    space: ModelSpace
-    p: float
-    fstar: DecreasingRearrangement
-    F: object
-    H: object
+# profile monotonicity
 
 
 def _singular_exponent(space: ModelSpace, p: float) -> float:
     # the integrand factor w^{1/p} G(w)^{-2} behaves like this power at 0
     return 1.0 / p - 2.0 * (space.n - 1) / space.n
-
-
-def _clamped_pchip(grid: np.ndarray, values: np.ndarray, lmax: float):
-    interp = PchipInterpolator(np.concatenate([[0.0], grid]),
-                               np.concatenate([[0.0], values]))
-    def handle(l):
-        return interp(np.clip(l, 0.0, lmax))
-    return handle
-
-
-def profile_functions(space: ModelSpace, p: float,
-                      fstar: DecreasingRearrangement) -> ProfileFunctions:
-    """Build the two nested profile integrals on a log-uniform grid."""
-    if not (p > 0.0) or not math.isfinite(p):
-        raise ValueError(f"p must be positive and finite, got {p}")
-    sing = _singular_exponent(space, p)
-    if sing <= -1.0:
-        raise ProfileDivergenceError(
-            f"profile integrand has exponent {sing} <= -1 at w=0 (p={p})")
-    lmax = fstar.total
-    grid = np.geomspace(lmax * 1e-9, lmax, 4096)
-    G2 = np.asarray(isoperimetric_profile(space, grid), dtype=float) ** 2
-    Phi = np.asarray(fstar.cumulative(grid), dtype=float)
-
-    f_integrand = grid ** (1.0 / p) * Phi / G2
-    eF = sing + 1.0  # the cumulative source contributes one power of w
-    headF = f_integrand[0] * grid[0] / (eF + 1.0)
-    F_vals = headF + cumulative_simpson(f_integrand, x=grid, initial=0.0)
-
-    h_integrand = F_vals * Phi / G2
-    eH = eF + 2.0 - 2.0 * (space.n - 1) / space.n
-    headH = h_integrand[0] * grid[0] / (eH + 1.0)
-    H_vals = headH + cumulative_simpson(h_integrand, x=grid, initial=0.0)
-
-    return ProfileFunctions(
-        space=space, p=p, fstar=fstar,
-        F=_clamped_pchip(grid, F_vals, lmax),
-        H=_clamped_pchip(grid, H_vals, lmax),
-    )
 
 
 _MONOTONE_CLAIMS = ("A", "B", "C", "D")
@@ -623,8 +568,8 @@ def solve_record(problem: RobinProblem, space: ModelSpace,
                  eigen: bool = False) -> SolveRecord:
     """Assemble and factor the problem once: the Poisson solve and, with
     ``eigen``, the inverse iteration share the factor, freed before the rest
-    is built.  The twin's source is the Schwarz rearrangement of the
-    problem's."""
+    is built.  The twin takes the decreasing rearrangement of the problem's
+    source, whose Schwarz rearrangement is its source."""
     mesh, beta = problem.mesh, problem.beta
     system = fem.assemble(problem)
     lu = fem.factor_robin(system.robin_matrix(beta))
@@ -637,12 +582,9 @@ def solve_record(problem: RobinProblem, space: ModelSpace,
             pair = (math.nan, None)
     del system, lu  # the largest allocations; they set the peak memory
     ball = GeodesicBall(space, radius_for_volume(space, mesh.total_measure()))
-    if problem.source is None:
-        src = constant_source(ball)
-    else:
-        src = source_from_profile(schwarz_rearrangement(
-            distribution_function(problem.source), space))
-    v = solve_symmetrized_poisson(ball, beta, src)
+    fstar = None if problem.source is None else decreasing_rearrangement(
+        distribution_function(problem.source))
+    v = solve_symmetrized_poisson(ball, beta, fstar)
     return SolveRecord(problem=problem, u=u, dist=distribution_function(u),
                        ball=ball, v=v, rad=radial_distribution(v, space),
                        eigen=pair)

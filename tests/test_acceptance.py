@@ -24,13 +24,9 @@ L_POINTS = [(0.0, 0.0), (1.0, 0.0), (1.0, 0.5), (0.5, 0.5), (0.5, 1.0),
 def _matched_radial(mesh, space, beta=1.0, source_field=None):
     ball = mg.GeodesicBall(space, mg.radius_for_volume(space,
                                                        mesh.total_measure()))
-    if source_field is None:
-        src = radial.constant_source(ball)
-    else:
-        sharp = rr.schwarz_rearrangement(
-            rr.distribution_function(source_field), space)
-        src = radial.source_from_profile(sharp)
-    return radial.solve_symmetrized_poisson(ball, beta, src)
+    fstar = None if source_field is None else rr.decreasing_rearrangement(
+        rr.distribution_function(source_field))
+    return radial.solve_symmetrized_poisson(ball, beta, fstar)
 
 
 def _torsion(mesh, beta=1.0, source=None):

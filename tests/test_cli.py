@@ -1,5 +1,6 @@
 """Config loading, the expression grammar, and the experiment runner."""
 
+import csv
 import json
 import math
 
@@ -389,19 +390,29 @@ def test_run_missing_field_mesh_exits_two(tmp_path, capsys):
     assert "config:" in capsys.readouterr().err
 
 
-def test_run_radial_stall_exits_three(tmp_path, capsys, monkeypatch):
-    # this source stalled the Simpson doubling at level 1 while roundoff sent
-    # its rearrangement to 0 at the rim of the ball; it now runs through
-    path = _write_config(tmp_path, source={"expr": "1 + exp(-r^2)"}, h=0.05,
-                         refine_levels=1, checks=[{"id": "min-comparison"}])
+def test_run_saved_field_source_passes(tmp_path, capsys):
+    # a noisy saved field on the 900-vertex square: the Simpson doubling of
+    # the old twin stalled on it at n = 2^21 and the run exited 3
+    mesh = msh.generate_domain("square", target_h=0.05, side=1.0)
+    assert len(mesh.vertices) == 900
+    x, y = mesh.vertices[:, 0], mesh.vertices[:, 1]
+    noise = np.random.default_rng(1).random(len(x))
+    source = msh.ScalarField(mesh=mesh, values=1.0 + np.exp(-(x**2 + y**2)) + 0.3 * noise)
+    mesh_path, field_path = str(tmp_path / "mesh.json"), str(tmp_path / "field.json")
+    msh.save_mesh(mesh, mesh_path)
+    fem.save_field(source, field_path, mesh_path)
+    path = _write_config(
+        tmp_path, domain={"mesh": mesh_path}, source={"field": field_path},
+        beta=[0.1, 1.0, 10.0], h=0.05,
+        checks=[{"id": "thm1.1", "p": 1.0, "q": 1}, {"id": "thm1.1", "p": 0.5, "q": 2},
+                {"id": "min-comparison"}, {"id": "measure-bound"},
+                {"id": "level-set-chain"}, {"id": "flux-identity"}])
     assert cli.main(["run", path]) == 0
-
-    def stalled(*args, **kwargs):
-        raise radial.ConvergenceError("Simpson doubling stalled at n=2097152")
-
-    monkeypatch.setattr(cli.verify, "solve_symmetrized_poisson", stalled)
-    assert cli.main(["run", path]) == 3
-    assert "Simpson doubling stalled" in capsys.readouterr().err
+    capsys.readouterr()
+    with open(tmp_path / "out" / "summary.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 75
+    assert all(row["passed"] == "True" for row in rows)
 
 
 @pytest.mark.parametrize("error", [

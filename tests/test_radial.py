@@ -8,20 +8,30 @@ import pytest
 from scipy.optimize import brentq
 from scipy.special import j0, j1
 
-from robinsym.model_geometry import GeodesicBall, ModelSpace, volume_profile
+from robinsym import mesh as msh
+from robinsym.model_geometry import (
+    GeodesicBall,
+    ModelSpace,
+    radii_for_volumes,
+    radius_for_volume,
+    volume_profile,
+    volume_profile_derivative,
+)
 from robinsym.radial import (
     DegenerateBallError,
     MonotonicityError,
     PositivityError,
     RadialProfile,
-    RadialSource,
-    constant_source,
     flat_torsion_profile,
     log_derivative_profile,
     radial_distribution,
     solve_radial_eigen,
     solve_symmetrized_poisson,
-    source_from_profile,
+)
+from robinsym.rearrange import (
+    DistributionData,
+    decreasing_rearrangement,
+    distribution_function,
 )
 
 FLAT2 = ModelSpace(kappa=0, n=2, alpha=1.0)
@@ -87,13 +97,36 @@ def _flux_residual(profile, source):
     return float(np.max(np.abs(d1 + g[2:-2] / A[2:-2])))
 
 
+def _unit(r):
+    return np.ones_like(r)
+
+
+def _schwarz(fstar, space):
+    """The Schwarz rearrangement r -> f*(V(r)) of a decreasing rearrangement."""
+    return lambda r: fstar(np.minimum(volume_profile(space, r), fstar.total))
+
+
+def _field_twin(space, domain, beta, **kw):
+    """A noisy P1 source on a small mesh: its decreasing rearrangement and twin."""
+    mesh = msh.generate_domain(domain, target_h=0.2, **kw)
+    x, y = mesh.vertices[:, 0], mesh.vertices[:, 1]
+    noise = np.random.default_rng(1).random(len(x))
+    field = msh.ScalarField(mesh=mesh, values=1.0 + np.exp(-(x**2 + y**2)) + 0.3 * noise)
+    fstar = decreasing_rearrangement(distribution_function(field))
+    ball = GeodesicBall(space=space, radius=radius_for_volume(space, fstar.total))
+    return fstar, solve_symmetrized_poisson(ball, beta, fstar)
+
+
+_FIELD_TWINS = [(FLAT2, "square", {"side": 1.0}), (SPHERE2, "spherical_cap", {"theta": 1.0})]
+
+
 # ---------------------------------------------------------------------------
 # symmetrized Poisson
 
 
 def test_flat_torsion_closed_form():
     ball = GeodesicBall(space=FLAT2, radius=1.0)
-    v = solve_symmetrized_poisson(ball, 1.0, constant_source(ball))
+    v = solve_symmetrized_poisson(ball, 1.0)
     assert abs(v.values[0] - 0.75) < 1e-10
     assert abs(v.boundary_value - 0.5) < 1e-10
     exact = (1.0 - v.grid**2) / 4.0 + 0.5
@@ -102,30 +135,37 @@ def test_flat_torsion_closed_form():
     assert np.allclose(v(ref.grid), ref.values, rtol=0.0, atol=1e-9)
 
 
-@pytest.mark.parametrize("n,R,beta", [(3, 1.7, 0.7), (5, 0.9, 2.3)])
+@pytest.mark.parametrize("n,R,beta", [(3, 1.7, 0.7), (5, 0.9, 2.3),
+                                      (2, 1.0 / math.sqrt(math.pi), 0.1),
+                                      (2, 1.0 / math.sqrt(math.pi), 10.0)])
 def test_flat_torsion_general_dimension(n, R, beta):
     space = ModelSpace(kappa=0, n=n, alpha=1.0)
     ball = GeodesicBall(space=space, radius=R)
-    v = solve_symmetrized_poisson(ball, beta, constant_source(ball))
+    v = solve_symmetrized_poisson(ball, beta)
     exact = (R**2 - v.grid**2) / (2 * n) + R / (n * beta)
-    err = float(np.max(np.abs(v.values - exact))) / exact[0]
-    assert err < 1e-10
+    assert float(np.max(np.abs(v.values - exact) / exact)) < 1e-13
+
+
+@pytest.mark.parametrize("R,beta", [(1.0, 0.1), (1.0, 1.0), (1.0, 10.0), (2.5, 1.0)])
+def test_cap_torsion_closed_form(R, beta):
+    # on S^2, V/A = tan(r/2), so v = 2 ln(cos(r/2) / cos(R/2)) + tan(R/2)/beta
+    v = solve_symmetrized_poisson(GeodesicBall(space=SPHERE2, radius=R), beta)
+    exact = 2.0 * np.log(np.cos(v.grid / 2) / np.cos(R / 2)) + np.tan(R / 2) / beta
+    assert float(np.max(np.abs(v.values - exact) / exact)) < 1e-13
 
 
 def test_cap_torsion_ode_residual():
     ball = GeodesicBall(space=SPHERE2, radius=math.pi / 2)
-    source = constant_source(ball)
-    v = solve_symmetrized_poisson(ball, 1.0, source)
-    ode, robin = _poisson_residual(v, 1.0, source)
+    v = solve_symmetrized_poisson(ball, 1.0)
+    ode, robin = _poisson_residual(v, 1.0, _unit)
     assert ode < 1e-8
     assert robin < 1e-8
 
 
 def test_flat_torsion_ode_residual():
     ball = GeodesicBall(space=FLAT2, radius=1.0)
-    source = constant_source(ball)
-    v = solve_symmetrized_poisson(ball, 1.0, source)
-    ode, robin = _poisson_residual(v, 1.0, source)
+    v = solve_symmetrized_poisson(ball, 1.0)
+    ode, robin = _poisson_residual(v, 1.0, _unit)
     assert ode < 1e-8
     assert robin < 1e-8
 
@@ -133,49 +173,100 @@ def test_flat_torsion_ode_residual():
 def test_decreasing_source_residual_and_monotonicity():
     ball = GeodesicBall(space=SPHERE2, radius=1.2)
     grid = np.linspace(0.0, 1.2, 257)
-    source = RadialSource(grid, np.exp(-grid**2))
-    v = solve_symmetrized_poisson(ball, 0.5, source)
-    assert _flux_residual(v, source) < 1e-8
+    profile = RadialProfile(ball=ball, grid=grid, values=np.exp(-grid**2))
+    fstar = decreasing_rearrangement(radial_distribution(profile, SPHERE2))
+    v = solve_symmetrized_poisson(ball, 0.5, fstar)
+    assert _flux_residual(v, _schwarz(fstar, SPHERE2)) < 1e-8
     robin = abs(_right_derivative(v.grid, v.values) + 0.5 * v.boundary_value)
     assert robin < 1e-8
     assert float(np.max(np.diff(v.values))) <= 1e-12 * v.values[0]
     assert float(np.min(v.values)) > 0.0
 
 
+@pytest.mark.parametrize("space,domain,kw", _FIELD_TWINS, ids=["square", "cap"])
+def test_field_twin_robin_flux_balance(space, domain, kw):
+    # the twin's flux through the boundary sphere is the whole source
+    fstar, v = _field_twin(space, domain, 0.7, **kw)
+    outflux = v.boundary_value * 0.7 * volume_profile_derivative(space, v.ball.radius)
+    total = fstar.cumulative(fstar.total)
+    assert abs(outflux - total) < 1e-13 * total
+
+
+@pytest.mark.parametrize("space,domain,kw", _FIELD_TWINS, ids=["square", "cap"])
+def test_field_twin_matches_mpmath_quadrature(space, domain, kw):
+    # v(r) = v(R) + int_r^R cum(V(s)) / A(s) ds, by tanh-sinh quadrature on
+    # each interval between the radii where f* changes analytic form
+    beta = 1.3
+    fstar, v = _field_twin(space, domain, beta, **kw)
+    R = v.ball.radius
+
+    def flux(s):
+        w = min(volume_profile(space, float(s)), fstar.total)
+        return float(fstar.cumulative(w)) / volume_profile_derivative(space, float(s))
+
+    probes = [0, 4000, 16384, 29000, 32767]
+    kinks = radii_for_volumes(space, fstar.kinks())
+    stops = np.unique(np.concatenate([v.grid[probes], kinks[kinks < R], [R]]))
+    value = mpmath.mpf(flux(R)) / beta
+    expected = {}
+    for lo, hi in zip(stops[-2::-1], stops[:0:-1]):
+        value += mpmath.quad(flux, [lo, hi])
+        expected[lo] = float(value)
+    for k in probes:
+        got, want = v.values[k], expected[v.grid[k]]
+        assert abs(got - want) < 1e-12 * want
+
+
+def test_step_source_twin_closed_form():
+    # f# = 2 on the inner half of the unit disk's area and 1 outside: the
+    # flux V + min(V, pi/2) kinks at r_h = 1/sqrt(2), inside a grid cell
+    ball = GeodesicBall(space=FLAT2, radius=1.0)
+    half = 0.5 * math.pi
+    step = DistributionData.from_monotone_pairs([2.0, 2.0, 1.0, 1.0],
+                                                [0.0, half, half, math.pi])
+    beta = 0.8
+    v = solve_symmetrized_poisson(ball, beta, decreasing_rearrangement(step))
+    # int_r^1 of s (inside r_h) and of s/2 + 1/(4s) (outside), plus v(1)
+    r = v.grid
+    rc = np.maximum(r, math.sqrt(0.5))
+    exact = (3.0 / (4.0 * beta) + (1.0 - rc**2) / 4.0 - np.log(rc) / 4.0
+             + (rc**2 - r**2) / 2.0)
+    assert float(np.max(np.abs(v.values - exact) / exact)) < 1e-13
+
+
+def test_poisson_rejects_mismatched_source():
+    fstar, v = _field_twin(FLAT2, "square", 1.0, side=1.0)
+    bigger = GeodesicBall(space=FLAT2, radius=v.ball.radius * (1.0 + 1e-6))
+    with pytest.raises(ValueError, match="does not match"):
+        solve_symmetrized_poisson(bigger, 1.0, fstar)
+
+
 def test_cone_angle_cancels_in_reduction():
     narrow = ModelSpace(kappa=1, n=2, alpha=0.6)
     full = ModelSpace(kappa=1, n=2, alpha=1.0)
-    va = solve_symmetrized_poisson(
-        GeodesicBall(space=narrow, radius=1.2), 0.7,
-        constant_source(GeodesicBall(space=narrow, radius=1.2)))
-    vb = solve_symmetrized_poisson(
-        GeodesicBall(space=full, radius=1.2), 0.7,
-        constant_source(GeodesicBall(space=full, radius=1.2)))
+    va = solve_symmetrized_poisson(GeodesicBall(space=narrow, radius=1.2), 0.7)
+    vb = solve_symmetrized_poisson(GeodesicBall(space=full, radius=1.2), 0.7)
     assert np.allclose(va.values, vb.values, rtol=1e-13, atol=0.0)
 
 
 def test_poisson_output_grid_density():
     ball = GeodesicBall(space=FLAT2, radius=1.0)
-    v = solve_symmetrized_poisson(ball, 1.0, constant_source(ball))
+    v = solve_symmetrized_poisson(ball, 1.0)
     assert len(v.grid) >= 32769
-    # the density knob only changes the starting grid, not the answer
-    w = solve_symmetrized_poisson(ball, 1.0, constant_source(ball), n0=64)
-    assert np.allclose(w.values, v(w.grid), rtol=0.0, atol=1e-10)
 
 
 def test_poisson_rejects_bad_beta():
     ball = GeodesicBall(space=FLAT2, radius=1.0)
-    src = constant_source(ball)
     with pytest.raises(ValueError):
-        solve_symmetrized_poisson(ball, 0.0, src)
+        solve_symmetrized_poisson(ball, 0.0)
     with pytest.raises(ValueError):
-        solve_symmetrized_poisson(ball, -2.0, src)
+        solve_symmetrized_poisson(ball, -2.0)
 
 
 def test_poisson_rejects_degenerate_cap():
     ball = GeodesicBall(space=SPHERE2, radius=math.pi)
     with pytest.raises(DegenerateBallError):
-        solve_symmetrized_poisson(ball, 1.0, constant_source(ball))
+        solve_symmetrized_poisson(ball, 1.0)
 
 
 def test_flat_closed_form_rejects_cap():
@@ -343,7 +434,7 @@ def test_log_derivative_rejects_oscillation():
 
 def test_radial_distribution_torsion_levels():
     ball = GeodesicBall(space=FLAT2, radius=1.0)
-    v = solve_symmetrized_poisson(ball, 1.0, constant_source(ball))
+    v = solve_symmetrized_poisson(ball, 1.0)
     dist = radial_distribution(v, FLAT2)
     # superlevel sets of the torsion function are concentric disks
     probe = v.grid[:: len(v.grid) // 100]
@@ -353,7 +444,7 @@ def test_radial_distribution_torsion_levels():
 
 def test_radial_distribution_saturates():
     ball = GeodesicBall(space=FLAT2, radius=1.0)
-    v = solve_symmetrized_poisson(ball, 1.0, constant_source(ball))
+    v = solve_symmetrized_poisson(ball, 1.0)
     dist = radial_distribution(v, FLAT2)
     total = float(volume_profile(FLAT2, 1.0))
     assert dist.evaluate(0.9 * v.boundary_value) == pytest.approx(total, abs=1e-12)
@@ -371,7 +462,7 @@ def test_radial_distribution_needs_monotone_profile():
 
 
 # ---------------------------------------------------------------------------
-# types, sources, export
+# types, export
 
 
 def test_radial_profile_validation():
@@ -390,24 +481,6 @@ def test_radial_profile_validation():
         RadialProfile(ball=ball, grid=good_grid, values=np.full(65, np.nan))
     with pytest.raises(ValueError):
         RadialProfile(ball=ball, grid=good_grid, values=np.zeros(64))
-
-
-def test_radial_source_validation():
-    grid = np.linspace(0.0, 1.0, 33)
-    with pytest.raises(ValueError):
-        RadialSource(grid, np.full(33, -1.0))
-    with pytest.raises(MonotonicityError):
-        RadialSource(grid, grid.copy())
-    with pytest.raises(ValueError):
-        RadialSource(grid[::-1], np.ones(33))
-
-
-def test_source_from_profile():
-    ball = GeodesicBall(space=FLAT2, radius=1.0)
-    prof = flat_torsion_profile(ball, 1.0)
-    src = source_from_profile(prof)
-    assert np.allclose(src.values, prof.values)
-    assert float(np.min(src.values)) >= 0.0
 
 
 def test_profile_csv_roundtrip(tmp_path):

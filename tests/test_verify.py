@@ -1,4 +1,4 @@
-"""Inequality checks, profile functions, and the level-set functional."""
+"""Inequality checks, profile monotonicity, and the level-set functional."""
 
 import csv
 import dataclasses
@@ -33,18 +33,9 @@ def _torsion(mesh, beta=1.0, source=None):
 
 def _matched_radial(mesh, space, beta=1.0, source_field=None):
     ball = mg.GeodesicBall(space, mg.radius_for_volume(space, mesh.total_measure()))
-    if source_field is None:
-        src = radial.constant_source(ball)
-    else:
-        sharp = rr.schwarz_rearrangement(
-            rr.distribution_function(source_field), space)
-        src = radial.source_from_profile(sharp)
-    return radial.solve_symmetrized_poisson(ball, beta, src)
-
-
-def _unit_rearrangement(total):
-    dist = rr.DistributionData.from_monotone_pairs([1.0, 1.0], [0.0, total])
-    return rr.decreasing_rearrangement(dist)
+    fstar = None if source_field is None else rr.decreasing_rearrangement(
+        rr.distribution_function(source_field))
+    return radial.solve_symmetrized_poisson(ball, beta, fstar)
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +127,7 @@ def test_min_comparison_mismatch():
     disk = _disk(0.2)
     u, _ = _torsion(disk)
     wrong = mg.GeodesicBall(FLAT, 2.0)
-    v = radial.solve_symmetrized_poisson(wrong, 1.0, radial.constant_source(wrong))
+    v = radial.solve_symmetrized_poisson(wrong, 1.0)
     with pytest.raises(verify.MatchMismatchError):
         verify.check_min_comparison(u, v)
 
@@ -220,43 +211,16 @@ def test_measure_bound():
 
 
 # ---------------------------------------------------------------------------
-# profile functions
-
-
-def test_profile_functions_closed_form():
-    fstar = _unit_rearrangement(3.0)
-    pf = verify.profile_functions(FLAT, 1.0, fstar)
-    ls = np.array([0.3, 1.0, 2.7])
-    exact = ls**2 / (8.0 * math.pi)
-    assert np.max(np.abs(pf.F(ls) - exact) / exact) < 1e-7
-
-
-def test_profile_functions_weighted_cone():
-    space = mg.ModelSpace(kappa=0, n=2, alpha=0.6)
-    pf = verify.profile_functions(space, 1.0, _unit_rearrangement(2.0))
-    exact = 1.5**2 / (8.0 * math.pi * 0.6)
-    assert float(pf.F(1.5)) == pytest.approx(exact, rel=1e-7)
-
-
-def test_profile_functions_invariants():
-    sphere = mg.ModelSpace(kappa=1, n=3)
-    fstar = _unit_rearrangement(4.0)
-    pf = verify.profile_functions(sphere, 0.75, fstar)
-    assert pf.F(0.0) == 0.0 and pf.H(0.0) == 0.0
-    ls = np.linspace(0.0, 4.0, 200)
-    assert np.all(np.diff(pf.F(ls)) >= -1e-12)
-    assert np.all(np.diff(pf.H(ls)) >= -1e-12)
-    assert pf.fstar is fstar
+# profile monotonicity
 
 
 def test_profile_divergence_guard():
     space = mg.ModelSpace(kappa=0, n=3)
-    fstar = _unit_rearrangement(1.0)
     with pytest.raises(verify.ProfileDivergenceError):
-        verify.profile_functions(space, 3.0, fstar)
-    verify.profile_functions(space, 2.9, fstar)
+        verify.check_profile_monotonicity(space, 3.0, "B")
+    verify.check_profile_monotonicity(space, 2.9, "B")
     with pytest.raises(ValueError):
-        verify.profile_functions(space, -1.0, fstar)
+        verify.check_profile_monotonicity(space, -1.0, "B")
 
 
 def test_profile_monotonicity_claims():
@@ -373,6 +337,18 @@ def test_saint_venant_square_closed_form():
     exact = math.pi * R**4 / 8.0 + math.pi * R**3 / 2.0
     assert report.rhs == pytest.approx(exact, rel=1e-6)
     assert report.lhs < report.rhs
+
+
+@pytest.mark.parametrize("beta", [0.1, 1.0, 10.0])
+def test_saint_venant_rhs_closed_form(beta):
+    # Simpson on the twin's 32,769 uniform radii is exact for the cubic
+    # v(r) A(r) of flat torsion
+    rec = _record(_disk(0.1), FLAT, beta)
+    report = verify.check_saint_venant(rec)
+    assert not report.context["retried"]
+    R = rec.ball.radius
+    exact = math.pi * R**4 / 8.0 + math.pi * R**3 / (2.0 * beta)
+    assert abs(report.rhs - exact) < 1e-13 * exact
 
 
 def test_saint_venant_cone():
