@@ -112,18 +112,22 @@ def assemble(problem: RobinProblem) -> AssembledSystem:
     area = mesh.chart_areas()
 
     grads = mesh.basis_gradients()
-    k_local = area[:, None, None] * np.einsum(
-        "tia,tja->tij", mesh.dirichlet_weighted(grads), grads)
+    weighted = mesh.dirichlet_weighted(grads)
+    k_local = weighted[:, :, None, 0] * grads[:, None, :, 0]
+    k_local += weighted[:, :, None, 1] * grads[:, None, :, 1]
+    k_local *= area[:, None, None]
 
+    # phi_i is 1/2 at the midpoints i (of edge i, i+1) and i-1 and 0 at the
+    # third, so the local mass is area/3 times rho/4 at the shared midpoint
+    # off the diagonal and at both adjacent ones on it
     rho_mid = edge_midpoints(mesh.density[tris])
     f_mid = edge_midpoints(problem.source_values()[tris])
-    # basis values at the midpoints: phi_i is 1/2 on its two adjacent ones
-    phi = 0.5 * np.array([[1.0, 0.0, 1.0],
-                          [1.0, 1.0, 0.0],
-                          [0.0, 1.0, 1.0]])  # [vertex, midpoint]
-    m_local = (area[:, None, None] / 3.0) * np.einsum(
-        "im,jm,tm->tij", phi, phi, rho_mid)
-    load_local = (area[:, None] / 3.0) * np.einsum("im,tm->ti", phi, f_mid * rho_mid)
+    quarter = 0.25 * rho_mid
+    m_local = np.take(quarter, [[0, 0, 2], [0, 1, 1], [2, 1, 2]], axis=1)
+    m_local[:, [0, 1, 2], [0, 1, 2]] += quarter[:, [2, 0, 1]]
+    m_local *= (area / 3.0)[:, None, None]
+    g_mid = f_mid * rho_mid
+    load_local = (area[:, None] / 3.0) * (0.5 * (g_mid + np.roll(g_mid, 1, axis=1)))
 
     rows = np.repeat(tris, 3, axis=1).ravel()
     cols = np.tile(tris, (1, 3)).ravel()

@@ -166,13 +166,14 @@ def _sin_power_integral(m, r):
     small = r < 0.3
     out = np.empty_like(r)
     if np.any(small):
-        rs = np.where(small, r, 0.0)
+        # the series loop runs on the small radii alone
+        rs = r[small]
         coef = _sin_power_series_coeffs(m)
         acc = np.zeros_like(rs)
         r2 = rs * rs
         for k in range(_SERIES_TERMS - 1, -1, -1):
             acc = acc * r2 + coef[k] / (m + 1 + 2 * k)
-        out[small] = (rs ** (m + 1) * acc)[small]
+        out[small] = rs ** (m + 1) * acc
     if np.any(~small):
         rl = np.where(~small, r, 1.0)
         s_even = rl.copy()                      # S_0

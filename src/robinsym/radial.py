@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import hyp2f1, jv
 
 from .model_geometry import (
@@ -201,9 +200,12 @@ def solve_radial_eigen(ball: GeodesicBall, beta: float):
 
     lambda is the first root of the secular function u'(R) + beta u(R) of the
     closed-form ground state (Bessel when flat, hypergeometric on the
-    sphere), bracketed by a doubling scan and refined by Brent's method.  The
-    profile samples the closed form on 4097 uniform radii; it is positive
-    and normalized to u(0) = 1.
+    sphere), bracketed by a 64-cell sign scan under a doubling cap and
+    refined by the same scan on the bracketing cell until it is a few ulps
+    wide.  Non-finite samples (scipy's hyp2f1 returns +-inf or nan for some
+    lambda near the antipode) never bracket a root.  The profile samples the
+    closed form on 4097 uniform radii; it is positive and normalized to
+    u(0) = 1.
     """
     if beta <= 0.0:
         raise ValueError(f"beta must be positive, got {beta}")
@@ -212,25 +214,34 @@ def solve_radial_eigen(ball: GeodesicBall, beta: float):
     if space.kappa == 1 and R >= math.pi - 1e-3:
         raise DegenerateBallError("cap radius too close to the antipode")
 
-    def functional(lams):
+    def first_sign_change(lo, hi):
+        # the cell from the last finite positive sample to the first finite
+        # non-positive one, or None; F(lo) > 0 is finite on every call
+        lams = np.linspace(lo, hi, 65)
         u, du = _ground_state(space, lams, R)
-        return du + beta * u
+        values = du + beta * u
+        finite = np.isfinite(values)
+        down = np.nonzero(finite & (values <= 0.0))[0]
+        if not len(down):
+            return None
+        k = int(down[0])
+        return float(lams[np.nonzero(finite[:k])[0][-1]]), float(lams[k])
 
     # F(0) = beta > 0; scan for the first sign change, doubling the cap
     lam_cap = 16.0
-    while True:
-        lams = np.linspace(0.0, lam_cap, 65)[1:]
-        idx = np.nonzero(functional(lams) <= 0.0)[0]
-        if len(idx):
-            k = int(idx[0])
-            lo = float(lams[k - 1]) if k > 0 else 0.0
-            hi = float(lams[k])
-            break
+    while (cell := first_sign_change(0.0, lam_cap)) is None:
         lam_cap *= 2.0
         if lam_cap > _LAMBDA_CAP:
             raise EigenBracketError(f"no sign change below lambda = {_LAMBDA_CAP:g}")
+    # zoom into the cell; it stays put only if non-finite samples fill it
+    lo, hi = cell
+    while hi - lo > 4.0 * np.finfo(float).eps * hi:
+        cell = first_sign_change(lo, hi)
+        if cell == (lo, hi):
+            break
+        lo, hi = cell
 
-    lam = brentq(lambda t: float(functional(t)), lo, hi, xtol=1e-14)
+    lam = 0.5 * (lo + hi)
     grid = np.linspace(0.0, R, 4097)
     values, _ = _ground_state(space, lam, grid)
     if float(np.min(values)) <= 0.0:

@@ -103,30 +103,34 @@ class DistributionData:
 
         scale = float(np.max(np.abs(tri_vals))) if tri_vals.size else 1.0
         tol = _VALUE_MERGE_TOL * max(scale, 1.0)
-        pos = triples[triples > 0.0]
-        raw = np.unique(np.concatenate([[0.0], pos]))
-        breaks = raw[np.concatenate([[True], np.diff(raw) > tol])]
+        positive = triples > 0.0
+        vals = triples[positive]
+        raw, inverse = np.unique(np.concatenate([[0.0], vals]), return_inverse=True)
+        merged = np.concatenate([[True], np.diff(raw) > tol])
+        breaks = raw[merged]
 
-        # snap the positive values onto the merged breakpoints
-        idx = np.clip(np.searchsorted(breaks, triples), 1, len(breaks) - 1)
-        lower, upper = breaks[idx - 1], breaks[idx]
-        snapped = np.where(np.abs(triples - lower) <= np.abs(upper - triples), lower, upper)
-        triples = np.where(triples > 0.0, snapped, triples)
+        # snap the positive values onto the nearest merged breakpoint; a raw
+        # value's lower neighbour is the last kept breakpoint at or below it
+        lower = (np.cumsum(merged) - 1)[inverse[1:]]
+        upper = np.minimum(lower + 1, len(breaks) - 1)
+        up = np.abs(vals - breaks[lower]) > np.abs(breaks[upper] - vals)
+        index = np.where(up, upper, lower)
+        triples[positive] = breaks[index]
+        # slot j + 1 starts at breaks[j]; every value <= 0 starts slot 1
+        slot = np.ones(triples.shape, dtype=np.intp)
+        slot[positive] = index + 1
 
         K = len(breaks)
         dA = np.zeros(K + 2)
         dB = np.zeros(K + 2)
         dC = np.zeros(K + 2)
         a, b, c = triples[:, 0], triples[:, 1], triples[:, 2]
-
-        def slot_of(values):
-            # slot whose left edge is `values` (exact breakpoint members)
-            return np.searchsorted(breaks, values) + 1
+        sa, sb, sc = slot[:, 0], slot[:, 1], slot[:, 2]
 
         # constant piece w on [0, a) for a > 0
         mask = a > 0.0
         if np.any(mask):
-            end = slot_of(a[mask])
+            end = sa[mask]
             np.add.at(dA, np.ones(mask.sum(), dtype=int), w[mask])
             np.add.at(dA, end, -w[mask])
 
@@ -135,8 +139,7 @@ class DistributionData:
         if np.any(mask):
             am, bm, cm, wm = a[mask], b[mask], c[mask], w[mask]
             d1 = (bm - am) * (cm - am)
-            start = slot_of(np.maximum(am, 0.0))
-            end = slot_of(bm)
+            start, end = sa[mask], sb[mask]
             ca = wm - wm * am**2 / d1
             cb = 2.0 * wm * am / d1
             cc = -wm / d1
@@ -152,8 +155,7 @@ class DistributionData:
         if np.any(mask):
             am, bm, cm, wm = a[mask], b[mask], c[mask], w[mask]
             d2 = (cm - bm) * (cm - am)
-            start = slot_of(np.maximum(bm, 0.0))
-            end = slot_of(cm)
+            start, end = sb[mask], sc[mask]
             ca = wm * cm**2 / d2
             cb = -2.0 * wm * cm / d2
             cc = wm / d2

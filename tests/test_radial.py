@@ -348,6 +348,22 @@ def test_eigen_cap_regression_and_residuals(n, R, beta, expected):
     assert float(np.max(np.abs(res))) < 1e-8
 
 
+def _mpmath_secular(n, R, beta):
+    # the hypergeometric secular function u'(R) + beta u(R) on S^n, the
+    # oracle to be evaluated in 30-digit arithmetic
+    half = mpmath.mpf(n - 1) / 2
+    c = mpmath.mpf(n) / 2
+
+    def secular(t):
+        z = mpmath.sin(mpmath.mpf(R) / 2) ** 2
+        root = mpmath.sqrt(half * half + t)
+        a, b = half + root, half - root
+        du = -(t / n) * mpmath.sin(R) * mpmath.hyp2f1(a + 1, b + 1, c + 1, z)
+        return du + beta * mpmath.hyp2f1(a, b, c, z)
+
+    return secular
+
+
 @pytest.mark.parametrize("R,beta", [(3.0, 1e6), (3.1, 1e6), (2.5, 10.0)])
 def test_eigen_s3_matches_mpmath_root(R, beta):
     # a stiff beta near the antipode puts u(R) close to the ground state's
@@ -356,17 +372,23 @@ def test_eigen_s3_matches_mpmath_root(R, beta):
     # hypergeometric secular function in 30-digit arithmetic
     ball = GeodesicBall(space=ModelSpace(kappa=1, n=3, alpha=1.0), radius=R)
     lam, _ = solve_radial_eigen(ball, beta)
-
-    def secular(t):
-        root = mpmath.sqrt(1 + t)
-        z = mpmath.sin(mpmath.mpf(R) / 2) ** 2
-        u = mpmath.hyp2f1(1 + root, 1 - root, 1.5, z)
-        du = -(t / 3) * mpmath.sin(R) * mpmath.hyp2f1(2 + root, 2 - root, 2.5, z)
-        return du + beta * u
-
     with mpmath.workdps(30):
-        expected = float(mpmath.findroot(secular, lam))
+        expected = float(mpmath.findroot(_mpmath_secular(3, R, beta), lam))
     assert abs(lam - expected) < 1e-11 * expected
+
+
+@pytest.mark.parametrize("beta", [0.1, 1.0, 10.0, 100.0, 1e3, 1e6])
+@pytest.mark.parametrize("R", [2.5, 2.9, 3.0, 3.1])
+@pytest.mark.parametrize("n", [2, 4])
+def test_eigen_even_sphere_near_antipode_matches_mpmath_root(n, R, beta):
+    # on even n scipy's hyp2f1 returns +-inf or nan for some lambda when
+    # R >= 2.9; a -inf sample once bracketed a spurious root (S^2, R = 3.1,
+    # beta = 10 gave 0.073099 against the true 0.085881)
+    ball = GeodesicBall(space=ModelSpace(kappa=1, n=n, alpha=1.0), radius=R)
+    lam, _ = solve_radial_eigen(ball, beta)
+    with mpmath.workdps(30):
+        expected = float(mpmath.findroot(_mpmath_secular(n, R, beta), lam))
+    assert abs(lam - expected) < 1e-10 * expected
 
 
 def test_eigen_disk_robin_residual():

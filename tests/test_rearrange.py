@@ -257,6 +257,21 @@ def test_plateau_field():
     assert float(h(np.array([0.3]))[0]) == pytest.approx(0.7, abs=1e-12)
 
 
+def test_roundoff_copies_of_a_value_merge_into_one_breakpoint():
+    # five levels held by many vertices each, every copy moved by up to
+    # 3e-15, below the 1e-14 merge tolerance: each level's copies snap onto
+    # one breakpoint, and mu is the unperturbed field's
+    mesh = _square_mesh()
+    clean = 0.25 + np.round(4.0 * mesh.vertices[:, 0]) / 4.0
+    jitter = np.random.default_rng(7).uniform(-3e-15, 3e-15, len(clean))
+    exact = distribution_function(ScalarField(mesh=mesh, values=clean))
+    noisy = distribution_function(ScalarField(mesh=mesh, values=clean + jitter))
+    assert len(noisy.breakpoints) == len(exact.breakpoints)
+    assert np.allclose(noisy.breakpoints, exact.breakpoints, rtol=0.0, atol=1e-14)
+    t = np.linspace(0.0, 1.3, 53)
+    assert np.allclose(noisy.evaluate(t), exact.evaluate(t), rtol=1e-12, atol=0.0)
+
+
 def test_essential_infimum_survives_roundoff():
     # mu = plateau on [0, 1), linear down to 0 on [1, 2), total measure 3: a
     # field with values in [1, 2] when the plateau is the total

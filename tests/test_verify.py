@@ -351,6 +351,28 @@ def test_saint_venant_rhs_closed_form(beta):
     assert abs(report.rhs - exact) < 1e-13 * exact
 
 
+@pytest.mark.parametrize("case", ["square", "cap", "cone"])
+def test_saint_venant_rhs_matches_scipy_simpson(case):
+    # the rhs is the composite Simpson rule written in numpy; scipy's
+    # simpson on the same uniform samples is the oracle
+    from scipy.integrate import simpson
+
+    if case == "square":
+        mesh, space = _square(0.1), FLAT
+    elif case == "cap":
+        mesh = msh.generate_domain("spherical_cap", target_h=0.1, theta=1.0)
+        space = mg.ModelSpace(kappa=1, n=2, alpha=1.0)
+    else:
+        mesh = _disk(0.1, geometry="warped", warp=msh.warped_profile("cone", 0.8))
+        space = mg.ModelSpace(kappa=0, n=2, alpha=0.8)
+    rec = _record(mesh, space, 1.0)
+    report = verify.check_saint_venant(rec)
+    assert not report.context["retried"]
+    v = rec.v
+    expected = space.alpha * simpson(v.values * mg.sphere_area(space, v.grid), x=v.grid)
+    assert abs(report.rhs - expected) <= 1e-15 * expected
+
+
 def test_saint_venant_cone():
     warp = msh.warped_profile("cone", 0.8)
     mesh = _disk(0.08, geometry="warped", warp=warp)
