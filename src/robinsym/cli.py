@@ -554,9 +554,8 @@ def _write_plots(config, states, space, out_dir):
             rec = state.solves[beta]
             dist, ball, v = rec.dist, rec.ball, rec.v
             t = np.linspace(0.0, float(np.max(rec.u.values)), 257)
-            mu = np.array([dist.evaluate(tt) for tt in t])
             _write_plot(os.path.join(plots, f"mu_b{ib}_L{level}.csv"),
-                        ("t", "mu"), (t, mu))
+                        ("t", "mu"), (t, dist.evaluate(t)))
             usharp = schwarz_rearrangement(dist, space)
             r = np.linspace(0.0, ball.radius, 257)
             _write_plot(os.path.join(plots, f"usharp_b{ib}_L{level}.csv"),

@@ -15,8 +15,15 @@ with the per-triangle density frozen at the centroid.  Everything downstream
 — the decreasing rearrangement, its exact running integral, Schwarz
 symmetrization onto model-space balls, and Lorentz norms — evaluates that
 piecewise representation rather than rescanning the mesh.
+
+The coefficients are only evaluated at points, never integrated
+symbolically: on near-flat triangles they reach 1e8 to 1e12, and an
+antiderivative of A + B t + C t^2 cancels there.  Every integral of
+t^e mu(t)^k — the layer-cake tail, the moments and the Lorentz norms — is a
+Gauss rule on the slots, with mu clipped at 0.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -49,6 +56,44 @@ class MeshMismatchError(ValueError):
 
 class LorentzDivergenceError(ArithmeticError):
     """The Lorentz integral failed to produce a finite value."""
+
+
+# ---------------------------------------------------------------------------
+# quadrature
+
+
+@functools.cache
+def _gauss_rule(n):
+    """n-point Gauss-Legendre nodes and weights on [-1, 1]."""
+    return np.polynomial.legendre.leggauss(n)
+
+
+def _gauss_nodes(lo, hi, n=16):
+    """n-point Gauss nodes on each cell [lo, hi], a row each, and half-widths."""
+    half = 0.5 * (hi - lo)
+    nodes = np.multiply.outer(half, _gauss_rule(n)[0])
+    nodes += (0.5 * (lo + hi))[:, None]
+    return nodes, half
+
+
+# A fixed rule on [0, 1] for bounded integrands with a power singularity x^a
+# (a > 0) at either end: Gauss cells [x/4, x] shrinking into both ends down to
+# a width of 0.5 * 4^-22 ~ 3e-14.  Each cell lies a third of its width from
+# the end, where 16-point Gauss converges like 3^-32 ~ 5e-16.
+_END_EDGES = np.concatenate([[0.0], 0.5 * 0.25 ** np.arange(22, -1, -1)])
+_END_EDGES = np.concatenate([_END_EDGES, 1.0 - _END_EDGES[-2::-1]])
+_END_X, _END_HALF = _gauss_nodes(_END_EDGES[:-1], _END_EDGES[1:])
+
+
+def _mu_power(dist, j, t, power):
+    """mu(t)^power on slot(s) j, clipped at 0, in place on one temporary."""
+    out = dist._C[j] * t
+    out += dist._B[j]
+    out *= t
+    out += dist._A[j]
+    np.maximum(out, 0.0, out=out)
+    out **= power
+    return out
 
 
 @dataclass(frozen=True)
@@ -244,43 +289,65 @@ class DistributionData:
         out = self._B[idx] + 2.0 * t * self._C[idx]
         return out if out.ndim else float(out)
 
-    def _interval_integrals(self):
-        # exact integral of mu over each finite slot [t_{j-1}, t_j)
-        a, b = self._breaks[:-1], self._breaks[1:]
-        j = np.arange(1, len(self._breaks))
-        P = lambda x: x * (self._A[j] + x * (self._B[j] / 2.0 + x * self._C[j] / 3.0))
-        return P(b) - P(a)
-
     def tail_integral(self, t):
-        """Exact integral of mu over [max(t, 0), infinity)."""
+        """Integral of mu over [max(t, 0), infinity): 2-point Gauss, exact for
+        the quadratic mu of a slot, on every slot past t and on the part of
+        the slot that holds t."""
         t = np.asarray(t, dtype=float)
-        seg = self._interval_integrals()
+        br = self._breaks
+        K = len(br)
+
+        def gauss2(j, lo, hi):
+            nodes, half = _gauss_nodes(lo, hi, 2)
+            return _mu_power(self, j, nodes, 1.0) @ _gauss_rule(2)[1] * half
+
+        seg = gauss2(np.s_[1:K, None], br[:-1], br[1:])
         suffix = np.concatenate([np.cumsum(seg[::-1])[::-1], [0.0]])
-        idx = np.searchsorted(self._breaks, t, side="right")
-        j = np.clip(idx, 1, len(self._breaks) - 1)
-        tc = np.clip(t, self._breaks[j - 1], self._breaks[j])
-        P = lambda x: x * (self._A[j] + x * (self._B[j] / 2.0 + x * self._C[j] / 3.0))
-        partial = P(self._breaks[j]) - P(tc)
-        out = np.where(idx >= len(self._breaks), 0.0,
+        idx = np.searchsorted(br, t, side="right")
+        j = np.clip(idx, 1, K - 1)
+        tc = np.clip(t, br[j - 1], br[j])
+        partial = gauss2(j.ravel()[:, None], tc.ravel(), br[j].ravel()).reshape(t.shape)
+        out = np.where(idx >= K, 0.0,
                        np.where(idx == 0, suffix[0], partial + suffix[j]))
         return out if out.ndim else float(out)
 
-    def moment(self, exponent_t: float, power_mu: int) -> float:
-        """Exact integral of t^(exponent_t) mu(t)^(power_mu) over t >= 0."""
-        if power_mu not in (1, 2):
-            raise ValueError("exact moments support mu powers 1 and 2 only")
-        a, b = self._breaks[:-1], self._breaks[1:]
-        j = np.arange(1, len(self._breaks))
-        A, B, C = self._A[j], self._B[j], self._C[j]
-        if power_mu == 1:
-            coefs = [A, B, C]
-        else:
-            coefs = [A * A, 2 * A * B, B * B + 2 * A * C, 2 * B * C, C * C]
-        out = 0.0
-        for k, ck in enumerate(coefs):
-            expo = exponent_t + k + 1.0
-            out += float(np.sum(ck * (b**expo - a**expo) / expo))
-        return out
+    def moment(self, exponent_t: float, power_mu: float) -> float:
+        """int_0^inf t^e mu(t)^k dt for e = exponent_t > -1, k = power_mu > 0,
+        with mu clipped at 0, by one fixed rule per kind of slot.
+
+        Interior slots hold a positive quadratic: Gauss with e // 2 + k + 1
+        nodes, exact for t^e mu^k, when e and k are non-negative integers,
+        else 16.  The top slot ends where mu jumps to 0 (a plateau), or
+        vanishes like c - t (an edge) or (c - t)^2 (an isolated maximum), and
+        on the first t^e is singular at 0 for e < 0: the end-graded rule takes
+        both.  An overflow leaves inf or nan.
+        """
+        e, k = float(exponent_t), float(power_mu)
+        if not (e > -1.0 and k > 0.0):
+            raise ValueError(f"need exponent_t > -1 and power_mu > 0, got {e}, {k}")
+        n = 16
+        if e >= 0.0 and e.is_integer() and k.is_integer():
+            n = min(int(e) // 2 + int(k) + 1, 16)
+        br = self._breaks
+        K = len(br)
+        q = e + 1.0
+        w16 = _gauss_rule(16)[1]
+        integral = 0.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            if K > 1:
+                # slot 1, [0, t_1): t = t_1 x^(1/q) takes the t^e power into dx
+                f = _mu_power(self, 1, br[1] * _END_X ** (1.0 / q), k)
+                integral += br[1] ** q / q * (f @ w16 @ _END_HALF)
+            if K > 2:
+                lo, hi = br[K - 2], br[K - 1]
+                t = lo + (hi - lo) * _END_X
+                f = _mu_power(self, K - 1, t, k) * t ** e
+                integral += (hi - lo) * (f @ w16 @ _END_HALF)
+            t, half = _gauss_nodes(br[1:K - 2], br[2:K - 1], n)
+            f = _mu_power(self, np.s_[2:K - 1, None], t, k)
+            f *= t ** e
+            integral += f @ _gauss_rule(n)[1] @ half
+        return float(integral)
 
     def to_csv(self, path):
         with open(path, "w") as fh:
@@ -414,85 +481,19 @@ def schwarz_rearrangement(dist: DistributionData, space: ModelSpace) -> RadialPr
 # Lorentz norms
 
 
-_GL16 = np.polynomial.legendre.leggauss(16)
-
-
-def _gauss_nodes(lo, hi):
-    """16-point Gauss nodes on each cell [lo, hi], a row each, and half-widths."""
-    half = 0.5 * (hi - lo)
-    nodes = np.multiply.outer(half, _GL16[0])
-    nodes += (0.5 * (lo + hi))[:, None]
-    return nodes, half
-
-
-# A fixed rule on [0, 1] for bounded integrands with a power singularity x^a
-# (a > 0) at either end: Gauss cells [x/4, x] shrinking into both ends down to
-# a width of 0.5 * 4^-22 ~ 3e-14.  Each cell lies a third of its width from
-# the end, where 16-point Gauss converges like 3^-32 ~ 5e-16.
-_END_EDGES = np.concatenate([[0.0], 0.5 * 0.25 ** np.arange(22, -1, -1)])
-_END_EDGES = np.concatenate([_END_EDGES, 1.0 - _END_EDGES[-2::-1]])
-_END_X, _END_HALF = _gauss_nodes(_END_EDGES[:-1], _END_EDGES[1:])
-
-
-def _mu_power(dist, j, t, ratio):
-    """mu(t)^ratio on slot(s) j, clipped at 0, in place on one temporary."""
-    out = dist._C[j] * t
-    out += dist._B[j]
-    out *= t
-    out += dist._A[j]
-    np.maximum(out, 0.0, out=out)
-    out **= ratio
-    return out
-
-
-def _lorentz_integral(dist, q, ratio):
-    """int_0^inf t^(q-1) mu(t)^ratio dt, one fixed rule per kind of slot.
-
-    Between the first and the top slot mu is a positive quadratic, and
-    16-point Gauss is exact to roundoff.  The top slot ends where mu jumps to
-    0 (a plateau at the maximum) or vanishes like c - t (an edge, or a
-    piecewise-linear profile) or (c - t)^2 (an isolated maximum vertex); on
-    the first t^(q-1) is singular at 0.  The end-graded rule takes both.
-    """
-    br = dist._breaks
-    K = len(br)
-    w = _GL16[1]
-    integral = 0.0
-    # an overflow leaves inf or nan, which lorentz_norm reports as divergence
-    with np.errstate(over="ignore", invalid="ignore"):
-        if K > 1:
-            # slot 1, [0, t_1): t = t_1 x^(1/q) takes the t^(q-1) power into dx
-            f = _mu_power(dist, 1, br[1] * _END_X ** (1.0 / q), ratio)
-            integral += br[1] ** q / q * (f @ w @ _END_HALF)
-        if K > 2:
-            lo, hi = br[K - 2], br[K - 1]
-            t = lo + (hi - lo) * _END_X
-            f = _mu_power(dist, K - 1, t, ratio) * t ** (q - 1.0)
-            integral += (hi - lo) * (f @ w @ _END_HALF)
-        j = np.arange(2, K - 1)
-        t, half = _gauss_nodes(br[j - 1], br[j])
-        f = _mu_power(dist, j[:, None], t, ratio)
-        f *= t ** (q - 1.0)
-        integral += f @ w @ half
-    return float(integral)
-
-
 def lorentz_norm(dist: DistributionData, params: LorentzParams) -> float:
     """Lorentz functional of the distribution.
 
-    Finite q: (p * int_0^inf t^(q-1) mu(t)^(q/p) dt)^(1/q), evaluated exactly
-    per interval when q/p is 1 or 2 and by a fixed Gauss pass otherwise (see
-    `_lorentz_integral`).  q = inf: sup_t t^p mu(t).  A value that overflows
-    double precision raises LorentzDivergenceError.
+    Finite q: (p * int_0^inf t^(q-1) mu(t)^(q/p) dt)^(1/q), the integral
+    being `DistributionData.moment(q - 1, q / p)`, one fixed Gauss pass over
+    the slots with mu clipped at 0.  q = inf: sup_t t^p mu(t), from the slot
+    ends and the critical points of each slot's quadratic.  A value that
+    overflows double precision raises LorentzDivergenceError.
     """
     p, q = params.p, params.q
-    br = dist._breaks
-    K = len(br)
-    j = np.arange(1, K)
-    A, B, C = dist._A[j], dist._B[j], dist._C[j]
-
     if math.isinf(q):
-        lo, hi = br[:-1], br[1:]
+        lo, hi = dist._breaks[:-1], dist._breaks[1:]
+        A, B, C = dist._A[1:-1], dist._B[1:-1], dist._C[1:-1]
         best = np.maximum(hi**p * (A + hi * (B + hi * C)),
                           lo**p * (A + lo * (B + lo * C)))
         # interior critical points of t^p (A + B t + C t^2)
@@ -509,15 +510,7 @@ def lorentz_norm(dist: DistributionData, params: LorentzParams) -> float:
             raise LorentzDivergenceError("weak-form supremum is not finite")
         return value
 
-    ratio = q / p
-    if abs(ratio - round(ratio)) < 1e-12 and round(ratio) in (1, 2):
-        integral = dist.moment(q - 1.0, int(round(ratio)))
-    else:
-        integral = _lorentz_integral(dist, q, ratio)
-    if integral < 0.0:
-        raise LorentzDivergenceError(
-            f"Lorentz integral for (p={p}, q={q}) came out negative: {integral!r}"
-        )
+    integral = dist.moment(q - 1.0, q / p)
     try:
         value = float((p * integral) ** (1.0 / q))
     except OverflowError:  # a finite integral whose 1/q-th power overflows

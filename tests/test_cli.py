@@ -415,6 +415,22 @@ def test_run_saved_field_source_passes(tmp_path, capsys):
     assert all(row["passed"] == "True" for row in rows)
 
 
+def test_run_torsion_square_lorentz_pairs_pass(tmp_path, capsys):
+    # (p, q) = (0.5, 2) integrates mu^4 on the 900-vertex square, whose slot
+    # coefficients an antiderivative of the monomials cancelled: the run
+    # exited 3 on a negative integral at beta = 0.1, and 1 on false FAILs
+    path = _write_config(
+        tmp_path, beta=[0.1, 1.0, 10.0], h=0.05,
+        checks=[{"id": "thm1.1", "p": 0.5, "q": 2}, {"id": "thm1.2", "p": 0.5, "q": 2},
+                {"id": "thm1.1", "p": 1.0, "q": 1}, {"id": "saint-venant"}])
+    assert cli.main(["run", path]) == 0
+    capsys.readouterr()
+    with open(tmp_path / "out" / "summary.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 12
+    assert all(row["passed"] == "True" for row in rows)
+
+
 @pytest.mark.parametrize("error", [
     radial.EigenBracketError, radial.MonotonicityError,
     radial.PositivityError, radial.DegenerateBallError,
