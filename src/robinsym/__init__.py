@@ -63,7 +63,6 @@ from .fem import (
 )
 from .radial import (
     RadialProfile,
-    radial_distribution,
     solve_radial_eigen,
     solve_symmetrized_poisson,
 )
@@ -144,7 +143,6 @@ __all__ = [
     "load_mesh",
     "lorentz_norm",
     "profile_convexity_margin",
-    "radial_distribution",
     "radius_for_volume",
     "refine",
     "reports_to_csv",

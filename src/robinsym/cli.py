@@ -203,7 +203,7 @@ _CHECKS = {
         ranges="q=1: 0 < p <= n/(2n-2); q=2: p <= n/(3n-4) (kappa=0), "
                "p <= n/(3n-3) (kappa=1, n>=3), p <= 1 (kappa=1, n=2)",
         run=lambda m, r, sp, pm: [verify.check_theorem_main1(
-            r.u, r.v, sp, p=float(pm["p"]), q=pm["q"], dist=r.dist, rad=r.rad)],
+            r.u, r.v, sp, p=float(pm["p"]), q=pm["q"], dist=r.dist)],
         in_range=lambda sp, pm: verify._main1_range(sp, float(pm["p"]), pm["q"])),
     "thm1.2": CheckDef(
         params=("p", "q"), torsion_only=True,
@@ -212,7 +212,7 @@ _CHECKS = {
         ranges="q=1: 0 < p <= n/(n-2), any p for n=2; q=2: same range, "
                "kappa=0 only",
         run=lambda m, r, sp, pm: [verify.check_theorem_main2(
-            r.u, r.v, sp, p=float(pm["p"]), q=pm["q"], dist=r.dist, rad=r.rad)],
+            r.u, r.v, sp, p=float(pm["p"]), q=pm["q"], dist=r.dist)],
         in_range=lambda sp, pm: verify._main2_range(sp, float(pm["p"]), pm["q"])),
     "thm1.2-pointwise": CheckDef(
         params=(), torsion_only=True,
@@ -234,7 +234,7 @@ _CHECKS = {
                     "matched ball volumes at every threshold",
         ranges="any space",
         run=lambda m, r, sp, pm: [verify.check_measure_bound(
-            r.u, r.v, sp, dist=r.dist, rad=r.rad)]),
+            r.u, r.v, sp, dist=r.dist)]),
     "level-set-chain": CheckDef(
         params=(), torsion_only=False,
         description="Differential level-set inequality at 20 thresholds "
@@ -447,9 +447,8 @@ class SolverStageError(RuntimeError):
 _SOLVER_ERRORS = (
     fem.SolverConvergenceError, fem.SingularGeometryError, fem.EigenSignError,
     fem.SingularSystemError,
-    radial.EigenBracketError,
-    radial.MonotonicityError, radial.PositivityError,
-    radial.DegenerateBallError, LorentzDivergenceError, SphereOverflowError,
+    radial.EigenBracketError, radial.DegenerateBallError,
+    LorentzDivergenceError, SphereOverflowError,
 )
 
 

@@ -44,21 +44,18 @@ class EigenBracketError(RuntimeError):
     """No eigenvalue bracket was found below the scan cap."""
 
 
-class PositivityError(ValueError):
-    """A profile that must stay positive touches zero."""
-
-
-class MonotonicityError(ValueError):
-    """A profile that must be monotone is not."""
-
-
 @dataclass(frozen=True)
 class RadialProfile:
-    """Values sampled on a radial grid of a geodesic ball, 0 = r_0 < ... = R."""
+    """Values sampled on a radial grid of a geodesic ball, 0 = r_0 < ... = R.
+
+    ``slope`` is -v' on the same grid where it is known exactly (the radial
+    twin), else None.
+    """
 
     ball: GeodesicBall
     grid: np.ndarray
     values: np.ndarray
+    slope: np.ndarray | None = None
 
     def __post_init__(self):
         grid = np.ascontiguousarray(self.grid, dtype=float)
@@ -78,6 +75,11 @@ class RadialProfile:
             raise ValueError(f"radial grid ends at {grid[-1]!r}, ball radius is {R!r}")
         if not np.all(np.isfinite(values)):
             raise ValueError("profile values must be finite")
+        if self.slope is not None:
+            slope = np.ascontiguousarray(self.slope, dtype=float)
+            object.__setattr__(self, "slope", slope)
+            if slope.shape != grid.shape or not np.all(np.isfinite(slope)):
+                raise ValueError("slope must be finite on the grid")
 
     def __call__(self, r):
         return np.interp(r, self.grid, self.values)
@@ -85,12 +87,6 @@ class RadialProfile:
     @property
     def boundary_value(self) -> float:
         return float(self.values[-1])
-
-    def to_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write("r,value\n")
-            for r, v in zip(self.grid, self.values):
-                fh.write(f"{float(r)!r},{float(v)!r}\n")
 
 
 _GL4 = np.polynomial.legendre.leggauss(4)
@@ -114,7 +110,8 @@ def solve_symmetrized_poisson(ball: GeodesicBall, beta: float,
     output grid, 32,769 uniform radii, with the cells split for the
     quadrature at the radii where f* changes analytic form; a reversed
     cumulative sum gives v at every grid point.  The integrand, the slope
-    -v', is non-negative, so v is non-increasing by construction.
+    -v', is non-negative, so v is non-increasing by construction; the
+    profile keeps it, exact at every grid radius and 0 at the center.
     """
     if beta <= 0.0:
         raise ValueError(f"beta must be positive, got {beta}")
@@ -144,18 +141,10 @@ def solve_symmetrized_poisson(ball: GeodesicBall, beta: float,
                         weights=(slope @ _GL4[1]) * half, minlength=_GRID_CELLS)
     tail = np.concatenate([np.cumsum(cells[::-1])[::-1], [0.0]])
     boundary = float(cumulative(volume)) / (beta * volume_profile_derivative(space, R))
-    return RadialProfile(ball=ball, grid=grid, values=boundary + tail)
-
-
-def flat_torsion_profile(ball: GeodesicBall, beta: float) -> RadialProfile:
-    """Closed form for kappa=0 and unit source: (R^2 - r^2)/(2n) + R/(n beta)."""
-    if ball.space.kappa != 0:
-        raise ValueError("closed form is for the flat model space")
-    n = ball.space.n
-    R = ball.radius
-    grid = np.linspace(0.0, R, 1025)
-    return RadialProfile(ball=ball, grid=grid,
-                         values=(R**2 - grid**2) / (2 * n) + R / (n * beta))
+    r = grid[1:]
+    at_grid = cumulative(volume_profile(space, r)) / volume_profile_derivative(space, r)
+    return RadialProfile(ball=ball, grid=grid, values=boundary + tail,
+                         slope=np.concatenate([[0.0], at_grid]))
 
 
 # ---------------------------------------------------------------------------
@@ -247,36 +236,3 @@ def solve_radial_eigen(ball: GeodesicBall, beta: float):
     if float(np.min(values)) <= 0.0:
         raise EigenBracketError("ground state crosses zero; bracket missed the first root")
     return lam, RadialProfile(ball=ball, grid=grid, values=values)
-
-
-def log_derivative_profile(profile: RadialProfile) -> RadialProfile:
-    """(ln u)' = u'/u on the profile's grid, second-order differences.
-
-    For a Robin ground state this is decreasing from 0; that is checked on
-    the output (with roundoff slack) before returning.
-    """
-    if float(np.min(profile.values)) <= 0.0:
-        raise PositivityError("profile touches zero; log-derivative undefined")
-    g = np.log(profile.values)
-    d = np.gradient(g, profile.grid, edge_order=2)
-    scale = float(np.max(np.abs(d))) or 1.0
-    if float(np.max(np.diff(d))) > 1e-10 * scale:
-        raise MonotonicityError("log-derivative failed to be decreasing")
-    return RadialProfile(ball=profile.ball, grid=profile.grid, values=d)
-
-
-def radial_distribution(profile: RadialProfile, space: ModelSpace):
-    """Distribution data of a non-increasing radial profile.
-
-    Measures are weighted ball volumes at the profile's own value levels;
-    in between, the threshold-measure relation is interpolated monotonically.
-    """
-    from .rearrange import DistributionData  # circular at import time only
-
-    values = profile.values
-    scale = float(np.max(np.abs(values))) or 1.0
-    if float(np.max(np.diff(values))) > 1e-12 * scale:
-        raise MonotonicityError("radial profile must be non-increasing")
-    measures = volume_profile(space, profile.grid)
-    # thresholds descending in t = profile values from the center outward
-    return DistributionData.from_monotone_pairs(values, measures)

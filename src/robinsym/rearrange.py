@@ -14,7 +14,9 @@ coefficients between sorted breakpoints (the distinct vertex magnitudes),
 with the per-triangle density frozen at the centroid.  Everything downstream
 — the decreasing rearrangement, its exact running integral, Schwarz
 symmetrization onto model-space balls, and Lorentz norms — evaluates that
-piecewise representation rather than rescanning the mesh.
+piecewise representation rather than rescanning the mesh.  Only mesh fields
+take this form: the radial twin's side of a comparison is read on the
+twin's own grid.
 
 The coefficients are only evaluated at points, never integrated
 symbolically: on near-flat triangles they reach 1e8 to 1e12, and an
@@ -111,7 +113,8 @@ class LorentzParams:
 
 
 class DistributionData:
-    """Piecewise-quadratic superlevel measure mu(t) of a nonnegative quantity.
+    """Piecewise-quadratic superlevel measure mu(t) of |h| for a P1 field h
+    on a measured mesh, built by ``from_field``.
 
     Slot j of the coefficient arrays covers [t_{j-1}, t_j) between the sorted
     breakpoints (t_{-1} = -inf, t_0 = 0); mu is right-continuous, equal to the
@@ -218,63 +221,12 @@ class DistributionData:
         A[K], B[K], C[K] = 0.0, 0.0, 0.0  # and 0 at/above the max value
         return DistributionData(breaks, A, B, C, total)
 
-    @staticmethod
-    def from_monotone_pairs(values_desc, measures_asc) -> "DistributionData":
-        """Threshold/measure pairs of a sampled non-increasing profile.
-
-        mu is interpolated linearly between the sampled levels and jumps
-        across plateaus, exactly reproducing the pairs at the sample levels.
-        """
-        v = np.asarray(values_desc, dtype=float)
-        m = np.asarray(measures_asc, dtype=float)
-        if v.shape != m.shape or v.ndim != 1 or len(v) < 2:
-            raise ValueError("need matching 1-D threshold and measure arrays")
-        scale = float(np.max(np.abs(v))) or 1.0
-        if float(np.max(np.diff(v))) > 1e-12 * scale:
-            raise ValueError("thresholds must be non-increasing")
-        if float(np.min(np.diff(m))) < -1e-12 * max(float(m[-1]), 1.0):
-            raise ValueError("measures must be non-decreasing")
-        if float(np.min(v)) < -1e-12 * scale:
-            raise ValueError("thresholds must be non-negative")
-        v = np.maximum(v, 0.0)
-        total = float(m[-1])
-
-        uv, first_idx = np.unique(v, return_index=True)  # ascending values
-        _, last_rev = np.unique(v[::-1], return_index=True)
-        last_idx = len(v) - 1 - last_rev
-        mu_right = m[first_idx]  # smallest radius at that level
-        mu_left = m[last_idx]  # largest radius at that level
-
-        if uv[0] > 0.0:
-            breaks = np.concatenate([[0.0], uv])
-            mu_right = np.concatenate([[total], mu_right])
-            mu_left = np.concatenate([[total], mu_left])
-        else:
-            breaks = uv
-        K = len(breaks)
-        A = np.zeros(K + 1)
-        B = np.zeros(K + 1)
-        C = np.zeros(K + 1)
-        A[0] = total
-        t0, t1 = breaks[:-1], breaks[1:]
-        left_val = mu_right[:-1]  # mu at the slot's left edge
-        right_val = mu_left[1:]  # mu approaching the slot's right edge
-        slope = (right_val - left_val) / (t1 - t0)
-        B[1:K] = slope
-        A[1:K] = left_val - slope * t0
-        return DistributionData(breaks, A, B, C, total)
-
     # -- evaluation ---------------------------------------------------------
 
     @property
     def breakpoints(self) -> np.ndarray:
         """Threshold values, strictly decreasing."""
         return self._breaks[::-1].copy()
-
-    @property
-    def measures(self) -> np.ndarray:
-        """mu at the breakpoints (right-continuous values)."""
-        return self.evaluate(self.breakpoints)
 
     def evaluate(self, t):
         t = np.asarray(t, dtype=float)
@@ -348,12 +300,6 @@ class DistributionData:
             f *= t ** e
             integral += f @ _gauss_rule(n)[1] @ half
         return float(integral)
-
-    def to_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write("t,mu\n")
-            for t, m in zip(self.breakpoints, self.measures):
-                fh.write(f"{float(t)!r},{float(m)!r}\n")
 
 
 def distribution_function(field: ScalarField) -> DistributionData:

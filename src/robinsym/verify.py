@@ -12,9 +12,9 @@ pass.
 Checks that own their mesh (isoperimetric, torsional rigidity, eigenvalue)
 retry once on a uniformly refined mesh before finalizing a failure; that
 separates discretization artifacts from genuine violations.  A check that
-reads the distribution function of u, or the weighted one of the radial twin
-v, takes it as ``dist`` or ``rad`` when the caller holds it, as a
-:class:`SolveRecord` does.
+reads the distribution function of u takes it as ``dist`` when the caller
+holds it, as a :class:`SolveRecord` does.  The radial twin v is read on its
+own grid, from its values and its exact slope.
 
 Mesh integrals read the P1 element kernel of the mesh module (chart areas,
 ``basis_gradients``, ``dirichlet_weighted``, ``edge_midpoints``).  The
@@ -42,14 +42,10 @@ from .model_geometry import (
     sphere_area,
     volume_profile,
 )
-from .radial import (
-    RadialProfile,
-    radial_distribution,
-    solve_radial_eigen,
-    solve_symmetrized_poisson,
-)
+from .radial import RadialProfile, solve_radial_eigen, solve_symmetrized_poisson
 from .rearrange import (
     DistributionData,
+    LorentzDivergenceError,
     LorentzParams,
     decreasing_rearrangement,
     distribution_function,
@@ -177,6 +173,14 @@ def _integrate_field(mesh: MeasuredMesh, values: np.ndarray) -> float:
     tri = mesh.triangles
     mid = edge_midpoints(values[tri]) * edge_midpoints(mesh.density[tri])
     return float(np.sum(mesh.chart_areas() / 3.0 * np.sum(mid, axis=1)))
+
+
+def _grid_simpson(grid: np.ndarray, y: np.ndarray, weight: float = 1.0) -> float:
+    """weight times the composite Simpson sum of y on a uniform radial grid
+    with an even number of cells, such as the twin's 32,769 radii."""
+    dx = grid[-1] / (len(y) - 1)
+    return float(weight * dx / 3.0 * (y[0] + y[-1] + 4.0 * np.sum(y[1:-1:2])
+                                      + 2.0 * np.sum(y[2:-1:2])))
 
 
 def _require_match(mesh: MeasuredMesh, ball: GeodesicBall):
@@ -367,16 +371,15 @@ def check_lemma_32(u: ScalarField, problem: RobinProblem, t: float) -> Compariso
 
 
 def check_measure_bound(u: ScalarField, v: RadialProfile, space: ModelSpace, *,
-                        dist: DistributionData | None = None,
-                        rad: DistributionData | None = None) -> ComparisonReport:
+                        dist: DistributionData | None = None) -> ComparisonReport:
     """Distribution of u never exceeds the weighted radial distribution
-    below the symmetrized minimum."""
+    below the symmetrized minimum, where every superlevel set of v is the
+    whole ball."""
     _require_match(u.mesh, v.ball)
     dist = distribution_function(u) if dist is None else dist
-    rad = radial_distribution(v, space) if rad is None else rad
     v_m = float(v.values[-1])
     ts = np.linspace(0.0, v_m, 34)[1:-1]
-    worst = float(np.max(dist.evaluate(ts) - rad.evaluate(ts)))
+    worst = float(np.max(dist.evaluate(ts) - volume_profile(space, v.ball.radius)))
     tol = 1e-9 * max(dist.total, 1.0)
     return ComparisonReport(
         check_id="measure_bound", lhs=worst, rhs=0.0, gap=-worst,
@@ -494,16 +497,42 @@ def _pointwise_range(space: ModelSpace):
         raise HypothesisRangeError("pointwise comparison is stated for n=2, kappa=0")
 
 
+def _twin_lorentz_norm(v: RadialProfile, params: LorentzParams) -> float:
+    """Lorentz functional (p * int_0^inf t^(q-1) mu_v(t)^(q/p) dt)^(1/q) of
+    the radial twin v, for finite q, read on v's own grid.
+
+    mu_v(t) = V(r) at t = v(r) and V(R) below v(R), with V the weighted ball
+    volume, so the substitution t = v(r) with the exact slope -v' gives
+
+        v(R)^q / q * V(R)^(q/p) + int_0^R v^(q-1) V^(q/p) (-v') dr,
+
+    the integral by composite Simpson on the grid.  A value that overflows
+    double precision raises LorentzDivergenceError, as lorentz_norm does.
+    """
+    if v.slope is None:
+        raise ValueError("the profile carries no slope; the twin from "
+                         "solve_symmetrized_poisson does")
+    p, q = params.p, params.q
+    space, R = v.ball.space, v.ball.radius
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = v.values ** (q - 1.0) * volume_profile(space, v.grid) ** (q / p) * v.slope
+        head = v.values[-1] ** q / q * np.float64(volume_profile(space, R)) ** (q / p)
+        value = float((p * (head + _grid_simpson(v.grid, y))) ** (1.0 / q))
+    if not math.isfinite(value):
+        raise LorentzDivergenceError(
+            f"Lorentz integral for (p={p}, q={q}) did not converge")
+    return value
+
+
 def _norm_comparison(check_id: str, u: ScalarField, v: RadialProfile,
                      space: ModelSpace, p: float, q: int,
-                     dist: DistributionData | None,
-                     rad: DistributionData | None) -> ComparisonReport:
+                     dist: DistributionData | None) -> ComparisonReport:
     _require_match(u.mesh, v.ball)
     params = _norm_params(p, q)
     lhs = lorentz_norm(distribution_function(u) if dist is None else dist, params)
-    # the weighted radial distribution already carries the alpha factor that
-    # the comparison puts in front of the unweighted ball norm
-    rhs = lorentz_norm(radial_distribution(v, space) if rad is None else rad, params)
+    # V is the weighted volume, so the twin's norm already carries the alpha
+    # factor that the comparison puts in front of the unweighted ball norm
+    rhs = _twin_lorentz_norm(v, params)
     h = u.mesh.mesh_size()
     tol = 5.0 * h * rhs
     return ComparisonReport(
@@ -514,17 +543,15 @@ def _norm_comparison(check_id: str, u: ScalarField, v: RadialProfile,
 
 def check_theorem_main1(u: ScalarField, v: RadialProfile, space: ModelSpace,
                         p: float, q: int, *,
-                        dist: DistributionData | None = None,
-                        rad: DistributionData | None = None) -> ComparisonReport:
+                        dist: DistributionData | None = None) -> ComparisonReport:
     """Lorentz-norm comparison for general non-negative sources."""
     _main1_range(space, p, q)
-    return _norm_comparison("theorem_main1", u, v, space, p, q, dist, rad)
+    return _norm_comparison("theorem_main1", u, v, space, p, q, dist)
 
 
 def check_theorem_main2(u: ScalarField, v: RadialProfile, space: ModelSpace,
                         p: float = 1.0, q: int = 1, pointwise: bool = False, *,
-                        dist: DistributionData | None = None,
-                        rad: DistributionData | None = None) -> ComparisonReport:
+                        dist: DistributionData | None = None) -> ComparisonReport:
     """Torsion comparison: wider norm ranges, plus the pointwise mode."""
     if pointwise:
         _pointwise_range(space)
@@ -541,7 +568,7 @@ def check_theorem_main2(u: ScalarField, v: RadialProfile, space: ModelSpace,
             passed=worst <= tol,
             context=_space_context(space, h=h, p=p, q=q))
     _main2_range(space, p, q)
-    return _norm_comparison("theorem_main2", u, v, space, p, q, dist, rad)
+    return _norm_comparison("theorem_main2", u, v, space, p, q, dist)
 
 
 # ---------------------------------------------------------------------------
@@ -551,16 +578,14 @@ def check_theorem_main2(u: ScalarField, v: RadialProfile, space: ModelSpace,
 @dataclass(frozen=True)
 class SolveRecord:
     """One Robin problem solved once, with everything the checks read: the
-    solution u and its distribution, the matched ball, its radial twin v and
-    v's weighted distribution, and the first eigenpair when one was asked
-    for."""
+    solution u and its distribution, the matched ball, its radial twin v
+    with v's exact slope, and the first eigenpair when one was asked for."""
 
     problem: RobinProblem
     u: ScalarField
     dist: DistributionData
     ball: GeodesicBall
     v: RadialProfile
-    rad: DistributionData
     # (lambda, ground state); lambda is nan when the ground state changed sign
     eigen: tuple | None = None
 
@@ -587,8 +612,7 @@ def solve_record(problem: RobinProblem, space: ModelSpace,
         distribution_function(problem.source))
     v = solve_symmetrized_poisson(ball, beta, fstar)
     return SolveRecord(problem=problem, u=u, dist=distribution_function(u),
-                       ball=ball, v=v, rad=radial_distribution(v, space),
-                       eigen=pair)
+                       ball=ball, v=v, eigen=pair)
 
 
 def _refined_record(rec: SolveRecord, eigen: bool = False) -> SolveRecord:
@@ -601,10 +625,8 @@ def _saint_venant_once(rec: SolveRecord, retried: bool) -> ComparisonReport:
     lhs = _integrate_field(mesh, rec.u.values)
     # composite Simpson on the twin's uniform grid, 32,769 radii; sphere_area
     # carries no cone-angle weight, the ball's measure does
-    y = rec.v.values * sphere_area(space, rec.v.grid)
-    dx = rec.v.grid[-1] / (len(y) - 1)
-    rhs = float(space.alpha * dx / 3.0 * (y[0] + y[-1] + 4.0 * np.sum(y[1:-1:2])
-                                          + 2.0 * np.sum(y[2:-1:2])))
+    rhs = _grid_simpson(rec.v.grid, rec.v.values * sphere_area(space, rec.v.grid),
+                        space.alpha)
     h = mesh.mesh_size()
     return ComparisonReport(
         check_id="saint_venant",

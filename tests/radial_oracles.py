@@ -1,0 +1,63 @@
+"""Test-side radial oracles shared by the test modules: the flat torsion
+closed form, a radial twin with a field source, the distribution of a
+sampled radial profile, and the log derivative of a sampled positive
+profile."""
+
+import numpy as np
+
+from robinsym import mesh as msh
+from robinsym.model_geometry import GeodesicBall, radius_for_volume, volume_profile
+from robinsym.radial import RadialProfile, solve_symmetrized_poisson
+from robinsym.rearrange import (
+    DistributionData,
+    decreasing_rearrangement,
+    distribution_function,
+)
+
+
+def flat_torsion_profile(ball: GeodesicBall, beta: float) -> RadialProfile:
+    """Closed form for kappa=0 and unit source: (R^2 - r^2)/(2n) + R/(n beta)."""
+    if ball.space.kappa != 0:
+        raise ValueError("closed form is for the flat model space")
+    n = ball.space.n
+    R = ball.radius
+    grid = np.linspace(0.0, R, 1025)
+    return RadialProfile(ball=ball, grid=grid,
+                         values=(R**2 - grid**2) / (2 * n) + R / (n * beta))
+
+
+def field_twin(space, domain, beta, **kw):
+    """A noisy P1 source on a small mesh: its decreasing rearrangement and twin."""
+    mesh = msh.generate_domain(domain, target_h=0.2, **kw)
+    x, y = mesh.vertices[:, 0], mesh.vertices[:, 1]
+    noise = np.random.default_rng(1).random(len(x))
+    field = msh.ScalarField(mesh=mesh, values=1.0 + np.exp(-(x**2 + y**2)) + 0.3 * noise)
+    fstar = decreasing_rearrangement(distribution_function(field))
+    ball = GeodesicBall(space=space, radius=radius_for_volume(space, fstar.total))
+    return fstar, solve_symmetrized_poisson(ball, beta, fstar)
+
+
+def profile_distribution(profile: RadialProfile, space) -> DistributionData:
+    """Superlevel measure t -> V{r : v(r) > t} of a sampled non-increasing
+    positive profile v, with V the volume of ``space``: exact at the sampled
+    levels, linear in t between them, and jumping across plateaus."""
+    v = profile.values
+    assert float(np.min(v)) > 0.0 and float(np.max(np.diff(v))) <= 0.0
+    m = volume_profile(space, profile.grid)
+    levels, first = np.unique(v, return_index=True)
+    last = len(v) - 1 - np.unique(v[::-1], return_index=True)[1]
+    # mu at a level is the ball inside its first radius; just below the
+    # level, the ball inside its last
+    at, below = m[first], m[last]
+    slope = (below[1:] - at[:-1]) / np.diff(levels)
+    total = float(m[-1])
+    coef_a = np.concatenate([[total, total], at[:-1] - slope * levels[:-1], [0.0]])
+    coef_b = np.concatenate([[0.0, 0.0], slope, [0.0]])
+    return DistributionData(np.concatenate([[0.0], levels]), coef_a, coef_b,
+                            np.zeros_like(coef_a), total)
+
+
+def log_derivative(profile: RadialProfile) -> np.ndarray:
+    """(ln u)' = u'/u of a positive profile on its grid, second-order
+    differences."""
+    return np.gradient(np.log(profile.values), profile.grid, edge_order=2)

@@ -290,26 +290,6 @@ def test_run_solves_each_level_and_beta_once(tmp_path, capsys, monkeypatch):
     assert outputs[0] == outputs[1]
 
 
-def test_run_builds_one_radial_distribution_per_level_and_beta(tmp_path, capsys,
-                                                                monkeypatch):
-    calls = []
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return radial.radial_distribution(*args, **kwargs)
-
-    monkeypatch.setattr(cli.verify, "radial_distribution", counting)
-    for jobs in ("1", "2"):
-        path = _write_config(tmp_path, name=f"cfg_{jobs}.json", beta=[0.5, 2.0],
-                             refine_levels=1, checks=_ALL_CHECKS,
-                             output_dir=str(tmp_path / f"out_{jobs}"))
-        assert cli.main(["run", path, "--jobs", jobs]) == 0
-        # the solve record builds it; thm1.1, thm1.2 and measure-bound read it
-        assert len(calls) == 4
-        calls.clear()
-    capsys.readouterr()
-
-
 def test_run_singular_factorization_exits_three(tmp_path, capsys, monkeypatch):
     def singular(*args, **kwargs):
         raise RuntimeError("Factor is exactly singular")
@@ -432,8 +412,7 @@ def test_run_torsion_square_lorentz_pairs_pass(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("error", [
-    radial.EigenBracketError, radial.MonotonicityError,
-    radial.PositivityError, radial.DegenerateBallError,
+    radial.EigenBracketError, radial.DegenerateBallError,
     rearrange.LorentzDivergenceError, rearrange.SphereOverflowError,
 ])
 def test_run_library_errors_exit_three(tmp_path, capsys, monkeypatch, error):

@@ -9,7 +9,8 @@ import scipy.sparse.linalg
 from robinsym import fem
 from robinsym import mesh as msh
 from robinsym import model_geometry as mg
-from robinsym import radial
+
+from radial_oracles import flat_torsion_profile
 
 # first Robin eigenvalue of the unit disk, beta = 1 (root of k J1(k) = J0(k),
 # squared); independently pinned in the radial tests
@@ -173,7 +174,7 @@ def test_flux_identity():
 
 def test_torsion_matches_radial_at_order_two():
     ball = mg.GeodesicBall(mg.ModelSpace(kappa=0, n=2), radius=1.0)
-    profile = radial.flat_torsion_profile(ball, beta=1.0)
+    profile = flat_torsion_profile(ball, beta=1.0)
     errs = []
     for h in (0.1, 0.05):
         m = _disk(h)

@@ -8,30 +8,30 @@ import pytest
 from scipy.optimize import brentq
 from scipy.special import j0, j1
 
-from robinsym import mesh as msh
 from robinsym.model_geometry import (
     GeodesicBall,
     ModelSpace,
     radii_for_volumes,
-    radius_for_volume,
     volume_profile,
     volume_profile_derivative,
 )
 from robinsym.radial import (
     DegenerateBallError,
-    MonotonicityError,
-    PositivityError,
     RadialProfile,
-    flat_torsion_profile,
-    log_derivative_profile,
-    radial_distribution,
     solve_radial_eigen,
     solve_symmetrized_poisson,
 )
 from robinsym.rearrange import (
     DistributionData,
     decreasing_rearrangement,
-    distribution_function,
+    schwarz_rearrangement,
+)
+
+from radial_oracles import (
+    field_twin,
+    flat_torsion_profile,
+    log_derivative,
+    profile_distribution,
 )
 
 FLAT2 = ModelSpace(kappa=0, n=2, alpha=1.0)
@@ -106,17 +106,6 @@ def _schwarz(fstar, space):
     return lambda r: fstar(np.minimum(volume_profile(space, r), fstar.total))
 
 
-def _field_twin(space, domain, beta, **kw):
-    """A noisy P1 source on a small mesh: its decreasing rearrangement and twin."""
-    mesh = msh.generate_domain(domain, target_h=0.2, **kw)
-    x, y = mesh.vertices[:, 0], mesh.vertices[:, 1]
-    noise = np.random.default_rng(1).random(len(x))
-    field = msh.ScalarField(mesh=mesh, values=1.0 + np.exp(-(x**2 + y**2)) + 0.3 * noise)
-    fstar = decreasing_rearrangement(distribution_function(field))
-    ball = GeodesicBall(space=space, radius=radius_for_volume(space, fstar.total))
-    return fstar, solve_symmetrized_poisson(ball, beta, fstar)
-
-
 _FIELD_TWINS = [(FLAT2, "square", {"side": 1.0}), (SPHERE2, "spherical_cap", {"theta": 1.0})]
 
 
@@ -174,7 +163,7 @@ def test_decreasing_source_residual_and_monotonicity():
     ball = GeodesicBall(space=SPHERE2, radius=1.2)
     grid = np.linspace(0.0, 1.2, 257)
     profile = RadialProfile(ball=ball, grid=grid, values=np.exp(-grid**2))
-    fstar = decreasing_rearrangement(radial_distribution(profile, SPHERE2))
+    fstar = decreasing_rearrangement(profile_distribution(profile, SPHERE2))
     v = solve_symmetrized_poisson(ball, 0.5, fstar)
     assert _flux_residual(v, _schwarz(fstar, SPHERE2)) < 1e-8
     robin = abs(_right_derivative(v.grid, v.values) + 0.5 * v.boundary_value)
@@ -186,7 +175,7 @@ def test_decreasing_source_residual_and_monotonicity():
 @pytest.mark.parametrize("space,domain,kw", _FIELD_TWINS, ids=["square", "cap"])
 def test_field_twin_robin_flux_balance(space, domain, kw):
     # the twin's flux through the boundary sphere is the whole source
-    fstar, v = _field_twin(space, domain, 0.7, **kw)
+    fstar, v = field_twin(space, domain, 0.7, **kw)
     outflux = v.boundary_value * 0.7 * volume_profile_derivative(space, v.ball.radius)
     total = fstar.cumulative(fstar.total)
     assert abs(outflux - total) < 1e-13 * total
@@ -197,7 +186,7 @@ def test_field_twin_matches_mpmath_quadrature(space, domain, kw):
     # v(r) = v(R) + int_r^R cum(V(s)) / A(s) ds, by tanh-sinh quadrature on
     # each interval between the radii where f* changes analytic form
     beta = 1.3
-    fstar, v = _field_twin(space, domain, beta, **kw)
+    fstar, v = field_twin(space, domain, beta, **kw)
     R = v.ball.radius
 
     def flux(s):
@@ -222,8 +211,9 @@ def test_step_source_twin_closed_form():
     # flux V + min(V, pi/2) kinks at r_h = 1/sqrt(2), inside a grid cell
     ball = GeodesicBall(space=FLAT2, radius=1.0)
     half = 0.5 * math.pi
-    step = DistributionData.from_monotone_pairs([2.0, 2.0, 1.0, 1.0],
-                                                [0.0, half, half, math.pi])
+    # mu = pi below t = 1, pi/2 on [1, 2), 0 from 2 on
+    step = DistributionData([0.0, 1.0, 2.0], [math.pi, math.pi, half, 0.0],
+                            [0.0] * 4, [0.0] * 4, math.pi)
     beta = 0.8
     v = solve_symmetrized_poisson(ball, beta, decreasing_rearrangement(step))
     # int_r^1 of s (inside r_h) and of s/2 + 1/(4s) (outside), plus v(1)
@@ -234,8 +224,24 @@ def test_step_source_twin_closed_form():
     assert float(np.max(np.abs(v.values - exact) / exact)) < 1e-13
 
 
+def test_twin_keeps_exact_slope():
+    # -v' = V/A: r/n in the flat n-ball, tan(r/2) on S^2, and 0 at the center
+    flat3 = ModelSpace(kappa=0, n=3, alpha=1.0)
+    v = solve_symmetrized_poisson(GeodesicBall(space=flat3, radius=0.8), 1.0)
+    assert v.slope[0] == 0.0
+    assert np.allclose(v.slope, v.grid / 3.0, rtol=1e-15, atol=0.0)
+    cap = solve_symmetrized_poisson(GeodesicBall(space=SPHERE2, radius=2.5), 1.0)
+    assert cap.slope[0] == 0.0
+    assert np.allclose(cap.slope, np.tan(cap.grid / 2.0), rtol=1e-14, atol=0.0)
+    # the eigen and Schwarz profiles carry none
+    _, ground = solve_radial_eigen(GeodesicBall(space=SPHERE2, radius=1.0), 1.0)
+    assert ground.slope is None
+    fstar, _ = field_twin(FLAT2, "square", 1.0, side=1.0)
+    assert schwarz_rearrangement(fstar.dist, FLAT2).slope is None
+
+
 def test_poisson_rejects_mismatched_source():
-    fstar, v = _field_twin(FLAT2, "square", 1.0, side=1.0)
+    fstar, v = field_twin(FLAT2, "square", 1.0, side=1.0)
     bigger = GeodesicBall(space=FLAT2, radius=v.ball.radius * (1.0 + 1e-6))
     with pytest.raises(ValueError, match="does not match"):
         solve_symmetrized_poisson(bigger, 1.0, fstar)
@@ -411,80 +417,31 @@ def test_eigen_validation():
 
 
 # ---------------------------------------------------------------------------
-# log-derivative test function
+# log-derivative of the ground state
 
 
 def test_log_derivative_of_ground_state():
     ball = GeodesicBall(space=FLAT2, radius=1.0)
     beta = 1.0
     _, u = solve_radial_eigen(ball, beta)
-    ld = log_derivative_profile(u)
-    assert abs(ld.values[0]) < 1e-6
-    assert np.all(np.diff(ld.values) < 0.0)
-    assert np.all(-ld.values[:-1] < beta)
+    ld = log_derivative(u)
+    assert abs(ld[0]) < 1e-6
+    assert np.all(np.diff(ld) < 0.0)
+    assert np.all(-ld[:-1] < beta)
     # at the boundary the Robin condition pins u'/u to -beta
-    assert abs(-ld.boundary_value - beta) < 1e-6
+    assert abs(-ld[-1] - beta) < 1e-6
 
 
 def test_log_derivative_cap():
     _, u = solve_radial_eigen(GeodesicBall(space=SPHERE2, radius=1.0), 0.8)
-    ld = log_derivative_profile(u)
-    assert abs(ld.values[0]) < 1e-6
-    assert np.all(np.diff(ld.values) < 0.0)
-    assert np.all(-ld.values[:-1] < 0.8)
-
-
-def test_log_derivative_requires_positive_profile():
-    grid = np.linspace(0.0, 1.0, 65)
-    prof = RadialProfile(ball=GeodesicBall(space=FLAT2, radius=1.0),
-                         grid=grid, values=1.0 - grid)
-    with pytest.raises(PositivityError):
-        log_derivative_profile(prof)
-
-
-def test_log_derivative_rejects_oscillation():
-    grid = np.linspace(0.0, 1.0, 129)
-    prof = RadialProfile(ball=GeodesicBall(space=FLAT2, radius=1.0),
-                         grid=grid, values=2.0 + np.sin(5.0 * grid))
-    with pytest.raises(MonotonicityError):
-        log_derivative_profile(prof)
+    ld = log_derivative(u)
+    assert abs(ld[0]) < 1e-6
+    assert np.all(np.diff(ld) < 0.0)
+    assert np.all(-ld[:-1] < 0.8)
 
 
 # ---------------------------------------------------------------------------
-# radial distribution data
-
-
-def test_radial_distribution_torsion_levels():
-    ball = GeodesicBall(space=FLAT2, radius=1.0)
-    v = solve_symmetrized_poisson(ball, 1.0)
-    dist = radial_distribution(v, FLAT2)
-    # superlevel sets of the torsion function are concentric disks
-    probe = v.grid[:: len(v.grid) // 100]
-    mu = dist.evaluate(v(probe))
-    assert float(np.max(np.abs(mu - math.pi * probe**2))) < 1e-9
-
-
-def test_radial_distribution_saturates():
-    ball = GeodesicBall(space=FLAT2, radius=1.0)
-    v = solve_symmetrized_poisson(ball, 1.0)
-    dist = radial_distribution(v, FLAT2)
-    total = float(volume_profile(FLAT2, 1.0))
-    assert dist.evaluate(0.9 * v.boundary_value) == pytest.approx(total, abs=1e-12)
-    assert dist.evaluate(0.0) == pytest.approx(total, abs=1e-12)
-    assert dist.evaluate(v.values[0]) == 0.0
-    assert dist.evaluate(v.values[0] + 1.0) == 0.0
-
-
-def test_radial_distribution_needs_monotone_profile():
-    grid = np.linspace(0.0, 1.0, 65)
-    prof = RadialProfile(ball=GeodesicBall(space=FLAT2, radius=1.0),
-                         grid=grid, values=grid.copy())
-    with pytest.raises(MonotonicityError):
-        radial_distribution(prof, FLAT2)
-
-
-# ---------------------------------------------------------------------------
-# types, export
+# types
 
 
 def test_radial_profile_validation():
@@ -503,15 +460,9 @@ def test_radial_profile_validation():
         RadialProfile(ball=ball, grid=good_grid, values=np.full(65, np.nan))
     with pytest.raises(ValueError):
         RadialProfile(ball=ball, grid=good_grid, values=np.zeros(64))
-
-
-def test_profile_csv_roundtrip(tmp_path):
-    ball = GeodesicBall(space=FLAT2, radius=1.0)
-    prof = flat_torsion_profile(ball, 2.0)
-    path = tmp_path / "torsion.csv"
-    prof.to_csv(path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "r,value"
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
-    assert np.array_equal(data[:, 0], prof.grid)
-    assert np.array_equal(data[:, 1], prof.values)
+    with pytest.raises(ValueError):
+        RadialProfile(ball=ball, grid=good_grid, values=np.zeros(65),
+                      slope=np.zeros(64))
+    with pytest.raises(ValueError):
+        RadialProfile(ball=ball, grid=good_grid, values=np.zeros(65),
+                      slope=np.full(65, np.inf))

@@ -19,7 +19,7 @@ from robinsym import verify
 from robinsym.fem import RobinProblem
 from robinsym.mesh import ScalarField, generate_domain, warped_profile
 from robinsym.model_geometry import GeodesicBall, ModelSpace, volume_profile
-from robinsym.radial import flat_torsion_profile, radial_distribution
+from robinsym.radial import solve_symmetrized_poisson
 from robinsym.rearrange import (
     DistributionData,
     LorentzDivergenceError,
@@ -33,6 +33,8 @@ from robinsym.rearrange import (
     lorentz_norm,
     schwarz_rearrangement,
 )
+
+from radial_oracles import flat_torsion_profile, profile_distribution
 
 FLAT2 = ModelSpace(kappa=0, n=2, alpha=1.0)
 SPHERE2 = ModelSpace(kappa=1, n=2, alpha=1.0)
@@ -177,17 +179,6 @@ def test_layer_cake():
             direct, rel=1e-10)
 
 
-def test_distribution_csv(tmp_path):
-    dist = distribution_function(_strip_field(_square_mesh()))
-    path = tmp_path / "dist.csv"
-    dist.to_csv(path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "t,mu"
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
-    assert np.array_equal(data[:, 0], dist.breakpoints)
-    assert np.array_equal(data[:, 1], dist.measures)
-
-
 # ---------------------------------------------------------------------------
 # decreasing rearrangement
 
@@ -249,7 +240,7 @@ def test_cumulative_matches_mesh_integral(kind, h, seed):
 @given(**_PROPERTY_INPUTS)
 def test_schwarz_rearrangement_is_equimeasurable(kind, h, seed):
     dist = distribution_function(_property_field(kind, h, seed))
-    rad = radial_distribution(schwarz_rearrangement(dist, FLAT2), FLAT2)
+    rad = profile_distribution(schwarz_rearrangement(dist, FLAT2), FLAT2)
     t = dist.breakpoints[1:-1]
     assert float(np.max(np.abs(rad.evaluate(t) - dist.evaluate(t)))) < 1e-10 * dist.total
 
@@ -322,7 +313,7 @@ def test_schwarz_square_closed_form():
 
 def test_schwarz_fixes_radial_decreasing_profiles():
     ball_prof = flat_torsion_profile(GeodesicBall(space=FLAT2, radius=1.0), beta=2.0)
-    dist = radial_distribution(ball_prof, FLAT2)
+    dist = profile_distribution(ball_prof, FLAT2)
     prof = schwarz_rearrangement(dist, FLAT2)
     assert abs(prof.ball.radius - 1.0) < 1e-12
     probe = ball_prof.grid
@@ -338,7 +329,7 @@ def test_schwarz_measure_relation_weighted():
     dist = distribution_function(field)
     cone = ModelSpace(kappa=0, n=2, alpha=alpha)
     prof = schwarz_rearrangement(dist, cone)
-    unweighted = radial_distribution(prof, ModelSpace(kappa=0, n=2, alpha=1.0))
+    unweighted = profile_distribution(prof, ModelSpace(kappa=0, n=2, alpha=1.0))
     # 50 thresholds taken at sampled profile levels, where both sides are exact
     idx = np.linspace(1, len(prof.values) - 2, 50).astype(int)
     for t in prof.values[idx]:
@@ -374,7 +365,9 @@ def test_schwarz_preserves_lp_norms():
 
 
 def test_schwarz_sphere_overflow():
-    dist = DistributionData.from_monotone_pairs([2.0, 1.0], [0.0, 20.0])
+    # mu = 20 below t = 1, then 40 - 20 t down to 0 at t = 2
+    dist = DistributionData([0.0, 1.0, 2.0], [20.0, 20.0, 40.0, 0.0],
+                            [0.0, 0.0, -20.0, 0.0], [0.0] * 4, 20.0)
     with pytest.raises(SphereOverflowError):
         schwarz_rearrangement(dist, SPHERE2)
     # the same data fits on the flat cone
@@ -505,10 +498,9 @@ def test_lorentz_matches_triangle_oracle(kind):
 
 @pytest.mark.parametrize("radius,beta", [(1.0, 1.0), (0.7, 0.3), (1.3, 10.0)])
 def test_lorentz_flat_torsion_closed_form(radius, beta):
-    # v = (R^2 - r^2)/4 + R/(2 beta): mu = pi R^2 below v(R) and
-    # 4 pi (v(0) - t) above, a piecewise-linear profile with a simple root
-    v = flat_torsion_profile(GeodesicBall(space=FLAT2, radius=radius), beta)
-    dist = radial_distribution(v, FLAT2)
+    # the twin's norm, the thm1.1/thm1.2 rhs: v = (R^2 - r^2)/4 + R/(2 beta),
+    # so mu = pi R^2 below v(R) and 4 pi (v(0) - t) above
+    v = solve_symmetrized_poisson(GeodesicBall(space=FLAT2, radius=radius), beta)
     v0, vr = radius**2 / 4.0 + radius / (2.0 * beta), radius / (2.0 * beta)
     for p, q in _QUAD_PQ:
         r = q / p
@@ -516,7 +508,8 @@ def test_lorentz_flat_torsion_closed_form(radius, beta):
                     + (4.0 * math.pi) ** r * v0 ** (q + r) * beta_fn(q, r + 1.0)
                     * (1.0 - betainc(q, r + 1.0, vr / v0)))
         exact = (p * integral) ** (1.0 / q)
-        assert lorentz_norm(dist, LorentzParams(p, q)) == pytest.approx(exact, rel=1e-9)
+        assert verify._twin_lorentz_norm(v, LorentzParams(p, q)) == pytest.approx(
+            exact, rel=1e-13)
 
 
 def test_lorentz_fine_square_in_budget():

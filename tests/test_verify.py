@@ -5,6 +5,7 @@ import dataclasses
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -14,6 +15,8 @@ from robinsym import model_geometry as mg
 from robinsym import radial
 from robinsym import rearrange as rr
 from robinsym import verify
+
+from radial_oracles import field_twin, log_derivative
 
 FLAT = mg.ModelSpace(kappa=0, n=2)
 
@@ -314,6 +317,114 @@ def test_main2_norm_and_ranges():
         verify.check_theorem_main2(u, v, mg.ModelSpace(kappa=1, n=2), pointwise=True)
 
 
+# the thm1.1 / thm1.2 rhs: the twin's Lorentz norm, read on its own grid
+
+_NORM_PQ = ((1.5, 1.0), (1.5, 2.0), (1.5, 2.7), (3.0, 1.0), (0.6, 1.0),
+            (1.0, 1.0), (1.0, 2.0), (0.5, 1.0), (2.0, 2.0))
+
+
+def _torsion_twin_norm_oracle(space, R, beta, p, q):
+    """(p int_0^inf t^(q-1) mu(t)^(q/p) dt)^(1/q) of the torsion twin from
+    its closed-form distribution, by tanh-sinh quadrature in t at 30 digits.
+    Flat: v = (R^2 - r^2)/(2n) + R/(n beta), so mu(t) = alpha omega_n
+    (2n (v(0) - t))^(n/2); S^2: v = tan(R/2)/beta + 2 ln(cos(r/2)/cos(R/2)),
+    so mu(t) = 4 pi alpha (1 - exp(t - v(0)))."""
+    with mpmath.workdps(30):
+        R, beta, k = mpmath.mpf(R), mpmath.mpf(beta), mpmath.mpf(q) / p
+        if space.kappa == 0:
+            n = mpmath.mpf(space.n)
+            omega = mpmath.pi ** (n / 2) / mpmath.gamma(n / 2 + 1)
+            v_r = R / (n * beta)
+            v_0 = v_r + R**2 / (2 * n)
+            mu = lambda t: space.alpha * omega * (2 * n * (v_0 - t)) ** (n / 2)
+        else:
+            assert space.n == 2
+            v_r = mpmath.tan(R / 2) / beta
+            v_0 = v_r - 2 * mpmath.log(mpmath.cos(R / 2))
+            mu = lambda t: -4 * mpmath.pi * space.alpha * mpmath.expm1(t - v_0)
+        integral = (v_r**q / q * mu(v_r) ** k
+                    + mpmath.quad(lambda t: t ** (q - 1) * mu(t) ** k, [v_r, v_0]))
+        return float((p * integral) ** (1 / mpmath.mpf(q)))
+
+
+@pytest.mark.parametrize("space,R,beta", [
+    (mg.ModelSpace(kappa=0, n=3), 0.8, 1.0),
+    (mg.ModelSpace(kappa=0, n=2, alpha=0.6), 1.0, 0.5),
+    (mg.ModelSpace(kappa=1, n=2), 0.4, 1.0),
+    (mg.ModelSpace(kappa=1, n=2), 1.0, 1.0),
+    (mg.ModelSpace(kappa=1, n=2), 2.5, 1.0),
+], ids=["ball3", "cone", "cap0.4", "cap1", "cap2.5"])
+def test_twin_norm_torsion_closed_form(space, R, beta):
+    v = radial.solve_symmetrized_poisson(mg.GeodesicBall(space, R), beta)
+    for p, q in _NORM_PQ:
+        want = _torsion_twin_norm_oracle(space, R, beta, p, q)
+        got = verify._twin_lorentz_norm(v, rr.LorentzParams(p, q))
+        assert abs(got - want) < 1e-13 * want, (p, q)
+
+
+def _gauss20(lo, hi):
+    """20-point Gauss-Legendre nodes on each cell [lo, hi], along a new last
+    axis, and their weights."""
+    x, w = np.polynomial.legendre.leggauss(20)
+    half = 0.5 * (hi - lo)
+    return np.multiply.outer(half, x) + (0.5 * (lo + hi))[..., None], np.multiply.outer(half, w)
+
+
+def _field_twin_norm_oracle(fstar, ball, beta, p, q):
+    """The twin's norm from its r-integral, 20-point Gauss on cells split at
+    the radii where f* changes analytic form, at 64 uniform radii and at
+    radii halving toward the center.  v at each node is v(R) plus the flux
+    integral out to R, by its own 20-point Gauss: nothing of the twin's grid
+    is read."""
+    space, R = ball.space, ball.radius
+
+    def flux(s):  # -v'(s) = cum(V(s)) / A(s)
+        w = np.minimum(mg.volume_profile(space, s), fstar.total)
+        return fstar.cumulative(w) / mg.volume_profile_derivative(space, s)
+
+    kinks = mg.radii_for_volumes(space, fstar.kinks())
+    edges = np.unique(np.concatenate([kinks[kinks < R], np.linspace(0.0, R, 65),
+                                      R * 0.5 ** np.arange(7, 60)]))
+    hi = edges[1:]
+    x, w = _gauss20(edges[:-1], hi)
+    slope = flux(x)
+    outward = np.sum(w * slope, axis=1)
+    v_r = float(fstar.cumulative(min(mg.volume_profile(space, R), fstar.total))) / (
+        beta * mg.volume_profile_derivative(space, R))
+    v_hi = v_r + np.concatenate([np.cumsum(outward[::-1])[::-1][1:], [0.0]])
+    sx, sw = _gauss20(x, np.broadcast_to(hi[:, None], x.shape))
+    v_x = v_hi[:, None] + np.sum(sw * flux(sx), axis=2)
+    k = q / p
+    integral = (v_r**q / q * mg.volume_profile(space, R) ** k
+                + np.sum(w * v_x ** (q - 1.0) * mg.volume_profile(space, x) ** k * slope))
+    return float((p * integral) ** (1.0 / q))
+
+
+@pytest.mark.parametrize("space,domain,kw", [
+    (FLAT, "square", {"side": 1.0}),
+    (mg.ModelSpace(kappa=1, n=2), "spherical_cap", {"theta": 1.0}),
+], ids=["square", "cap"])
+def test_twin_norm_field_source_matches_gauss_oracle(space, domain, kw):
+    beta = 1.3
+    fstar, v = field_twin(space, domain, beta, **kw)
+    for p, q in _NORM_PQ:
+        want = _field_twin_norm_oracle(fstar, v.ball, beta, p, q)
+        got = verify._twin_lorentz_norm(v, rr.LorentzParams(p, q))
+        assert abs(got - want) < 1e-12 * want, (p, q)
+
+
+def test_twin_norm_needs_the_slope():
+    _, ground = radial.solve_radial_eigen(mg.GeodesicBall(FLAT, 1.0), 1.0)
+    with pytest.raises(ValueError, match="slope"):
+        verify._twin_lorentz_norm(ground, rr.LorentzParams(1.0, 1.0))
+
+
+def test_twin_norm_overflow_raises():
+    v = radial.solve_symmetrized_poisson(mg.GeodesicBall(FLAT, 1.0), 1e-300)
+    with pytest.raises(rr.LorentzDivergenceError):
+        verify._twin_lorentz_norm(v, rr.LorentzParams(1.0, 2.0))
+
+
 # ---------------------------------------------------------------------------
 # rigidity checks
 
@@ -465,9 +576,9 @@ def test_bossel_functional_radial_test_function():
     lam, u = fem.solve_robin_eigen(disk, 1.0)
     ball = mg.GeodesicBall(FLAT, mg.radius_for_volume(FLAT, disk.total_measure()))
     lam_ball, vprof = radial.solve_radial_eigen(ball, 1.0)
-    ld = radial.log_derivative_profile(vprof)
+    ld = log_derivative(vprof)
     r = np.hypot(disk.vertices[:, 0], disk.vertices[:, 1])
-    phi_vals = np.clip(-np.interp(r, ld.grid, ld.values), 0.0, None)
+    phi_vals = np.clip(-np.interp(r, vprof.grid, ld), 0.0, None)
     bv = disk.boundary_vertices
     phi_vals[bv] = np.minimum(phi_vals[bv], 1.0)
     phi = msh.ScalarField(mesh=disk, values=phi_vals)
