@@ -28,8 +28,8 @@ from .mesh import (DegenerateGeometryError, MeasuredMesh, MeshFormatError,
                    MeshInvariantError, ScalarField, generate_domain,
                    load_mesh, refine, save_mesh, warped_profile)
 from .model_geometry import ModelSpace
-from .rearrange import (DistributionData, LorentzDivergenceError,
-                        SphereOverflowError, schwarz_rearrangement)
+from .rearrange import (LorentzDivergenceError, SphereOverflowError,
+                        schwarz_rearrangement)
 from .verify import HypothesisRangeError
 
 
@@ -45,6 +45,8 @@ _TOKEN = re.compile(
     r"|\d+(?:[eE][+-]?\d+)?)|([A-Za-z_][A-Za-z_0-9]*)|(\*\*|[-+*/^()]))")
 
 _FUNCTIONS = {"exp": np.exp, "sin": np.sin, "cos": np.cos}
+_BINARY = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide,
+           "^": np.power}
 _CONSTANTS = {"pi": math.pi, "e": math.e}
 _VARIABLES = ("x", "y", "r")
 
@@ -52,15 +54,21 @@ _VARIABLES = ("x", "y", "r")
 class SourceExpression:
     """Arithmetic over chart coordinates: + - * / ^, exp/sin/cos, x, y, r.
 
-    Parsed by recursive descent into a tuple tree; evaluation is plain
-    numpy, so a config can never smuggle code into the run.
+    Parsed by recursive descent into postfix code of numbers, variable names
+    and numpy ufuncs, which evaluation runs on a stack: a config can never
+    smuggle code into the run, and no expression is too deep to evaluate.
+    One nested too deeply to parse is a ConfigError.
     """
 
     def __init__(self, text: str):
         self.text = text
         self._tokens = self._lex(text)
         self._pos = 0
-        self._ast = self._expr()
+        self._code = []
+        try:
+            self._expr()
+        except RecursionError:
+            raise ConfigError("expression nests too deeply") from None
         if self._pos != len(self._tokens):
             raise ConfigError(
                 f"unexpected {self._tokens[self._pos]!r} in expression {text!r}")
@@ -94,33 +102,28 @@ class SourceExpression:
             return True
         return False
 
+    def _left_assoc(self, operand, ops):
+        operand()
+        while (tok := self._peek()) in [("op", op) for op in ops]:
+            self._pos += 1
+            operand()
+            self._code.append(_BINARY[tok[1]])
+
     def _expr(self):
-        node = self._term()
-        while True:
-            if self._take("+"):
-                node = ("add", node, self._term())
-            elif self._take("-"):
-                node = ("sub", node, self._term())
-            else:
-                return node
+        self._left_assoc(self._term, "+-")
 
     def _term(self):
-        node = self._factor()
-        while True:
-            if self._take("*"):
-                node = ("mul", node, self._factor())
-            elif self._take("/"):
-                node = ("div", node, self._factor())
-            else:
-                return node
+        self._left_assoc(self._factor, "*/")
 
     def _factor(self):
         if self._take("-"):
-            return ("neg", self._factor())
-        node = self._atom()
+            self._factor()
+            self._code.append(np.negative)
+            return
+        self._atom()
         if self._take("^"):
-            return ("pow", node, self._factor())
-        return node
+            self._factor()
+            self._code.append(np.power)
 
     def _atom(self):
         tok = self._peek()
@@ -129,56 +132,41 @@ class SourceExpression:
         self._pos += 1
         kind, value = tok
         if kind == "num":
-            return ("num", value)
-        if kind == "name":
-            if value in _FUNCTIONS:
-                if not self._take("("):
-                    raise ConfigError(f"{value} needs parentheses")
-                arg = self._expr()
-                if not self._take(")"):
-                    raise ConfigError(f"unclosed argument of {value}")
-                return ("call", value, arg)
-            if value in _CONSTANTS:
-                return ("num", _CONSTANTS[value])
-            if value in _VARIABLES:
-                return ("var", value)
+            self._code.append(value)
+        elif kind == "name" and value in _FUNCTIONS:
+            if not self._take("("):
+                raise ConfigError(f"{value} needs parentheses")
+            self._expr()
+            if not self._take(")"):
+                raise ConfigError(f"unclosed argument of {value}")
+            self._code.append(_FUNCTIONS[value])
+        elif kind == "name" and value in _CONSTANTS:
+            self._code.append(_CONSTANTS[value])
+        elif kind == "name" and value in _VARIABLES:
+            self._code.append(value)
+        elif kind == "name":
             raise ConfigError(f"unknown name {value!r} in expression")
-        if (kind, value) == ("op", "("):
-            node = self._expr()
+        elif (kind, value) == ("op", "("):
+            self._expr()
             if not self._take(")"):
                 raise ConfigError("unbalanced parentheses")
-            return node
-        raise ConfigError(f"unexpected {value!r} in expression {self.text!r}")
+        else:
+            raise ConfigError(f"unexpected {value!r} in expression {self.text!r}")
 
     def __call__(self, x, y):
         env = {"x": np.asarray(x, dtype=float),
                "y": np.asarray(y, dtype=float)}
         env["r"] = np.hypot(env["x"], env["y"])
-
-        def ev(node):
-            tag = node[0]
-            if tag == "num":
-                return node[1]
-            if tag == "var":
-                return env[node[1]]
-            if tag == "neg":
-                return -ev(node[1])
-            if tag == "call":
-                return _FUNCTIONS[node[1]](ev(node[2]))
-            a, b = ev(node[1]), ev(node[2])
-            if tag == "add":
-                return a + b
-            if tag == "sub":
-                return a - b
-            if tag == "mul":
-                return a * b
-            if tag == "div":
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    return a / b
-            with np.errstate(invalid="ignore"):
-                return np.power(a, b)
-
-        return np.broadcast_to(ev(self._ast), env["x"].shape).astype(float)
+        stack = []
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for op in self._code:
+                if isinstance(op, np.ufunc):
+                    args = stack[-op.nin:]
+                    del stack[-op.nin:]
+                    stack.append(op(*args))
+                else:
+                    stack.append(env[op] if isinstance(op, str) else op)
+        return np.broadcast_to(stack.pop(), env["x"].shape).astype(float)
 
 
 # ---------------------------------------------------------------------------
@@ -202,52 +190,47 @@ _CHECKS = {
                     "symmetrized twin for a general non-negative source",
         ranges="q=1: 0 < p <= n/(2n-2); q=2: p <= n/(3n-4) (kappa=0), "
                "p <= n/(3n-3) (kappa=1, n>=3), p <= 1 (kappa=1, n=2)",
-        run=lambda m, r, sp, pm: [verify.check_theorem_main1(
-            r.u, r.v, sp, p=float(pm["p"]), q=pm["q"], dist=r.dist)],
-        in_range=lambda sp, pm: verify._main1_range(sp, float(pm["p"]), pm["q"])),
+        run=lambda m, r, sp, pm: [verify.check_theorem_main1(r, pm["p"], pm["q"])],
+        in_range=lambda sp, pm: verify._main1_range(sp, pm["p"], pm["q"])),
     "thm1.2": CheckDef(
         params=("p", "q"), torsion_only=True,
         description="Lorentz-norm comparison for the torsion problem "
                     "(unit source), with its wider admissible range",
         ranges="q=1: 0 < p <= n/(n-2), any p for n=2; q=2: same range, "
                "kappa=0 only",
-        run=lambda m, r, sp, pm: [verify.check_theorem_main2(
-            r.u, r.v, sp, p=float(pm["p"]), q=pm["q"], dist=r.dist)],
-        in_range=lambda sp, pm: verify._main2_range(sp, float(pm["p"]), pm["q"])),
+        run=lambda m, r, sp, pm: [verify.check_theorem_main2(r, pm["p"], pm["q"])],
+        in_range=lambda sp, pm: verify._main2_range(sp, pm["p"], pm["q"])),
     "thm1.2-pointwise": CheckDef(
         params=(), torsion_only=True,
         description="Pointwise bound of the rearranged torsion solution by "
                     "the symmetrized profile",
         ranges="n=2, kappa=0 only",
-        run=lambda m, r, sp, pm: [verify.check_theorem_main2(
-            r.u, r.v, sp, pointwise=True, dist=r.dist)],
+        run=lambda m, r, sp, pm: [verify.check_theorem_main2(r, pointwise=True)],
         in_range=lambda sp, pm: verify._pointwise_range(sp)),
     "min-comparison": CheckDef(
         params=(), torsion_only=False,
         description="Minimum of the solution against the boundary value of "
                     "the symmetrized profile",
         ranges="any space",
-        run=lambda m, r, sp, pm: [verify.check_min_comparison(r.u, r.v)]),
+        run=lambda m, r, sp, pm: [verify.check_min_comparison(r)]),
     "measure-bound": CheckDef(
         params=(), torsion_only=False,
         description="Superlevel measures of the solution bounded by the "
                     "matched ball volumes at every threshold",
         ranges="any space",
-        run=lambda m, r, sp, pm: [verify.check_measure_bound(
-            r.u, r.v, sp, dist=r.dist)]),
+        run=lambda m, r, sp, pm: [verify.check_measure_bound(r)]),
     "level-set-chain": CheckDef(
         params=(), torsion_only=False,
         description="Differential level-set inequality at 20 thresholds "
                     "evenly spaced between the minimum and maximum of u",
         ranges="any space",
-        run=lambda m, r, sp, pm: verify.check_lemma_31(
-            r.u, r.problem, sp, _auto_thresholds(r.u, r.dist), dist=r.dist)),
+        run=lambda m, r, sp, pm: verify.check_lemma_31(r, _auto_thresholds(r))),
     "flux-identity": CheckDef(
         params=(), torsion_only=False,
         description="Integrated level-set identity at threshold infinity: "
                     "boundary flux equals the source integral over beta",
         ranges="any space",
-        run=lambda m, r, sp, pm: [verify.check_lemma_32(r.u, r.problem, math.inf)]),
+        run=lambda m, r, sp, pm: [verify.check_lemma_32(r, math.inf)]),
     "isoperimetric": CheckDef(
         params=(), torsion_only=False,
         description="Weighted boundary measure against the isoperimetric "
@@ -361,6 +344,8 @@ def load_config(path: str, output_dir: str | None = None) -> ExperimentConfig:
         extra = [k for k in params if k not in cdef.params]
         if extra:
             raise ConfigError(f"check {cid}: unknown parameters {extra}")
+        if "p" in params:
+            params["p"] = _need(params, "p", float, f"check {cid}")
         # hypothesis ranges are enforced at load so a bad (p, q) never
         # reaches a solver; n=2 meshability is checked after, deliberately
         try:
@@ -454,20 +439,24 @@ _SOLVER_ERRORS = (
 
 def _build_domain(config: ExperimentConfig) -> MeasuredMesh:
     domain = dict(config.domain)
-    if "mesh" in domain:
-        return load_mesh(domain["mesh"])
-    kind = domain.pop("kind")
-    geometry = domain.pop("geometry", "flat")
-    warp_doc = domain.pop("warp", None)
-    warp = None
-    if warp_doc is not None:
-        warp = warped_profile(warp_doc["profile"], float(warp_doc["c"]))
-    if kind == "polygon" and "points" in domain:
-        domain["points"] = [tuple(map(float, pt)) for pt in domain["points"]]
     try:
+        if "mesh" in domain:
+            return load_mesh(domain["mesh"])
+        kind = domain.pop("kind")
+        geometry = domain.pop("geometry", "flat")
+        warp_doc = domain.pop("warp", None)
+        warp = None
+        if warp_doc is not None:
+            if not isinstance(warp_doc, dict):
+                raise TypeError('warp must be {"profile": ..., "c": ...}')
+            warp = warped_profile(warp_doc["profile"], float(warp_doc["c"]))
+        if kind == "polygon" and "points" in domain:
+            domain["points"] = [tuple(map(float, pt)) for pt in domain["points"]]
         return generate_domain(kind, target_h=config.h, geometry=geometry,
                                warp=warp, **domain)
-    except (DegenerateGeometryError, MeshFormatError, TypeError) as exc:
+    except KeyError as exc:
+        raise ConfigError(f"domain: missing field {exc}") from exc
+    except (ValueError, TypeError) as exc:
         raise ConfigError(f"domain: {exc}") from exc
 
 
@@ -492,13 +481,13 @@ def _source_field(config, mesh) -> ScalarField | None:
     return ScalarField(mesh=mesh, values=field.values)
 
 
-def _auto_thresholds(u: ScalarField, dist: DistributionData, count=20):
+def _auto_thresholds(rec: verify.SolveRecord, count=20):
     """Up to ``count`` thresholds evenly spaced strictly inside (min u, max u),
     so roundoff in u moves them only by roundoff; as many as there are
     distribution breakpoint gaps inside, when that is fewer."""
-    bks = np.asarray(dist.breakpoints, dtype=float)
+    bks = np.asarray(rec.dist.breakpoints, dtype=float)
     mids = 0.5 * (bks[:-1] + bks[1:])
-    umin, umax = float(np.min(u.values)), float(np.max(u.values))
+    umin, umax = float(np.min(rec.u.values)), float(np.max(rec.u.values))
     take = min(count, int(np.sum((mids > umin) & (mids < umax))))
     return umin + (umax - umin) * np.arange(1, take + 1) / (take + 1)
 
@@ -590,10 +579,7 @@ def run(config: ExperimentConfig, jobs: int = 1, stream=None) -> int:
         json.dump(config.resolved, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
-    try:
-        base = _build_domain(config)
-    except (MeshFormatError, MeshInvariantError) as exc:
-        raise ConfigError(f"domain mesh: {exc}") from exc
+    base = _build_domain(config)
     states = [_LevelState(mesh=base, source=_source_field(config, base),
                           solves={})]
     for _ in range(config.refine_levels):

@@ -9,12 +9,15 @@ even where the interior error is O(h^2).  Every report keeps its raw gap
 so a refinement study can confirm convergence instead of trusting a single
 pass.
 
+Every check that compares u with its twin reads one :class:`SolveRecord`,
+built once per problem by :func:`solve_record`: u, its distribution, the
+decreasing rearrangement of the source, the matched ball and the twin v.
+The record checks on construction that u lives on the problem's mesh and
+that the ball matches the mesh measure, so no check repeats either guard.
+The twin is read on its own grid, from its values and its exact slope.
 Checks that own their mesh (isoperimetric, torsional rigidity, eigenvalue)
 retry once on a uniformly refined mesh before finalizing a failure; that
-separates discretization artifacts from genuine violations.  A check that
-reads the distribution function of u takes it as ``dist`` when the caller
-holds it, as a :class:`SolveRecord` does.  The radial twin v is read on its
-own grid, from its values and its exact slope.
+separates discretization artifacts from genuine violations.
 
 Mesh integrals read the P1 element kernel of the mesh module (chart areas,
 ``basis_gradients``, ``dirichlet_weighted``, ``edge_midpoints``).  The
@@ -44,6 +47,7 @@ from .model_geometry import (
 )
 from .radial import RadialProfile, solve_radial_eigen, solve_symmetrized_poisson
 from .rearrange import (
+    DecreasingRearrangement,
     DistributionData,
     LorentzDivergenceError,
     LorentzParams,
@@ -183,14 +187,6 @@ def _grid_simpson(grid: np.ndarray, y: np.ndarray, weight: float = 1.0) -> float
                                       + 2.0 * np.sum(y[2:-1:2])))
 
 
-def _require_match(mesh: MeasuredMesh, ball: GeodesicBall):
-    lhs = mesh.total_measure()
-    rhs = volume_profile(ball.space, ball.radius)
-    if abs(lhs - rhs) > 1e-6 * max(abs(rhs), 1e-300):
-        raise MatchMismatchError(
-            f"mesh measure {lhs!r} does not match ball volume {rhs!r}")
-
-
 def _boundary_arrays(field: ScalarField):
     """Per boundary edge: endpoint values, length factors, chart length."""
     mesh = field.mesh
@@ -229,6 +225,73 @@ def _edge_reciprocal(a, b, sig0, sig1, length, s0, s1):
 
 
 # ---------------------------------------------------------------------------
+# the solve record every comparison reads
+
+
+@dataclass(frozen=True)
+class SolveRecord:
+    """One Robin problem solved once, with everything the checks read: the
+    solution u and its distribution, the decreasing rearrangement f* of the
+    source (None for the unit source), the radial twin v on the matched ball
+    with v's exact slope, and the first eigenpair when one was asked for.
+
+    The record checks itself on construction: u must live on the problem's
+    mesh and the twin's ball must hold the mesh measure."""
+
+    problem: RobinProblem
+    u: ScalarField
+    dist: DistributionData
+    fstar: DecreasingRearrangement | None
+    v: RadialProfile
+    # (lambda, ground state); lambda is nan when the ground state changed sign
+    eigen: tuple | None = None
+
+    def __post_init__(self):
+        if self.problem.mesh is not self.u.mesh:
+            raise ValueError("problem and field live on different meshes")
+        lhs = self.u.mesh.total_measure()
+        rhs = volume_profile(self.ball.space, self.ball.radius)
+        if abs(lhs - rhs) > 1e-6 * max(abs(rhs), 1e-300):
+            raise MatchMismatchError(
+                f"mesh measure {lhs!r} does not match ball volume {rhs!r}")
+
+    @property
+    def ball(self) -> GeodesicBall:
+        """The matched ball, the twin's domain."""
+        return self.v.ball
+
+
+def solve_record(problem: RobinProblem, space: ModelSpace,
+                 eigen: bool = False) -> SolveRecord:
+    """Assemble and factor the problem once: the Poisson solve and, with
+    ``eigen``, the inverse iteration share the factor, freed before the rest
+    is built.  The twin takes the decreasing rearrangement of the problem's
+    source, whose Schwarz rearrangement is its source."""
+    mesh, beta = problem.mesh, problem.beta
+    system = fem.assemble(problem)
+    lu = fem.factor_robin(system.robin_matrix(beta))
+    u = fem.solve_robin_poisson(problem, system, lu)
+    pair = None
+    if eigen:
+        try:
+            pair = fem.solve_robin_eigen(mesh, beta, system, lu)
+        except fem.EigenSignError:
+            pair = (math.nan, None)
+    del system, lu  # the largest allocations; they set the peak memory
+    ball = GeodesicBall(space, radius_for_volume(space, mesh.total_measure()))
+    fstar = None if problem.source is None else decreasing_rearrangement(
+        distribution_function(problem.source))
+    v = solve_symmetrized_poisson(ball, beta, fstar)
+    return SolveRecord(problem=problem, u=u, dist=distribution_function(u),
+                       fstar=fstar, v=v, eigen=pair)
+
+
+def _refined_record(rec: SolveRecord, eigen: bool = False) -> SolveRecord:
+    problem = RobinProblem(mesh=refine(rec.problem.mesh), beta=rec.problem.beta)
+    return solve_record(problem, rec.ball.space, eigen)
+
+
+# ---------------------------------------------------------------------------
 # isoperimetric and minimum comparisons
 
 
@@ -255,31 +318,22 @@ def check_isoperimetric(mesh: MeasuredMesh, space: ModelSpace) -> ComparisonRepo
     return report
 
 
-def check_min_comparison(u: ScalarField, v: RadialProfile) -> ComparisonReport:
+def check_min_comparison(rec: SolveRecord) -> ComparisonReport:
     """Minimum of the solution against the symmetrized boundary value."""
-    _require_match(u.mesh, v.ball)
-    lhs = float(np.min(u.values))
-    rhs = float(v.values[-1])
-    h = u.mesh.mesh_size()
+    lhs = float(np.min(rec.u.values))
+    rhs = float(rec.v.values[-1])
+    h = rec.u.mesh.mesh_size()
     tol = 10.0 * h * abs(rhs)
     return ComparisonReport(
         check_id="min_comparison",
         lhs=lhs, rhs=rhs, gap=rhs - lhs, tolerance=tol,
         passed=lhs <= rhs + tol,
-        context=_space_context(v.ball.space, h=h, radius=v.ball.radius),
+        context=_space_context(rec.ball.space, h=h, radius=rec.ball.radius),
     )
 
 
 # ---------------------------------------------------------------------------
 # level-set inequalities
-
-
-def _source_cumulative(problem: RobinProblem):
-    """w -> integral of the decreasing rearrangement of the source on [0, w]."""
-    if problem.source is None:
-        return lambda w: w
-    fstar = decreasing_rearrangement(distribution_function(problem.source))
-    return fstar.cumulative
 
 
 def _reciprocal_above(u: ScalarField, ts: np.ndarray) -> np.ndarray:
@@ -297,21 +351,19 @@ def _check_boundary_positive(u: ScalarField):
             f"boundary values must be positive for the 1/u integral, min {bmin!r}")
 
 
-def check_lemma_31(u: ScalarField, problem: RobinProblem, space: ModelSpace,
-                   t_grid, *, dist: DistributionData | None = None) -> list:
+def check_lemma_31(rec: SolveRecord, t_grid) -> list:
     """Level-set differential inequality: isoperimetric term against the
     derivative of the distribution plus the exterior boundary term."""
-    if problem.mesh is not u.mesh:
-        raise ValueError("problem and field live on different meshes")
+    u, dist = rec.u, rec.dist
     _check_boundary_positive(u)
-    dist = distribution_function(u) if dist is None else dist
     breaks = np.asarray(dist.breakpoints, dtype=float)
-    cumulative = _source_cumulative(problem)
+    # w -> integral of the source's decreasing rearrangement on [0, w]
+    cumulative = (lambda w: w) if rec.fstar is None else rec.fstar.cumulative
     umin = float(np.min(u.values))
     umax = float(np.max(u.values))
     scale = max(abs(umax), 1e-300)
     h = u.mesh.mesh_size()
-    beta = problem.beta
+    space, beta = rec.ball.space, rec.problem.beta
     ctx = _space_context(space, h=h, beta=beta)
 
     ts = np.atleast_1d(np.asarray(t_grid, dtype=float))
@@ -337,14 +389,13 @@ def check_lemma_31(u: ScalarField, problem: RobinProblem, space: ModelSpace,
     return reports
 
 
-def check_lemma_32(u: ScalarField, problem: RobinProblem, t: float) -> ComparisonReport:
+def check_lemma_32(rec: SolveRecord, t: float) -> ComparisonReport:
     """Truncated boundary flux against the total source integral.
 
     The threshold integral collapses by Fubini to the exact per-edge
     integral of min(t, u)^2 / (2u) over the boundary.
     """
-    if problem.mesh is not u.mesh:
-        raise ValueError("problem and field live on different meshes")
+    u, problem = rec.u, rec.problem
     _check_boundary_positive(u)
     a, b, sig0, sig1, lengths = _boundary_arrays(u)
     beta = problem.beta
@@ -370,21 +421,19 @@ def check_lemma_32(u: ScalarField, problem: RobinProblem, t: float) -> Compariso
         context={"h": u.mesh.mesh_size(), "beta": beta, "t": t})
 
 
-def check_measure_bound(u: ScalarField, v: RadialProfile, space: ModelSpace, *,
-                        dist: DistributionData | None = None) -> ComparisonReport:
+def check_measure_bound(rec: SolveRecord) -> ComparisonReport:
     """Distribution of u never exceeds the weighted radial distribution
     below the symmetrized minimum, where every superlevel set of v is the
     whole ball."""
-    _require_match(u.mesh, v.ball)
-    dist = distribution_function(u) if dist is None else dist
-    v_m = float(v.values[-1])
+    space, dist = rec.ball.space, rec.dist
+    v_m = float(rec.v.values[-1])
     ts = np.linspace(0.0, v_m, 34)[1:-1]
-    worst = float(np.max(dist.evaluate(ts) - volume_profile(space, v.ball.radius)))
+    worst = float(np.max(dist.evaluate(ts) - volume_profile(space, rec.ball.radius)))
     tol = 1e-9 * max(dist.total, 1.0)
     return ComparisonReport(
         check_id="measure_bound", lhs=worst, rhs=0.0, gap=-worst,
         tolerance=tol, passed=worst <= tol,
-        context=_space_context(space, h=u.mesh.mesh_size(), v_m=v_m))
+        context=_space_context(space, h=rec.u.mesh.mesh_size(), v_m=v_m))
 
 
 # ---------------------------------------------------------------------------
@@ -524,43 +573,37 @@ def _twin_lorentz_norm(v: RadialProfile, params: LorentzParams) -> float:
     return value
 
 
-def _norm_comparison(check_id: str, u: ScalarField, v: RadialProfile,
-                     space: ModelSpace, p: float, q: int,
-                     dist: DistributionData | None) -> ComparisonReport:
-    _require_match(u.mesh, v.ball)
+def _norm_comparison(check_id: str, rec: SolveRecord, p: float,
+                     q: int) -> ComparisonReport:
     params = _norm_params(p, q)
-    lhs = lorentz_norm(distribution_function(u) if dist is None else dist, params)
+    lhs = lorentz_norm(rec.dist, params)
     # V is the weighted volume, so the twin's norm already carries the alpha
     # factor that the comparison puts in front of the unweighted ball norm
-    rhs = _twin_lorentz_norm(v, params)
-    h = u.mesh.mesh_size()
+    rhs = _twin_lorentz_norm(rec.v, params)
+    h = rec.u.mesh.mesh_size()
     tol = 5.0 * h * rhs
     return ComparisonReport(
         check_id=check_id, lhs=lhs, rhs=rhs, gap=rhs - lhs, tolerance=tol,
         passed=lhs <= rhs * (1.0 + 5.0 * h),
-        context=_space_context(space, h=h, p=p, q=q))
+        context=_space_context(rec.ball.space, h=h, p=p, q=q))
 
 
-def check_theorem_main1(u: ScalarField, v: RadialProfile, space: ModelSpace,
-                        p: float, q: int, *,
-                        dist: DistributionData | None = None) -> ComparisonReport:
+def check_theorem_main1(rec: SolveRecord, p: float, q: int) -> ComparisonReport:
     """Lorentz-norm comparison for general non-negative sources."""
-    _main1_range(space, p, q)
-    return _norm_comparison("theorem_main1", u, v, space, p, q, dist)
+    _main1_range(rec.ball.space, p, q)
+    return _norm_comparison("theorem_main1", rec, p, q)
 
 
-def check_theorem_main2(u: ScalarField, v: RadialProfile, space: ModelSpace,
-                        p: float = 1.0, q: int = 1, pointwise: bool = False, *,
-                        dist: DistributionData | None = None) -> ComparisonReport:
+def check_theorem_main2(rec: SolveRecord, p: float = 1.0, q: int = 1,
+                        pointwise: bool = False) -> ComparisonReport:
     """Torsion comparison: wider norm ranges, plus the pointwise mode."""
+    space = rec.ball.space
     if pointwise:
         _pointwise_range(space)
-        _require_match(u.mesh, v.ball)
-        dist = distribution_function(u) if dist is None else dist
-        ustar = schwarz_rearrangement(dist, space)
-        v_at = np.interp(ustar.grid, v.grid, v.values)
+        ustar = schwarz_rearrangement(rec.dist, space)
+        v_at = np.interp(ustar.grid, rec.v.grid, rec.v.values)
         worst = float(np.max(ustar.values - v_at))
-        h = u.mesh.mesh_size()
+        h = rec.u.mesh.mesh_size()
         tol = 10.0 * h
         return ComparisonReport(
             check_id="theorem_main2_pointwise",
@@ -568,56 +611,11 @@ def check_theorem_main2(u: ScalarField, v: RadialProfile, space: ModelSpace,
             passed=worst <= tol,
             context=_space_context(space, h=h, p=p, q=q))
     _main2_range(space, p, q)
-    return _norm_comparison("theorem_main2", u, v, space, p, q, dist)
+    return _norm_comparison("theorem_main2", rec, p, q)
 
 
 # ---------------------------------------------------------------------------
 # rigidity functionals
-
-
-@dataclass(frozen=True)
-class SolveRecord:
-    """One Robin problem solved once, with everything the checks read: the
-    solution u and its distribution, the matched ball, its radial twin v
-    with v's exact slope, and the first eigenpair when one was asked for."""
-
-    problem: RobinProblem
-    u: ScalarField
-    dist: DistributionData
-    ball: GeodesicBall
-    v: RadialProfile
-    # (lambda, ground state); lambda is nan when the ground state changed sign
-    eigen: tuple | None = None
-
-
-def solve_record(problem: RobinProblem, space: ModelSpace,
-                 eigen: bool = False) -> SolveRecord:
-    """Assemble and factor the problem once: the Poisson solve and, with
-    ``eigen``, the inverse iteration share the factor, freed before the rest
-    is built.  The twin takes the decreasing rearrangement of the problem's
-    source, whose Schwarz rearrangement is its source."""
-    mesh, beta = problem.mesh, problem.beta
-    system = fem.assemble(problem)
-    lu = fem.factor_robin(system.robin_matrix(beta))
-    u = fem.solve_robin_poisson(problem, system, lu)
-    pair = None
-    if eigen:
-        try:
-            pair = fem.solve_robin_eigen(mesh, beta, system, lu)
-        except fem.EigenSignError:
-            pair = (math.nan, None)
-    del system, lu  # the largest allocations; they set the peak memory
-    ball = GeodesicBall(space, radius_for_volume(space, mesh.total_measure()))
-    fstar = None if problem.source is None else decreasing_rearrangement(
-        distribution_function(problem.source))
-    v = solve_symmetrized_poisson(ball, beta, fstar)
-    return SolveRecord(problem=problem, u=u, dist=distribution_function(u),
-                       ball=ball, v=v, eigen=pair)
-
-
-def _refined_record(rec: SolveRecord, eigen: bool = False) -> SolveRecord:
-    problem = RobinProblem(mesh=refine(rec.problem.mesh), beta=rec.problem.beta)
-    return solve_record(problem, rec.ball.space, eigen)
 
 
 def _saint_venant_once(rec: SolveRecord, retried: bool) -> ComparisonReport:

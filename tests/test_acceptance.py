@@ -21,17 +21,9 @@ L_POINTS = [(0.0, 0.0), (1.0, 0.0), (1.0, 0.5), (0.5, 0.5), (0.5, 1.0),
             (0.0, 1.0)]
 
 
-def _matched_radial(mesh, space, beta=1.0, source_field=None):
-    ball = mg.GeodesicBall(space, mg.radius_for_volume(space,
-                                                       mesh.total_measure()))
-    fstar = None if source_field is None else rr.decreasing_rearrangement(
-        rr.distribution_function(source_field))
-    return radial.solve_symmetrized_poisson(ball, beta, fstar)
-
-
-def _torsion(mesh, beta=1.0, source=None):
-    problem = fem.RobinProblem(mesh=mesh, beta=beta, source=source)
-    return fem.solve_robin_poisson(problem), problem
+def _record(mesh, space=FLAT, source=None):
+    problem = fem.RobinProblem(mesh=mesh, beta=1.0, source=source)
+    return verify.solve_record(problem, space)
 
 
 def test_criterion_01_radial_oracle():
@@ -41,7 +33,7 @@ def test_criterion_01_radial_oracle():
     errors = {}
     for h in (0.02, 0.01):
         mesh = msh.generate_domain("disk", target_h=h, radius=1.0)
-        u, _ = _torsion(mesh)
+        u = fem.solve_robin_poisson(fem.RobinProblem(mesh=mesh, beta=1.0))
         r = np.hypot(mesh.vertices[:, 0], mesh.vertices[:, 1])
         exact = (1.0 - r**2) / 4.0 + 0.5
         errors[h] = float(np.max(np.abs(u.values - exact)))
@@ -108,15 +100,11 @@ def test_criterion_04_norm_comparison():
     bump = 1.0 + 2.0 * np.exp(-8.0 * ((xy[:, 0] - 0.6) ** 2
                                       + (xy[:, 1] - 0.35) ** 2))
     source = msh.ScalarField(mesh=square, values=bump)
-    u, _ = _torsion(square, source=source)
-    v = _matched_radial(square, FLAT, source_field=source)
-    report = verify.check_theorem_main1(u, v, FLAT, p=1.0, q=1)
+    report = verify.check_theorem_main1(_record(square, source=source), 1.0, 1)
     assert report.passed and not report.skipped
 
     cap = msh.generate_domain("spherical_cap", target_h=h, theta=1.0)
-    u_cap, _ = _torsion(cap)
-    v_cap = _matched_radial(cap, SPHERE)
-    report_cap = verify.check_theorem_main1(u_cap, v_cap, SPHERE, p=0.5, q=2)
+    report_cap = verify.check_theorem_main1(_record(cap, SPHERE), 0.5, 2)
     assert report_cap.passed and not report_cap.skipped
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0
@@ -128,9 +116,7 @@ def test_criterion_05_pointwise_comparison():
     for mesh in (msh.generate_domain("square", target_h=0.05, side=1.0),
                  msh.generate_domain("polygon", target_h=0.05,
                                      points=L_POINTS)):
-        u, _ = _torsion(mesh)
-        v = _matched_radial(mesh, FLAT)
-        report = verify.check_theorem_main2(u, v, FLAT, pointwise=True)
+        report = verify.check_theorem_main2(_record(mesh), pointwise=True)
         assert report.passed
 
     # on the disk the two sides agree in the limit; the sup-norm gap must
@@ -138,9 +124,9 @@ def test_criterion_05_pointwise_comparison():
     gaps = []
     for h in (0.16, 0.08):
         disk = msh.generate_domain("disk", target_h=h, radius=1.0)
-        u, _ = _torsion(disk)
-        v = _matched_radial(disk, FLAT)
-        sharp = rr.schwarz_rearrangement(rr.distribution_function(u), FLAT)
+        rec = _record(disk)
+        v = rec.v
+        sharp = rr.schwarz_rearrangement(rec.dist, FLAT)
         grid = np.linspace(0.0, v.ball.radius, 257)
         gaps.append(float(np.max(np.abs(
             np.interp(grid, sharp.grid, sharp.values)
@@ -153,18 +139,19 @@ def test_criterion_05_pointwise_comparison():
 
 def test_criterion_06_flux_and_level_sets():
     mesh = msh.generate_domain("square", target_h=0.08, side=1.0)
-    u, problem = _torsion(mesh)
+    rec = _record(mesh)
+    u = rec.u
     top = float(u.values.max())
-    report = verify.check_lemma_32(u, problem, top)
+    report = verify.check_lemma_32(rec, top)
     assert report.passed
     assert abs(report.gap) <= 1e-8 * abs(report.rhs)
 
     # 20 generic thresholds: midpoints of the distribution's own breakpoints
-    bks = np.asarray(rr.distribution_function(u).breakpoints, dtype=float)
+    bks = np.asarray(rec.dist.breakpoints, dtype=float)
     mids = 0.5 * (bks[:-1] + bks[1:])
     inside = mids[(mids > u.values.min()) & (mids < top)]
     picks = inside[np.linspace(0, len(inside) - 1, 20).astype(int)]
-    reports = verify.check_lemma_31(u, problem, FLAT, picks)
+    reports = verify.check_lemma_31(rec, picks)
     active = [r for r in reports if not r.skipped]
     assert len(active) == 20
     assert all(r.passed for r in active)
@@ -172,26 +159,28 @@ def test_criterion_06_flux_and_level_sets():
           f"{abs(report.gap):.2e}, 20/20 thresholds)")
 
 
-def _clip_superlevel_area(tri_xy, vals, t):
-    # chart area of {linear > t} in one triangle (Sutherland-Hodgman)
-    pts = []
-    for i in range(3):
-        p, q = tri_xy[i], tri_xy[(i + 1) % 3]
-        vp, vq = vals[i], vals[(i + 1) % 3]
-        if vp > t:
-            pts.append(p)
-        if (vp > t) != (vq > t):
-            lam = (t - vp) / (vq - vp)
-            pts.append((p[0] + lam * (q[0] - p[0]),
-                        p[1] + lam * (q[1] - p[1])))
-    if len(pts) < 3:
-        return 0.0
-    area = 0.0
-    for i in range(len(pts)):
-        x0, y0 = pts[i]
-        x1, y1 = pts[(i + 1) % len(pts)]
-        area += x0 * y1 - x1 * y0
-    return 0.5 * abs(area)
+def _clip_superlevel_areas(tri_xy, vals, t):
+    # chart areas of {linear > t} in every triangle at once (Sutherland-
+    # Hodgman): walking corners i = 0, 1, 2, the polygon takes corner i when
+    # it lies above t and the crossing on edge (i, i+1) when that edge
+    # crosses t, so slot 2i is corner i and slot 2i + 1 the crossing
+    nxt_xy, nxt = np.roll(tri_xy, -1, axis=1), np.roll(vals, -1, axis=1)
+    above = vals > t
+    crossed = above != (nxt > t)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lam = np.where(crossed, (t - vals) / (nxt - vals), 0.0)
+    slots = np.stack([tri_xy, tri_xy + lam[..., None] * (nxt_xy - tri_xy)],
+                     axis=2).reshape(-1, 6, 2)
+    keep = np.stack([above, crossed], axis=2).reshape(-1, 6)
+    count = np.sum(keep, axis=1)
+    # the kept slots first in walk order, the unused ones repeating the last
+    # kept point: a zero-length side adds nothing to the shoelace sum
+    order = np.argsort(~keep, axis=1, kind="stable")[:, :4]
+    order = np.where(np.arange(4) < count[:, None], order,
+                     np.take_along_axis(order, np.maximum(count - 1, 0)[:, None], axis=1))
+    x, y = (np.take_along_axis(slots[..., k], order, axis=1) for k in (0, 1))
+    shoelace = np.sum(x * np.roll(y, -1, axis=1) - np.roll(x, -1, axis=1) * y, axis=1)
+    return np.where(count >= 3, 0.5 * np.abs(shoelace), 0.0)
 
 
 def test_criterion_07_rearrangement_exactness():
@@ -203,14 +192,13 @@ def test_criterion_07_rearrangement_exactness():
     dist = rr.distribution_function(field)
 
     rho = mesh.centroid_density()
-    xy = [[tuple(p) for p in tri] for tri in mesh.vertices[mesh.triangles]]
+    xy = mesh.vertices[mesh.triangles]
     tv = values[mesh.triangles]
     scale = float(np.max(np.abs(values)))
     worst = 0.0
     for t in np.random.default_rng(7).uniform(0.0, scale, size=1000):
-        brute = sum(rho[k] * (_clip_superlevel_area(xy[k], tv[k], t)
-                              + _clip_superlevel_area(xy[k], -tv[k], t))
-                    for k in range(len(tv)))
+        brute = float(np.sum(rho * (_clip_superlevel_areas(xy, tv, t)
+                                    + _clip_superlevel_areas(xy, -tv, t))))
         worst = max(worst, abs(dist.evaluate(float(t)) - brute))
     assert worst <= 1e-12 * dist.total
 

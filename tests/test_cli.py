@@ -1,6 +1,7 @@
 """Config loading, the expression grammar, and the experiment runner."""
 
 import csv
+import dataclasses
 import json
 import math
 
@@ -49,10 +50,16 @@ def test_expression_evaluation():
         np.cos(x) * np.sin(y))
 
 
+_TOO_DEEP = ("(" * 300 + "1" + ")" * 300, "-" * 1200 + "1")
+
+
 def test_expression_rejects_bad_input():
-    for text in ("z + 1", "tan(x)", "(x + 1", "x + ", "x $ y", "exp x", "1 2"):
+    for text in ("z + 1", "tan(x)", "(x + 1", "x + ", "x $ y", "exp x", "1 2") + _TOO_DEEP:
         with pytest.raises(ConfigError):
             SourceExpression(text)
+    # evaluation runs on a stack: no sum is too long for it
+    x = np.array([0.5, 2.0])
+    assert np.array_equal(SourceExpression(" + ".join(["x"] * 3000))(x, x), 3000 * x)
 
 
 # ---------------------------------------------------------------------------
@@ -151,6 +158,9 @@ def test_config_rejections(tmp_path):
         dict(checks=[{"id": "thm1.1", "p": 1.0}]),
         dict(checks=[{"id": "thm1.1", "p": 1.0, "q": 1, "extra": 2}]),
         dict(checks=[{"id": "thm1.1", "p": 1.0, "q": 3}]),
+        dict(checks=[{"id": "thm1.1", "p": "abc", "q": 1}]),
+        dict(checks=[{"id": "thm1.1", "p": None, "q": 1}]),
+        dict(checks=[{"id": "thm1.1", "p": [1], "q": 1}]),
         dict(checks=[]),
         dict(beta=[]),
         dict(beta=[-1.0]),
@@ -184,6 +194,22 @@ def test_config_rejections(tmp_path):
     with pytest.raises(ConfigError):
         cli.load_config(path)
     assert cli.load_config(path, output_dir=str(tmp_path / "o")).output_dir
+
+
+@pytest.mark.parametrize("overrides", [
+    dict(domain={"kind": "disk"}),
+    dict(domain={"kind": "disk", "radius": 1.0, "geometry": "warped",
+                 "warp": {"profile": "cone"}}),
+    dict(domain={"kind": "disk", "radius": 1.0, "geometry": "warped",
+                 "warp": "cone"}),
+    dict(source={"expr": "1/0"}),
+])
+def test_malformed_config_exits_two(tmp_path, capsys, overrides):
+    # each passes load_config and fails when the run builds the domain or
+    # evaluates the source
+    path = _write_config(tmp_path, **overrides)
+    assert cli.main(["run", path]) == 2
+    assert capsys.readouterr().err.startswith("config: ")
 
 
 def test_negative_expression_rejected_at_run(tmp_path, capsys):
@@ -370,7 +396,7 @@ def test_run_missing_field_mesh_exits_two(tmp_path, capsys):
     assert "config:" in capsys.readouterr().err
 
 
-def test_run_saved_field_source_passes(tmp_path, capsys):
+def test_run_saved_field_source_passes(tmp_path, capsys, monkeypatch):
     # a noisy saved field on the 900-vertex square: the Simpson doubling of
     # the old twin stalled on it at n = 2^21 and the run exited 3
     mesh = msh.generate_domain("square", target_h=0.05, side=1.0)
@@ -387,8 +413,18 @@ def test_run_saved_field_source_passes(tmp_path, capsys):
         checks=[{"id": "thm1.1", "p": 1.0, "q": 1}, {"id": "thm1.1", "p": 0.5, "q": 2},
                 {"id": "min-comparison"}, {"id": "measure-bound"},
                 {"id": "level-set-chain"}, {"id": "flux-identity"}])
+    calls = []
+
+    def counted(field):
+        calls.append(field)
+        return rearrange.distribution_function(field)
+
+    monkeypatch.setattr(cli.verify, "distribution_function", counted)
     assert cli.main(["run", path]) == 0
     capsys.readouterr()
+    # u and the source once per beta: the level-set chain reads the
+    # source's rearrangement from the record
+    assert len(calls) == 6
     with open(tmp_path / "out" / "summary.csv") as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == 75
@@ -461,16 +497,18 @@ def test_summary_cells_are_plain(tmp_path, capsys):
                                          ("spherical_cap", {"theta": 1.0})])
 def test_auto_thresholds_stable_under_roundoff(kind, extra):
     mesh = msh.refine(msh.generate_domain(kind, target_h=0.04, **extra))
-    problem = fem.RobinProblem(mesh=mesh, beta=1.0)
-    u = fem.solve_robin_poisson(problem)
+    space = ModelSpace(kappa=1 if kind == "spherical_cap" else 0, n=2)
+    rec = verify.solve_record(fem.RobinProblem(mesh=mesh, beta=1.0), space)
+    u = rec.u
     rng = np.random.default_rng(0)
     twin = msh.ScalarField(mesh=mesh, values=u.values * (
         1.0 + 1e-13 * rng.uniform(-1.0, 1.0, len(u.values))))
-    space = ModelSpace(kappa=1 if kind == "spherical_cap" else 0, n=2)
     flags = []
     for field in (u, twin):
-        ts = cli._auto_thresholds(field, rearrange.distribution_function(field))
-        reports = verify.check_lemma_31(field, problem, space, ts)
+        field_rec = dataclasses.replace(
+            rec, u=field, dist=rearrange.distribution_function(field))
+        ts = cli._auto_thresholds(field_rec)
+        reports = verify.check_lemma_31(field_rec, ts)
         flags.append([r.skipped for r in reports])
         if field is u:
             ref = ts

@@ -1,6 +1,7 @@
 """The package's public names."""
 
 import dataclasses
+import inspect
 
 import robinsym
 from robinsym import radial, rearrange, verify
@@ -37,3 +38,28 @@ def test_radial_distribution_route_is_gone():
     assert not hasattr(rearrange.DistributionData, "to_csv")
     assert not hasattr(rearrange.DistributionData, "measures")
     assert "rad" not in {f.name for f in dataclasses.fields(verify.SolveRecord)}
+
+
+def test_every_twin_check_reads_its_solve_record():
+    # a comparison of u with its twin takes the record and its own
+    # parameters; the record validates the mesh and the match once
+    own = {
+        "check_min_comparison": [], "check_measure_bound": [],
+        "check_theorem_main1": ["p", "q"],
+        "check_theorem_main2": ["p", "q", "pointwise"],
+        "check_lemma_31": ["t_grid"], "check_lemma_32": ["t"],
+        "check_saint_venant": [], "check_bossel_daners": [],
+    }
+    # neither needs a solve: a mesh and a space, or a space alone
+    solveless = {"check_isoperimetric": ["mesh", "space"],
+                 "check_profile_monotonicity": ["space", "p", "which"]}
+    checks = {name for name in vars(verify) if name.startswith("check_")}
+    assert checks == set(own) | set(solveless)
+    for name, params in own.items():
+        sig = inspect.signature(getattr(verify, name))
+        assert list(sig.parameters) == ["rec"] + params, name
+        assert sig.parameters["rec"].annotation is verify.SolveRecord, name
+    for name, params in solveless.items():
+        assert list(inspect.signature(getattr(verify, name)).parameters) == params
+    for name in ("_source_cumulative", "_require_match"):
+        assert not hasattr(verify, name)

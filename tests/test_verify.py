@@ -29,16 +29,9 @@ def _square(h):
     return msh.generate_domain("square", target_h=h, side=1.0)
 
 
-def _torsion(mesh, beta=1.0, source=None):
+def _record(mesh, space=FLAT, beta=1.0, eigen=False, source=None):
     problem = fem.RobinProblem(mesh=mesh, beta=beta, source=source)
-    return fem.solve_robin_poisson(problem), problem
-
-
-def _matched_radial(mesh, space, beta=1.0, source_field=None):
-    ball = mg.GeodesicBall(space, mg.radius_for_volume(space, mesh.total_measure()))
-    fstar = None if source_field is None else rr.decreasing_rearrangement(
-        rr.distribution_function(source_field))
-    return radial.solve_symmetrized_poisson(ball, beta, fstar)
+    return verify.solve_record(problem, space, eigen)
 
 
 # ---------------------------------------------------------------------------
@@ -107,19 +100,13 @@ def test_isoperimetric_cap_equality():
 
 
 def test_min_comparison_disk_equality():
-    disk = _disk(0.07)
-    u, _ = _torsion(disk)
-    v = _matched_radial(disk, FLAT)
-    report = verify.check_min_comparison(u, v)
+    report = verify.check_min_comparison(_record(_disk(0.07)))
     assert report.passed
     assert abs(report.gap) < 5e-3
 
 
 def test_min_comparison_square_strict():
-    sq = _square(0.07)
-    u, _ = _torsion(sq)
-    v = _matched_radial(sq, FLAT)
-    report = verify.check_min_comparison(u, v)
+    report = verify.check_min_comparison(_record(_square(0.07)))
     assert report.passed
     # the symmetrized boundary value is R/(2 beta) for the flat ball
     assert report.rhs == pytest.approx(1.0 / (2.0 * math.sqrt(math.pi)), rel=1e-6)
@@ -127,12 +114,13 @@ def test_min_comparison_square_strict():
 
 
 def test_min_comparison_mismatch():
-    disk = _disk(0.2)
-    u, _ = _torsion(disk)
+    # the record, which every twin check reads, refuses a ball that does
+    # not hold the mesh measure
+    rec = _record(_disk(0.2))
     wrong = mg.GeodesicBall(FLAT, 2.0)
     v = radial.solve_symmetrized_poisson(wrong, 1.0)
     with pytest.raises(verify.MatchMismatchError):
-        verify.check_min_comparison(u, v)
+        dataclasses.replace(rec, v=v)
 
 
 # ---------------------------------------------------------------------------
@@ -140,9 +128,7 @@ def test_min_comparison_mismatch():
 
 
 def test_lemma31_disk_tight():
-    disk = _disk(0.1)
-    u, problem = _torsion(disk)
-    reports = verify.check_lemma_31(u, problem, FLAT, np.linspace(0.52, 0.73, 9))
+    reports = verify.check_lemma_31(_record(_disk(0.1)), np.linspace(0.52, 0.73, 9))
     assert all(r.passed and not r.skipped for r in reports)
     for r in reports:
         # every chain inequality is tight on the ball
@@ -150,67 +136,59 @@ def test_lemma31_disk_tight():
 
 
 def test_lemma31_square_thresholds():
-    sq = _square(0.08)
-    u, problem = _torsion(sq)
+    rec = _record(_square(0.08))
+    u = rec.u
     # thresholds halfway between distribution breakpoints are never skipped
-    bks = np.asarray(rr.distribution_function(u).breakpoints, dtype=float)
+    bks = np.asarray(rec.dist.breakpoints, dtype=float)
     mids = 0.5 * (bks[:-1] + bks[1:])
     inside = mids[(mids > u.values.min()) & (mids < u.values.max())]
     picks = inside[np.linspace(0, len(inside) - 1, 20).astype(int)]
-    reports = verify.check_lemma_31(u, problem, FLAT, picks)
+    reports = verify.check_lemma_31(rec, picks)
     active = [r for r in reports if not r.skipped]
     assert len(active) == 20
     assert all(r.passed for r in active)
 
 
 def test_lemma31_skips():
-    disk = _disk(0.2)
-    u, problem = _torsion(disk)
-    breakpoint_t = float(np.unique(u.values)[5])
+    rec = _record(_disk(0.2))
+    breakpoint_t = float(np.unique(rec.u.values)[5])
     reports = verify.check_lemma_31(
-        u, problem, FLAT, [2.0 * float(np.max(u.values)), breakpoint_t])
+        rec, [2.0 * float(np.max(rec.u.values)), breakpoint_t])
     assert all(r.skipped for r in reports)
 
 
 def test_lemma31_requires_matching_mesh():
-    disk = _disk(0.2)
-    u, _ = _torsion(disk)
+    # the record refuses a problem on another mesh than its solution's
+    rec = _record(_disk(0.2))
     other_problem = fem.RobinProblem(mesh=_disk(0.2), beta=1.0)
-    with pytest.raises(ValueError):
-        verify.check_lemma_31(u, other_problem, FLAT, [0.6])
+    with pytest.raises(ValueError, match="different meshes"):
+        dataclasses.replace(rec, problem=other_problem)
 
 
 def test_lemma32_flux_identity():
-    disk = _disk(0.1)
-    u, problem = _torsion(disk)
-    report = verify.check_lemma_32(u, problem, math.inf)
+    report = verify.check_lemma_32(_record(_disk(0.1)), math.inf)
     assert report.passed
     assert report.lhs == pytest.approx(report.rhs, rel=1e-8)
 
 
 def test_lemma32_strict_above_minimum():
-    sq = _square(0.08)
-    u, problem = _torsion(sq)
-    t = float(np.min(u.values)) * 1.05
-    report = verify.check_lemma_32(u, problem, t)
+    rec = _record(_square(0.08))
+    t = float(np.min(rec.u.values)) * 1.05
+    report = verify.check_lemma_32(rec, t)
     assert report.passed
     assert report.lhs < report.rhs - 1e-4
 
 
 def test_lemma32_disk_equality_at_max():
-    disk = _disk(0.1)
-    u, problem = _torsion(disk)
-    report = verify.check_lemma_32(u, problem, float(np.max(u.values)))
+    rec = _record(_disk(0.1))
+    report = verify.check_lemma_32(rec, float(np.max(rec.u.values)))
     assert report.passed
     assert report.lhs == pytest.approx(report.rhs, rel=1e-8)
 
 
 def test_measure_bound():
     for mesh in (_disk(0.1), _square(0.08)):
-        u, _ = _torsion(mesh)
-        v = _matched_radial(mesh, FLAT)
-        report = verify.check_measure_bound(u, v, FLAT)
-        assert report.passed
+        assert verify.check_measure_bound(_record(mesh)).passed
 
 
 # ---------------------------------------------------------------------------
@@ -244,20 +222,15 @@ def test_profile_monotonicity_claims():
 
 
 def test_main1_disk_equality():
-    disk = _disk(0.07)
-    u, _ = _torsion(disk)
-    v = _matched_radial(disk, FLAT)
+    rec = _record(_disk(0.07))
     for p, q in ((1.0, 1), (0.5, 2)):
-        report = verify.check_theorem_main1(u, v, FLAT, p=p, q=q)
+        report = verify.check_theorem_main1(rec, p, q)
         assert report.passed
         assert abs(report.gap) < 0.05 * report.rhs
 
 
 def test_main1_square():
-    sq = _square(0.07)
-    u, _ = _torsion(sq)
-    v = _matched_radial(sq, FLAT)
-    report = verify.check_theorem_main1(u, v, FLAT, p=1.0, q=1)
+    report = verify.check_theorem_main1(_record(_square(0.07)), 1.0, 1)
     assert report.passed and report.lhs < report.rhs
 
 
@@ -265,56 +238,47 @@ def test_main1_nonradial_source():
     disk = _disk(0.08)
     bump = 1.0 + 2.0 * np.exp(
         -8.0 * ((disk.vertices[:, 0] - 0.3) ** 2 + (disk.vertices[:, 1] - 0.2) ** 2))
-    f = msh.ScalarField(mesh=disk, values=bump)
-    u, _ = _torsion(disk, source=f)
-    v = _matched_radial(disk, FLAT, source_field=f)
-    assert verify.check_theorem_main1(u, v, FLAT, p=1.0, q=1).passed
-    assert verify.check_min_comparison(u, v).passed
-    assert verify.check_measure_bound(u, v, FLAT).passed
+    rec = _record(disk, source=msh.ScalarField(mesh=disk, values=bump))
+    assert verify.check_theorem_main1(rec, 1.0, 1).passed
+    assert verify.check_min_comparison(rec).passed
+    assert verify.check_measure_bound(rec).passed
 
 
 def test_main1_range_discipline():
-    disk = _disk(0.2)
-    u, _ = _torsion(disk)
-    v = _matched_radial(disk, FLAT)
+    rec = _record(_disk(0.2))
     with pytest.raises(verify.HypothesisRangeError):
-        verify.check_theorem_main1(u, v, FLAT, p=1.5, q=1)
+        verify.check_theorem_main1(rec, 1.5, 1)
     with pytest.raises(verify.HypothesisRangeError):
-        verify.check_theorem_main1(u, v, FLAT, p=1.2, q=2)
+        verify.check_theorem_main1(rec, 1.2, 2)
     with pytest.raises(verify.HypothesisRangeError):
-        verify.check_theorem_main1(u, v, mg.ModelSpace(kappa=1, n=3), p=0.9, q=2)
+        verify.check_theorem_main1(rec, 1.0, 3)
+    # no mesh of the 3-sphere exists, so its range is checked on its own
     with pytest.raises(verify.HypothesisRangeError):
-        verify.check_theorem_main1(u, v, FLAT, p=1.0, q=3)
+        verify._main1_range(mg.ModelSpace(kappa=1, n=3), 0.9, 2)
 
 
 def test_main2_pointwise_disk_equality():
-    disk = _disk(0.07)
-    u, _ = _torsion(disk)
-    v = _matched_radial(disk, FLAT)
-    report = verify.check_theorem_main2(u, v, FLAT, pointwise=True)
+    report = verify.check_theorem_main2(_record(_disk(0.07)), pointwise=True)
     assert report.passed
     assert report.lhs < 0.05
 
 
 def test_main2_pointwise_square():
-    sq = _square(0.05)
-    u, _ = _torsion(sq)
-    v = _matched_radial(sq, FLAT)
-    report = verify.check_theorem_main2(u, v, FLAT, pointwise=True)
+    report = verify.check_theorem_main2(_record(_square(0.05)), pointwise=True)
     assert report.passed
 
 
 def test_main2_norm_and_ranges():
-    sq = _square(0.1)
-    u, _ = _torsion(sq)
-    v = _matched_radial(sq, FLAT)
+    rec = _record(_square(0.1))
     # n=2 leaves p unbounded in the torsion comparison
-    assert verify.check_theorem_main2(u, v, FLAT, p=2.0, q=1).passed
-    assert verify.check_theorem_main2(u, v, FLAT, p=1.5, q=2).passed
+    assert verify.check_theorem_main2(rec, 2.0, 1).passed
+    assert verify.check_theorem_main2(rec, 1.5, 2).passed
+    cap = _record(msh.generate_domain("spherical_cap", target_h=0.2, theta=1.0),
+                  mg.ModelSpace(kappa=1, n=2))
     with pytest.raises(verify.HypothesisRangeError):
-        verify.check_theorem_main2(u, v, mg.ModelSpace(kappa=1, n=2), p=1.0, q=2)
+        verify.check_theorem_main2(cap, 1.0, 2)
     with pytest.raises(verify.HypothesisRangeError):
-        verify.check_theorem_main2(u, v, mg.ModelSpace(kappa=1, n=2), pointwise=True)
+        verify.check_theorem_main2(cap, pointwise=True)
 
 
 # the thm1.1 / thm1.2 rhs: the twin's Lorentz norm, read on its own grid
@@ -429,10 +393,6 @@ def test_twin_norm_overflow_raises():
 # rigidity checks
 
 
-def _record(mesh, space, beta, eigen=False):
-    return verify.solve_record(fem.RobinProblem(mesh=mesh, beta=beta), space, eigen)
-
-
 def _saint_venant(mesh, space, beta):
     return verify.check_saint_venant(_record(mesh, space, beta))
 
@@ -534,9 +494,7 @@ def test_equality_gaps_shrink_with_order_one():
         gaps["iso"].append(abs(verify.check_isoperimetric(disk, FLAT).gap))
         gaps["sv"].append(abs(_saint_venant(disk, FLAT, 1.0).gap))
         gaps["bd"].append(abs(_bossel_daners(disk, FLAT, 1.0).gap))
-        u, _ = _torsion(disk)
-        v = _matched_radial(disk, FLAT)
-        gaps["min"].append(abs(verify.check_min_comparison(u, v).gap))
+        gaps["min"].append(abs(verify.check_min_comparison(_record(disk)).gap))
     for name, (coarse, fine) in gaps.items():
         assert coarse / fine > 2.0, f"{name}: {coarse} vs {fine}"
 
@@ -818,7 +776,8 @@ def _close(new, old):
 @pytest.mark.parametrize("name", sorted(_ORACLE_DOMAINS))
 def test_boundary_clips_match_loop_oracle(name):
     mesh = _ORACLE_DOMAINS[name]()
-    u, problem = _torsion(mesh)
+    rec = _record(mesh)
+    u = rec.u
     umin, umax = float(np.min(u.values)), float(np.max(u.values))
     ts = _oracle_thresholds(u, umin, umax)
     # also below the minimum (every edge whole) and above the maximum (none)
@@ -826,7 +785,7 @@ def test_boundary_clips_match_loop_oracle(name):
     _close(verify._reciprocal_above(u, ts),
            [_oracle_lemma31_exterior(u, float(t)) for t in ts])
     for t in np.concatenate([ts, [math.inf]]):
-        _close(verify.check_lemma_32(u, problem, float(t)).lhs,
+        _close(verify.check_lemma_32(rec, float(t)).lhs,
                _oracle_lemma32_lhs(u, float(t)))
 
 
