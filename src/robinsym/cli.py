@@ -298,7 +298,10 @@ def _need(doc, key, typ, what):
         raise ConfigError(f"missing {what} field {key!r}")
     value = doc[key]
     if typ is float and isinstance(value, int) and not isinstance(value, bool):
-        value = float(value)
+        try:
+            value = float(value)
+        except OverflowError:
+            raise ConfigError(f"{what} field {key!r} must be a finite real") from None
     if not isinstance(value, typ):
         raise ConfigError(f"{what} field {key!r} must be {typ.__name__}")
     return value
@@ -320,7 +323,7 @@ def load_config(path: str, output_dir: str | None = None) -> ExperimentConfig:
         space = ModelSpace(kappa=space_doc.get("kappa", 0),
                            n=space_doc.get("n", 2),
                            alpha=space_doc.get("alpha", 1.0))
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         raise ConfigError(f"space: {exc}") from exc
 
     checks_doc = _need(doc, "checks", list, "config")
@@ -350,7 +353,7 @@ def load_config(path: str, output_dir: str | None = None) -> ExperimentConfig:
         # reaches a solver; n=2 meshability is checked after, deliberately
         try:
             cdef.in_range(space, params)
-        except HypothesisRangeError as exc:
+        except (HypothesisRangeError, OverflowError) as exc:  # n beyond double range
             raise ConfigError(f"check {cid}: {exc}") from exc
         checks.append(CheckRequest(check_id=cid, params=params))
 
@@ -384,9 +387,13 @@ def load_config(path: str, output_dir: str | None = None) -> ExperimentConfig:
             "require the \"torsion\" source")
 
     beta = doc.get("beta", [1.0])
-    if (not isinstance(beta, list) or not beta
-            or not all(isinstance(b, (int, float)) and not isinstance(b, bool)
-                       and math.isfinite(b) and b > 0 for b in beta)):
+    try:
+        beta_ok = (isinstance(beta, list) and beta
+                   and all(isinstance(b, (int, float)) and not isinstance(b, bool)
+                           and math.isfinite(b) and b > 0 for b in beta))
+    except OverflowError:  # an integer beyond double range
+        beta_ok = False
+    if not beta_ok:
         raise ConfigError("beta must be a non-empty list of positive reals")
 
     h = _need(doc, "h", float, "config")
@@ -456,7 +463,7 @@ def _build_domain(config: ExperimentConfig) -> MeasuredMesh:
                                warp=warp, **domain)
     except KeyError as exc:
         raise ConfigError(f"domain: missing field {exc}") from exc
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         raise ConfigError(f"domain: {exc}") from exc
 
 
@@ -593,18 +600,23 @@ def run(config: ExperimentConfig, jobs: int = 1, stream=None) -> int:
              for request in config.checks]
     space = config.space
 
-    # one solve record per (level, beta), built serially before any check
-    # runs, so cells (and worker threads) only read shared state; the finest
-    # level goes first, so its assembly, which sets the peak memory, runs
-    # before the coarser levels' records are held
+    # one assembly per level and one solve record per (level, beta), built
+    # serially before any check runs, so cells (and worker threads) only read
+    # shared state; the finest level goes first, so its assembly and factor,
+    # which set the peak memory, run before the coarser levels' records are
+    # held
     if any(c.check_id != "isoperimetric" for c in config.checks):
         eigen = any(c.check_id == "bossel-daners" for c in config.checks)
-        for beta in config.beta:
-            for state in reversed(states):
+        for state in reversed(states):
+            system = None
+            for beta in config.beta:
                 problem = RobinProblem(mesh=state.mesh, beta=beta,
                                        source=state.source)
                 try:
-                    state.solves[beta] = verify.solve_record(problem, space, eigen)
+                    if system is None:
+                        system = fem.assemble(problem)
+                    state.solves[beta] = verify.solve_record(
+                        problem, space, eigen, system)
                 except _SOLVER_ERRORS as exc:
                     raise SolverStageError(
                         f"solve (beta={beta}, h={state.mesh.mesh_size():g})", exc)

@@ -11,10 +11,16 @@ load use the density-weighted edge-midpoint rule, the boundary mass a
 2-point Gauss rule per edge; both are exact for linear fields with linear
 densities.
 
+Each triangle's contributions are summed per vertex and per edge of the
+mesh's edge table, and the sums fill one CSC pattern
+(``MeasuredMesh.matrix_pattern``) that the three matrices share.  One value
+per edge makes every matrix exactly symmetric.
+
 Both solvers use one direct factorization of the SPD Robin matrix
-K + beta B at every mesh size, a sparse LU without pivoting; the Poisson
-solve is one back-substitution, inverse power iteration one per round, and
-a caller needing both passes them the same assembly and factor.
+K + beta B at every mesh size, a sparse LU without pivoting.  K + beta B is
+added on that pattern and goes to SuperLU as built.  The Poisson solve is
+one back-substitution, inverse power iteration one per round, and a caller
+needing both passes them the same assembly and factor.
 """
 
 import json
@@ -83,13 +89,25 @@ class RobinProblem:
 
 @dataclass(frozen=True)
 class AssembledSystem:
-    stiffness: sp.csr_matrix
-    mass: sp.csr_matrix
-    boundary_mass: sp.csr_matrix
+    """The weak Robin form on one mesh; the three matrices are CSC on the
+    mesh's :meth:`~robinsym.mesh.MeasuredMesh.matrix_pattern` and share its
+    index arrays.  Nothing here depends on beta."""
+
+    stiffness: sp.csc_matrix
+    mass: sp.csc_matrix
+    boundary_mass: sp.csc_matrix
     load: np.ndarray
 
-    def robin_matrix(self, beta: float) -> sp.csr_matrix:
-        return (self.stiffness + beta * self.boundary_mass).tocsr()
+    def robin_matrix(self, beta: float) -> sp.csc_matrix:
+        """K + beta B in CSC form without explicit zeros: the stiffness of an
+        edge opposite two right angles is exactly 0, and a stored zero there
+        would only add fill to the factor."""
+        data = self.stiffness.data + beta * self.boundary_mass.data
+        keep = data != 0.0
+        kept = np.concatenate(([0], np.cumsum(keep)))
+        return sp.csc_matrix(
+            (data[keep], self.stiffness.indices[keep], kept[self.stiffness.indptr]),
+            shape=self.stiffness.shape)
 
 
 def _check_metric(mesh: MeasuredMesh):
@@ -110,31 +128,40 @@ def assemble(problem: RobinProblem) -> AssembledSystem:
     tris = mesh.triangles
     nv = len(mesh.vertices)
     area = mesh.chart_areas()
+    pattern = mesh.matrix_pattern()
+    n_edges = len(pattern.upper)
 
+    def matrix(diag, off):
+        return sp.csc_matrix((pattern.data(diag, off), pattern.indices, pattern.indptr),
+                             shape=(nv, nv))
+
+    def element_matrix(diag, off):
+        # per triangle, (M, 3) values at the corners and on the half-edges
+        # ab, bc, ca, summed per vertex and per edge
+        return matrix(np.bincount(tris.ravel(), diag.ravel(), nv),
+                      np.bincount(pattern.half_edge, off.ravel(), n_edges))
+
+    # area (W g_i).g_j, with j = i on the diagonal and j = i + 1 on half-edge
+    # i: one value per triangle side makes K exactly symmetric
     grads = mesh.basis_gradients()
     weighted = mesh.dirichlet_weighted(grads)
-    k_local = weighted[:, :, None, 0] * grads[:, None, :, 0]
-    k_local += weighted[:, :, None, 1] * grads[:, None, :, 1]
-    k_local *= area[:, None, None]
+    nxt = [1, 2, 0]
+    k_diag = weighted[..., 0] * grads[..., 0] + weighted[..., 1] * grads[..., 1]
+    k_off = weighted[..., 0] * grads[:, nxt, 0] + weighted[..., 1] * grads[:, nxt, 1]
+    del grads, weighted
+    stiffness = element_matrix(k_diag * area[:, None], k_off * area[:, None])
 
     # phi_i is 1/2 at the midpoints i (of edge i, i+1) and i-1 and 0 at the
     # third, so the local mass is area/3 times rho/4 at the shared midpoint
     # off the diagonal and at both adjacent ones on it
+    third = (area / 3.0)[:, None]
     rho_mid = edge_midpoints(mesh.density[tris])
-    f_mid = edge_midpoints(problem.source_values()[tris])
     quarter = 0.25 * rho_mid
-    m_local = np.take(quarter, [[0, 0, 2], [0, 1, 1], [2, 1, 2]], axis=1)
-    m_local[:, [0, 1, 2], [0, 1, 2]] += quarter[:, [2, 0, 1]]
-    m_local *= (area / 3.0)[:, None, None]
-    g_mid = f_mid * rho_mid
-    load_local = (area[:, None] / 3.0) * (0.5 * (g_mid + np.roll(g_mid, 1, axis=1)))
-
-    rows = np.repeat(tris, 3, axis=1).ravel()
-    cols = np.tile(tris, (1, 3)).ravel()
-    stiffness = sp.coo_matrix((k_local.ravel(), (rows, cols)), shape=(nv, nv)).tocsr()
-    mass = sp.coo_matrix((m_local.ravel(), (rows, cols)), shape=(nv, nv)).tocsr()
-    load = np.zeros(nv)
-    np.add.at(load, tris.ravel(), load_local.ravel())
+    mass = element_matrix((quarter + np.roll(quarter, 1, axis=1)) * third,
+                          quarter * third)
+    g_mid = edge_midpoints(problem.source_values()[tris]) * rho_mid
+    load_local = third * (0.5 * (g_mid + np.roll(g_mid, 1, axis=1)))
+    load = np.bincount(tris.ravel(), load_local.ravel(), nv)
 
     # boundary mass, 2-point Gauss per edge on the arclength parameter
     edges = mesh.boundary_edges
@@ -149,20 +176,20 @@ def assemble(problem: RobinProblem) -> AssembledSystem:
         b00 += 0.5 * (1.0 - t) ** 2 * st
         b01 += 0.5 * (1.0 - t) * t * st
         b11 += 0.5 * t**2 * st
-    br = np.concatenate([edges[:, 0], edges[:, 0], edges[:, 1], edges[:, 1]])
-    bc = np.concatenate([edges[:, 0], edges[:, 1], edges[:, 0], edges[:, 1]])
-    bv = np.concatenate([lengths * b00, lengths * b01, lengths * b01, lengths * b11])
-    boundary_mass = sp.coo_matrix((bv, (br, bc)), shape=(nv, nv)).tocsr()
+    at_ends = np.column_stack([lengths * b00, lengths * b11])
+    boundary_mass = matrix(np.bincount(edges.ravel(), at_ends.ravel(), nv),
+                           np.bincount(pattern.boundary, lengths * b01, n_edges))
 
     return AssembledSystem(stiffness=stiffness, mass=mass,
                            boundary_mass=boundary_mass, load=load)
 
 
-def factor_robin(A: sp.spmatrix):
+def factor_robin(A: sp.csc_matrix):
     """Sparse LU of an SPD Robin matrix K + beta B, the solvers' ``lu``:
-    minimum-degree ordering of A + A^T, diagonal pivots only."""
+    minimum-degree ordering of A + A^T, diagonal pivots only.  ``A`` is
+    factored as given, so it must be CSC."""
     try:
-        return splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+        return splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                     options={"SymmetricMode": True})
     except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
         raise SingularSystemError(

@@ -317,7 +317,8 @@ class MeasuredMesh:
     # -- measures ----------------------------------------------------------
 
     # The P1 element kernel: chart areas, basis gradients, the Dirichlet
-    # weight and (with `edge_midpoints`) the edge-midpoint rule.
+    # weight, (with `edge_midpoints`) the edge-midpoint rule, and the
+    # matrix pattern the element sums fill.
 
     def chart_areas(self) -> np.ndarray:
         return self._chart_areas  # read-only, computed once by validate
@@ -344,6 +345,10 @@ class MeasuredMesh:
         weight = warped_metric_tensors(
             self.warp, np.mean(self.vertices[self.triangles], axis=1))
         return np.einsum("t...a,tab->t...b", covectors, weight)
+
+    def matrix_pattern(self) -> "MatrixPattern":
+        """The sparsity of the P1 matrices, read off the edge table."""
+        return _matrix_pattern(self._edges, len(self.vertices), self.boundary_edges)
 
     def centroid_density(self) -> np.ndarray:
         """Per-triangle density frozen at the centroid (equals the vertex mean
@@ -441,6 +446,31 @@ class _EdgeTable(NamedTuple):
         return self.half[self.count[self.edge] == 1]
 
 
+class MatrixPattern(NamedTuple):
+    """Sparsity shared by the P1 matrices of a mesh: each vertex couples with
+    itself and its edge neighbours.  The pattern is symmetric, so it is both
+    the CSC and the CSR pattern; the rows of each column are sorted, without
+    duplicates.  The index arrays are read-only, because every matrix built
+    on the pattern shares them."""
+
+    indptr: np.ndarray  # (N + 1,) int32
+    indices: np.ndarray  # (N + 2E,) int32
+    diag: np.ndarray  # (N,) the slot of (i, i)
+    upper: np.ndarray  # (E,) the slot of (lo, hi) of each edge of the table
+    lower: np.ndarray  # (E,) the slot of (hi, lo)
+    half_edge: np.ndarray  # (3M,) the edge of each half-edge ab, bc, ca, in triangle order
+    boundary: np.ndarray  # (K,) the edge of each declared boundary edge
+
+    def data(self, diag, off) -> np.ndarray:
+        """The data array of the symmetric matrix with per-vertex diagonal
+        ``diag`` and per-edge off-diagonal ``off``."""
+        out = np.empty(len(self.indices))
+        out[self.diag] = diag
+        out[self.upper] = off
+        out[self.lower] = off
+        return out
+
+
 def _half_edges(triangles) -> np.ndarray:
     return triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
 
@@ -451,6 +481,36 @@ def _edge_table(triangles, n_vertices) -> _EdgeTable:
     _, first, edge, count = np.unique(key, return_index=True, return_inverse=True,
                                       return_counts=True)
     return _EdgeTable(half, edge, first, count)
+
+
+def _matrix_pattern(edges: _EdgeTable, n_vertices, boundary_edges) -> MatrixPattern:
+    """Lay out column j as the rows lo of its edges (lo, j), then j, then the
+    rows hi of its edges (j, hi).  The table numbers edges in (lo, hi) order,
+    so the rows below the diagonal come in edge order; those above it take
+    one stable sort of the edges by hi."""
+    n = n_vertices
+    a, b = edges.half[:, 0][edges.first], edges.half[:, 1][edges.first]
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    rank = np.arange(len(lo))
+    above = np.bincount(hi, minlength=n)
+    below = np.bincount(lo, minlength=n)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(above + below + 1, out=indptr[1:])
+    diag = indptr[:-1] + above
+    lower = diag[lo] + 1 + rank - (np.cumsum(below) - below)[lo]
+    by_hi = np.argsort(hi, kind="stable")
+    col = hi[by_hi]
+    upper = np.empty_like(lower)
+    upper[by_hi] = indptr[col] + rank - (np.cumsum(above) - above)[col]
+    indices = np.empty(indptr[-1], dtype=np.int32)
+    indices[diag] = np.arange(n)
+    indices[lower] = hi
+    indices[upper] = lo
+    boundary = np.searchsorted(lo * n + hi, np.min(boundary_edges, axis=1) * n
+                               + np.max(boundary_edges, axis=1))
+    indptr = indptr.astype(np.int32)
+    indptr.flags.writeable = indices.flags.writeable = False
+    return MatrixPattern(indptr, indices, diag, upper, lower, edges.edge, boundary)
 
 
 def _chart_lengths(vertices, ends) -> np.ndarray:

@@ -261,14 +261,17 @@ class SolveRecord:
         return self.v.ball
 
 
-def solve_record(problem: RobinProblem, space: ModelSpace,
-                 eigen: bool = False) -> SolveRecord:
-    """Assemble and factor the problem once: the Poisson solve and, with
-    ``eigen``, the inverse iteration share the factor, freed before the rest
-    is built.  The twin takes the decreasing rearrangement of the problem's
-    source, whose Schwarz rearrangement is its source."""
+def solve_record(problem: RobinProblem, space: ModelSpace, eigen: bool = False,
+                 system: fem.AssembledSystem | None = None) -> SolveRecord:
+    """Factor the problem once: the Poisson solve and, with ``eigen``, the
+    inverse iteration share the factor, freed before the rest is built.
+    ``system`` is the problem's assembly, which serves every beta on its mesh
+    and source; it defaults to a fresh one.  The twin takes the decreasing
+    rearrangement of the problem's source, whose Schwarz rearrangement is its
+    source."""
     mesh, beta = problem.mesh, problem.beta
-    system = fem.assemble(problem)
+    if system is None:
+        system = fem.assemble(problem)
     lu = fem.factor_robin(system.robin_matrix(beta))
     u = fem.solve_robin_poisson(problem, system, lu)
     pair = None
@@ -277,7 +280,7 @@ def solve_record(problem: RobinProblem, space: ModelSpace,
             pair = fem.solve_robin_eigen(mesh, beta, system, lu)
         except fem.EigenSignError:
             pair = (math.nan, None)
-    del system, lu  # the largest allocations; they set the peak memory
+    del system, lu  # the factor is the largest allocation; it sets the peak memory
     ball = GeodesicBall(space, radius_for_volume(space, mesh.total_measure()))
     fstar = None if problem.source is None else decreasing_rearrangement(
         distribution_function(problem.source))

@@ -1,9 +1,11 @@
 """Finite element assembly and Robin solvers."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg
 
 from robinsym import fem
@@ -78,17 +80,109 @@ def test_unit_square_mass_and_stiffness():
     assert abs(system.boundary_mass.sum() - 4.0) < 1e-12
 
 
+def _coo_assembly(problem):
+    """Reference assembly: the 3 x 3 element matrices of every triangle
+    summed through COO triplets, each entry from its own dot product."""
+    mesh = problem.mesh
+    tris = mesh.triangles
+    nv = len(mesh.vertices)
+    area = mesh.chart_areas()
+    grads = mesh.basis_gradients()
+    weighted = mesh.dirichlet_weighted(grads)
+    k_local = np.einsum("tia,tja->tij", weighted, grads) * area[:, None, None]
+    rho_mid = msh.edge_midpoints(mesh.density[tris])
+    quarter = 0.25 * rho_mid
+    m_local = np.take(quarter, [[0, 0, 2], [0, 1, 1], [2, 1, 2]], axis=1)
+    m_local[:, [0, 1, 2], [0, 1, 2]] += quarter[:, [2, 0, 1]]
+    m_local *= (area / 3.0)[:, None, None]
+    g_mid = msh.edge_midpoints(problem.source_values()[tris]) * rho_mid
+    load_local = (area[:, None] / 3.0) * (0.5 * (g_mid + np.roll(g_mid, 1, axis=1)))
+    rows = np.repeat(tris, 3, axis=1).ravel()
+    cols = np.tile(tris, (1, 3)).ravel()
+    stiffness = sp.coo_matrix((k_local.ravel(), (rows, cols)), shape=(nv, nv)).tocsr()
+    mass = sp.coo_matrix((m_local.ravel(), (rows, cols)), shape=(nv, nv)).tocsr()
+    load = np.zeros(nv)
+    np.add.at(load, tris.ravel(), load_local.ravel())
+    edges = mesh.boundary_edges
+    lengths = mesh.boundary_chart_lengths()
+    sigma = mesh.boundary_density
+    b_local = np.zeros((len(edges), 2, 2))
+    for t in (0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0)):
+        st = sigma[:, 0] * (1.0 - t) + sigma[:, 1] * t
+        phi = np.array([1.0 - t, t])
+        b_local += 0.5 * st[:, None, None] * phi[:, None] * phi[None, :]
+    b_local *= lengths[:, None, None]
+    br = np.repeat(edges, 2, axis=1).ravel()
+    bc = np.tile(edges, (1, 2)).ravel()
+    boundary_mass = sp.coo_matrix((b_local.ravel(), (br, bc)), shape=(nv, nv)).tocsr()
+    return stiffness, mass, boundary_mass, load
+
+
+_KERNEL_MESHES = {
+    "flat-disk": lambda: _disk(0.15),
+    "sphere-cap": lambda: msh.generate_domain("spherical_cap", target_h=0.15, theta=1.0),
+    "cone-disk": lambda: _disk(0.15, geometry="warped",
+                               warp=msh.warped_profile("cone", 0.6)),
+}
+
+
 def test_matrices_symmetric_and_positive():
-    m = _disk(0.15)
-    system = fem.assemble(fem.RobinProblem(mesh=m, beta=1.0))
-    for mat in (system.stiffness, system.mass, system.boundary_mass):
-        assert abs(mat - mat.T).max() < 1e-12
     rng = np.random.default_rng(5)
-    A = system.robin_matrix(1.0)
-    for _ in range(10):
-        x = rng.normal(size=len(m.vertices))
-        assert float(x @ (system.stiffness @ x)) > -1e-12 * float(x @ x)
-        assert float(x @ (A @ x)) > 0.0
+    for make in _KERNEL_MESHES.values():
+        m = make()
+        system = fem.assemble(fem.RobinProblem(mesh=m, beta=1.0))
+        A = system.robin_matrix(1.0)
+        # one value per edge: exact symmetry, also for the warped weight,
+        # whose (W g_i).g_j and (W g_j).g_i round apart
+        for mat in (system.stiffness, system.mass, system.boundary_mass, A):
+            assert (mat != mat.T).nnz == 0
+        for _ in range(10):
+            x = rng.normal(size=len(m.vertices))
+            assert float(x @ (system.stiffness @ x)) > -1e-12 * float(x @ x)
+            assert float(x @ (A @ x)) > 0.0
+
+
+@pytest.mark.parametrize("name", sorted(_KERNEL_MESHES))
+def test_assembly_matches_coo_reference(name):
+    m = _KERNEL_MESHES[name]()
+    vals = 1.0 + m.vertices[:, 0] ** 2
+    problem = fem.RobinProblem(mesh=m, beta=2.0, source=msh.ScalarField(mesh=m, values=vals))
+    system = fem.assemble(problem)
+    A = system.robin_matrix(2.0)  # builds on the shared pattern, changing no matrix
+    ref_k, ref_m, ref_b, ref_load = _coo_assembly(problem)
+    for got, ref in ((system.stiffness, ref_k), (system.mass, ref_m),
+                     (system.boundary_mass, ref_b), (A, ref_k + 2.0 * ref_b)):
+        assert got.format == "csc"
+        assert abs(got - ref).max() <= 1e-14 * abs(ref).max()
+    assert np.max(np.abs(system.load - ref_load)) <= 1e-14 * np.max(np.abs(ref_load))
+
+
+def test_shared_pattern_is_read_only():
+    system = fem.assemble(fem.RobinProblem(mesh=_disk(0.3), beta=1.0))
+    indices = system.stiffness.indices
+    for mat in (system.mass, system.boundary_mass):
+        assert np.shares_memory(mat.indices, indices)
+    # an in-place change of one matrix's pattern would corrupt the others
+    with pytest.raises(ValueError):
+        system.boundary_mass.eliminate_zeros()
+
+
+def test_square_21k_robin_matrix_and_assembly_memory():
+    m = msh.refine(msh.refine(msh.generate_domain("square", target_h=0.04, side=1.0)))
+    assert len(m.vertices) == 21_025
+    problem = fem.RobinProblem(mesh=m, beta=1.0)
+    tracemalloc.start()
+    try:
+        system = fem.assemble(problem)
+        A = system.robin_matrix(1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the hypotenuse stiffness is exactly 0 and stays out of the factor's input
+    assert A.format == "csc"
+    assert np.count_nonzero(A.data) == A.nnz == 104_545
+    # 11.6 MB measured; summing COO triplets into CSR took 30.1 MB
+    assert peak < 16e6
 
 
 def test_mass_total_matches_measure():
