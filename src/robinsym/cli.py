@@ -24,9 +24,10 @@ import numpy as np
 
 from . import fem, radial, verify
 from .fem import RobinProblem
-from .mesh import (DegenerateGeometryError, MeasuredMesh, MeshFormatError,
-                   MeshInvariantError, ScalarField, generate_domain,
-                   load_mesh, refine, save_mesh, warped_profile)
+from .mesh import (MAX_VERTICES, DegenerateGeometryError, MeasuredMesh,
+                   MeshFormatError, MeshInvariantError, ScalarField,
+                   generate_domain, load_mesh, refine, save_mesh,
+                   warped_profile)
 from .model_geometry import ModelSpace
 from .rearrange import (LorentzDivergenceError, SphereOverflowError,
                         schwarz_rearrangement)
@@ -467,6 +468,21 @@ def _build_domain(config: ExperimentConfig) -> MeasuredMesh:
         raise ConfigError(f"domain: {exc}") from exc
 
 
+def _check_refined_size(mesh: MeasuredMesh, levels: int):
+    """Refuse ``levels`` refinements whose finest mesh would pass the vertex
+    ceiling, counted exactly and without refining: a level adds a vertex per
+    edge, splits each edge in two and each triangle into four, so
+    V' = V + E, E' = 2E + 3T and T' = 4T."""
+    v, t = len(mesh.vertices), len(mesh.triangles)
+    e = (3 * t + len(mesh.boundary_edges)) // 2  # interior edges have two sides
+    for level in range(1, levels + 1):
+        v, e, t = v + e, 2 * e + 3 * t, 4 * t
+        if v > MAX_VERTICES:
+            raise ConfigError(
+                f"refine_levels: level {level} would have {v} vertices, "
+                f"more than the ceiling of {MAX_VERTICES} (2**21)")
+
+
 def _source_field(config, mesh) -> ScalarField | None:
     if config.source == _SOURCE_TORSION:
         return None
@@ -587,6 +603,7 @@ def run(config: ExperimentConfig, jobs: int = 1, stream=None) -> int:
         fh.write("\n")
 
     base = _build_domain(config)
+    _check_refined_size(base, config.refine_levels)
     states = [_LevelState(mesh=base, source=_source_field(config, base),
                           solves={})]
     for _ in range(config.refine_levels):

@@ -45,6 +45,11 @@ CHART_RADIUS_CAP = 10.0
 # exceeds the requested target_h
 _H_SAFETY = 0.7
 
+# the most vertices a mesh may be asked to have, about 26 times the 80k-vertex
+# meshes of the benchmarks: a runaway target_h or refinement count stops here
+# and not in the allocator
+MAX_VERTICES = 2**21
+
 
 # ---------------------------------------------------------------------------
 # warped rotationally symmetric surfaces
@@ -264,7 +269,7 @@ class MeasuredMesh:
         # conformity: directed interior edges pair up, boundary edges appear once
         n = len(v)
         edges = self._edges if self._edges is not None else _edge_table(t, n)
-        forward = np.bincount(edges.edge[edges.half[:, 0] < edges.half[:, 1]],
+        forward = np.bincount(edges.edge[(t < np.roll(t, -1, axis=1)).ravel()],
                               minlength=len(edges.first))
         repeats = np.nonzero((forward > 1) | (edges.count - forward > 1))[0]
         if len(repeats):
@@ -428,22 +433,35 @@ class ScalarField:
 
 
 class _EdgeTable(NamedTuple):
-    """Undirected edges of a triangulation, numbered in sorted key order."""
+    """Undirected edges of a triangulation, numbered in sorted key order.
 
-    half: np.ndarray  # (3M, 2) half-edges ab, bc, ca of each triangle, in triangle order
+    Half-edge 3k + i of triangle k runs from its corner i to its corner
+    i + 1 (mod 3), so the half-edges ab, bc, ca come in triangle order.  The
+    table keeps the triangles it was read from, which are the mesh's own
+    array, and gathers the ends of half-edges from them as they are asked
+    for: a (3M, 2) copy would be the largest array a mesh keeps.
+    """
+
+    triangles: np.ndarray  # (M, 3) the triangulation itself, not a copy
     edge: np.ndarray  # (3M,) the undirected edge of each half-edge
     first: np.ndarray  # (E,) the first half-edge on each edge
     count: np.ndarray  # (E,) half-edges on each edge: 1 on the boundary, 2 inside
 
+    def _gather(self, which) -> np.ndarray:
+        """(len(which), 2) tail and head of the given half-edges."""
+        corners = self.triangles.ravel()
+        return np.stack([corners[which], corners[which - which % 3 + (which + 1) % 3]],
+                        axis=1)
+
     @property
     def ends(self) -> np.ndarray:
         """(E, 2) endpoints of each edge, as its first half-edge runs."""
-        return self.half[self.first]
+        return self._gather(self.first)
 
     @property
     def boundary(self) -> np.ndarray:
         """Half-edges on one triangle only, in triangle order."""
-        return self.half[self.count[self.edge] == 1]
+        return self._gather(np.flatnonzero(self.count[self.edge] == 1))
 
 
 class MatrixPattern(NamedTuple):
@@ -476,11 +494,13 @@ def _half_edges(triangles) -> np.ndarray:
 
 
 def _edge_table(triangles, n_vertices) -> _EdgeTable:
-    half = _half_edges(triangles)
-    key = np.min(half, axis=1) * n_vertices + np.max(half, axis=1)
+    tail = triangles.ravel()
+    head = np.roll(triangles, -1, axis=1).ravel()
+    key = np.minimum(tail, head) * n_vertices + np.maximum(tail, head)
+    del head
     _, first, edge, count = np.unique(key, return_index=True, return_inverse=True,
                                       return_counts=True)
-    return _EdgeTable(half, edge, first, count)
+    return _EdgeTable(triangles, edge, first, count)
 
 
 def _matrix_pattern(edges: _EdgeTable, n_vertices, boundary_edges) -> MatrixPattern:
@@ -489,7 +509,7 @@ def _matrix_pattern(edges: _EdgeTable, n_vertices, boundary_edges) -> MatrixPatt
     so the rows below the diagonal come in edge order; those above it take
     one stable sort of the edges by hi."""
     n = n_vertices
-    a, b = edges.half[:, 0][edges.first], edges.half[:, 1][edges.first]
+    a, b = edges.ends.T
     lo, hi = np.minimum(a, b), np.maximum(a, b)
     rank = np.arange(len(lo))
     above = np.bincount(hi, minlength=n)
@@ -553,8 +573,37 @@ def _zip_rings(inner, inner_angles, outer, outer_angles):
     return tris
 
 
+def _check_ceiling(vertices, target_h):
+    """Refuse a mesh that must have more than MAX_VERTICES vertices."""
+    if vertices > MAX_VERTICES:
+        raise DegenerateGeometryError(
+            f"target_h={target_h:g} asks for more than {MAX_VERTICES} vertices "
+            "(2**21), the ceiling of a mesh")
+
+
+def _fewest_vertices(chart_area, target_h) -> float:
+    """A lower bound on the vertices of a simply connected triangulation
+    that covers ``chart_area`` with no edge longer than target_h.  No such
+    triangle is larger than the equilateral one, sqrt(3) h^2 / 4, and
+    Euler's formula gives V = 1 + T/2 + K/2 > T/2 (K boundary edges)."""
+    return 2.0 * chart_area / math.sqrt(3.0) / target_h / target_h
+
+
+def _inner_radius_sq(radius, target_h) -> float:
+    """r^2 - h^2/4, the squared distance from the centre of a circle of
+    radius r to any of its chords of at most h."""
+    return max(radius * radius - 0.25 * target_h * target_h, 0.0)
+
+
 def _disk_points(radius, target_h, n_boundary=None):
     m = max(1, math.ceil(radius / (_H_SAFETY * target_h)))
+    if n_boundary is None:
+        _check_ceiling(_fewest_vertices(math.pi * _inner_radius_sq(radius, target_h),
+                                        target_h), target_h)
+    else:
+        # a pinned rim does not bound the edges by target_h: count the m
+        # rings of at least 3 vertices and the rim instead
+        _check_ceiling(1 + max(3 * m, n_boundary), target_h)
     for _ in range(8):
         verts, tris = _disk_build(radius, m, n_boundary)
         longest = float(np.max(_chart_lengths(verts, _half_edges(tris))))
@@ -587,6 +636,7 @@ def _disk_build(radius, m, n_boundary=None):
 
 
 def _square_points(side, target_h):
+    _check_ceiling(_fewest_vertices(side * side, target_h), target_h)
     k = max(1, math.ceil(side * math.sqrt(2.0) / target_h))
     axis = np.linspace(0.0, side, k + 1)
     xx, yy = np.meshgrid(axis, axis, indexing="xy")
@@ -613,6 +663,10 @@ def _annulus_sector_points(r_inner, r_outer, angle0, angle1, target_h):
         raise DegenerateGeometryError("sector angle span must lie in (0, 2*pi)")
     if r_inner == 0.0:
         raise DegenerateGeometryError("r_inner must be positive (use disk for r_inner = 0)")
+    # the inner chords bulge into the hole, the outer ones cut the rim
+    _check_ceiling(_fewest_vertices(
+        0.5 * span * max(_inner_radius_sq(r_outer, target_h) - r_inner * r_inner, 0.0),
+        target_h), target_h)
     step = _H_SAFETY * target_h
     kr = max(1, math.ceil((r_outer - r_inner) / step))
     ka = max(1, math.ceil(span * r_outer / step))
@@ -732,14 +786,19 @@ def _polygon_points(points, target_h):
     _check_simple_polygon(pts)
     if _polygon_signed_area(pts) < 0:
         pts = pts[::-1].copy()
-    if abs(_polygon_signed_area(pts)) < 1e-14:
+    area = abs(_polygon_signed_area(pts))
+    if area < 1e-14:
         raise DegenerateGeometryError("polygon has (near-)zero area")
+    _check_ceiling(_fewest_vertices(area, target_h), target_h)
     tris = _ear_clip(pts)
     verts = pts
     for _ in range(40):
         if float(np.max(_chart_lengths(verts, _half_edges(tris)))) <= target_h:
             break
-        verts, tris, _ = _refine4(verts, tris, _edge_table(tris, len(verts)))
+        edges = _edge_table(tris, len(verts))
+        # slivers need more vertices than their area tells; each split adds one per edge
+        _check_ceiling(len(verts) + len(edges.first), target_h)
+        verts, tris, _ = _refine4(verts, tris, edges)
     return verts, tris
 
 
@@ -761,7 +820,9 @@ def generate_domain(kind: str, target_h: float, geometry: str = "flat",
       the stereographic sphere chart)
     * ``annulus_sector``: ``r_inner``, ``r_outer``, ``angle0``, ``angle1``
 
-    ``target_h`` bounds the maximum edge length in chart coordinates.
+    ``target_h`` bounds the maximum edge length in chart coordinates.  A
+    ``target_h`` whose mesh must have more than :data:`MAX_VERTICES`
+    vertices is refused.
     """
     if target_h <= 0.0:
         raise DegenerateGeometryError("target_h must be positive")

@@ -211,6 +211,9 @@ def test_config_rejections(tmp_path):
     dict(domain={"kind": "square", "side": 10**400}),
     dict(domain={"kind": "disk", "radius": 1.0, "geometry": "warped",
                  "warp": {"profile": "cone", "c": 10**400}}),
+    # meshes beyond the vertex ceiling, refused before they are built
+    dict(refine_levels=10**400),
+    dict(h=1e-7),
 ])
 def test_malformed_config_exits_two(tmp_path, capsys, overrides):
     # each passes load_config and fails when the run builds the domain or
@@ -218,6 +221,16 @@ def test_malformed_config_exits_two(tmp_path, capsys, overrides):
     path = _write_config(tmp_path, **overrides)
     assert cli.main(["run", path]) == 2
     assert capsys.readouterr().err.startswith("config: ")
+
+
+def test_refine_levels_are_counted_before_refining():
+    base = msh.generate_domain("square", target_h=0.04, side=1.0)
+    assert len(base.vertices) == 1_369
+    cli._check_refined_size(base, 5)  # 1,329,409 vertices
+    for levels in (6, 10**400):
+        with pytest.raises(ConfigError, match="level 6 would have 5313025 vertices, "
+                                              "more than the ceiling of 2097152"):
+            cli._check_refined_size(base, levels)
 
 
 def test_negative_expression_rejected_at_run(tmp_path, capsys):

@@ -185,6 +185,39 @@ def test_square_21k_robin_matrix_and_assembly_memory():
     assert peak < 16e6
 
 
+def _default_panel_factor(A):
+    """Oracle: SuperLU as `factor_robin` calls it, with SuperLU's own
+    panel size."""
+    return scipy.sparse.linalg.splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                                    options={"SymmetricMode": True})
+
+
+_PANEL_MESHES = {
+    "square-21k": lambda: msh.refine(msh.refine(
+        msh.generate_domain("square", target_h=0.04, side=1.0))),
+    "sphere-cap": lambda: msh.refine(
+        msh.generate_domain("spherical_cap", target_h=0.035, theta=1.0)),
+    "cone-disk": lambda: _disk(0.04, geometry="warped", warp=msh.warped_profile("cone", 0.6)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PANEL_MESHES))
+def test_panel_size_keeps_ordering_fill_and_solution(name):
+    m = _PANEL_MESHES[name]()
+    problem = fem.RobinProblem(mesh=m, beta=1.0)
+    system = fem.assemble(problem)
+    A = system.robin_matrix(1.0)
+    lu, ref = fem.factor_robin(A), _default_panel_factor(A)
+    assert np.array_equal(lu.perm_c, ref.perm_c)
+    assert lu.L.nnz + lu.U.nnz == ref.L.nnz + ref.U.nnz
+    if name == "square-21k":
+        assert lu.L.nnz + lu.U.nnz == 1_032_762
+    # the panel changes only the order of the updates: roundoff
+    u = fem.solve_robin_poisson(problem, system, lu).values
+    u_ref = ref.solve(system.load)
+    assert np.max(np.abs(u - u_ref)) <= 1e-13 * np.max(np.abs(u_ref))
+
+
 def test_mass_total_matches_measure():
     cap = msh.generate_domain("spherical_cap", target_h=0.15, theta=1.0)
     system = fem.assemble(fem.RobinProblem(mesh=cap, beta=1.0))

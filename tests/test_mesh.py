@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -467,6 +468,82 @@ def test_custom_density_refine_matches_dict_oracle():
         verts, tris, dens = _oracle_refine4(m.vertices, m.triangles, m.density)
         m = refine(m)
         _assert_same_arrays(m, verts, tris, _oracle_extract_boundary(tris), np.array(dens))
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_DOMAINS))
+def test_edge_table_gathers_from_the_triangles(name):
+    params = dict(ORACLE_DOMAINS[name])
+    m = generate_domain(params.pop("kind"), params.pop("target_h"), **params)
+    given = MeasuredMesh(m.vertices, m.triangles.copy(), m.boundary_edges, geometry=m.geometry,
+                         warp=m.warp)
+    for mesh in (m, refine(m), given):
+        table = mesh._edges
+        half = mesh_module._half_edges(mesh.triangles)
+        assert np.array_equal(table.ends, half[table.first])
+        assert np.array_equal(table.boundary, half[table.count[table.edge] == 1])
+        # the mesh's own triangles, and no (3M, 2) copy of the half-edges
+        assert table.triangles is mesh.triangles
+        assert max(a.size for a in table) < 6 * len(mesh.triangles)
+
+
+def test_refine_retains_no_half_edge_copy():
+    m = refine(generate_domain("square", target_h=0.04, side=1.0))
+    assert len(m.vertices) == 5_329
+    tracemalloc.start()
+    try:
+        fine = refine(m)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(fine.vertices) == 21_025
+    # 3.85 MB measured; a (3M, 2) int64 copy of the half-edges adds 2.0 MB
+    assert retained < 4.5e6
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_DOMAINS))
+def test_generators_bound_edges_by_target_h(name):
+    # the premise of the vertex ceiling's area bound
+    params = dict(ORACLE_DOMAINS[name])
+    kind = params.pop("kind")
+    params.pop("target_h")
+    for h in (0.31, 0.13, 0.07, 0.03):
+        m = generate_domain(kind, h, **params)
+        assert m.chart_mesh_size() <= h
+        area = float(np.sum(m.chart_areas()))
+        assert len(m.vertices) > mesh_module._fewest_vertices(area, h)
+
+
+CEILING_DOMAINS = [
+    dict(kind="square", side=1.0),
+    dict(kind="disk", radius=1.0),
+    dict(kind="spherical_cap", theta=1.0),
+    dict(kind="annulus_sector", r_inner=1.0, r_outer=2.0, angle0=0.0, angle1=1.0),
+    dict(kind="polygon", points=L_SHAPE),
+]
+
+
+@pytest.mark.parametrize("params", CEILING_DOMAINS)
+def test_generators_refuse_meshes_beyond_the_ceiling(params):
+    params = dict(params)
+    kind = params.pop("kind")
+    with pytest.raises(DegenerateGeometryError, match=str(mesh_module.MAX_VERTICES)):
+        generate_domain(kind, 1e-7, **params)
+    # a usual h is still built
+    generate_domain(kind, 0.05, **params)
+
+
+def test_ceiling_counts_pinned_rims_and_sliver_polygons(monkeypatch):
+    # a pinned rim leaves the edges unbounded by h: the rings and the rim count
+    for h, n_boundary in ((1e-7, 12), (0.1, 10**400)):
+        with pytest.raises(DegenerateGeometryError, match="2097152"):
+            generate_domain("disk", h, radius=1.0, n_boundary=n_boundary)
+    # a sliver's long edge needs more splits than its area tells; every split
+    # is counted before it is made (a low ceiling keeps the test small)
+    sliver = [(0.0, 0.0), (1.0, 0.0), (0.5, 1e-6)]
+    assert len(generate_domain("polygon", 1e-2, points=sliver).vertices) < 10_000
+    monkeypatch.setattr(mesh_module, "MAX_VERTICES", 1_000)
+    with pytest.raises(DegenerateGeometryError, match="1000"):
+        generate_domain("polygon", 1e-2, points=sliver)
 
 
 @st.composite

@@ -487,6 +487,21 @@ def test_rigidity_retries_solve_on_the_refined_mesh():
         verify.check_bossel_daners(_record(sq, FLAT, 1.0))
 
 
+def test_eigen_record_builds_one_robin_matrix(monkeypatch):
+    built = []
+    robin_matrix = fem.AssembledSystem.robin_matrix
+
+    def counted(self, beta):
+        built.append(beta)
+        return robin_matrix(self, beta)
+
+    monkeypatch.setattr(fem.AssembledSystem, "robin_matrix", counted)
+    rec = _record(_disk(0.2), FLAT, 2.0, eigen=True)
+    assert rec.eigen[1] is not None
+    # the factor's; the inverse iteration's Rayleigh quotient reads K and B
+    assert built == [2.0]
+
+
 def test_equality_gaps_shrink_with_order_one():
     gaps = {"iso": [], "sv": [], "bd": [], "min": []}
     for h in (0.2, 0.1):
