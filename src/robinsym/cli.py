@@ -314,7 +314,8 @@ def load_config(path: str, output_dir: str | None = None) -> ExperimentConfig:
             doc = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # JSONDecodeError, an integer past the digit limit, undecodable bytes
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
@@ -548,11 +549,10 @@ def _run_cell(cell: _Cell, state: _LevelState, space) -> list:
 
 
 def _write_plot(path, header, columns):
-    rows = len(columns[0])
+    rows = zip(*(np.asarray(col, dtype=float).tolist() for col in columns))
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for i in range(rows):
-            fh.write(",".join(repr(float(col[i])) for col in columns) + "\n")
+        fh.writelines(",".join(map(repr, row)) + "\n" for row in rows)
 
 
 def _write_plots(config, states, space, out_dir):
@@ -621,7 +621,8 @@ def run(config: ExperimentConfig, jobs: int = 1, stream=None) -> int:
     # serially before any check runs, so cells (and worker threads) only read
     # shared state; the finest level goes first, so its assembly and factor,
     # which set the peak memory, run before the coarser levels' records are
-    # held
+    # held.  A record on the same ball as one built before (a flat polygon
+    # keeps its measure under refine) shares that record's radial side.
     if any(c.check_id != "isoperimetric" for c in config.checks):
         eigen = any(c.check_id == "bossel-daners" for c in config.checks)
         for state in reversed(states):
@@ -633,7 +634,8 @@ def run(config: ExperimentConfig, jobs: int = 1, stream=None) -> int:
                     if system is None:
                         system = fem.assemble(problem)
                     state.solves[beta] = verify.solve_record(
-                        problem, space, eigen, system)
+                        problem, space, eigen, system,
+                        built=[rec for st in states for rec in st.solves.values()])
                 except _SOLVER_ERRORS as exc:
                     raise SolverStageError(
                         f"solve (beta={beta}, h={state.mesh.mesh_size():g})", exc)

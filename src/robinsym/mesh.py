@@ -556,21 +556,20 @@ def _extract_boundary(edges: _EdgeTable, n_vertices) -> np.ndarray:
 
 
 def _zip_rings(inner, inner_angles, outer, outer_angles):
-    """Triangulate the band between two CCW closed rings by angle merge."""
+    """Triangulate the band between two CCW closed rings by angle merge.
+
+    Each step advances the ring whose next vertex comes first, the inner one
+    on a tie, so the steps are one stable sort of the two rings' next angles;
+    a step on the inner ring makes the triangle (inner i, outer j, inner i+1),
+    one on the outer ring (inner i, outer j, outer j+1)."""
     na, nb = len(inner), len(outer)
-    ia = np.append(inner_angles, inner_angles[0] + 2.0 * math.pi)
-    oa = np.append(outer_angles, outer_angles[0] + 2.0 * math.pi)
-    tris = []
-    i = j = 0
-    while i < na or j < nb:
-        take_inner = j >= nb or (i < na and ia[i + 1] <= oa[j + 1])
-        if take_inner:
-            tris.append((inner[i], outer[j % nb], inner[(i + 1) % na]))
-            i += 1
-        else:
-            tris.append((inner[i % na], outer[j], outer[(j + 1) % nb]))
-            j += 1
-    return tris
+    ahead = np.concatenate([inner_angles[1:], [inner_angles[0] + 2.0 * math.pi],
+                            outer_angles[1:], [outer_angles[0] + 2.0 * math.pi]])
+    take_inner = np.argsort(ahead, kind="stable") < na
+    i = np.cumsum(take_inner) - take_inner  # inner steps before this one
+    j = np.arange(na + nb) - i
+    third = np.where(take_inner, inner[(i + 1) % na], outer[(j + 1) % nb])
+    return np.stack([inner[i % na], outer[j % nb], third], axis=1)
 
 
 def _check_ceiling(vertices, target_h):
@@ -616,23 +615,42 @@ def _disk_points(radius, target_h, n_boundary=None):
 
 def _disk_build(radius, m, n_boundary=None):
     n_out = n_boundary if n_boundary is not None else 6 * m
-    verts = [(0.0, 0.0)]
-    rings = []  # (indices, angles)
-    for j in range(1, m + 1):
-        r = radius * j / m
-        nj = max(3, int(round(n_out * j / m)))
-        ang = 2.0 * math.pi * np.arange(nj) / nj
-        idx = np.arange(len(verts), len(verts) + nj)
-        verts.extend(zip(r * np.cos(ang), r * np.sin(ang)))
-        rings.append((idx, ang))
-    tris = []
-    first_idx, _ = rings[0]
-    n1 = len(first_idx)
-    for i in range(n1):
-        tris.append((0, first_idx[i], first_idx[(i + 1) % n1]))
-    for j in range(len(rings) - 1):
-        tris.extend(_zip_rings(rings[j][0], rings[j][1], rings[j + 1][0], rings[j + 1][1]))
-    return np.asarray(verts, dtype=float), np.array(tris, dtype=np.int64)
+    sizes = np.array([max(3, int(round(n_out * j / m))) for j in range(1, m + 1)])
+    ring = np.repeat(np.arange(m), sizes)  # of every vertex but the centre
+    first = 1 + np.cumsum(sizes) - sizes   # the id of each ring's first vertex
+    ids = np.arange(1, 1 + len(ring))
+    ang = 2.0 * math.pi * (ids - first[ring]) / sizes[ring]
+    r = radius * (ring + 1) / m
+    verts = np.concatenate([[(0.0, 0.0)],
+                            np.stack([r * np.cos(ang), r * np.sin(ang)], axis=1)])
+    _check_rings_nest(verts, sizes, first, ring)
+    rings = np.split(ids, first[1:] - 1)
+    angles = np.split(ang, first[1:] - 1)
+    tris = [np.stack([np.zeros_like(rings[0]), rings[0], np.roll(rings[0], -1)], axis=1)]
+    tris.extend(_zip_rings(rings[j], angles[j], rings[j + 1], angles[j + 1])
+                for j in range(m - 1))
+    return verts, np.concatenate(tris)
+
+
+def _check_rings_nest(verts, sizes, first, ring):
+    """Refuse rings that do not nest: a vertex of one ring on or past a chord
+    of the next folds the band between them.  Vertex i of a ring of n lies in
+    the angular span of the next ring's chord floor(i n' / n), n' the next
+    ring's size."""
+    inner = ring < len(sizes) - 1
+    j = ring[inner]
+    n, n_next, nxt = sizes[j], sizes[j + 1], first[j + 1]
+    k = (np.nonzero(inner)[0] + 1 - first[j]) * n_next // n
+    p, a, b = verts[1:][inner], verts[nxt + k], verts[nxt + (k + 1) % n_next]
+    cross = ((b[:, 0] - a[:, 0]) * (p[:, 1] - a[:, 1])
+             - (b[:, 1] - a[:, 1]) * (p[:, 0] - a[:, 0]))
+    bad = np.nonzero(cross <= 0.0)[0]
+    if len(bad):
+        j = int(j[bad[0]])
+        raise DegenerateGeometryError(
+            f"{len(sizes)} rings under a rim of {sizes[-1]} do not nest: ring "
+            f"{j + 1} ({sizes[j]} vertices) reaches past a chord of ring {j + 2} "
+            f"({sizes[j + 1]} vertices); take a larger target_h or n_boundary")
 
 
 def _square_points(side, target_h):
@@ -641,18 +659,12 @@ def _square_points(side, target_h):
     axis = np.linspace(0.0, side, k + 1)
     xx, yy = np.meshgrid(axis, axis, indexing="xy")
     verts = np.stack([xx.ravel(), yy.ravel()], axis=1)
-
-    def vid(i, j):
-        return j * (k + 1) + i
-
-    tris = []
-    for j in range(k):
-        for i in range(k):
-            v00, v10 = vid(i, j), vid(i + 1, j)
-            v01, v11 = vid(i, j + 1), vid(i + 1, j + 1)
-            tris.append((v00, v10, v11))
-            tris.append((v00, v11, v01))
-    return verts, np.array(tris, dtype=np.int64)
+    # cell (i, j) row by row, corner (i, j) at j (k + 1) + i: the triangles
+    # (00, 10, 11) and (00, 11, 01)
+    v00 = (np.arange(k)[:, None] * (k + 1) + np.arange(k)).ravel()
+    tris = np.stack([v00, v00 + 1, v00 + k + 2, v00, v00 + k + 2, v00 + k + 1],
+                    axis=1).reshape(-1, 3)
+    return verts, tris
 
 
 def _annulus_sector_points(r_inner, r_outer, angle0, angle1, target_h):
@@ -813,7 +825,9 @@ def generate_domain(kind: str, target_h: float, geometry: str = "flat",
     Supported kinds and their parameters:
 
     * ``disk``: ``radius`` (and optionally ``n_boundary`` to pin the exact
-      number of boundary segments, overriding target_h along the rim)
+      number of boundary segments, overriding target_h along the rim; a rim
+      too coarse for the rings target_h asks for, whose rings would not
+      nest, is refused)
     * ``square``: ``side``
     * ``polygon``: ``points`` (sequence of (x, y), any orientation)
     * ``spherical_cap``: ``theta`` (geodesic cap angle; geometry is forced to

@@ -135,16 +135,29 @@ def solve_symmetrized_poisson(ball: GeodesicBall, beta: float,
 
     lo, hi = edges[:-1], edges[1:]
     half = 0.5 * (hi - lo)
-    s = np.multiply.outer(half, _GL4[0]) + (0.5 * (lo + hi))[:, None]
-    slope = cumulative(volume_profile(space, s)) / volume_profile_derivative(space, s)
-    cells = np.bincount(np.searchsorted(grid, lo, side="right") - 1,
-                        weights=(slope @ _GL4[1]) * half, minlength=_GRID_CELLS)
-    tail = np.concatenate([np.cumsum(cells[::-1])[::-1], [0.0]])
-    boundary = float(cumulative(volume)) / (beta * volume_profile_derivative(space, R))
+    mid = 0.5 * (lo + hi)
+    # one Gauss node at a time, with cum(V) stored before A is evaluated:
+    # the temporaries of the volume profile are a column long, not four
+    slope = np.empty((len(lo), len(_GL4[0])))
+    for k, node in enumerate(_GL4[0]):
+        s = half * node + mid
+        slope[:, k] = cumulative(volume_profile(space, s))
+        slope[:, k] /= volume_profile_derivative(space, s)
+    weights = slope @ _GL4[1]
+    del slope
+    weights *= half
+    values = np.zeros(_GRID_CELLS + 1)
+    values[:-1] = np.bincount(np.searchsorted(grid, lo, side="right") - 1,
+                              weights=weights, minlength=_GRID_CELLS)
+    # v at each grid radius is the boundary value plus the sum of the cells
+    # outside it
+    tail = values[-2::-1]
+    np.cumsum(tail, out=tail)
+    values += float(cumulative(volume)) / (beta * volume_profile_derivative(space, R))
     r = grid[1:]
-    at_grid = cumulative(volume_profile(space, r)) / volume_profile_derivative(space, r)
-    return RadialProfile(ball=ball, grid=grid, values=boundary + tail,
-                         slope=np.concatenate([[0.0], at_grid]))
+    at_grid = np.zeros(_GRID_CELLS + 1)
+    at_grid[1:] = cumulative(volume_profile(space, r)) / volume_profile_derivative(space, r)
+    return RadialProfile(ball=ball, grid=grid, values=values, slope=at_grid)
 
 
 # ---------------------------------------------------------------------------

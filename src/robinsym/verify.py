@@ -11,7 +11,8 @@ pass.
 
 Every check that compares u with its twin reads one :class:`SolveRecord`,
 built once per problem by :func:`solve_record`: u, its distribution, the
-decreasing rearrangement of the source, the matched ball and the twin v.
+decreasing rearrangement of the source, the matched ball, the twin v and,
+for the eigenvalue check, the ball's first Robin eigenvalue.
 The record checks on construction that u lives on the problem's mesh and
 that the ball matches the mesh measure, so no check repeats either guard.
 The twin is read on its own grid, from its values and its exact slope.
@@ -30,6 +31,7 @@ import csv
 import json
 import logging
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -233,7 +235,8 @@ class SolveRecord:
     """One Robin problem solved once, with everything the checks read: the
     solution u and its distribution, the decreasing rearrangement f* of the
     source (None for the unit source), the radial twin v on the matched ball
-    with v's exact slope, and the first eigenpair when one was asked for.
+    with v's exact slope, and, when one was asked for, the first eigenpair
+    with the first Robin eigenvalue of the matched ball.
 
     The record checks itself on construction: u must live on the problem's
     mesh and the twin's ball must hold the mesh measure."""
@@ -245,10 +248,14 @@ class SolveRecord:
     v: RadialProfile
     # (lambda, ground state); lambda is nan when the ground state changed sign
     eigen: tuple | None = None
+    # the first Robin eigenvalue of the matched ball, set with ``eigen``
+    ball_eigenvalue: float | None = None
 
     def __post_init__(self):
         if self.problem.mesh is not self.u.mesh:
             raise ValueError("problem and field live on different meshes")
+        if (self.eigen is None) != (self.ball_eigenvalue is None):
+            raise ValueError("the eigenpair and the ball eigenvalue come together")
         lhs = self.u.mesh.total_measure()
         rhs = volume_profile(self.ball.space, self.ball.radius)
         if abs(lhs - rhs) > 1e-6 * max(abs(rhs), 1e-300):
@@ -262,13 +269,19 @@ class SolveRecord:
 
 
 def solve_record(problem: RobinProblem, space: ModelSpace, eigen: bool = False,
-                 system: fem.AssembledSystem | None = None) -> SolveRecord:
+                 system: fem.AssembledSystem | None = None,
+                 built: Iterable[SolveRecord] = ()) -> SolveRecord:
     """Factor the problem once: the Poisson solve and, with ``eigen``, the
     inverse iteration share the factor, freed before the rest is built.
     ``system`` is the problem's assembly, which serves every beta on its mesh
     and source; it defaults to a fresh one.  The twin takes the decreasing
     rearrangement of the problem's source, whose Schwarz rearrangement is its
-    source."""
+    source.
+
+    ``built`` holds records already solved in the same run.  A unit-source
+    problem whose matched ball (space and radius, bit for bit) and beta equal
+    those of a unit-source record there takes that record's twin and ball
+    eigenvalue instead of solving them again: both depend on nothing else."""
     mesh, beta = problem.mesh, problem.beta
     if system is None:
         system = fem.assemble(problem)
@@ -282,11 +295,22 @@ def solve_record(problem: RobinProblem, space: ModelSpace, eigen: bool = False,
             pair = (math.nan, None)
     del system, lu  # the factor is the largest allocation; it sets the peak memory
     ball = GeodesicBall(space, radius_for_volume(space, mesh.total_measure()))
-    fstar = None if problem.source is None else decreasing_rearrangement(
-        distribution_function(problem.source))
-    v = solve_symmetrized_poisson(ball, beta, fstar)
+    if problem.source is None:
+        fstar = None
+        twin = next((rec for rec in built
+                     if rec.fstar is None and rec.ball == ball
+                     and rec.problem.beta == beta
+                     and (rec.ball_eigenvalue is not None or not eigen)), None)
+    else:
+        fstar = decreasing_rearrangement(distribution_function(problem.source))
+        twin = None
+    if twin is None:
+        v = solve_symmetrized_poisson(ball, beta, fstar)
+        lam = solve_radial_eigen(ball, beta)[0] if eigen else None
+    else:
+        v, lam = twin.v, twin.ball_eigenvalue if eigen else None
     return SolveRecord(problem=problem, u=u, dist=distribution_function(u),
-                       fstar=fstar, v=v, eigen=pair)
+                       fstar=fstar, v=v, eigen=pair, ball_eigenvalue=lam)
 
 
 def _refined_record(rec: SolveRecord, eigen: bool = False) -> SolveRecord:
@@ -648,8 +672,7 @@ def check_saint_venant(rec: SolveRecord) -> ComparisonReport:
 
 
 def _bossel_daners_once(rec: SolveRecord, retried: bool) -> ComparisonReport:
-    lhs = rec.eigen[0]
-    rhs, _ = solve_radial_eigen(rec.ball, rec.problem.beta)
+    lhs, rhs = rec.eigen[0], rec.ball_eigenvalue
     h = rec.u.mesh.mesh_size()
     return ComparisonReport(
         check_id="bossel_daners",

@@ -1,0 +1,68 @@
+"""Test-side loop versions of the structured mesh generators, the reference
+the vectorized builders in ``robinsym.mesh`` must match array for array."""
+
+import math
+
+import numpy as np
+
+
+def zip_rings_loop(inner, inner_angles, outer, outer_angles):
+    """Triangulate the band between two CCW closed rings by angle merge, one
+    step at a time."""
+    na, nb = len(inner), len(outer)
+    ia = np.append(inner_angles, inner_angles[0] + 2.0 * math.pi)
+    oa = np.append(outer_angles, outer_angles[0] + 2.0 * math.pi)
+    tris = []
+    i = j = 0
+    while i < na or j < nb:
+        take_inner = j >= nb or (i < na and ia[i + 1] <= oa[j + 1])
+        if take_inner:
+            tris.append((inner[i], outer[j % nb], inner[(i + 1) % na]))
+            i += 1
+        else:
+            tris.append((inner[i % na], outer[j], outer[(j + 1) % nb]))
+            j += 1
+    return tris
+
+
+def disk_build_loop(radius, m, n_boundary=None):
+    """The centre, m rings of at least 3 vertices, the fan and the zips."""
+    n_out = n_boundary if n_boundary is not None else 6 * m
+    verts = [(0.0, 0.0)]
+    rings = []  # (indices, angles)
+    for j in range(1, m + 1):
+        r = radius * j / m
+        nj = max(3, int(round(n_out * j / m)))
+        ang = 2.0 * math.pi * np.arange(nj) / nj
+        idx = np.arange(len(verts), len(verts) + nj)
+        verts.extend(zip(r * np.cos(ang), r * np.sin(ang)))
+        rings.append((idx, ang))
+    tris = []
+    first_idx, _ = rings[0]
+    n1 = len(first_idx)
+    for i in range(n1):
+        tris.append((0, first_idx[i], first_idx[(i + 1) % n1]))
+    for j in range(len(rings) - 1):
+        tris.extend(zip_rings_loop(rings[j][0], rings[j][1],
+                                   rings[j + 1][0], rings[j + 1][1]))
+    return np.asarray(verts, dtype=float), np.array(tris, dtype=np.int64)
+
+
+def square_build_loop(side, k):
+    """The (k + 1)^2 grid of the unit square scaled to ``side``, two
+    triangles per cell, row by row."""
+    axis = np.linspace(0.0, side, k + 1)
+    xx, yy = np.meshgrid(axis, axis, indexing="xy")
+    verts = np.stack([xx.ravel(), yy.ravel()], axis=1)
+
+    def vid(i, j):
+        return j * (k + 1) + i
+
+    tris = []
+    for j in range(k):
+        for i in range(k):
+            v00, v10 = vid(i, j), vid(i + 1, j)
+            v01, v11 = vid(i, j + 1), vid(i + 1, j + 1)
+            tris.append((v00, v10, v11))
+            tris.append((v00, v11, v01))
+    return verts, np.array(tris, dtype=np.int64)

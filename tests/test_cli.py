@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import io
 import json
 import math
 
@@ -223,6 +224,16 @@ def test_malformed_config_exits_two(tmp_path, capsys, overrides):
     assert capsys.readouterr().err.startswith("config: ")
 
 
+def test_oversized_json_integer_exits_two(tmp_path, capsys):
+    # json refuses integers past 4,300 digits with a plain ValueError
+    path = _write_config(tmp_path)
+    text = (tmp_path / "cfg.json").read_text()
+    (tmp_path / "cfg.json").write_text(
+        text.replace('"refine_levels": 0', '"refine_levels": 1' + "0" * 5000))
+    assert cli.main(["run", path]) == 2
+    assert capsys.readouterr().err.startswith("config: config is not valid JSON")
+
+
 def test_refine_levels_are_counted_before_refining():
     base = msh.generate_domain("square", target_h=0.04, side=1.0)
     assert len(base.vertices) == 1_369
@@ -335,6 +346,39 @@ def test_run_solves_each_level_and_beta_once(tmp_path, capsys, monkeypatch):
             if f.is_file() and f.name != "config_resolved.json"))
     capsys.readouterr()
     assert outputs[0] == outputs[1]
+
+
+_FIXED_CONFIG = dict(beta=[0.1, 1.0, 10.0], h=0.05, refine_levels=2,
+                     checks=_ALL_CHECKS)
+
+
+@pytest.mark.parametrize("overrides, per_level", [
+    # the square keeps its measure under refine: one ball for every level
+    (_FIXED_CONFIG, False),
+    # a cap's measure grows under refine: one ball per level
+    (dict(space={"kappa": 1, "n": 2}, domain={"kind": "spherical_cap", "theta": 1.0},
+          h=0.15, refine_levels=1, checks=[{"id": "bossel-daners"},
+                                           {"id": "saint-venant"}]), True),
+])
+def test_run_builds_each_radial_side_once(tmp_path, capsys, monkeypatch,
+                                          overrides, per_level):
+    built = {"twin": [], "eigen": []}
+
+    def counting(key, fn):
+        def wrapped(ball, beta, *args):
+            built[key].append((ball.radius, beta))
+            return fn(ball, beta, *args)
+        return wrapped
+
+    monkeypatch.setattr(verify, "solve_symmetrized_poisson", counting(
+        "twin", radial.solve_symmetrized_poisson))
+    monkeypatch.setattr(verify, "solve_radial_eigen", counting(
+        "eigen", radial.solve_radial_eigen))
+    config = cli.load_config(_write_config(tmp_path, **overrides))
+    assert cli.run(config, stream=io.StringIO()) == 0
+    levels = config.refine_levels + 1 if per_level else 1
+    for calls in built.values():
+        assert len(calls) == len(set(calls)) == levels * len(config.beta)
 
 
 def test_run_singular_factorization_exits_three(tmp_path, capsys, monkeypatch):
@@ -536,3 +580,13 @@ def test_auto_thresholds_stable_under_roundoff(kind, extra):
     assert len(ts) == len(ref) == 20
     np.testing.assert_allclose(ts, ref, rtol=1e-12, atol=0.0)
     assert flags[0] == flags[1]
+
+
+def test_plot_rows_are_the_float_reprs(tmp_path):
+    values = np.array([0.1, 1.0 / 3.0, -0.0, 5e-324, 1e300])
+    columns = (values, values[::-1], np.arange(5.0))
+    path = tmp_path / "plot.csv"
+    cli._write_plot(path, ("a", "b", "c"), columns)
+    expected = "a,b,c\n" + "".join(
+        ",".join(repr(float(col[i])) for col in columns) + "\n" for i in range(5))
+    assert path.read_bytes() == expected.encode()

@@ -26,7 +26,14 @@ from robinsym.mesh import (
     warped_profile,
 )
 
+from mesh_oracles import disk_build_loop, square_build_loop
+
 L_SHAPE = [(0.0, 0.0), (2.0, 0.0), (2.0, 1.0), (1.0, 1.0), (1.0, 2.0), (0.0, 2.0)]
+
+
+def boundary_of(verts, tris):
+    return mesh_module._extract_boundary(mesh_module._edge_table(tris, len(verts)),
+                                         len(verts))
 
 
 def shoelace_of_boundary(mesh):
@@ -72,6 +79,53 @@ def test_disk_refinement_order():
 def test_disk_boundary_segment_override():
     m = generate_domain("disk", target_h=0.3, radius=1.0, n_boundary=12)
     assert len(m.boundary_edges) == 12
+    assert len(m.vertices) == 38
+
+
+def test_pinned_rims_refuse_rings_that_do_not_nest():
+    # at h = 0.1 the fourth ring (3 vertices) reaches past a chord of the
+    # fifth (4 vertices), which folded a triangle of the band
+    for h in (0.1, 0.05):
+        with pytest.raises(DegenerateGeometryError, match="do not nest"):
+            generate_domain("disk", target_h=h, radius=1.0, n_boundary=12)
+
+
+@pytest.mark.parametrize("radius", [1.0, 0.3])
+def test_ring_nesting_refuses_exactly_the_folded_disks(radius):
+    # the loop build of every (ring count, rim) pair here validates unless
+    # the vectorized build refuses it
+    for m in range(1, 13):
+        for n_boundary in [None] + list(range(3, 25)):
+            verts, tris = disk_build_loop(radius, m, n_boundary)
+            try:
+                mesh_module._disk_build(radius, m, n_boundary)
+            except DegenerateGeometryError:
+                with pytest.raises(MeshInvariantError, match="orientation"):
+                    MeasuredMesh(verts, tris, boundary_of(verts, tris))
+            else:
+                MeasuredMesh(verts, tris, boundary_of(verts, tris))
+
+
+@pytest.mark.parametrize("radius, m, n_boundary", [
+    (1.0, 1, None), (1.0, 5, 12), (1.0, 15, None), (0.5463024898437905, 23, None),
+    (2.7, 40, None), (0.3, 7, 45), (1.0, 4, 3), (1.0, 150, None),
+])
+def test_disk_build_matches_the_loop_oracle(radius, m, n_boundary):
+    verts, tris = mesh_module._disk_build(radius, m, n_boundary)
+    ref_verts, ref_tris = disk_build_loop(radius, m, n_boundary)
+    assert verts.dtype == ref_verts.dtype and tris.dtype == ref_tris.dtype
+    assert np.array_equal(verts, ref_verts) and verts.tobytes() == ref_verts.tobytes()
+    assert np.array_equal(tris, ref_tris)
+
+
+@pytest.mark.parametrize("side, target_h", [(1.0, 2.0), (1.0, 0.3), (1.0, 0.05),
+                                            (2.5, 0.04), (0.3, 0.01)])
+def test_square_points_match_the_loop_oracle(side, target_h):
+    verts, tris = mesh_module._square_points(side, target_h)
+    k = max(1, math.ceil(side * math.sqrt(2.0) / target_h))
+    ref_verts, ref_tris = square_build_loop(side, k)
+    assert verts.tobytes() == ref_verts.tobytes()
+    assert tris.dtype == ref_tris.dtype and np.array_equal(tris, ref_tris)
 
 
 def test_total_measure_matches_boundary_shoelace():

@@ -1,6 +1,7 @@
 """Radial solver tests: closed forms, ODE residuals, Bessel-root oracles."""
 
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -466,3 +467,20 @@ def test_radial_profile_validation():
     with pytest.raises(ValueError):
         RadialProfile(ball=ball, grid=good_grid, values=np.zeros(65),
                       slope=np.full(65, np.inf))
+
+
+@pytest.mark.parametrize("space", [FLAT2, SPHERE2], ids=["flat-disk", "s2-cap"])
+def test_twin_peak_memory_is_a_few_columns(space):
+    # the Gauss rule runs one node at a time into one (cells, 4) array; the
+    # four nodes at once peaked at 4.5 MiB (flat) and 5.5 MiB (S^2), the
+    # node-by-node rule at 2.5 and 2.75 MiB, for a 0.75 MiB profile
+    ball = GeodesicBall(space=space, radius=1.0)
+    solve_symmetrized_poisson(ball, 1.0)
+    tracemalloc.start()
+    try:
+        v = solve_symmetrized_poisson(ball, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert v.boundary_value == pytest.approx(0.5 if space.kappa == 0 else math.tan(0.5))
+    assert peak <= 3.0 * 2**20

@@ -487,6 +487,40 @@ def test_rigidity_retries_solve_on_the_refined_mesh():
         verify.check_bossel_daners(_record(sq, FLAT, 1.0))
 
 
+def test_solve_record_shares_the_radial_side_of_an_equal_ball():
+    sq = _square(0.2)
+    fine = _record(msh.refine(sq), FLAT, 1.0, eigen=True)
+    fresh = _record(sq, FLAT, 1.0, eigen=True)
+    assert fresh.ball == fine.ball  # refine keeps the square's measure
+    shared = verify.solve_record(fem.RobinProblem(mesh=sq, beta=1.0), FLAT,
+                                 eigen=True, built=[fine])
+    assert shared.v is fine.v and shared.ball_eigenvalue == fine.ball_eigenvalue
+    assert np.array_equal(shared.v.values, fresh.v.values)
+    assert np.array_equal(shared.v.slope, fresh.v.slope)
+    assert shared.ball_eigenvalue == fresh.ball_eigenvalue
+    assert np.array_equal(shared.u.values, fresh.u.values)
+    # a record without the ball eigenvalue lends its twin only to one that
+    # needs none
+    plain = verify.solve_record(fem.RobinProblem(mesh=sq, beta=1.0), FLAT,
+                                built=[fine])
+    assert plain.v is fine.v and plain.ball_eigenvalue is None
+    again = verify.solve_record(fem.RobinProblem(mesh=sq, beta=1.0), FLAT,
+                                eigen=True, built=[plain])
+    assert again.v is not plain.v and again.ball_eigenvalue == fresh.ball_eigenvalue
+    # another beta, another space or a source: solved afresh
+    source = msh.ScalarField(mesh=sq, values=np.ones(len(sq.vertices)))
+    for problem, space in ((fem.RobinProblem(mesh=sq, beta=2.0), FLAT),
+                           (fem.RobinProblem(mesh=sq, beta=1.0), mg.ModelSpace(0, 3)),
+                           (fem.RobinProblem(mesh=sq, beta=1.0, source=source), FLAT)):
+        rec = verify.solve_record(problem, space, eigen=True, built=[fine])
+        assert rec.v is not fine.v
+    # the eigenpair and the ball eigenvalue come together
+    with pytest.raises(ValueError):
+        dataclasses.replace(fine, ball_eigenvalue=None)
+    with pytest.raises(ValueError):
+        dataclasses.replace(plain, ball_eigenvalue=1.0)
+
+
 def test_eigen_record_builds_one_robin_matrix(monkeypatch):
     built = []
     robin_matrix = fem.AssembledSystem.robin_matrix
