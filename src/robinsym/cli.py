@@ -24,10 +24,9 @@ import numpy as np
 
 from . import fem, radial, verify
 from .fem import RobinProblem
-from .mesh import (MAX_VERTICES, DegenerateGeometryError, MeasuredMesh,
-                   MeshFormatError, MeshInvariantError, ScalarField,
-                   generate_domain, load_mesh, refine, save_mesh,
-                   warped_profile)
+from .mesh import (MAX_VERTICES, MeasuredMesh, MeshFormatError,
+                   MeshInvariantError, ScalarField, generate_domain, load_mesh,
+                   refine, save_mesh, warped_profile)
 from .model_geometry import ModelSpace
 from .rearrange import (LorentzDivergenceError, SphereOverflowError,
                         schwarz_rearrangement)
@@ -446,8 +445,15 @@ _SOLVER_ERRORS = (
 )
 
 
-def _build_domain(config: ExperimentConfig) -> MeasuredMesh:
-    domain = dict(config.domain)
+def _build_domain(domain: dict, h: float) -> MeasuredMesh:
+    """The mesh of a domain document, shaped like a config's ``"domain"``:
+    ``{"mesh": path}`` loads a saved mesh; otherwise ``"kind"`` names a
+    generator, which takes the document's other fields as its parameters,
+    ``h`` as its target_h, ``"geometry"`` (default ``"flat"``) and a
+    ``"warp"`` of ``{"profile": name, "c": value}``.  A polygon's
+    ``"points"`` are pairs of numbers or of number strings.  A document the
+    generator or the loader refuses is a ConfigError."""
+    domain = dict(domain)
     try:
         if "mesh" in domain:
             return load_mesh(domain["mesh"])
@@ -461,11 +467,11 @@ def _build_domain(config: ExperimentConfig) -> MeasuredMesh:
             warp = warped_profile(warp_doc["profile"], float(warp_doc["c"]))
         if kind == "polygon" and "points" in domain:
             domain["points"] = [tuple(map(float, pt)) for pt in domain["points"]]
-        return generate_domain(kind, target_h=config.h, geometry=geometry,
+        return generate_domain(kind, target_h=h, geometry=geometry,
                                warp=warp, **domain)
     except KeyError as exc:
         raise ConfigError(f"domain: missing field {exc}") from exc
-    except (ValueError, TypeError, OverflowError) as exc:
+    except (ValueError, TypeError, OverflowError, OSError) as exc:
         raise ConfigError(f"domain: {exc}") from exc
 
 
@@ -526,8 +532,20 @@ class _Cell:
 @dataclasses.dataclass
 class _LevelState:
     mesh: MeasuredMesh
-    source: ScalarField | None
+    problems: dict              # beta -> RobinProblem
     solves: dict                # beta -> verify.SolveRecord
+
+
+def _level_state(config, mesh) -> _LevelState:
+    """A level's problems, one per beta; a source the comparison does not
+    take (negative somewhere, or zero everywhere) is a ConfigError."""
+    source = _source_field(config, mesh)
+    try:
+        problems = {beta: RobinProblem(mesh=mesh, beta=beta, source=source)
+                    for beta in config.beta}
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    return _LevelState(mesh=mesh, problems=problems, solves={})
 
 
 def _run_cell(cell: _Cell, state: _LevelState, space) -> list:
@@ -602,15 +620,11 @@ def run(config: ExperimentConfig, jobs: int = 1, stream=None) -> int:
         json.dump(config.resolved, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
-    base = _build_domain(config)
+    base = _build_domain(config.domain, config.h)
     _check_refined_size(base, config.refine_levels)
-    states = [_LevelState(mesh=base, source=_source_field(config, base),
-                          solves={})]
+    states = [_level_state(config, base)]
     for _ in range(config.refine_levels):
-        finer = refine(states[-1].mesh)
-        states.append(_LevelState(mesh=finer,
-                                  source=_source_field(config, finer),
-                                  solves={}))
+        states.append(_level_state(config, refine(states[-1].mesh)))
 
     cells = [_Cell(beta=beta, level=level, request=request)
              for beta in config.beta for level in range(len(states))
@@ -627,9 +641,7 @@ def run(config: ExperimentConfig, jobs: int = 1, stream=None) -> int:
         eigen = any(c.check_id == "bossel-daners" for c in config.checks)
         for state in reversed(states):
             system = None
-            for beta in config.beta:
-                problem = RobinProblem(mesh=state.mesh, beta=beta,
-                                       source=state.source)
+            for beta, problem in state.problems.items():
                 try:
                     if system is None:
                         system = fem.assemble(problem)
@@ -676,35 +688,21 @@ def run(config: ExperimentConfig, jobs: int = 1, stream=None) -> int:
 # mesh subcommands
 
 def _mesh_gen(args) -> int:
-    params = {}
+    domain = {"kind": args.kind, "geometry": args.geometry}
     for name in ("radius", "side", "theta", "r_inner", "r_outer",
-                 "angle0", "angle1"):
-        value = getattr(args, name)
-        if value is not None:
-            params[name] = value
-    if args.n_boundary is not None:
-        params["n_boundary"] = args.n_boundary
+                 "angle0", "angle1", "n_boundary"):
+        if getattr(args, name) is not None:
+            domain[name] = getattr(args, name)
     if args.points is not None:
-        try:
-            params["points"] = [
-                tuple(float(c) for c in chunk.split(","))
-                for chunk in args.points.replace(";", " ").split()
-            ]
-        except ValueError:
-            print("mesh gen: --points expects 'x0,y0 x1,y1 ...'",
-                  file=sys.stderr)
-            return 2
-    warp = None
+        domain["points"] = [chunk.split(",")
+                            for chunk in args.points.replace(";", " ").split()]
     if args.warp_profile is not None:
-        if args.warp_c is None:
-            print("mesh gen: --warp-profile needs --warp-c", file=sys.stderr)
-            return 2
-        warp = warped_profile(args.warp_profile, args.warp_c)
+        domain["warp"] = {"profile": args.warp_profile}
+        if args.warp_c is not None:
+            domain["warp"]["c"] = args.warp_c
     try:
-        mesh = generate_domain(args.kind, target_h=args.h,
-                               geometry=args.geometry, warp=warp, **params)
-    except (DegenerateGeometryError, MeshFormatError, MeshInvariantError,
-            TypeError, KeyError) as exc:
+        mesh = _build_domain(domain, args.h)
+    except ConfigError as exc:
         print(f"mesh gen: {exc}", file=sys.stderr)
         return 2
     save_mesh(mesh, args.out)

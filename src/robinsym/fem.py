@@ -42,9 +42,13 @@ from .mesh import (
     ScalarField,
     edge_midpoints,
     load_mesh,
+    read_json_object,
 )
 
 _EIGEN_MAX_ITERS = 400
+
+# the 2-point Gauss nodes on [0, 1]
+_GAUSS2 = (0.5 - 0.5 / math.sqrt(3.0), 0.5 + 0.5 / math.sqrt(3.0))
 
 # SuperLU's panel: the columns one update sweeps together, whose dense
 # workspace takes rows x panel size.  Wide panels pay off for the wide
@@ -181,11 +185,10 @@ def assemble(problem: RobinProblem) -> AssembledSystem:
     edges = mesh.boundary_edges
     lengths = mesh.boundary_chart_lengths()
     sigma = mesh.boundary_density
-    t_nodes = (0.5 - 0.5 / math.sqrt(3.0), 0.5 + 0.5 / math.sqrt(3.0))
     b00 = np.zeros(len(edges))
     b01 = np.zeros(len(edges))
     b11 = np.zeros(len(edges))
-    for t in t_nodes:
+    for t in _GAUSS2:
         st = sigma[:, 0] * (1.0 - t) + sigma[:, 1] * t
         b00 += 0.5 * (1.0 - t) ** 2 * st
         b01 += 0.5 * (1.0 - t) * t * st
@@ -286,17 +289,18 @@ def save_field(field: ScalarField, path: str, mesh_ref: str):
 
 def load_field(path: str) -> ScalarField:
     """Read a field written by :func:`save_field`; mesh_ref resolves
-    relative to the field file's directory."""
+    relative to the field file's directory.  The file is read by
+    :func:`~robinsym.mesh.read_json_object`, and a file that cannot be
+    opened is a MeshFormatError too."""
+
+    def parse(obj):
+        ref = obj["mesh_ref"]
+        if not os.path.isabs(ref):
+            ref = os.path.join(os.path.dirname(os.path.abspath(path)), ref)
+        return ref, np.asarray(obj["values"], dtype=float)
+
     try:
-        with open(path) as fh:
-            obj = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+        ref, values = read_json_object(path, parse)
+    except OSError as exc:
         raise MeshFormatError(f"unreadable field file {path}: {exc}") from exc
-    if not isinstance(obj, dict) or "mesh_ref" not in obj or "values" not in obj:
-        raise MeshFormatError("field file needs 'mesh_ref' and 'values'")
-    ref = obj["mesh_ref"]
-    if not os.path.isabs(ref):
-        ref = os.path.join(os.path.dirname(os.path.abspath(path)), ref)
-    mesh = load_mesh(ref)
-    values = np.asarray(obj["values"], dtype=float)
-    return ScalarField(mesh=mesh, values=values)
+    return ScalarField(mesh=load_mesh(ref), values=values)

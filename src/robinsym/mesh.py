@@ -91,12 +91,6 @@ class WarpedSurfaceSpec:
             return self.c * r
         return self.c * r - (1.0 - self.c) * np.expm1(-r)
 
-    def dpsi(self, r):
-        r = np.asarray(r, dtype=float)
-        if self.name == "cone":
-            return np.full_like(r, self.c)
-        return self.c + (1.0 - self.c) * np.exp(-r)
-
     def d2psi(self, r):
         r = np.asarray(r, dtype=float)
         if self.name == "cone":
@@ -121,13 +115,6 @@ class WarpedSurfaceSpec:
 
     def to_json(self):
         return {"name": self.name, "c": self.c}
-
-    @staticmethod
-    def from_json(obj):
-        try:
-            return WarpedSurfaceSpec(name=obj["name"], c=float(obj["c"]))
-        except (KeyError, TypeError) as exc:
-            raise MeshFormatError(f"bad warp spec {obj!r}") from exc
 
 
 def warped_profile(name: str, c: float) -> WarpedSurfaceSpec:
@@ -824,10 +811,10 @@ def generate_domain(kind: str, target_h: float, geometry: str = "flat",
 
     Supported kinds and their parameters:
 
-    * ``disk``: ``radius`` (and optionally ``n_boundary`` to pin the exact
-      number of boundary segments, overriding target_h along the rim; a rim
-      too coarse for the rings target_h asks for, whose rings would not
-      nest, is refused)
+    * ``disk``: ``radius`` (and optionally ``n_boundary``, an integer of at
+      least 3, to pin the exact number of boundary segments, overriding
+      target_h along the rim; a rim too coarse for the rings target_h asks
+      for, whose rings would not nest, is refused)
     * ``square``: ``side``
     * ``polygon``: ``points`` (sequence of (x, y), any orientation)
     * ``spherical_cap``: ``theta`` (geodesic cap angle; geometry is forced to
@@ -838,7 +825,7 @@ def generate_domain(kind: str, target_h: float, geometry: str = "flat",
     ``target_h`` whose mesh must have more than :data:`MAX_VERTICES`
     vertices is refused.
     """
-    if target_h <= 0.0:
+    if not target_h > 0.0:
         raise DegenerateGeometryError("target_h must be positive")
 
     if kind == "spherical_cap":
@@ -859,14 +846,18 @@ def generate_domain(kind: str, target_h: float, geometry: str = "flat",
         n_boundary = params.pop("n_boundary", None)
         if params:
             raise DegenerateGeometryError(f"unexpected parameters {sorted(params)}")
-        if radius <= 0.0:
+        if not radius > 0.0:
             raise DegenerateGeometryError("disk radius must be positive")
+        if n_boundary is not None and not (
+                isinstance(n_boundary, (int, np.integer)) and n_boundary >= 3):
+            raise DegenerateGeometryError(
+                f"n_boundary must be an integer >= 3, got {n_boundary!r}")
         verts, tris = _disk_points(radius, target_h, n_boundary)
     elif kind == "square":
         side = params.pop("side")
         if params:
             raise DegenerateGeometryError(f"unexpected parameters {sorted(params)}")
-        if side <= 0.0:
+        if not side > 0.0:
             raise DegenerateGeometryError("square side must be positive")
         verts, tris = _square_points(side, target_h)
     elif kind == "polygon":
@@ -926,29 +917,45 @@ def save_mesh(mesh: MeasuredMesh, path: str):
         json.dump(obj, fh)
 
 
-def load_mesh(path: str) -> MeasuredMesh:
-    """Read the JSON form written by :func:`save_mesh` (density optional)."""
+def read_json_object(path: str, parse):
+    """``parse(obj)`` of the JSON object held in the file at ``path``.
+
+    Content that is not a JSON object raises MeshFormatError: bad JSON,
+    bytes that are not UTF-8, an integer past the interpreter's 4,300-digit
+    limit, or any other JSON value.  So does a KeyError (a missing field),
+    ValueError, TypeError or OverflowError of ``parse``, which reads the
+    object's fields.  A MeshFormatError or MeshInvariantError of ``parse``
+    passes through, and so does the OSError of a file that cannot be opened.
+    """
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             obj = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError, the digit limit
         raise MeshFormatError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(obj, dict):
         raise MeshFormatError(f"{path}: expected a JSON object")
-    for key in ("geometry", "vertices", "triangles", "boundary_edges"):
-        if key not in obj:
-            raise MeshFormatError(f"{path}: missing field {key!r}")
-    warp = WarpedSurfaceSpec.from_json(obj["warp"]) if "warp" in obj else None
     try:
+        return parse(obj)
+    except (MeshFormatError, MeshInvariantError):
+        raise
+    except KeyError as exc:
+        raise MeshFormatError(f"{path}: missing field {exc}") from exc
+    except (ValueError, TypeError, OverflowError) as exc:
+        raise MeshFormatError(f"{path}: malformed content ({exc})") from exc
+
+
+def load_mesh(path: str) -> MeasuredMesh:
+    """Read the JSON form written by :func:`save_mesh` (density optional)."""
+
+    def parse(obj):
         return MeasuredMesh(
             np.asarray(obj["vertices"], dtype=float),
             np.asarray(obj["triangles"], dtype=np.int64),
             np.asarray(obj["boundary_edges"], dtype=np.int64),
             geometry=obj["geometry"],
-            warp=warp,
+            warp=(warped_profile(obj["warp"]["name"], float(obj["warp"]["c"]))
+                  if "warp" in obj else None),
             density=np.asarray(obj["density"], dtype=float) if "density" in obj else None,
         )
-    except (ValueError, TypeError) as exc:
-        if isinstance(exc, (MeshInvariantError, MeshFormatError)):
-            raise
-        raise MeshFormatError(f"{path}: malformed arrays ({exc})") from exc
+
+    return read_json_object(path, parse)

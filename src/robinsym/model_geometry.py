@@ -122,21 +122,6 @@ def _check_radius(space, r):
     return np.clip(r, 0.0, space.max_radius)
 
 
-def _r_minus_sin_cos_series(r):
-    # r - sin(r)cos(r) via series near 0, where the closed form cancels
-    # catastrophically.  Equals sum_k (-1)^(k+1) (2r)^(2k+1) / (2*(2k+1)!).
-    out = np.zeros_like(r)
-    term = (2.0 * r) ** 3 / 12.0
-    k = 1
-    while np.any(np.abs(term) > 1e-18 * np.abs(out) + 1e-300):
-        out = out + term
-        k += 1
-        term = term * (-1) * (2.0 * r) ** 2 / ((2 * k) * (2 * k + 1))
-        if k > 40:
-            break
-    return out
-
-
 _SERIES_TERMS = 30
 
 
@@ -194,10 +179,10 @@ def _sin_power_integral(m, r):
 def volume_profile(space: ModelSpace, r):
     """Weighted volume I(r) of the geodesic ball of radius r.
 
-    Closed forms are used for kappa=0 (all n) and kappa=1 with n in {2, 3};
-    other spherical dimensions evaluate the sine-power integral exactly by
-    recursion (series-stabilized near zero), keeping full precision so the
-    profile can be inverted to relative 1e-12.
+    Closed forms are used for kappa=0 (all n) and the 2-sphere; S^n with
+    n >= 3 evaluates the sine-power integral exactly by recursion
+    (series-stabilized near zero), keeping full precision so the profile
+    can be inverted to relative 1e-12.
     """
     scalar = np.ndim(r) == 0
     r = _check_radius(space, r)
@@ -207,13 +192,6 @@ def volume_profile(space: ModelSpace, r):
     elif n == 2:
         # 2*pi*a*(1 - cos r), written to stay accurate near r = 0
         out = 4.0 * math.pi * a * np.sin(0.5 * r) ** 2
-    elif n == 3:
-        small = r < 0.2
-        closed = r - np.sin(r) * np.cos(r)
-        # the series loop runs on the small radii alone
-        series = np.zeros_like(r)
-        series[small] = _r_minus_sin_cos_series(np.asarray(r)[small])
-        out = 2.0 * math.pi * a * np.where(small, series, closed)
     else:
         out = a * n * space.omega_n * _sin_power_integral(n - 1, r)
     return float(out) if scalar else out

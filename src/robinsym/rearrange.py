@@ -169,54 +169,34 @@ class DistributionData:
         slot[positive] = index + 1
 
         K = len(breaks)
-        dA = np.zeros(K + 2)
-        dB = np.zeros(K + 2)
-        dC = np.zeros(K + 2)
-        a, b, c = triples[:, 0], triples[:, 1], triples[:, 2]
-        sa, sb, sc = slot[:, 0], slot[:, 1], slot[:, 2]
+        a, b, c = triples.T
+        sa, sb, sc = slot.T
+        # the pieces of mu on each triangle, each A + B t + C t^2 from a
+        # start slot to an end slot: the flat piece w on [0, a) for a > 0,
+        # the rising one w * (1 - (t-a)^2/D1) on [max(a,0), b) and the
+        # falling one w * (c-t)^2/D2 on [max(b,0), c)
+        flat = a > 0.0
+        rise = b > np.maximum(a, 0.0)
+        fall = c > np.maximum(b, 0.0)
+        ar, cr, wr = a[rise], c[rise], w[rise]
+        d1 = (b[rise] - ar) * (cr - ar)
+        af, cf, wf = a[fall], c[fall], w[fall]
+        d2 = (cf - b[fall]) * (cf - af)
+        n_flat = np.count_nonzero(flat)
+        at = np.concatenate([np.ones(n_flat, dtype=np.intp), sa[flat],
+                             sa[rise], sb[rise], sb[fall], sc[fall]])
+        curved = at[2 * n_flat:]  # the flat piece has no B and C
 
-        # constant piece w on [0, a) for a > 0
-        mask = a > 0.0
-        if np.any(mask):
-            end = sa[mask]
-            np.add.at(dA, np.ones(mask.sum(), dtype=int), w[mask])
-            np.add.at(dA, end, -w[mask])
+        def running(index, coefs):
+            # each piece adds its coefficient at its start slot and takes it
+            # off at its end slot, one kind of piece after the other; the
+            # running sum is each slot's coefficient
+            terms = np.concatenate([x for coef in coefs for x in (coef, -coef)])
+            return np.cumsum(np.bincount(index, terms, minlength=K + 1))
 
-        # w * (1 - (t-a)^2/D1) on [max(a,0), b)
-        mask = b > np.maximum(a, 0.0)
-        if np.any(mask):
-            am, bm, cm, wm = a[mask], b[mask], c[mask], w[mask]
-            d1 = (bm - am) * (cm - am)
-            start, end = sa[mask], sb[mask]
-            ca = wm - wm * am**2 / d1
-            cb = 2.0 * wm * am / d1
-            cc = -wm / d1
-            np.add.at(dA, start, ca)
-            np.add.at(dA, end, -ca)
-            np.add.at(dB, start, cb)
-            np.add.at(dB, end, -cb)
-            np.add.at(dC, start, cc)
-            np.add.at(dC, end, -cc)
-
-        # w * (c-t)^2/D2 on [max(b,0), c)
-        mask = c > np.maximum(b, 0.0)
-        if np.any(mask):
-            am, bm, cm, wm = a[mask], b[mask], c[mask], w[mask]
-            d2 = (cm - bm) * (cm - am)
-            start, end = sb[mask], sc[mask]
-            ca = wm * cm**2 / d2
-            cb = -2.0 * wm * cm / d2
-            cc = wm / d2
-            np.add.at(dA, start, ca)
-            np.add.at(dA, end, -ca)
-            np.add.at(dB, start, cb)
-            np.add.at(dB, end, -cb)
-            np.add.at(dC, start, cc)
-            np.add.at(dC, end, -cc)
-
-        A = np.cumsum(dA)[: K + 1]
-        B = np.cumsum(dB)[: K + 1]
-        C = np.cumsum(dC)[: K + 1]
+        A = running(at, [w[flat], wr - wr * ar**2 / d1, wf * cf**2 / d2])
+        B = running(curved, [2.0 * wr * ar / d1, -2.0 * wf * cf / d2])
+        C = running(curved, [-wr / d1, wf / d2])
         A[0], B[0], C[0] = total, 0.0, 0.0  # mu = total below t = 0
         A[K], B[K], C[K] = 0.0, 0.0, 0.0  # and 0 at/above the max value
         return DistributionData(breaks, A, B, C, total)
@@ -317,6 +297,7 @@ class DecreasingRearrangement:
     def __init__(self, dist: DistributionData):
         self.dist = dist
         self.total = dist.total
+        self._slack = 1e-12 * max(self.total, 1.0)
         br = dist._breaks
         K = len(br)
         j = np.arange(K)
@@ -358,26 +339,25 @@ class DecreasingRearrangement:
         out = np.where(k >= K, br[-1], out)
         return out if out.ndim else float(out)
 
-    def __call__(self, s):
+    def _in_domain(self, s):
+        """``s`` as an array, refused unless it lies in [0, total] up to
+        roundoff slack."""
         s = np.asarray(s, dtype=float)
-        slack = 1e-12 * max(self.total, 1.0)
-        if np.any(s < -slack) or np.any(s > self.total + slack):
+        if np.any(s < -self._slack) or np.any(s > self.total + self._slack):
             raise RearrangeDomainError(
                 f"rearrangement argument outside [0, {self.total!r}]"
             )
-        return self._invert(np.clip(s, 0.0, self.total), strict=False)
+        return s
+
+    def __call__(self, s):
+        return self._invert(np.clip(self._in_domain(s), 0.0, self.total), strict=False)
 
     def left_limit(self, s):
         """lim_{x -> s^-} h*(x); at s = total this is the essential infimum,
         with mu(0) short of the total by roundoff only taken as the total."""
-        s = np.asarray(s, dtype=float)
-        slack = 1e-12 * max(self.total, 1.0)
-        if np.any(s < -slack) or np.any(s > self.total + slack):
-            raise RearrangeDomainError(
-                f"rearrangement argument outside [0, {self.total!r}]"
-            )
+        s = self._in_domain(s)
         top = self.total
-        if self.total - self._mu_right[0] <= slack:
+        if self.total - self._mu_right[0] <= self._slack:
             top = min(top, float(self._mu_right[0]))
         return self._invert(np.clip(s, 0.0, top), strict=True)
 
@@ -478,17 +458,12 @@ _HL_EDGES = np.array(
     [0.0, 1e-7, 1e-5, 1e-3, 1e-2, 0.1, 0.5, 0.9, 0.99, 0.999, 1.0 - 1e-5,
      1.0 - 1e-7, 1.0]
 )
-_HL_X, _HL_W = np.polynomial.legendre.leggauss(12)
 
 
 def _pair_nodes(lo, hi):
     edges = lo[:, None] + (hi - lo)[:, None] * _HL_EDGES[None, :]
-    a = edges[:, :-1].ravel()
-    b = edges[:, 1:].ravel()
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    nodes = mid[:, None] + half[:, None] * _HL_X[None, :]
-    weights = half[:, None] * _HL_W[None, :]
-    return nodes.ravel(), weights.ravel()
+    nodes, half = _gauss_nodes(edges[:, :-1].ravel(), edges[:, 1:].ravel(), 12)
+    return nodes.ravel(), np.multiply.outer(half, _gauss_rule(12)[1]).ravel()
 
 
 def hardy_littlewood_check(f1: ScalarField, f2: ScalarField):

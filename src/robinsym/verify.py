@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import fem
-from .fem import RobinProblem
+from .fem import _GAUSS2, RobinProblem
 from .mesh import MeasuredMesh, ScalarField, edge_midpoints, length_factor, refine
 from .model_geometry import (
     GeodesicBall,
@@ -60,8 +60,6 @@ from .rearrange import (
 )
 
 _LOG = logging.getLogger(__name__)
-
-_GAUSS2 = (0.5 - 0.5 / math.sqrt(3.0), 0.5 + 0.5 / math.sqrt(3.0))
 
 
 class MatchMismatchError(ValueError):

@@ -112,17 +112,44 @@ def test_mesh_gen_polygon_and_warped(tmp_path):
         0.7 * math.pi, rel=1e-2)
 
 
+def _saved_cone(tmp_path):
+    cone = msh.generate_domain("disk", target_h=0.5, radius=1.0, geometry="warped",
+                               warp=msh.warped_profile("cone", 0.5))
+    path = tmp_path / "cone.json"
+    msh.save_mesh(cone, str(path))
+    return path.read_text()
+
+
 def test_mesh_subcommand_failures(tmp_path, capsys):
-    assert cli.main(["mesh", "gen", "pentagon", "--h", "0.2",
-                     "--out", str(tmp_path / "x.json")]) == 2
-    assert cli.main(["mesh", "gen", "disk", "--h", "0.3", "--radius", "1.0",
-                     "--warp-profile", "cone",
-                     "--out", str(tmp_path / "y.json")]) == 2
-    bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
-    assert cli.main(["mesh", "validate", str(bad)]) == 2
-    assert cli.main(["mesh", "validate", str(tmp_path / "absent.json")]) == 2
-    capsys.readouterr()
+    out = ["--out", str(tmp_path / "x.json")]
+    disk = ["disk", "--h", "0.3", "--radius", "1.0", "--geometry", "warped"]
+    gen = [
+        ["pentagon", "--h", "0.2"],
+        disk + ["--warp-profile", "cone"],
+        ["polygon", "--h", "0.2", "--points", "0,0 1,0 1"],
+        ["square", "--h", "nan", "--side", "1.0"],
+        ["disk", "--h", "0.3", "--radius", "nan"],
+        disk + ["--warp-profile", "foo", "--warp-c", "0.5"],
+        disk + ["--warp-profile", "cone", "--warp-c", "2"],
+        ["disk", "--h", "0.3", "--radius", "1.0", "--n-boundary", "2"],
+    ]
+    files = {
+        "bad.json": b"{not json",
+        "digits.json": _saved_cone(tmp_path).replace(
+            '"geometry"', '"n": 1' + "0" * 5000 + ', "geometry"').encode(),
+        "bytes.json": b"\xff\xfe\x00{not utf-8",
+        "wide.json": _saved_cone(tmp_path).replace('"c": 0.5', '"c": 2').encode(),
+    }
+    for name, content in files.items():
+        (tmp_path / name).write_bytes(content)
+    cases = [(["mesh", "gen"] + argv + out, "mesh gen: ") for argv in gen]
+    cases += [(["mesh", "validate", str(tmp_path / name)], "mesh validate: ")
+              for name in list(files) + ["absent.json"]]
+    for argv, prefix in cases:
+        assert cli.main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith(prefix) and err.count("\n") == 1, (argv, err)
+    assert not (tmp_path / "x.json").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -215,13 +242,44 @@ def test_config_rejections(tmp_path):
     # meshes beyond the vertex ceiling, refused before they are built
     dict(refine_levels=10**400),
     dict(h=1e-7),
+    # the comparison needs a source that does not vanish identically
+    dict(source={"expr": "0"}),
+    dict(source={"expr": "x*0"}),
 ])
 def test_malformed_config_exits_two(tmp_path, capsys, overrides):
     # each passes load_config and fails when the run builds the domain or
     # evaluates the source
     path = _write_config(tmp_path, **overrides)
     assert cli.main(["run", path]) == 2
-    assert capsys.readouterr().err.startswith("config: ")
+    err = capsys.readouterr().err
+    assert err.startswith("config: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("values", [
+    '["a", "b", "c", "d"]',
+    "[1" + "0" * 5000 + ", 1, 1, 1]",
+    b"\xff\xfe{",
+    "[-1, -1, -1, -1]",
+    "[0, 0, 0, 0]",
+], ids=["strings", "digits", "bytes", "negative", "zero"])
+def test_malformed_field_source_exits_two(tmp_path, capsys, values):
+    # a saved field read through load_field, and the problem's own rule on
+    # its values, refuse these before any solve
+    square = msh.generate_domain("square", target_h=1.5, side=1.0)
+    assert len(square.vertices) == 4
+    msh.save_mesh(square, str(tmp_path / "sq.json"))
+    field = tmp_path / "f.json"
+    if isinstance(values, bytes):
+        field.write_bytes(values)
+    else:
+        field.write_text('{"mesh_ref": "sq.json", "values": ' + values + "}")
+    path = _write_config(tmp_path, domain={"mesh": str(tmp_path / "sq.json")},
+                         source={"field": str(field)},
+                         checks=[{"id": "min-comparison"}])
+    assert cli.main(["run", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config: ") and err.count("\n") == 1
+    assert not (tmp_path / "out" / "summary.csv").exists()
 
 
 def test_oversized_json_integer_exits_two(tmp_path, capsys):

@@ -449,3 +449,10 @@ def test_field_file_errors(tmp_path):
         fem.load_field(str(partial))
     with pytest.raises(msh.MeshFormatError):
         fem.load_field(str(tmp_path / "missing.json"))
+    # values that are not numbers, under the reader's guard
+    msh.save_mesh(_disk(0.5), str(tmp_path / "disk.json"))
+    for values in (["a"], {"v": 1.0}, [[1.0, 2.0], [3.0]], [10**400]):
+        malformed = tmp_path / "malformed.json"
+        malformed.write_text(json.dumps({"mesh_ref": "disk.json", "values": values}))
+        with pytest.raises(msh.MeshFormatError, match="malformed content"):
+            fem.load_field(str(malformed))

@@ -82,6 +82,15 @@ def test_disk_boundary_segment_override():
     assert len(m.vertices) == 38
 
 
+def test_disk_refuses_a_rim_of_fewer_than_three_segments():
+    # such a rim was built with 3 segments, against the exact count promised
+    for n_boundary in (2, 1, 0, -5, 2.5, 12.0, True):
+        with pytest.raises(DegenerateGeometryError, match="n_boundary"):
+            generate_domain("disk", target_h=0.3, radius=1.0, n_boundary=n_boundary)
+    assert len(generate_domain("disk", target_h=0.3, radius=1.0,
+                               n_boundary=np.int64(3)).boundary_edges) == 3
+
+
 def test_pinned_rims_refuse_rings_that_do_not_nest():
     # at h = 0.1 the fourth ring (3 vertices) reaches past a chord of the
     # fifth (4 vertices), which folded a triangle of the band

@@ -71,7 +71,8 @@ def test_volume_profile_frozen(kappa, n, alpha, r, expected):
 
 
 def test_volume_profile_small_radius_stable():
-    # the n=3 closed form cancels near zero; the series branch must not
+    # on S^3 the sine-power recursion, (r - sin r cos r) / 2, cancels near
+    # zero; its series branch must not
     space = ModelSpace(kappa=1, n=3, alpha=1.0)
     for r in [1e-6, 1e-4, 1e-2, 0.19]:
         assert volume_profile(space, r) == pytest.approx(oracle_volume(1, 3, 1.0, r), rel=1e-11)
