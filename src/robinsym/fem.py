@@ -229,6 +229,13 @@ def solve_robin_poisson(problem: RobinProblem, system: AssembledSystem | None = 
     return ScalarField(mesh=problem.mesh, values=u)
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """a . b in numpy's own loop.  A BLAS dot of a mesh-sized vector runs on
+    the thread pool, which can stall it and makes its sum depend on the
+    thread count."""
+    return float(np.einsum("i,i->", a, b))
+
+
 def solve_robin_eigen(mesh: MeasuredMesh, beta: float,
                       system: AssembledSystem | None = None, lu=None):
     """Smallest Robin eigenpair by inverse power iteration, zero shift.
@@ -244,15 +251,15 @@ def solve_robin_eigen(mesh: MeasuredMesh, beta: float,
     K, B, M = system.stiffness, system.boundary_mass, system.mass
 
     def energy(x):  # x.(K + beta B)x, without building K + beta B again
-        return float(x @ (K @ x)) + beta * float(x @ (B @ x))
+        return _dot(x, K @ x) + beta * _dot(x, B @ x)
 
     x = np.ones(len(system.load))
-    x /= math.sqrt(float(x @ (M @ x)))
+    x /= math.sqrt(_dot(x, M @ x))
     lam = energy(x)
     for _ in range(_EIGEN_MAX_ITERS):
         y = lu.solve(M @ x)
-        y /= math.sqrt(float(y @ (M @ y)))
-        lam_new = energy(y) / float(y @ (M @ y))
+        y /= math.sqrt(_dot(y, M @ y))
+        lam_new = energy(y) / _dot(y, M @ y)
         x = y
         if abs(lam_new - lam) <= 1e-9 * abs(lam_new):
             lam = lam_new

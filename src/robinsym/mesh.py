@@ -782,6 +782,10 @@ def _polygon_points(points, target_h):
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) < 3:
         raise DegenerateGeometryError("polygon needs at least 3 (x, y) points")
+    bad = np.nonzero(~np.isfinite(pts).all(axis=1))[0]
+    if len(bad):
+        raise DegenerateGeometryError(
+            f"polygon point {int(bad[0])} is not finite: {tuple(pts[bad[0]].tolist())}")
     _check_simple_polygon(pts)
     if _polygon_signed_area(pts) < 0:
         pts = pts[::-1].copy()

@@ -6,20 +6,22 @@ rearrangement f# of the mesh source, so by the layer-cake identity its flux
 through every sphere is the exact running integral of the decreasing
 rearrangement f*, and the twin is one fixed quadrature of that flux over
 the sphere area.  The first Robin eigenvalue of a ball is the first root of
-the Robin condition on the closed-form radial ground state (Bessel when
-flat, hypergeometric on the sphere).  Both return sampled profiles dense
-enough to serve as reference values for the 2-D finite element solutions.
+the Robin condition on the closed-form radial ground state, 0F1 (a Bessel
+function) when flat and 2F1 on the sphere, which numpy sums as Frobenius
+series: about the center, and past the equator about the antipode.  Both
+return sampled profiles dense enough to serve as reference values for the
+2-D finite element solutions.
 
 Volumes V(r) and sphere areas A(r) = V'(r) are the weighted ones of the
 model space; the cone-angle weight cancels in every quotient V / A.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.special import hyp2f1, jv
 
 from .model_geometry import (
     GeodesicBall,
@@ -162,52 +164,279 @@ def solve_symmetrized_poisson(ball: GeodesicBall, beta: float,
 
 # ---------------------------------------------------------------------------
 # radial Robin eigenvalue in closed form
+#
+# The ground state is a Frobenius series of the radial equation in x = r^2/4
+# (flat) or x = sin^2(r/2) or cos^2(r/2) (sphere).  A sample stops at the
+# first checkpoint, one every block of terms, where its own last term is
+# below 2^-54 of its value (and, in a power series, of its term T_1, the
+# scale of the derivative's sum when lam is small), and adds exact zeros
+# from then on, so its value never depends on the batch it is in, nor on
+# whether the derivative is summed too.  A narrow batch, a scan, runs a block
+# per step (a running product gives the terms, a running sum the partial
+# sums); a wide one, a profile, one term per step.  Both do the same
+# operations in the same order on every sample.
+
+_SERIES_WIDE = 256
+_SERIES_TERMS = 256
+_SERIES_TOL = 2.0**-54
+_TINY = 1e-300
+
+
+@functools.cache
+def _series_rows(n: int, kind: str):
+    """Row constants of the series sum_k T_k x^(k + rho), T_0 = 1.
+
+    ``kind`` is "flat" (0F1(; n/2; -lam x)), "first" (2F1(a, b; n/2; x) with
+    a + b = n - 1, ab = -lam: the solution regular at x = 0) or "second" (the
+    other Frobenius solution at x = 0, exponent rho = 1 - n/2).  Row k >= 1
+    takes T_{k-1} to T_k = T_{k-1} (P - lam) / Q x, with s = k - 1 + rho,
+    P = s (s + n - 1) (0 when flat) and Q = (s + 1)(s + n/2).  For even n
+    the second solution is d/drho [(rho - rho_2) sum_k T_k x^(k + rho)] at
+    rho_2 = 1 - n/2 (without the factor when n = 2), so the rows also hold
+    dP/drho and dlnQ/drho; the factor cancels the zero of Q at k = n/2 - 1,
+    where Q becomes rho + n - 2.  Returns the rows P, 1/Q, dP, dlnQ and
+    k + rho, the first logarithmic row (None for a power series) and the
+    block length: 16 terms for 0F1, whose terms fall factorially, else 32.
+    """
+    m = 0.5 * n
+    rho = 1.0 - m if kind == "second" else 0.0
+    s = np.arange(-1.0, _SERIES_TERMS - 1.0) + rho
+    P = np.zeros(_SERIES_TERMS) if kind == "flat" else s * (s + n - 1.0)
+    Q = (s + 1.0) * (s + m)
+    dlnQ = 2.0 * s + 1.0 + m
+    log_from = None
+    if kind == "second" and n % 2 == 0:
+        log_from = n // 2 - 1
+        if log_from >= 1:
+            Q[log_from] = dlnQ[log_from] = m - 1.0
+    Q[0] = math.inf  # row 0 is T_0 itself
+    dlnQ /= Q
+    rows = (P, 1.0 / Q, 2.0 * s + n - 1.0, dlnQ, np.arange(_SERIES_TERMS) + rho)
+    for row in rows:
+        row.setflags(write=False)  # shared by every caller of the cache
+    return rows + (log_from, 16 if kind == "flat" else 32)
+
+
+def _series(n: int, kind: str, lam, x, slope: bool):
+    """Sums (Y0, Y1) of the ``kind`` series of :func:`_series_rows` at 1-D lam
+    and x of one length or of length 1: the solution is x^rho Y0, and x times
+    its x-derivative x^rho Y1 (None unless ``slope``).
+
+    A power series has Y0 = sum_k T_k and Y1 = sum_k (k + rho) T_k.  The
+    logarithmic rows of the second solution add T_k G_k to Y0 and T_k ((k +
+    rho) G_k + 1) to Y1, G_k = ln x + g_k with g_k = dlnT_k/drho.  A sample
+    still short of 2^-54 after ``_SERIES_TERMS`` terms is nan.
+    """
+    rows = _series_rows(n, kind)
+    width = max(lam.size, x.size)
+    if width >= _SERIES_WIDE:
+        return _series_by_term(rows, lam, x, width, slope)
+    P, inv_q, dP, dlnQ, order, log_from, block = rows
+    lam = lam.reshape(-1, 1)
+    x = x.reshape(-1, 1)
+    if log_from is not None:
+        g = 0.0
+        log_x = np.log(x)
+    for k0 in range(0, _SERIES_TERMS, block):
+        cols = slice(k0, k0 + block)
+        p = P[cols] - lam
+        if log_from is not None:
+            # P = lam exactly: T keeps a factor 2^-70 and g its inverse, so
+            # T G tends to the limit and T alone to 0
+            p[p == 0.0] = 2.0**-70
+        T = np.multiply(p * inv_q[cols], x, out=np.empty((width, block)))
+        T[:, 0] = 1.0 if k0 == 0 else T[:, 0] * last
+        np.multiply.accumulate(T, axis=1, out=T)
+        sums = np.empty((1 + slope, width, block))
+        if log_from is None:
+            sums[0] = T
+            if slope:
+                np.multiply(T, order[cols], out=sums[1])
+            if k0 == 0:
+                scale = np.abs(T[:, 1])
+            bound = np.abs(T[:, -1])
+        else:
+            h = dP[cols] / p - dlnQ[cols]
+            h[:, 0] = 0.0 if k0 == 0 else h[:, 0] + g
+            np.add.accumulate(h, axis=1, out=h)
+            g = h[:, -1]
+            G = h + log_x
+            power = min(max(log_from - k0, 0), block)
+            G[:, :power] = 1.0
+            np.multiply(G, T, out=sums[0])
+            if slope:
+                np.multiply(G, order[cols], out=sums[1])
+                sums[1, :, power:] += 1.0
+                sums[1] *= T
+            bound = np.abs(T[:, -1]) * (1.0 + np.abs(G[:, -1]))
+        if k0:  # the carried sums enter first: every partial sum is sequential
+            sums[:, :, 0] += y
+        np.add.accumulate(sums, axis=2, out=sums)
+        y = sums[:, :, -1]
+        reach = np.abs(y[0]) if log_from is not None else np.minimum(np.abs(y[0]), scale)
+        done = bound <= _SERIES_TOL * reach
+        last = np.where(done, 0.0, T[:, -1])  # 0 once the sample is done
+        if not last.any():
+            break
+    else:
+        y = np.where(done, y, np.nan)
+    return y[0], (y[1] if slope else None)
+
+
+def _series_by_term(rows, lam, x, width, slope):
+    """:func:`_series` on a wide batch, one term at a time; a sample leaves
+    the batch at the checkpoint where it stops."""
+    P, inv_q, dP, dlnQ, order, log_from, block = rows
+    out = np.full((2, width), np.nan)
+    live = np.arange(width)
+    if lam.size == 1:
+        lam = float(lam[0])
+    T = np.ones(width)
+    y0 = np.zeros(width)
+    y1 = np.zeros(width) if slope else None
+    if log_from is not None:
+        g = 0.0
+        log_x = np.log(x)
+    for k, (P_k, inv_q_k, dP_k, dlnQ_k, weight) in enumerate(
+            zip(P.tolist(), inv_q.tolist(), dP.tolist(), dlnQ.tolist(), order.tolist())):
+        if k:
+            p = P_k - lam
+            if log_from is not None:
+                if isinstance(p, float):
+                    p = p if p != 0.0 else 2.0**-70
+                else:
+                    p = np.where(p == 0.0, 2.0**-70, p)
+                g = g + (dP_k / p - dlnQ_k)
+            T *= p * inv_q_k * x
+        if log_from is None:
+            y0 += T
+            if slope:
+                y1 += T * weight
+            if k == 1:
+                scale = np.abs(T)
+        else:
+            G = 1.0 if k < log_from else g + log_x
+            y0 += G * T
+            if slope:
+                y1 += (G * weight + (k >= log_from)) * T
+        if k % block == block - 1:
+            if log_from is None:
+                done = np.abs(T) <= _SERIES_TOL * np.minimum(np.abs(y0), scale)
+            else:
+                done = np.abs(T) * (1.0 + np.abs(G)) <= _SERIES_TOL * np.abs(y0)
+            if done.any():
+                out[0, live[done]] = y0[done]
+                if slope:
+                    out[1, live[done]] = y1[done]
+                keep = ~done
+                live = live[keep]
+                if not live.size:
+                    break
+                T, y0, y1, x, lam = (_keep(a, keep) for a in (T, y0, y1, x, lam))
+                if log_from is None:
+                    scale = _keep(scale, keep)
+                else:
+                    g, log_x = _keep(g, keep), _keep(log_x, keep)
+    return out[0], (out[1] if slope else None)
+
+
+def _keep(a, keep):
+    """The live samples of a per-sample array; a shared value stays."""
+    return a[keep] if isinstance(a, np.ndarray) and a.shape == keep.shape else a
 
 
 def _ground_state(space: ModelSpace, lam, r):
     """Regular solution u of u'' + (n-1) c(r) u' + lam u = 0, u(0) = 1, and u'.
 
-    c(r) = 1/r (flat) or cot r (sphere); lam and r broadcast.  Flat:
-    u = Gamma(nu+1) (2/x)^nu J_nu(x) with x = sqrt(lam) r, nu = n/2 - 1.
-    Sphere: u = 2F1(a, b; n/2; sin^2(r/2)) with a + b = n - 1, ab = -lam,
-    which for n = 3 is the elementary u = sin(mu r) / (mu sin r), mu^2 = 1 + lam.
+    c(r) = 1/r (flat) or cot r (sphere); lam and r broadcast.  Flat: u =
+    0F1(; n/2; -lam r^2/4), u' = -(lam r / n) 0F1(; n/2 + 1; -lam r^2/4).
+    Sphere: u = 2F1(a, b; n/2; z), z = sin^2(r/2), a + b = n - 1, ab = -lam,
+    summed about z = 0 for z <= 1/2 and past 1/2 in the Frobenius basis at
+    the antipode, which takes 1 - z as cos^2(r/2).  Every value depends only
+    on its own (lam, r); a series that overflows, at lam far past the first
+    root, gives inf or nan.
     """
+    return _solution(space, lam, r, True)
+
+
+def _solution(space: ModelSpace, lam, r, slope: bool):
+    """:func:`_ground_state`, with u' None unless ``slope``."""
     n = space.n
-    if space.kappa == 0:
-        nu = 0.5 * n - 1.0
-        k = np.sqrt(lam)
-        x = k * r
-        pos = x > 0.0
-        xs = np.where(pos, x, 1.0)
-        scale = math.gamma(nu + 1.0) * (2.0 / xs) ** nu
-        u = np.where(pos, scale * jv(nu, xs), 1.0)
-        du = np.where(pos, -k * scale * jv(nu + 1.0, xs), 0.0)
-        return u, du
-    half = 0.5 * (n - 1)
-    root = np.sqrt(half * half + lam)
-    a, b = half + root, half - root
-    z = np.sin(0.5 * r) ** 2
-    if n == 3:
-        # hyp2f1 loses absolute accuracy near its zero, where a stiff beta
-        # puts the boundary; u' stays far from zero there
-        u = np.sinc(root * r / math.pi) / np.sinc(r / math.pi)
-    else:
-        u = hyp2f1(a, b, 0.5 * n, z)
-    du = -(lam / n) * np.sin(r) * hyp2f1(a + 1.0, b + 1.0, 0.5 * n + 1.0, z)
-    return u, du
+    lam = np.asarray(lam, dtype=float)
+    r = np.asarray(r, dtype=float)
+    shape = np.broadcast(lam, r).shape
+    # a single lam or r stays single in the series: a profile has one lam,
+    # a scan one r
+    if lam.size > 1 and r.size > 1:
+        lam, r = np.broadcast_arrays(lam, r)
+    lam, r = lam.ravel(), r.ravel()
+    with np.errstate(over="ignore", invalid="ignore"):
+        if space.kappa == 0:
+            u, y1 = _series(n, "flat", lam, 0.25 * r * r, slope)
+            # u' = (2/r) x du/dx; x du/dx is 0 at r = 0
+            du = 2.0 * y1 / np.maximum(r, _TINY) if slope else None
+        elif r.size == 1:  # a scan
+            half = 0.5 * r
+            side = _near_side if half[0] <= 0.25 * math.pi else _far_side
+            u, du = side(n, lam, half, slope)
+        else:
+            width = max(lam.size, r.size)
+            half = 0.5 * r
+            near = half <= 0.25 * math.pi
+            u = np.empty(width)
+            du = np.empty(width) if slope else None
+            for side, mask in ((_near_side, near), (_far_side, ~near)):
+                if mask.any():
+                    u[mask], slope_part = side(n, lam if lam.size < width else lam[mask],
+                                               half[mask], slope)
+                    if slope:
+                        du[mask] = slope_part
+    return u.reshape(shape), du if du is None else du.reshape(shape)
+
+
+def _near_side(n: int, lam, half, slope: bool):
+    """(u, u') at r = 2 half where z = sin^2(r/2) <= 1/2: the series about 0."""
+    u, y1 = _series(n, "first", lam, np.sin(half) ** 2, slope)
+    # u' = cot(r/2) z du/dz; z du/dz is 0 at r = 0
+    return u, y1 / np.tan(np.maximum(half, _TINY)) if slope else None
+
+
+def _far_side(n: int, lam, half, slope: bool):
+    """(u, u') at r = 2 half where z = sin^2(r/2) > 1/2.
+
+    The equation is the same in t = 1 - z = cos^2(r/2) as in z, so the first
+    and second series F, S at t form the Frobenius basis at the antipode, and
+    u = A F(t) + B t^(1 - n/2) S(t).  A and B match (u, u') at z = 1/2, where
+    u = F(1/2) and the Wronskian F S' - F' S is C 2^n, C = 1 for n = 2 and
+    1 - n/2 otherwise.
+    """
+    middle = np.full(1, 0.5)
+    f0, f1 = _series(n, "first", lam, middle, True)
+    s0, _ = _series(n, "second", lam, middle, False)
+    rho = 1.0 - 0.5 * n
+    wronskian = (1.0 if n == 2 else rho) * 2.0**n
+    slope_half = 2.0 * f1  # F'(1/2)
+    A = 1.0 + 2.0 * 0.5**rho * s0 * slope_half / wronskian
+    t = np.cos(half) ** 2
+    B = -2.0 * f0 * slope_half / wronskian * t**rho
+    f0, f1 = _series(n, "first", lam, t, slope)
+    s0, s1 = _series(n, "second", lam, t, slope)
+    # u' = -tan(r/2) t du/dt
+    return A * f0 + B * s0, -(A * f1 + B * s1) * np.tan(half) if slope else None
 
 
 def solve_radial_eigen(ball: GeodesicBall, beta: float):
     """First Robin eigenpair of a geodesic ball, (lambda, profile).
 
     lambda is the first root of the secular function u'(R) + beta u(R) of the
-    closed-form ground state (Bessel when flat, hypergeometric on the
-    sphere), bracketed by a 64-cell sign scan under a doubling cap and
-    refined by the same scan on the bracketing cell until it is a few ulps
-    wide.  Non-finite samples (scipy's hyp2f1 returns +-inf or nan for some
-    lambda near the antipode) never bracket a root.  The profile samples the
-    closed form on 4097 uniform radii; it is positive and normalized to
-    u(0) = 1.
+    closed-form ground state of :func:`_ground_state`, bracketed by a 64-cell
+    sign scan under a doubling cap and refined by the same scan on the
+    bracketing cell until it is a few ulps wide.  A flat ball is scanned as
+    the unit ball, lambda(R, beta) = lambda(1, beta R) / R^2, so the series
+    never meets a large argument below the root.  Non-finite samples (the
+    series overflows at lambda far past the root) never bracket a root.  The
+    profile samples the closed form on 4097 uniform radii; it is positive
+    and normalized to u(0) = 1.
     """
     if beta <= 0.0:
         raise ValueError(f"beta must be positive, got {beta}")
@@ -215,13 +444,14 @@ def solve_radial_eigen(ball: GeodesicBall, beta: float):
     R = ball.radius
     if space.kappa == 1 and R >= math.pi - 1e-3:
         raise DegenerateBallError("cap radius too close to the antipode")
+    scale = R if space.kappa == 0 else 1.0
 
     def first_sign_change(lo, hi):
         # the cell from the last finite positive sample to the first finite
         # non-positive one, or None; F(lo) > 0 is finite on every call
         lams = np.linspace(lo, hi, 65)
-        u, du = _ground_state(space, lams, R)
-        values = du + beta * u
+        u, du = _ground_state(space, lams, R / scale)
+        values = du + beta * scale * u
         finite = np.isfinite(values)
         down = np.nonzero(finite & (values <= 0.0))[0]
         if not len(down):
@@ -243,9 +473,9 @@ def solve_radial_eigen(ball: GeodesicBall, beta: float):
             break
         lo, hi = cell
 
-    lam = 0.5 * (lo + hi)
+    lam = 0.5 * (lo + hi) / scale**2
     grid = np.linspace(0.0, R, 4097)
-    values, _ = _ground_state(space, lam, grid)
+    values, _ = _solution(space, lam, grid, False)
     if float(np.min(values)) <= 0.0:
         raise EigenBracketError("ground state crosses zero; bracket missed the first root")
     return lam, RadialProfile(ball=ball, grid=grid, values=values)

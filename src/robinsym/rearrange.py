@@ -87,6 +87,13 @@ _END_EDGES = np.concatenate([_END_EDGES, 1.0 - _END_EDGES[-2::-1]])
 _END_X, _END_HALF = _gauss_nodes(_END_EDGES[:-1], _END_EDGES[1:])
 
 
+def _quadrature(values, weights, half):
+    """sum_ij values_ij weights_j half_i, a row of Gauss nodes per cell, in
+    numpy's own loops: a BLAS chain this long runs on the thread pool, which
+    can stall it and makes its sum depend on the thread count."""
+    return float(np.einsum("i,i->", np.einsum("ij,j->i", values, weights), half))
+
+
 def _mu_power(dist, j, t, power):
     """mu(t)^power on slot(s) j, clipped at 0, in place on one temporary."""
     out = dist._C[j] * t
@@ -269,16 +276,16 @@ class DistributionData:
             if K > 1:
                 # slot 1, [0, t_1): t = t_1 x^(1/q) takes the t^e power into dx
                 f = _mu_power(self, 1, br[1] * _END_X ** (1.0 / q), k)
-                integral += br[1] ** q / q * (f @ w16 @ _END_HALF)
+                integral += br[1] ** q / q * _quadrature(f, w16, _END_HALF)
             if K > 2:
                 lo, hi = br[K - 2], br[K - 1]
                 t = lo + (hi - lo) * _END_X
                 f = _mu_power(self, K - 1, t, k) * t ** e
-                integral += (hi - lo) * (f @ w16 @ _END_HALF)
+                integral += (hi - lo) * _quadrature(f, w16, _END_HALF)
             t, half = _gauss_nodes(br[1:K - 2], br[2:K - 1], n)
             f = _mu_power(self, np.s_[2:K - 1, None], t, k)
             f *= t ** e
-            integral += f @ _gauss_rule(n)[1] @ half
+            integral += _quadrature(f, _gauss_rule(n)[1], half)
         return float(integral)
 
 

@@ -127,6 +127,7 @@ def test_mesh_subcommand_failures(tmp_path, capsys):
         ["pentagon", "--h", "0.2"],
         disk + ["--warp-profile", "cone"],
         ["polygon", "--h", "0.2", "--points", "0,0 1,0 1"],
+        ["polygon", "--h", "0.1", "--points", "0,0 1,0 nan,1"],
         ["square", "--h", "nan", "--side", "1.0"],
         ["disk", "--h", "0.3", "--radius", "nan"],
         disk + ["--warp-profile", "foo", "--warp-c", "0.5"],

@@ -1,7 +1,11 @@
 """Finite element assembly and Robin solvers."""
 
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -383,6 +387,28 @@ def test_cone_torsion_center_value():
     m = _disk(0.04, geometry="warped", warp=msh.warped_profile("cone", 0.6))
     u = fem.solve_robin_poisson(fem.RobinProblem(mesh=m, beta=1.0))
     assert _center_value(u) == pytest.approx(0.75, abs=5e-3)
+
+
+_EIGEN_SCRIPT = """
+from robinsym import fem, mesh as msh
+m = msh.refine(msh.refine(msh.generate_domain("square", target_h=0.04, side=1.0)))
+print(len(m.vertices), repr(fem.solve_robin_eigen(m, 1.0)[0]))
+"""
+
+
+def test_eigen_value_ignores_the_blas_thread_count():
+    # the inverse iteration's dots run in numpy's own loops: OpenBLAS splits
+    # a dot this long over its threads, and the sum then depends on their
+    # number
+    env = dict(os.environ, PYTHONPATH=str(Path(fem.__file__).parents[1]))
+    runs = []
+    for threads in ("1", "2"):
+        env["OPENBLAS_NUM_THREADS"] = threads
+        done = subprocess.run([sys.executable, "-c", _EIGEN_SCRIPT], env=env,
+                              capture_output=True, text=True, check=True)
+        runs.append(done.stdout.split())
+    assert int(runs[0][0]) > 10_000
+    assert runs[0] == runs[1]
 
 
 def test_eigen_above_20k_dof_on_the_shared_factor(monkeypatch):

@@ -1,9 +1,10 @@
 """Start-up contract: a CLI run loads only the scipy it executes.
 
-`robinsym.cli` imports `scipy.sparse` and `scipy.special`; the radial root
-finder and the Saint-Venant quadrature are numpy, so `scipy.optimize`,
-`scipy.integrate` and `scipy.interpolate`, about half of the scipy modules
-and a good share of a cold start's time and memory, stay unloaded.
+`robinsym.cli` imports `scipy.sparse`, and nothing else of scipy: the
+radial ground state, its root finder and the Saint-Venant quadrature are
+numpy, so `scipy.special`, `scipy.optimize`, `scipy.integrate` and
+`scipy.interpolate`, more than half of the scipy modules and a good share
+of a cold start's time and memory, stay unloaded.
 """
 
 import json
@@ -14,7 +15,7 @@ from pathlib import Path
 
 import robinsym
 
-_UNLOADED = ("scipy.optimize", "scipy.integrate", "scipy.interpolate")
+_UNLOADED = ("scipy.special", "scipy.optimize", "scipy.integrate", "scipy.interpolate")
 
 _SCRIPT = """
 import io, json, sys

@@ -281,6 +281,10 @@ def test_polygon_rejects_bad_input():
         generate_domain("polygon", target_h=0.5, points=[(0, 0), (1, 0)])
     with pytest.raises(DegenerateGeometryError, match="area"):
         generate_domain("polygon", target_h=0.5, points=[(0, 0), (1, 0), (2, 0)])
+    # refused by name at once, not by the vertex ceiling after refining
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DegenerateGeometryError, match="point 2 is not finite"):
+            generate_domain("polygon", target_h=0.1, points=[(0, 0), (1, 0), (bad, 1)])
 
 
 def test_generate_domain_argument_errors():

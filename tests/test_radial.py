@@ -19,6 +19,7 @@ from robinsym.model_geometry import (
 from robinsym.radial import (
     DegenerateBallError,
     RadialProfile,
+    _ground_state,
     solve_radial_eigen,
     solve_symmetrized_poisson,
 )
@@ -396,6 +397,71 @@ def test_eigen_even_sphere_near_antipode_matches_mpmath_root(n, R, beta):
     with mpmath.workdps(30):
         expected = float(mpmath.findroot(_mpmath_secular(n, R, beta), lam))
     assert abs(lam - expected) < 1e-10 * expected
+
+
+@pytest.mark.parametrize("beta", [0.1, 1.0, 10.0, 1e6])
+def test_eigen_s2_at_the_antipode_guard_matches_mpmath_root(beta):
+    # R = 3.14 sits just inside the guard R < pi - 1e-3, where the ground
+    # state is summed in the Frobenius basis at the antipode
+    ball = GeodesicBall(space=SPHERE2, radius=3.14)
+    lam, _ = solve_radial_eigen(ball, beta)
+    with mpmath.workdps(30):
+        expected = float(mpmath.findroot(_mpmath_secular(2, 3.14, beta), lam))
+    assert abs(lam - expected) < 1e-12 * expected
+
+
+def _mpmath_ground_state(kappa, n, lam, r):
+    # u and u' of the closed forms, 0F1 when flat and 2F1 on the sphere
+    lam, r = mpmath.mpf(lam), mpmath.mpf(r)
+    c = mpmath.mpf(n) / 2
+    if kappa == 0:
+        x = -lam * r * r / 4
+        return mpmath.hyp0f1(c, x), -(lam * r / n) * mpmath.hyp0f1(c + 1, x)
+    half = mpmath.mpf(n - 1) / 2
+    root = mpmath.sqrt(half * half + lam)
+    z = mpmath.sin(r / 2) ** 2
+    return (mpmath.hyp2f1(half + root, half - root, c, z),
+            -(lam / n) * mpmath.sin(r) * mpmath.hyp2f1(half + root + 1, half - root + 1, c + 1, z))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("kappa", [0, 1])
+def test_ground_state_matches_mpmath(kappa, n):
+    # lambda runs from 0 to just below the ball's Dirichlet root, past every
+    # Robin root the scan brackets; radii reach the antipode guard, where the
+    # sphere's series runs in the Frobenius basis at the antipode
+    radii = (0.3, 1.0, 2.5) if kappa == 0 else (0.3, 1.0, 2.0, 2.9, math.pi - 1.1e-3)
+    space = ModelSpace(kappa=kappa, n=n, alpha=1.0)
+    for R in radii:
+        dirichlet = solve_radial_eigen(GeodesicBall(space=space, radius=R), 1e8)[0]
+        lam, r = np.meshgrid(dirichlet * np.array([0.0, 1e-6, 0.1, 0.5, 0.99]),
+                             [0.0, 0.5 * R, R])
+        u, du = _ground_state(space, lam, r)
+        with mpmath.workdps(30):
+            for args, got_u, got_du in zip(zip(lam.ravel(), r.ravel()), u.ravel(), du.ravel()):
+                want_u, want_du = (float(v) for v in _mpmath_ground_state(kappa, n, *args))
+                scale = max(abs(want_u), 1.0)
+                assert abs(got_u - want_u) < 1e-14 * scale, (R, args)
+                assert abs(got_du - want_du) < 1e-14 * max(abs(want_du), scale), (R, args)
+
+
+@pytest.mark.parametrize("space", [FLAT2, SPHERE2, ModelSpace(kappa=1, n=4, alpha=1.0)],
+                         ids=["flat2", "S2", "S4"])
+def test_ground_state_value_ignores_its_batch(space):
+    # the zoom re-evaluates its bracket ends and trusts their signs: a
+    # sample's (u, u') is the same bits alone, in a scan and in a profile
+    lams = np.linspace(0.0, 16.0, 65)
+    for R in (0.7, 2.6):
+        u, du = _ground_state(space, lams, R)
+        for k in (0, 9, 40, 64):
+            assert _ground_state(space, lams[k], R) == (u[k], du[k])
+            assert _ground_state(space, lams[k:k + 3], R)[0][0] == u[k]
+    grid = np.linspace(0.0, 2.6, 1025)
+    u, du = _ground_state(space, 1.7, grid)
+    for k in (0, 3, 600, 1024):
+        assert _ground_state(space, 1.7, grid[k]) == (u[k], du[k])
+        batch = _ground_state(space, np.full(5, 1.7), grid[k])
+        assert [part.tolist() for part in batch] == [[u[k]] * 5, [du[k]] * 5]
 
 
 def test_eigen_disk_robin_residual():
