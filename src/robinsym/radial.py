@@ -208,7 +208,7 @@ def _series_rows(n: int, kind: str):
     if kind == "second" and n % 2 == 0:
         log_from = n // 2 - 1
         if log_from >= 1:
-            Q[log_from] = dlnQ[log_from] = m - 1.0
+            Q[log_from], dlnQ[log_from] = m - 1.0, 1.0
     Q[0] = math.inf  # row 0 is T_0 itself
     dlnQ /= Q
     rows = (P, 1.0 / Q, 2.0 * s + n - 1.0, dlnQ, np.arange(_SERIES_TERMS) + rho)
@@ -405,24 +405,77 @@ def _far_side(n: int, lam, half, slope: bool):
     """(u, u') at r = 2 half where z = sin^2(r/2) > 1/2.
 
     The equation is the same in t = 1 - z = cos^2(r/2) as in z, so the first
-    and second series F, S at t form the Frobenius basis at the antipode, and
-    u = A F(t) + B t^(1 - n/2) S(t).  A and B match (u, u') at z = 1/2, where
-    u = F(1/2) and the Wronskian F S' - F' S is C 2^n, C = 1 for n = 2 and
-    1 - n/2 otherwise.
+    and second series F, S at t form the Frobenius basis at the antipode:
+    u = A F(t) + B t^(1 - n/2) S(t), A and B from
+    :func:`_antipodal_coefficients`.
     """
-    middle = np.full(1, 0.5)
-    f0, f1 = _series(n, "first", lam, middle, True)
-    s0, _ = _series(n, "second", lam, middle, False)
-    rho = 1.0 - 0.5 * n
-    wronskian = (1.0 if n == 2 else rho) * 2.0**n
-    slope_half = 2.0 * f1  # F'(1/2)
-    A = 1.0 + 2.0 * 0.5**rho * s0 * slope_half / wronskian
+    A, B = _antipodal_coefficients(n, lam)
     t = np.cos(half) ** 2
-    B = -2.0 * f0 * slope_half / wronskian * t**rho
+    B = B * t ** (1.0 - 0.5 * n)
     f0, f1 = _series(n, "first", lam, t, slope)
     s0, s1 = _series(n, "second", lam, t, slope)
     # u' = -tan(r/2) t du/dt
     return A * f0 + B * s0, -(A * f1 + B * s1) * np.tan(half) if slope else None
+
+
+def _antipodal_coefficients(n: int, lam):
+    """(A, B) with 2F1(a, b; n/2; z) = A F(t) + B t^(1 - n/2) S(t), lam >= 0.
+
+    These are the connection formulas of 2F1 at z = 1 (Abramowitz and Stegun
+    15.3.6, 15.3.10 and 15.3.12) for c = n/2 = (a + b + 1)/2, with
+    Gamma(1/2 + x) Gamma(1/2 - x) = pi / cos(pi x).  Write mu = a - (n - 1)/2
+    = sqrt(((n - 1)/2)^2 + lam) and d = mu - (n - 1)/2 = lam / (mu + (n - 1)/2);
+    the trigonometric factors are taken at d, which keeps B's relative
+    accuracy as lam -> 0, where B t^(1 - n/2) blows up near the antipode.
+    Odd n, h = (n - 1)/2:
+
+        A = cos(pi d),
+        B = (-1)^h Gamma(n/2) Gamma(n/2 - 1) sin(pi d)
+            / (pi mu prod_{j=1}^{h-1} (j^2 - mu^2)).
+
+    Even n, k = n/2 - 1, S being the rho-derivative of :func:`_series_rows`
+    (which fixes the multiple of F the logarithmic solution may carry):
+
+        A = cos(pi d) - sin(pi d) (H_{k-1} - 2 gamma - 2 psi(1/2 + mu)) / pi,
+        B = sin(pi d) / pi for n = 2, else
+            -(-1)^k Gamma(k) Gamma(k + 1) sin(pi d)
+            / (pi prod_{j=0}^{k-1} ((j + 1/2)^2 - mu^2)),
+
+    with H the harmonic numbers (H_{-1} = H_0 = 0) and gamma Euler's.
+    """
+    h = 0.5 * (n - 1)
+    mu = np.sqrt(h * h + lam)
+    d = lam / (mu + h)
+    # d less its nearest integer, exactly: sin is then exactly 0 at the
+    # sphere's eigenvalues, where the ground state is regular at the antipode
+    # and B vanishes
+    nearest = np.rint(d)
+    sign = 1.0 - 2.0 * (nearest % 2.0)
+    cos, sin = sign * np.cos(math.pi * (d - nearest)), sign * np.sin(math.pi * (d - nearest))
+    if n % 2:
+        B = (-1) ** (n // 2) * math.gamma(0.5 * n) * math.gamma(0.5 * n - 1.0) * sin / (math.pi * mu)
+        for j in range(1, n // 2):
+            B = B / (j * j - mu * mu)
+        return cos, B
+    k = n // 2 - 1
+    constant = sum(1.0 / j for j in range(1, k)) - 2.0 * np.euler_gamma
+    A = cos - sin * (constant - 2.0 * _digamma(0.5 + mu)) / math.pi
+    if k == 0:
+        return A, sin / math.pi
+    B = -(-1) ** k * math.gamma(k) * math.gamma(k + 1.0) * sin / math.pi
+    for j in range(k):
+        B = B / ((j + 0.5) ** 2 - mu * mu)
+    return A, B
+
+
+def _digamma(x):
+    """psi(x) for x >= 1: 16 steps of psi(x) = psi(x + 1) - 1/x, summed in
+    order, then the asymptotic series at x + 16."""
+    y = x + 16.0
+    steps = np.add.accumulate(1.0 / np.add.outer(x, np.arange(16.0)), axis=-1)[..., -1]
+    inv = 1.0 / (y * y)
+    tail = inv * (1 / 12 - inv * (1 / 120 - inv * (1 / 252 - inv * (1 / 240 - inv / 132))))
+    return np.log(y) - 0.5 / y - tail - steps
 
 
 def solve_radial_eigen(ball: GeodesicBall, beta: float):

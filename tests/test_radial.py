@@ -424,12 +424,13 @@ def _mpmath_ground_state(kappa, n, lam, r):
             -(lam / n) * mpmath.sin(r) * mpmath.hyp2f1(half + root + 1, half - root + 1, c + 1, z))
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("n", [2, 3, 4, 6])
 @pytest.mark.parametrize("kappa", [0, 1])
 def test_ground_state_matches_mpmath(kappa, n):
     # lambda runs from 0 to just below the ball's Dirichlet root, past every
     # Robin root the scan brackets; radii reach the antipode guard, where the
-    # sphere's series runs in the Frobenius basis at the antipode
+    # sphere's series runs in the Frobenius basis at the antipode (n = 6 is
+    # the first whose connection constant has a harmonic-number term)
     radii = (0.3, 1.0, 2.5) if kappa == 0 else (0.3, 1.0, 2.0, 2.9, math.pi - 1.1e-3)
     space = ModelSpace(kappa=kappa, n=n, alpha=1.0)
     for R in radii:
