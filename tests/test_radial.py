@@ -451,12 +451,12 @@ def test_ground_state_matches_mpmath(kappa, n):
 def test_ground_state_value_ignores_its_batch(space):
     # the zoom re-evaluates its bracket ends and trusts their signs: a
     # sample's (u, u') is the same bits alone, in a scan and in a profile
-    lams = np.linspace(0.0, 16.0, 65)
     for R in (0.7, 2.6):
-        u, du = _ground_state(space, lams, R)
-        for k in (0, 9, 40, 64):
-            assert _ground_state(space, lams[k], R) == (u[k], du[k])
-            assert _ground_state(space, lams[k:k + 3], R)[0][0] == u[k]
+        for lams in (np.linspace(0.0, 16.0, 65), np.linspace(0.0, 16.0, 301)):
+            u, du = _ground_state(space, lams, R)
+            for k in (0, 9, 40, 64):
+                assert _ground_state(space, lams[k], R) == (u[k], du[k])
+                assert _ground_state(space, lams[k:k + 3], R)[0][0] == u[k]
     grid = np.linspace(0.0, 2.6, 1025)
     u, du = _ground_state(space, 1.7, grid)
     for k in (0, 3, 600, 1024):
