@@ -170,11 +170,14 @@ def solve_symmetrized_poisson(ball: GeodesicBall, beta: float,
 # first checkpoint, one every block of terms, where its own last term is
 # below 2^-54 of its value (and, in a power series, of its term T_1, the
 # scale of the derivative's sum when lam is small), and adds exact zeros
-# from then on, so its value never depends on the batch it is in, nor on
-# whether the derivative is summed too.  A narrow batch, a scan, runs a block
-# per step (a running product gives the terms, a running sum the partial
-# sums); a wide one, a profile, one term per step.  Both do the same
-# operations in the same order on every sample.
+# from then on, so its value never depends on the batch it is in.  A narrow
+# batch, a scan, runs a block per step (a running product gives the terms, a
+# running sum the partial sums); a wide one, a profile, one term per step,
+# and drops samples as they stop.  Both do the same operations in the same
+# order on every sample.  numpy's running products walk element by element,
+# which costs little on a scan's 65 samples, while a step of one term spreads
+# each numpy call over a profile's 4097: each way is 4 to 6 times faster than
+# the other on its own side, and the two cross between 256 and 512 samples.
 
 _SERIES_WIDE = 256
 _SERIES_TERMS = 256
@@ -220,7 +223,8 @@ def _series_rows(n: int, kind: str):
 def _series(n: int, kind: str, lam, x, slope: bool):
     """Sums (Y0, Y1) of the ``kind`` series of :func:`_series_rows` at 1-D lam
     and x of one length or of length 1: the solution is x^rho Y0, and x times
-    its x-derivative x^rho Y1 (None unless ``slope``).
+    its x-derivative x^rho Y1 (None unless ``slope``; a narrow batch sums it
+    anyway, a wide one skips it).
 
     A power series has Y0 = sum_k T_k and Y1 = sum_k (k + rho) T_k.  The
     logarithmic rows of the second solution add T_k G_k to Y0 and T_k ((k +
@@ -247,11 +251,10 @@ def _series(n: int, kind: str, lam, x, slope: bool):
         T = np.multiply(p * inv_q[cols], x, out=np.empty((width, block)))
         T[:, 0] = 1.0 if k0 == 0 else T[:, 0] * last
         np.multiply.accumulate(T, axis=1, out=T)
-        sums = np.empty((1 + slope, width, block))
+        sums = np.empty((2, width, block))
         if log_from is None:
             sums[0] = T
-            if slope:
-                np.multiply(T, order[cols], out=sums[1])
+            np.multiply(T, order[cols], out=sums[1])
             if k0 == 0:
                 scale = np.abs(T[:, 1])
             bound = np.abs(T[:, -1])
@@ -264,10 +267,9 @@ def _series(n: int, kind: str, lam, x, slope: bool):
             power = min(max(log_from - k0, 0), block)
             G[:, :power] = 1.0
             np.multiply(G, T, out=sums[0])
-            if slope:
-                np.multiply(G, order[cols], out=sums[1])
-                sums[1, :, power:] += 1.0
-                sums[1] *= T
+            np.multiply(G, order[cols], out=sums[1])
+            sums[1, :, power:] += 1.0
+            sums[1] *= T
             bound = np.abs(T[:, -1]) * (1.0 + np.abs(G[:, -1]))
         if k0:  # the carried sums enter first: every partial sum is sequential
             sums[:, :, 0] += y
@@ -294,6 +296,7 @@ def _series_by_term(rows, lam, x, width, slope):
     T = np.ones(width)
     y0 = np.zeros(width)
     y1 = np.zeros(width) if slope else None
+    term = np.empty(width)  # a buffer for each product of a step
     if log_from is not None:
         g = 0.0
         log_x = np.log(x)
@@ -307,18 +310,21 @@ def _series_by_term(rows, lam, x, width, slope):
                 else:
                     p = np.where(p == 0.0, 2.0**-70, p)
                 g = g + (dP_k / p - dlnQ_k)
-            T *= p * inv_q_k * x
+            T *= np.multiply(p * inv_q_k, x, out=term)
         if log_from is None:
             y0 += T
             if slope:
-                y1 += T * weight
+                y1 += np.multiply(T, weight, out=term)
             if k == 1:
                 scale = np.abs(T)
         else:
             G = 1.0 if k < log_from else g + log_x
-            y0 += G * T
+            y0 += np.multiply(G, T, out=term)
             if slope:
-                y1 += (G * weight + (k >= log_from)) * T
+                np.multiply(G, weight, out=term)
+                term += k >= log_from
+                term *= T
+                y1 += term
         if k % block == block - 1:
             if log_from is None:
                 done = np.abs(T) <= _SERIES_TOL * np.minimum(np.abs(y0), scale)
@@ -333,6 +339,7 @@ def _series_by_term(rows, lam, x, width, slope):
                 if not live.size:
                     break
                 T, y0, y1, x, lam = (_keep(a, keep) for a in (T, y0, y1, x, lam))
+                term = term[:live.size]
                 if log_from is None:
                     scale = _keep(scale, keep)
                 else:
@@ -345,7 +352,7 @@ def _keep(a, keep):
     return a[keep] if isinstance(a, np.ndarray) and a.shape == keep.shape else a
 
 
-def _ground_state(space: ModelSpace, lam, r):
+def _ground_state(space: ModelSpace, lam, r, slope: bool = True):
     """Regular solution u of u'' + (n-1) c(r) u' + lam u = 0, u(0) = 1, and u'.
 
     c(r) = 1/r (flat) or cot r (sphere); lam and r broadcast.  Flat: u =
@@ -354,13 +361,9 @@ def _ground_state(space: ModelSpace, lam, r):
     summed about z = 0 for z <= 1/2 and past 1/2 in the Frobenius basis at
     the antipode, which takes 1 - z as cos^2(r/2).  Every value depends only
     on its own (lam, r); a series that overflows, at lam far past the first
-    root, gives inf or nan.
+    root, gives inf or nan.  Without ``slope`` u' is None, and a wide batch
+    (a profile) does not sum it.
     """
-    return _solution(space, lam, r, True)
-
-
-def _solution(space: ModelSpace, lam, r, slope: bool):
-    """:func:`_ground_state`, with u' None unless ``slope``."""
     n = space.n
     lam = np.asarray(lam, dtype=float)
     r = np.asarray(r, dtype=float)
@@ -387,10 +390,10 @@ def _solution(space: ModelSpace, lam, r, slope: bool):
             du = np.empty(width) if slope else None
             for side, mask in ((_near_side, near), (_far_side, ~near)):
                 if mask.any():
-                    u[mask], slope_part = side(n, lam if lam.size < width else lam[mask],
-                                               half[mask], slope)
+                    u[mask], part = side(n, lam if lam.size < width else lam[mask],
+                                         half[mask], slope)
                     if slope:
-                        du[mask] = slope_part
+                        du[mask] = part
     return u.reshape(shape), du if du is None else du.reshape(shape)
 
 
@@ -528,7 +531,7 @@ def solve_radial_eigen(ball: GeodesicBall, beta: float):
 
     lam = 0.5 * (lo + hi) / scale**2
     grid = np.linspace(0.0, R, 4097)
-    values, _ = _solution(space, lam, grid, False)
+    values, _ = _ground_state(space, lam, grid, slope=False)
     if float(np.min(values)) <= 0.0:
         raise EigenBracketError("ground state crosses zero; bracket missed the first root")
     return lam, RadialProfile(ball=ball, grid=grid, values=values)

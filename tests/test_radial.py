@@ -459,6 +459,8 @@ def test_ground_state_value_ignores_its_batch(space):
                 assert _ground_state(space, lams[k:k + 3], R)[0][0] == u[k]
     grid = np.linspace(0.0, 2.6, 1025)
     u, du = _ground_state(space, 1.7, grid)
+    values, none = _ground_state(space, 1.7, grid, slope=False)
+    assert values.tolist() == u.tolist() and none is None
     for k in (0, 3, 600, 1024):
         assert _ground_state(space, 1.7, grid[k]) == (u[k], du[k])
         batch = _ground_state(space, np.full(5, 1.7), grid[k])
