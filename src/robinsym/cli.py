@@ -297,7 +297,7 @@ def _need(doc, key, typ, what):
     if key not in doc:
         raise ConfigError(f"missing {what} field {key!r}")
     value = doc[key]
-    if typ is float and isinstance(value, int) and not isinstance(value, bool):
+    if typ is float and isinstance(value, int):
         try:
             value = float(value)
         except OverflowError:
@@ -305,6 +305,25 @@ def _need(doc, key, typ, what):
     if not isinstance(value, typ):
         raise ConfigError(f"{what} field {key!r} must be {typ.__name__}")
     return value
+
+
+def _first_boolean(doc):
+    """The path, like ``checks[0].q``, of the first boolean in a JSON
+    document, or None.  The walk keeps its own stack, so no nesting depth
+    that json.load accepts can exhaust Python's."""
+    stack = [(doc, "")]
+    while stack:
+        value, where = stack.pop()
+        if isinstance(value, bool):
+            return where
+        if isinstance(value, dict):
+            items = [(v, f"{where}.{k}" if where else k) for k, v in value.items()]
+        elif isinstance(value, list):
+            items = [(v, f"{where}[{i}]") for i, v in enumerate(value)]
+        else:
+            continue
+        stack.extend(reversed(items))
+    return None
 
 
 def load_config(path: str, output_dir: str | None = None) -> ExperimentConfig:
@@ -318,6 +337,9 @@ def load_config(path: str, output_dir: str | None = None) -> ExperimentConfig:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
+    # no field takes a boolean, and Python would read true as the number 1
+    if (where := _first_boolean(doc)) is not None:
+        raise ConfigError(f"field {where!r} is a boolean; no config field takes one")
 
     space_doc = _need(doc, "space", dict, "config")
     try:
@@ -390,7 +412,7 @@ def load_config(path: str, output_dir: str | None = None) -> ExperimentConfig:
     beta = doc.get("beta", [1.0])
     try:
         beta_ok = (isinstance(beta, list) and beta
-                   and all(isinstance(b, (int, float)) and not isinstance(b, bool)
+                   and all(isinstance(b, (int, float))
                            and math.isfinite(b) and b > 0 for b in beta))
     except OverflowError:  # an integer beyond double range
         beta_ok = False
@@ -401,7 +423,7 @@ def load_config(path: str, output_dir: str | None = None) -> ExperimentConfig:
     if not (h > 0.0 and math.isfinite(h)):
         raise ConfigError(f"h must be a positive real, got {h}")
     levels = doc.get("refine_levels", 0)
-    if not isinstance(levels, int) or isinstance(levels, bool) or levels < 0:
+    if not isinstance(levels, int) or levels < 0:
         raise ConfigError("refine_levels must be an integer >= 0")
     if isinstance(source, tuple) and levels > 0:
         raise ConfigError("a field source fixes its own mesh; "

@@ -671,21 +671,18 @@ def _annulus_sector_points(r_inner, r_outer, angle0, angle1, target_h):
     ka = max(1, math.ceil(span * r_outer / step))
     rr = np.linspace(r_inner, r_outer, kr + 1)
     aa = np.linspace(angle0, angle1, ka + 1)
-    verts = np.array(
-        [(r * math.cos(a), r * math.sin(a)) for r in rr for a in aa]
-    )
-
-    def vid(i, j):  # i radial, j angular
-        return i * (ka + 1) + j
-
-    tris = []
-    for i in range(kr):
-        for j in range(ka):
-            v00, v01 = vid(i, j), vid(i, j + 1)
-            v10, v11 = vid(i + 1, j), vid(i + 1, j + 1)
-            tris.append((v00, v10, v11))
-            tris.append((v00, v11, v01))
-    return verts, np.array(tris, dtype=np.int64)
+    # one math.cos and math.sin per angle, as a loop over the vertices takes
+    # them: numpy's own may differ in the last bit
+    cos = np.array([math.cos(a) for a in aa.tolist()])
+    sin = np.array([math.sin(a) for a in aa.tolist()])
+    verts = np.stack([np.multiply.outer(rr, cos).ravel(),
+                      np.multiply.outer(rr, sin).ravel()], axis=1)
+    # cell (i, j), i radial and j angular, corner (i, j) at i (ka + 1) + j:
+    # the triangles (00, 10, 11) and (00, 11, 01)
+    v00 = (np.arange(kr)[:, None] * (ka + 1) + np.arange(ka)).ravel()
+    tris = np.stack([v00, v00 + ka + 1, v00 + ka + 2, v00, v00 + ka + 2, v00 + 1],
+                    axis=1).reshape(-1, 3)
+    return verts, tris
 
 
 # -- polygons ----------------------------------------------------------------

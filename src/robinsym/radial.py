@@ -169,15 +169,19 @@ def solve_symmetrized_poisson(ball: GeodesicBall, beta: float,
 # (flat) or x = sin^2(r/2) or cos^2(r/2) (sphere).  A sample stops at the
 # first checkpoint, one every block of terms, where its own last term is
 # below 2^-54 of its value (and, in a power series, of its term T_1, the
-# scale of the derivative's sum when lam is small), and adds exact zeros
-# from then on, so its value never depends on the batch it is in.  A narrow
-# batch, a scan, runs a block per step (a running product gives the terms, a
-# running sum the partial sums); a wide one, a profile, one term per step,
-# and drops samples as they stop.  Both do the same operations in the same
-# order on every sample.  numpy's running products walk element by element,
-# which costs little on a scan's 65 samples, while a step of one term spreads
-# each numpy call over a profile's 4097: each way is 4 to 6 times faster than
-# the other on its own side, and the two cross between 256 and 512 samples.
+# scale of the derivative's sum when lam is small), and leaves the batch
+# there, so its value never depends on the batch it is in.  A step of the
+# sum takes a block of terms at a time on a narrow batch, a scan (a running
+# product gives the terms, a running sum the partial sums), and one term at a
+# time on a batch of _SERIES_WIDE samples or more, a profile; every sample
+# sees the same operations in the same order either way.  numpy's running
+# products and sums walk element by element, about 4 ns an element against
+# 0.5 ns for a plain product, which costs little on a scan's 65 samples but
+# not on a profile's 4097: summed in blocks, the profile takes 3.5 to 4
+# times as long (0.35 -> 1.4 ms on the flat disk of radius 0.5642, 0.7 ->
+# 2.5 ms on the S^2 cap of radius 1; one core of a 2-core x86 machine).  The
+# two steps cross between 512 and 1024 samples, far from both batches the
+# solver sums.
 
 _SERIES_WIDE = 256
 _SERIES_TERMS = 256
@@ -220,139 +224,94 @@ def _series_rows(n: int, kind: str):
     return rows + (log_from, 16 if kind == "flat" else 32)
 
 
-def _series(n: int, kind: str, lam, x, slope: bool):
+def _series(n: int, kind: str, lam, x):
     """Sums (Y0, Y1) of the ``kind`` series of :func:`_series_rows` at 1-D lam
     and x of one length or of length 1: the solution is x^rho Y0, and x times
-    its x-derivative x^rho Y1 (None unless ``slope``; a narrow batch sums it
-    anyway, a wide one skips it).
+    its x-derivative x^rho Y1.
 
     A power series has Y0 = sum_k T_k and Y1 = sum_k (k + rho) T_k.  The
     logarithmic rows of the second solution add T_k G_k to Y0 and T_k ((k +
-    rho) G_k + 1) to Y1, G_k = ln x + g_k with g_k = dlnT_k/drho.  A sample
-    still short of 2^-54 after ``_SERIES_TERMS`` terms is nan.
+    rho) G_k + 1) to Y1, G_k = ln x + g_k with g_k = dlnT_k/drho.  Each step
+    sums a block of terms, or one term on a batch of ``_SERIES_WIDE`` or more,
+    and every block's end is a checkpoint.  A sample still short of 2^-54
+    after ``_SERIES_TERMS`` terms is nan.
     """
-    rows = _series_rows(n, kind)
+    P, inv_q, dP, dlnQ, order, log_from, block = _series_rows(n, kind)
     width = max(lam.size, x.size)
-    if width >= _SERIES_WIDE:
-        return _series_by_term(rows, lam, x, width, slope)
-    P, inv_q, dP, dlnQ, order, log_from, block = rows
+    step = 1 if width >= _SERIES_WIDE else block
+    out = np.full((2, width), np.nan)
+    live = np.arange(width)
+    # lam and x are columns; one of length 1 is shared by every sample
     lam = lam.reshape(-1, 1)
     x = x.reshape(-1, 1)
     if log_from is not None:
-        g = 0.0
         log_x = np.log(x)
-    for k0 in range(0, _SERIES_TERMS, block):
-        cols = slice(k0, k0 + block)
-        p = P[cols] - lam
+    for b0 in range(0, _SERIES_TERMS, block):
+        # the block's term ratios but for the factor x, and its g_k
+        p = P[b0:b0 + block] - lam
         if log_from is not None:
             # P = lam exactly: T keeps a factor 2^-70 and g its inverse, so
             # T G tends to the limit and T alone to 0
             p[p == 0.0] = 2.0**-70
-        T = np.multiply(p * inv_q[cols], x, out=np.empty((width, block)))
-        T[:, 0] = 1.0 if k0 == 0 else T[:, 0] * last
-        np.multiply.accumulate(T, axis=1, out=T)
-        sums = np.empty((2, width, block))
-        if log_from is None:
-            sums[0] = T
-            np.multiply(T, order[cols], out=sums[1])
-            if k0 == 0:
-                scale = np.abs(T[:, 1])
-            bound = np.abs(T[:, -1])
-        else:
-            h = dP[cols] / p - dlnQ[cols]
-            h[:, 0] = 0.0 if k0 == 0 else h[:, 0] + g
-            np.add.accumulate(h, axis=1, out=h)
-            g = h[:, -1]
-            G = h + log_x
-            power = min(max(log_from - k0, 0), block)
-            G[:, :power] = 1.0
-            np.multiply(G, T, out=sums[0])
-            np.multiply(G, order[cols], out=sums[1])
-            sums[1, :, power:] += 1.0
-            sums[1] *= T
-            bound = np.abs(T[:, -1]) * (1.0 + np.abs(G[:, -1]))
-        if k0:  # the carried sums enter first: every partial sum is sequential
-            sums[:, :, 0] += y
-        np.add.accumulate(sums, axis=2, out=sums)
-        y = sums[:, :, -1]
-        reach = np.abs(y[0]) if log_from is not None else np.minimum(np.abs(y[0]), scale)
-        done = bound <= _SERIES_TOL * reach
-        last = np.where(done, 0.0, T[:, -1])  # 0 once the sample is done
-        if not last.any():
-            break
-    else:
-        y = np.where(done, y, np.nan)
-    return y[0], (y[1] if slope else None)
-
-
-def _series_by_term(rows, lam, x, width, slope):
-    """:func:`_series` on a wide batch, one term at a time; a sample leaves
-    the batch at the checkpoint where it stops."""
-    P, inv_q, dP, dlnQ, order, log_from, block = rows
-    out = np.full((2, width), np.nan)
-    live = np.arange(width)
-    if lam.size == 1:
-        lam = float(lam[0])
-    T = np.ones(width)
-    y0 = np.zeros(width)
-    y1 = np.zeros(width) if slope else None
-    term = np.empty(width)  # a buffer for each product of a step
-    if log_from is not None:
-        g = 0.0
-        log_x = np.log(x)
-    for k, (P_k, inv_q_k, dP_k, dlnQ_k, weight) in enumerate(
-            zip(P.tolist(), inv_q.tolist(), dP.tolist(), dlnQ.tolist(), order.tolist())):
-        if k:
-            p = P_k - lam
-            if log_from is not None:
-                if isinstance(p, float):
-                    p = p if p != 0.0 else 2.0**-70
-                else:
-                    p = np.where(p == 0.0, 2.0**-70, p)
-                g = g + (dP_k / p - dlnQ_k)
-            T *= np.multiply(p * inv_q_k, x, out=term)
-        if log_from is None:
-            y0 += T
-            if slope:
-                y1 += np.multiply(T, weight, out=term)
-            if k == 1:
-                scale = np.abs(T)
-        else:
-            G = 1.0 if k < log_from else g + log_x
-            y0 += np.multiply(G, T, out=term)
-            if slope:
-                np.multiply(G, weight, out=term)
-                term += k >= log_from
-                term *= T
-                y1 += term
-        if k % block == block - 1:
-            if log_from is None:
-                done = np.abs(T) <= _SERIES_TOL * np.minimum(np.abs(y0), scale)
+            g = dP[b0:b0 + block] / p - dlnQ[b0:b0 + block]
+            g[:, 0] = 0.0 if b0 == 0 else g[:, 0] + g_last
+            np.add.accumulate(g, axis=1, out=g)
+            g_last = g[:, -1]
+        p *= inv_q[b0:b0 + block]
+        for j in range(0, block, step):
+            k0 = b0 + j
+            cols = slice(k0, k0 + step)
+            T = p[:, j:j + step] * x
+            if k0:
+                T[:, 0] *= last
             else:
-                done = np.abs(T) * (1.0 + np.abs(G)) <= _SERIES_TOL * np.abs(y0)
-            if done.any():
-                out[0, live[done]] = y0[done]
-                if slope:
-                    out[1, live[done]] = y1[done]
-                keep = ~done
-                live = live[keep]
-                if not live.size:
-                    break
-                T, y0, y1, x, lam = (_keep(a, keep) for a in (T, y0, y1, x, lam))
-                term = term[:live.size]
-                if log_from is None:
-                    scale = _keep(scale, keep)
-                else:
-                    g, log_x = _keep(g, keep), _keep(log_x, keep)
-    return out[0], (out[1] if slope else None)
+                T[:, 0] = 1.0
+            if step > 1:  # even over one column numpy walks every row
+                np.multiply.accumulate(T, axis=1, out=T)
+            last = T[:, -1]
+            sums = np.empty((2, live.size, step))
+            if log_from is None:
+                sums[0] = T
+                np.multiply(T, order[cols], out=sums[1])
+                if k0 <= 1 < k0 + step:
+                    scale = np.abs(T[:, 1 - k0])
+            else:
+                G = g[:, j:j + step] + log_x
+                power = min(max(log_from - k0, 0), step)
+                G[:, :power] = 1.0
+                np.multiply(G, T, out=sums[0])
+                np.multiply(G, order[cols], out=sums[1])
+                sums[1, :, power:] += 1.0
+                sums[1] *= T
+            if k0:  # the carried sums enter first: every partial sum is sequential
+                sums[:, :, 0] += y
+            if step > 1:
+                np.add.accumulate(sums, axis=2, out=sums)
+            y = sums[:, :, -1]
+        # the checkpoint: a sample that has stopped leaves the batch
+        if log_from is None:
+            done = np.abs(last) <= _SERIES_TOL * np.minimum(np.abs(y[0]), scale)
+        else:
+            done = np.abs(last) * (1.0 + np.abs(G[:, -1])) <= _SERIES_TOL * np.abs(y[0])
+        if done.any():
+            stopped = live[done]
+            for row, part in zip(out, y):  # row by row: numpy's 2-D masks are slow
+                row[stopped] = part[done]
+            keep = ~done
+            live = live[keep]
+            if not live.size:
+                break
+            y = y[:, keep]
+            # a shared lam or x (and so g or log x) stays shared
+            last, lam, x = (a[keep] if len(a) == len(keep) else a for a in (last, lam, x))
+            if log_from is None:
+                scale = scale[keep]
+            else:
+                g_last, log_x = (a[keep] if len(a) == len(keep) else a for a in (g_last, log_x))
+    return out[0], out[1]
 
 
-def _keep(a, keep):
-    """The live samples of a per-sample array; a shared value stays."""
-    return a[keep] if isinstance(a, np.ndarray) and a.shape == keep.shape else a
-
-
-def _ground_state(space: ModelSpace, lam, r, slope: bool = True):
+def _ground_state(space: ModelSpace, lam, r):
     """Regular solution u of u'' + (n-1) c(r) u' + lam u = 0, u(0) = 1, and u'.
 
     c(r) = 1/r (flat) or cot r (sphere); lam and r broadcast.  Flat: u =
@@ -361,8 +320,7 @@ def _ground_state(space: ModelSpace, lam, r, slope: bool = True):
     summed about z = 0 for z <= 1/2 and past 1/2 in the Frobenius basis at
     the antipode, which takes 1 - z as cos^2(r/2).  Every value depends only
     on its own (lam, r); a series that overflows, at lam far past the first
-    root, gives inf or nan.  Without ``slope`` u' is None, and a wide batch
-    (a profile) does not sum it.
+    root, gives inf or nan.
     """
     n = space.n
     lam = np.asarray(lam, dtype=float)
@@ -375,36 +333,34 @@ def _ground_state(space: ModelSpace, lam, r, slope: bool = True):
     lam, r = lam.ravel(), r.ravel()
     with np.errstate(over="ignore", invalid="ignore"):
         if space.kappa == 0:
-            u, y1 = _series(n, "flat", lam, 0.25 * r * r, slope)
+            u, y1 = _series(n, "flat", lam, 0.25 * r * r)
             # u' = (2/r) x du/dx; x du/dx is 0 at r = 0
-            du = 2.0 * y1 / np.maximum(r, _TINY) if slope else None
+            du = 2.0 * y1 / np.maximum(r, _TINY)
         elif r.size == 1:  # a scan
             half = 0.5 * r
             side = _near_side if half[0] <= 0.25 * math.pi else _far_side
-            u, du = side(n, lam, half, slope)
+            u, du = side(n, lam, half)
         else:
             width = max(lam.size, r.size)
             half = 0.5 * r
             near = half <= 0.25 * math.pi
             u = np.empty(width)
-            du = np.empty(width) if slope else None
+            du = np.empty(width)
             for side, mask in ((_near_side, near), (_far_side, ~near)):
                 if mask.any():
-                    u[mask], part = side(n, lam if lam.size < width else lam[mask],
-                                         half[mask], slope)
-                    if slope:
-                        du[mask] = part
-    return u.reshape(shape), du if du is None else du.reshape(shape)
+                    u[mask], du[mask] = side(n, lam if lam.size < width else lam[mask],
+                                             half[mask])
+    return u.reshape(shape), du.reshape(shape)
 
 
-def _near_side(n: int, lam, half, slope: bool):
+def _near_side(n: int, lam, half):
     """(u, u') at r = 2 half where z = sin^2(r/2) <= 1/2: the series about 0."""
-    u, y1 = _series(n, "first", lam, np.sin(half) ** 2, slope)
+    u, y1 = _series(n, "first", lam, np.sin(half) ** 2)
     # u' = cot(r/2) z du/dz; z du/dz is 0 at r = 0
-    return u, y1 / np.tan(np.maximum(half, _TINY)) if slope else None
+    return u, y1 / np.tan(np.maximum(half, _TINY))
 
 
-def _far_side(n: int, lam, half, slope: bool):
+def _far_side(n: int, lam, half):
     """(u, u') at r = 2 half where z = sin^2(r/2) > 1/2.
 
     The equation is the same in t = 1 - z = cos^2(r/2) as in z, so the first
@@ -415,10 +371,10 @@ def _far_side(n: int, lam, half, slope: bool):
     A, B = _antipodal_coefficients(n, lam)
     t = np.cos(half) ** 2
     B = B * t ** (1.0 - 0.5 * n)
-    f0, f1 = _series(n, "first", lam, t, slope)
-    s0, s1 = _series(n, "second", lam, t, slope)
+    f0, f1 = _series(n, "first", lam, t)
+    s0, s1 = _series(n, "second", lam, t)
     # u' = -tan(r/2) t du/dt
-    return A * f0 + B * s0, -(A * f1 + B * s1) * np.tan(half) if slope else None
+    return A * f0 + B * s0, -(A * f1 + B * s1) * np.tan(half)
 
 
 def _antipodal_coefficients(n: int, lam):
@@ -531,7 +487,7 @@ def solve_radial_eigen(ball: GeodesicBall, beta: float):
 
     lam = 0.5 * (lo + hi) / scale**2
     grid = np.linspace(0.0, R, 4097)
-    values, _ = _ground_state(space, lam, grid, slope=False)
+    values, _ = _ground_state(space, lam, grid)
     if float(np.min(values)) <= 0.0:
         raise EigenBracketError("ground state crosses zero; bracket missed the first root")
     return lam, RadialProfile(ball=ball, grid=grid, values=values)

@@ -66,3 +66,25 @@ def square_build_loop(side, k):
             tris.append((v00, v10, v11))
             tris.append((v00, v11, v01))
     return verts, np.array(tris, dtype=np.int64)
+
+
+def annulus_sector_build_loop(r_inner, r_outer, angle0, angle1, kr, ka):
+    """The (kr + 1) x (ka + 1) polar grid of the sector, radius-major, two
+    triangles per cell."""
+    rr = np.linspace(r_inner, r_outer, kr + 1)
+    aa = np.linspace(angle0, angle1, ka + 1)
+    verts = np.array(
+        [(r * math.cos(a), r * math.sin(a)) for r in rr for a in aa]
+    )
+
+    def vid(i, j):  # i radial, j angular
+        return i * (ka + 1) + j
+
+    tris = []
+    for i in range(kr):
+        for j in range(ka):
+            v00, v01 = vid(i, j), vid(i, j + 1)
+            v10, v11 = vid(i + 1, j), vid(i + 1, j + 1)
+            tris.append((v00, v10, v11))
+            tris.append((v00, v11, v01))
+    return verts, np.array(tris, dtype=np.int64)

@@ -230,6 +230,19 @@ def test_config_rejections(tmp_path):
     assert cli.load_config(path, output_dir=str(tmp_path / "o")).output_dir
 
 
+_BOOLEAN_FIELDS = [
+    (dict(space={"kappa": True, "n": 2}), "space.kappa"),
+    (dict(space={"kappa": 0, "n": 2, "alpha": True}), "space.alpha"),
+    (dict(checks=[{"id": "thm1.1", "p": 1.0, "q": True}]), "checks[0].q"),
+    (dict(domain={"kind": "square", "side": True}), "domain.side"),
+    (dict(domain={"kind": "disk", "radius": True}), "domain.radius"),
+    (dict(space={"kappa": 1, "n": 2}, domain={"kind": "spherical_cap", "theta": True}),
+     "domain.theta"),
+    (dict(domain={"kind": "disk", "radius": 1.0, "geometry": "warped",
+                  "warp": {"profile": "cone", "c": True}}), "domain.warp.c"),
+]
+
+
 @pytest.mark.parametrize("overrides", [
     dict(domain={"kind": "disk"}),
     dict(domain={"kind": "disk", "radius": 1.0, "geometry": "warped",
@@ -246,14 +259,25 @@ def test_config_rejections(tmp_path):
     # the comparison needs a source that does not vanish identically
     dict(source={"expr": "0"}),
     dict(source={"expr": "x*0"}),
+    # no field takes a boolean; Python would read true as the number 1
+    *(overrides for overrides, _ in _BOOLEAN_FIELDS),
 ])
 def test_malformed_config_exits_two(tmp_path, capsys, overrides):
-    # each passes load_config and fails when the run builds the domain or
-    # evaluates the source
+    # each passes load_config's field rules and fails when the run builds
+    # the domain or evaluates the source; a boolean is refused up front
     path = _write_config(tmp_path, **overrides)
     assert cli.main(["run", path]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("overrides, field", _BOOLEAN_FIELDS,
+                         ids=[field for _, field in _BOOLEAN_FIELDS])
+def test_boolean_config_field_is_named(tmp_path, overrides, field):
+    path = _write_config(tmp_path, **overrides)
+    with pytest.raises(ConfigError) as info:
+        cli.load_config(path)
+    assert str(info.value) == f"field {field!r} is a boolean; no config field takes one"
 
 
 @pytest.mark.parametrize("values", [

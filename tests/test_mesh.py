@@ -26,7 +26,7 @@ from robinsym.mesh import (
     warped_profile,
 )
 
-from mesh_oracles import disk_build_loop, square_build_loop
+from mesh_oracles import annulus_sector_build_loop, disk_build_loop, square_build_loop
 
 L_SHAPE = [(0.0, 0.0), (2.0, 0.0), (2.0, 1.0), (1.0, 1.0), (1.0, 2.0), (0.0, 2.0)]
 
@@ -133,6 +133,23 @@ def test_square_points_match_the_loop_oracle(side, target_h):
     verts, tris = mesh_module._square_points(side, target_h)
     k = max(1, math.ceil(side * math.sqrt(2.0) / target_h))
     ref_verts, ref_tris = square_build_loop(side, k)
+    assert verts.tobytes() == ref_verts.tobytes()
+    assert tris.dtype == ref_tris.dtype and np.array_equal(tris, ref_tris)
+
+
+@pytest.mark.parametrize("r_inner, r_outer, angle0, angle1, target_h", [
+    (1.0, 2.0, 0.0, 1.0, 0.2),
+    (0.3, 0.35, -2.5, 3.0, 0.013),
+    (0.05, 4.0, 1.0, 1.0 + 0.5 * math.pi, 0.37),
+])
+def test_annulus_sector_points_match_the_loop_oracle(r_inner, r_outer, angle0, angle1,
+                                                     target_h):
+    verts, tris = mesh_module._annulus_sector_points(r_inner, r_outer, angle0, angle1,
+                                                     target_h)
+    step = mesh_module._H_SAFETY * target_h
+    kr = max(1, math.ceil((r_outer - r_inner) / step))
+    ka = max(1, math.ceil((angle1 - angle0) * r_outer / step))
+    ref_verts, ref_tris = annulus_sector_build_loop(r_inner, r_outer, angle0, angle1, kr, ka)
     assert verts.tobytes() == ref_verts.tobytes()
     assert tris.dtype == ref_tris.dtype and np.array_equal(tris, ref_tris)
 

@@ -452,15 +452,16 @@ def test_ground_state_value_ignores_its_batch(space):
     # the zoom re-evaluates its bracket ends and trusts their signs: a
     # sample's (u, u') is the same bits alone, in a scan and in a profile
     for R in (0.7, 2.6):
-        for lams in (np.linspace(0.0, 16.0, 65), np.linspace(0.0, 16.0, 301)):
+        # 65 and 255 lams are summed a block of terms per step, 256 and more
+        # one term per step
+        for width in (65, 255, 256, 257, 301):
+            lams = np.linspace(0.0, 16.0, width)
             u, du = _ground_state(space, lams, R)
-            for k in (0, 9, 40, 64):
+            for k in (0, 9, 40, 64, width - 1):
                 assert _ground_state(space, lams[k], R) == (u[k], du[k])
                 assert _ground_state(space, lams[k:k + 3], R)[0][0] == u[k]
     grid = np.linspace(0.0, 2.6, 1025)
     u, du = _ground_state(space, 1.7, grid)
-    values, none = _ground_state(space, 1.7, grid, slope=False)
-    assert values.tolist() == u.tolist() and none is None
     for k in (0, 3, 600, 1024):
         assert _ground_state(space, 1.7, grid[k]) == (u[k], du[k])
         batch = _ground_state(space, np.full(5, 1.7), grid[k])
