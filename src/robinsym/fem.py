@@ -24,8 +24,20 @@ panel size, and a 2-D P1 matrix has supernodes too narrow to use a wide
 one.  The Poisson solve is one back-substitution, inverse power iteration
 one per round, and a caller needing both passes them the same assembly and
 factor.
+
+The matrices are numpy data arrays on the pattern, and a matrix handed to
+SuperLU is its CSC triple (data, indices, indptr).  Of scipy this module
+uses two compiled functions, SuperLU's ``gstrf`` and the CSC mat-vec, and
+it loads their extension modules from their files in the installed scipy.
+Importing them through ``scipy.sparse`` would load scipy's array-API layer,
+which imports ``numpy.f2py``, ``numpy.testing``, ``numpy.ma`` and
+``numpy.random`` besides: about 0.3 s and 30 MB a process.  So a run
+imports no scipy subpackage.
 """
 
+import ctypes
+import importlib.machinery
+import importlib.util
 import json
 import math
 import os
@@ -33,10 +45,9 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import splu
 
 from .mesh import (
+    MatrixPattern,
     MeasuredMesh,
     MeshFormatError,
     ScalarField,
@@ -60,6 +71,48 @@ _GAUSS2 = (0.5 - 0.5 / math.sqrt(3.0), 0.5 + 0.5 / math.sqrt(3.0))
 # factored the 79k disk, whose separators make wide supernodes, slower than
 # the default.
 _PANEL_SIZE = 2
+
+# what scipy.sparse.linalg.splu(A, permc_spec="MMD_AT_PLUS_A",
+# diag_pivot_thresh=0.0, panel_size=_PANEL_SIZE,
+# options={"SymmetricMode": True}) hands to SuperLU
+_SUPERLU_OPTIONS = {"DiagPivotThresh": 0.0, "ColPerm": "MMD_AT_PLUS_A",
+                    "PanelSize": _PANEL_SIZE, "Relax": None, "SymmetricMode": True}
+
+
+def _scipy_extension(name):
+    """The compiled module ``name`` of the installed scipy, found by its file
+    location: the finder reads one directory and imports none of scipy's
+    packages.  The module registers under its own name, so a later public
+    import of it shares it."""
+    scipy_spec = importlib.util.find_spec("scipy")
+    if scipy_spec is None:
+        raise ImportError(f"robinsym needs scipy for {name}", name="scipy")
+    where = os.path.join(scipy_spec.submodule_search_locations[0],
+                         *name.split(".")[1:-1])
+    spec = importlib.machinery.PathFinder.find_spec(name, [where])
+    if spec is None:
+        raise ImportError(f"no extension module {name} in {where}", name=name, path=where)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _stop_blas_pool(extension):
+    """Stop the thread pool of the OpenBLAS that ``extension`` links, if it
+    links one.  OpenBLAS starts its pool when it loads, and an idle worker
+    spins a core for about 0.1 s before it sleeps, which would overlap the
+    start of a run on a 2-core machine.  SuperLU's BLAS calls here, up to
+    80k vertices, never use the pool; OpenBLAS restarts it on its first
+    threaded call, so no result depends on this."""
+    stop = getattr(ctypes.CDLL(extension.__file__), "blas_thread_shutdown_", None)
+    if stop is not None:
+        stop()
+
+
+_superlu = _scipy_extension("scipy.sparse.linalg._dsolve._superlu")
+_sparsetools = _scipy_extension("scipy.sparse._sparsetools")
+_stop_blas_pool(_superlu)
+gstrf = _superlu.gstrf
 
 
 class SingularGeometryError(ValueError):
@@ -107,25 +160,41 @@ class RobinProblem:
 
 @dataclass(frozen=True)
 class AssembledSystem:
-    """The weak Robin form on one mesh; the three matrices are CSC on the
-    mesh's :meth:`~robinsym.mesh.MeasuredMesh.matrix_pattern` and share its
-    index arrays.  Nothing here depends on beta."""
+    """The weak Robin form on one mesh: the three matrices are data arrays on
+    the mesh's :meth:`~robinsym.mesh.MeasuredMesh.matrix_pattern`.  Nothing
+    here depends on beta."""
 
-    stiffness: sp.csc_matrix
-    mass: sp.csc_matrix
-    boundary_mass: sp.csc_matrix
+    pattern: MatrixPattern
+    stiffness: np.ndarray
+    mass: np.ndarray
+    boundary_mass: np.ndarray
     load: np.ndarray
 
-    def robin_matrix(self, beta: float) -> sp.csc_matrix:
-        """K + beta B in CSC form without explicit zeros: the stiffness of an
-        edge opposite two right angles is exactly 0, and a stored zero there
-        would only add fill to the factor."""
-        data = self.stiffness.data + beta * self.boundary_mass.data
+    def matvec(self, matrix: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """The product of ``matrix``, a data array on the pattern, with the
+        float vector x: scipy's CSC mat-vec, the one ``csc_matrix @ x``
+        runs.  The compiled loop reads the arrays unchecked, so their sizes
+        are checked here."""
+        n, slots = len(self.load), self.pattern.indices.shape
+        matrix = np.ascontiguousarray(matrix, dtype=float)
+        x = np.ascontiguousarray(x, dtype=float)
+        if matrix.shape != slots or x.shape != (n,):
+            raise ValueError(f"matvec takes {slots[0]} matrix values and a vector of "
+                             f"{n}, got {matrix.shape} and {x.shape}")
+        y = np.zeros(n)
+        _sparsetools.csc_matvec(n, n, self.pattern.indptr, self.pattern.indices, matrix, x, y)
+        return y
+
+    def robin_matrix(self, beta: float):
+        """K + beta B as a CSC triple (data, indices, indptr) without
+        explicit zeros: the stiffness of an edge opposite two right angles is
+        exactly 0, and a stored zero there would only add fill to the
+        factor."""
+        data = self.stiffness + beta * self.boundary_mass
         keep = data != 0.0
-        kept = np.concatenate(([0], np.cumsum(keep)))
-        return sp.csc_matrix(
-            (data[keep], self.stiffness.indices[keep], kept[self.stiffness.indptr]),
-            shape=self.stiffness.shape)
+        kept = np.zeros(len(data) + 1, dtype=np.int32)
+        np.cumsum(keep, out=kept[1:])
+        return data[keep], self.pattern.indices[keep], kept[self.pattern.indptr]
 
 
 def _check_metric(mesh: MeasuredMesh):
@@ -149,15 +218,11 @@ def assemble(problem: RobinProblem) -> AssembledSystem:
     pattern = mesh.matrix_pattern()
     n_edges = len(pattern.upper)
 
-    def matrix(diag, off):
-        return sp.csc_matrix((pattern.data(diag, off), pattern.indices, pattern.indptr),
-                             shape=(nv, nv))
-
     def element_matrix(diag, off):
         # per triangle, (M, 3) values at the corners and on the half-edges
         # ab, bc, ca, summed per vertex and per edge
-        return matrix(np.bincount(tris.ravel(), diag.ravel(), nv),
-                      np.bincount(pattern.half_edge, off.ravel(), n_edges))
+        return pattern.data(np.bincount(tris.ravel(), diag.ravel(), nv),
+                            np.bincount(pattern.half_edge, off.ravel(), n_edges))
 
     # area (W g_i).g_j, with j = i on the diagonal and j = i + 1 on half-edge
     # i: one value per triangle side makes K exactly symmetric
@@ -194,24 +259,33 @@ def assemble(problem: RobinProblem) -> AssembledSystem:
         b01 += 0.5 * (1.0 - t) * t * st
         b11 += 0.5 * t**2 * st
     at_ends = np.column_stack([lengths * b00, lengths * b11])
-    boundary_mass = matrix(np.bincount(edges.ravel(), at_ends.ravel(), nv),
-                           np.bincount(pattern.boundary, lengths * b01, n_edges))
+    boundary_mass = pattern.data(np.bincount(edges.ravel(), at_ends.ravel(), nv),
+                                 np.bincount(pattern.boundary, lengths * b01, n_edges))
 
-    return AssembledSystem(stiffness=stiffness, mass=mass,
+    return AssembledSystem(pattern=pattern, stiffness=stiffness, mass=mass,
                            boundary_mass=boundary_mass, load=load)
 
 
-def factor_robin(A: sp.csc_matrix):
+def _csc_triple(arrays, shape):
+    # SuperLU builds its L and U factors on request through this; they come
+    # back in this module's matrix form, the triple (data, indices, indptr)
+    return arrays
+
+
+def factor_robin(A):
     """Sparse LU of an SPD Robin matrix K + beta B, the solvers' ``lu``:
     minimum-degree ordering of A + A^T, diagonal pivots only, and panels of
     2 columns, which change neither the ordering nor the fill but shrink
-    SuperLU's workspace.  ``A`` is factored as given, so it must be CSC."""
+    SuperLU's workspace.  ``A`` is a CSC triple (data, indices, indptr)
+    with int32 indices, rows sorted and unique in each column, as
+    :meth:`AssembledSystem.robin_matrix` builds it."""
+    data, indices, indptr = A
+    n = len(indptr) - 1
     try:
-        return splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                    panel_size=_PANEL_SIZE, options={"SymmetricMode": True})
+        return gstrf(n, len(data), data, indices, indptr, csc_construct_func=_csc_triple,
+                     ilu=False, options=_SUPERLU_OPTIONS)
     except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
-        raise SingularSystemError(
-            f"Robin matrix on {A.shape[0]} dof: {exc}") from exc
+        raise SingularSystemError(f"Robin matrix on {n} dof: {exc}") from exc
 
 
 def solve_robin_poisson(problem: RobinProblem, system: AssembledSystem | None = None,
@@ -249,17 +323,18 @@ def solve_robin_eigen(mesh: MeasuredMesh, beta: float,
     if lu is None:
         lu = factor_robin(system.robin_matrix(beta))
     K, B, M = system.stiffness, system.boundary_mass, system.mass
+    matvec = system.matvec
 
     def energy(x):  # x.(K + beta B)x, without building K + beta B again
-        return _dot(x, K @ x) + beta * _dot(x, B @ x)
+        return _dot(x, matvec(K, x)) + beta * _dot(x, matvec(B, x))
 
     x = np.ones(len(system.load))
-    x /= math.sqrt(_dot(x, M @ x))
+    x /= math.sqrt(_dot(x, matvec(M, x)))
     lam = energy(x)
     for _ in range(_EIGEN_MAX_ITERS):
-        y = lu.solve(M @ x)
-        y /= math.sqrt(_dot(y, M @ y))
-        lam_new = energy(y) / _dot(y, M @ y)
+        y = lu.solve(matvec(M, x))
+        y /= math.sqrt(_dot(y, matvec(M, y)))
+        lam_new = energy(y) / _dot(y, matvec(M, y))
         x = y
         if abs(lam_new - lam) <= 1e-9 * abs(lam_new):
             lam = lam_new

@@ -266,7 +266,7 @@ class MeasuredMesh:
             raise MeshInvariantError(f"edge-conformity: directed edge {key} repeats")
         tail, head = edges.boundary.T
         found = np.sort(tail * n + head)
-        declared = np.unique(b[:, 0] * n + b[:, 1])
+        declared = sorted_unique(b[:, 0] * n + b[:, 1])
         if len(declared) != len(b):
             raise MeshInvariantError("boundary-match: duplicate boundary edge")
         if not np.array_equal(declared, found):
@@ -382,7 +382,7 @@ class MeasuredMesh:
 
     @property
     def boundary_vertices(self) -> np.ndarray:
-        return np.unique(self.boundary_edges)
+        return sorted_unique(self.boundary_edges)
 
     def __repr__(self):
         return (
@@ -396,6 +396,17 @@ def edge_midpoints(corners) -> np.ndarray:
     their (M, 3) corner values: the nodes of the edge-midpoint rule, area/3
     times the sum, exact for quadratics."""
     return 0.5 * (corners + np.roll(corners, -1, axis=1))
+
+
+def sorted_unique(values) -> np.ndarray:
+    """The sorted distinct values, as ``np.unique(values)`` gives them for
+    input without NaN.  ``np.unique`` without flags tests for a masked array
+    first, and that test imports ``numpy.ma`` on its first call."""
+    aux = np.sort(values, axis=None)
+    keep = np.empty(len(aux), dtype=bool)
+    keep[:1] = True
+    np.not_equal(aux[1:], aux[:-1], out=keep[1:])
+    return aux[keep]
 
 
 @dataclass
@@ -455,8 +466,9 @@ class MatrixPattern(NamedTuple):
     """Sparsity shared by the P1 matrices of a mesh: each vertex couples with
     itself and its edge neighbours.  The pattern is symmetric, so it is both
     the CSC and the CSR pattern; the rows of each column are sorted, without
-    duplicates.  The index arrays are read-only, because every matrix built
-    on the pattern shares them."""
+    duplicates.  A matrix on the pattern is its data array, one value per
+    slot.  The index arrays are read-only, because every matrix built on the
+    pattern shares them."""
 
     indptr: np.ndarray  # (N + 1,) int32
     indices: np.ndarray  # (N + 2E,) int32

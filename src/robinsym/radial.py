@@ -23,6 +23,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .mesh import sorted_unique
 from .model_geometry import (
     GeodesicBall,
     ModelSpace,
@@ -133,7 +134,7 @@ def solve_symmetrized_poisson(ball: GeodesicBall, beta: float,
         total = source.total
         cumulative = lambda w: source.cumulative(np.minimum(w, total))
         kinks = np.clip(radii_for_volumes(space, source.kinks()), 0.0, R)
-        edges = np.unique(np.concatenate([grid, kinks]))
+        edges = sorted_unique(np.concatenate([grid, kinks]))
 
     lo, hi = edges[:-1], edges[1:]
     half = 0.5 * (hi - lo)

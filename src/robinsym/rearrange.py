@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import ScalarField, edge_midpoints
+from .mesh import ScalarField, edge_midpoints, sorted_unique
 from .model_geometry import (
     GeodesicBall,
     ModelSpace,
@@ -319,7 +319,7 @@ class DecreasingRearrangement:
     def kinks(self) -> np.ndarray:
         """Measure values where h* changes analytic form, ascending in s."""
         s = np.concatenate([self._mu_left, self._mu_right, [0.0, self.total]])
-        s = np.unique(np.clip(s, 0.0, self.total))
+        s = sorted_unique(np.clip(s, 0.0, self.total))
         return s
 
     def _invert(self, s, strict):
@@ -396,7 +396,7 @@ def schwarz_rearrangement(dist: DistributionData, space: ModelSpace) -> RadialPr
     rearr = decreasing_rearrangement(dist)
 
     kink_radii = radii_for_volumes(space, rearr.kinks())
-    grid = np.unique(np.concatenate([np.linspace(0.0, R, 257), kink_radii]))
+    grid = sorted_unique(np.concatenate([np.linspace(0.0, R, 257), kink_radii]))
     grid = np.clip(grid, 0.0, R)
     keep = np.concatenate([[True], np.diff(grid) > 1e-13 * max(R, 1.0)])
     grid = grid[keep]
@@ -499,7 +499,7 @@ def hardy_littlewood_check(f1: ScalarField, f2: ScalarField):
 
     r1 = decreasing_rearrangement(distribution_function(f1))
     r2 = decreasing_rearrangement(distribution_function(f2))
-    s_nodes = np.unique(np.concatenate([r1.kinks(), r2.kinks()]))
+    s_nodes = sorted_unique(np.concatenate([r1.kinks(), r2.kinks()]))
     lo, hi = s_nodes[:-1], s_nodes[1:]
     keep = hi > lo
     nodes, weights = _pair_nodes(lo[keep], hi[keep])

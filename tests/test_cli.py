@@ -406,7 +406,7 @@ def test_run_solves_each_level_and_beta_once(tmp_path, capsys, monkeypatch):
         return wrapped
 
     monkeypatch.setattr(fem, "assemble", counting("assemble", fem.assemble))
-    monkeypatch.setattr(fem, "splu", counting("factor", fem.splu))
+    monkeypatch.setattr(fem, "gstrf", counting("factor", fem.gstrf))
     monkeypatch.setattr(cli.verify, "distribution_function", counting(
         "distribution", rearrange.distribution_function))
 
@@ -468,7 +468,7 @@ def test_run_singular_factorization_exits_three(tmp_path, capsys, monkeypatch):
     def singular(*args, **kwargs):
         raise RuntimeError("Factor is exactly singular")
 
-    monkeypatch.setattr(fem, "splu", singular)
+    monkeypatch.setattr(fem, "gstrf", singular)
     path = _write_config(tmp_path, checks=[{"id": "min-comparison"}])
     assert cli.main(["run", path]) == 3
     err = capsys.readouterr().err

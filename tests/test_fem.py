@@ -76,12 +76,28 @@ def _perturbed_grid(nx, ny, pert, seed):
 # assembly
 
 
+def _csc(system, matrix):
+    """A matrix of `system`, a data array on its pattern or a CSC triple
+    (data, indices, indptr), as a scipy CSC matrix on the same arrays."""
+    if isinstance(matrix, np.ndarray):
+        matrix = (matrix, system.pattern.indices, system.pattern.indptr)
+    n = len(system.load)
+    return sp.csc_matrix(matrix, shape=(n, n))
+
+
+def _matrices(system):
+    """Stiffness, mass and boundary mass as scipy CSC matrices."""
+    return [_csc(system, data) for data in
+            (system.stiffness, system.mass, system.boundary_mass)]
+
+
 def test_unit_square_mass_and_stiffness():
     system = fem.assemble(fem.RobinProblem(mesh=_unit_square(), beta=1.0))
-    assert abs(system.mass.sum() - 1.0) < 1e-12
-    assert np.max(np.abs(system.stiffness @ np.ones(4))) < 1e-12
+    stiffness, mass, boundary_mass = _matrices(system)
+    assert abs(mass.sum() - 1.0) < 1e-12
+    assert np.max(np.abs(stiffness @ np.ones(4))) < 1e-12
     # perimeter of the unit square
-    assert abs(system.boundary_mass.sum() - 4.0) < 1e-12
+    assert abs(boundary_mass.sum() - 4.0) < 1e-12
 
 
 def _coo_assembly(problem):
@@ -135,14 +151,15 @@ def test_matrices_symmetric_and_positive():
     for make in _KERNEL_MESHES.values():
         m = make()
         system = fem.assemble(fem.RobinProblem(mesh=m, beta=1.0))
-        A = system.robin_matrix(1.0)
+        stiffness, mass, boundary_mass = _matrices(system)
+        A = _csc(system, system.robin_matrix(1.0))
         # one value per edge: exact symmetry, also for the warped weight,
         # whose (W g_i).g_j and (W g_j).g_i round apart
-        for mat in (system.stiffness, system.mass, system.boundary_mass, A):
+        for mat in (stiffness, mass, boundary_mass, A):
             assert (mat != mat.T).nnz == 0
         for _ in range(10):
             x = rng.normal(size=len(m.vertices))
-            assert float(x @ (system.stiffness @ x)) > -1e-12 * float(x @ x)
+            assert float(x @ (stiffness @ x)) > -1e-12 * float(x @ x)
             assert float(x @ (A @ x)) > 0.0
 
 
@@ -152,10 +169,12 @@ def test_assembly_matches_coo_reference(name):
     vals = 1.0 + m.vertices[:, 0] ** 2
     problem = fem.RobinProblem(mesh=m, beta=2.0, source=msh.ScalarField(mesh=m, values=vals))
     system = fem.assemble(problem)
-    A = system.robin_matrix(2.0)  # builds on the shared pattern, changing no matrix
+    # builds on the shared pattern, changing no matrix
+    A = _csc(system, system.robin_matrix(2.0))
+    stiffness, mass, boundary_mass = _matrices(system)
     ref_k, ref_m, ref_b, ref_load = _coo_assembly(problem)
-    for got, ref in ((system.stiffness, ref_k), (system.mass, ref_m),
-                     (system.boundary_mass, ref_b), (A, ref_k + 2.0 * ref_b)):
+    for got, ref in ((stiffness, ref_k), (mass, ref_m),
+                     (boundary_mass, ref_b), (A, ref_k + 2.0 * ref_b)):
         assert got.format == "csc"
         assert abs(got - ref).max() <= 1e-14 * abs(ref).max()
     assert np.max(np.abs(system.load - ref_load)) <= 1e-14 * np.max(np.abs(ref_load))
@@ -163,12 +182,33 @@ def test_assembly_matches_coo_reference(name):
 
 def test_shared_pattern_is_read_only():
     system = fem.assemble(fem.RobinProblem(mesh=_disk(0.3), beta=1.0))
-    indices = system.stiffness.indices
-    for mat in (system.mass, system.boundary_mass):
+    stiffness, mass, boundary_mass = _matrices(system)
+    indices = stiffness.indices
+    for mat in (mass, boundary_mass):
         assert np.shares_memory(mat.indices, indices)
     # an in-place change of one matrix's pattern would corrupt the others
     with pytest.raises(ValueError):
-        system.boundary_mass.eliminate_zeros()
+        boundary_mass.eliminate_zeros()
+    for slots in (system.pattern.indptr, system.pattern.indices):
+        with pytest.raises(ValueError):
+            slots[0] = 1
+
+
+@pytest.mark.parametrize("name", sorted(_KERNEL_MESHES))
+def test_matvec_matches_scipy_bit_for_bit(name):
+    # the inverse iteration's products are those of the scipy matrices
+    m = _KERNEL_MESHES[name]()
+    system = fem.assemble(fem.RobinProblem(mesh=m, beta=1.0))
+    rng = np.random.default_rng(3)
+    for data, mat in zip((system.stiffness, system.mass, system.boundary_mass),
+                         _matrices(system)):
+        for x in (np.ones(len(m.vertices)), rng.normal(size=len(m.vertices))):
+            assert np.array_equal(system.matvec(data, x), mat @ x)
+    # the compiled loop reads unchecked: a wrong size is refused before it
+    with pytest.raises(ValueError):
+        system.matvec(system.mass, np.ones(len(m.vertices) - 1))
+    with pytest.raises(ValueError):
+        system.matvec(system.mass[:-1], np.ones(len(m.vertices)))
 
 
 def test_square_21k_robin_matrix_and_assembly_memory():
@@ -182,6 +222,7 @@ def test_square_21k_robin_matrix_and_assembly_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    A = _csc(system, A)
     # the hypotenuse stiffness is exactly 0 and stays out of the factor's input
     assert A.format == "csc"
     assert np.count_nonzero(A.data) == A.nnz == 104_545
@@ -194,6 +235,17 @@ def _default_panel_factor(A):
     panel size."""
     return scipy.sparse.linalg.splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                                     options={"SymmetricMode": True})
+
+
+def _factors(lu):
+    """L and U of a factor from `fem.factor_robin`, which come as CSC
+    triples, as scipy matrices: what `splu`'s factor holds."""
+    return [sp.csc_array(triple, shape=lu.shape) for triple in (lu.L, lu.U)]
+
+
+def _fill(lu):
+    """L + U nnz of a factor from `fem.factor_robin`."""
+    return sum(factor.nnz for factor in _factors(lu))
 
 
 _PANEL_MESHES = {
@@ -211,15 +263,56 @@ def test_panel_size_keeps_ordering_fill_and_solution(name):
     problem = fem.RobinProblem(mesh=m, beta=1.0)
     system = fem.assemble(problem)
     A = system.robin_matrix(1.0)
-    lu, ref = fem.factor_robin(A), _default_panel_factor(A)
+    lu, ref = fem.factor_robin(A), _default_panel_factor(_csc(system, A))
     assert np.array_equal(lu.perm_c, ref.perm_c)
-    assert lu.L.nnz + lu.U.nnz == ref.L.nnz + ref.U.nnz
+    assert _fill(lu) == ref.L.nnz + ref.U.nnz
     if name == "square-21k":
-        assert lu.L.nnz + lu.U.nnz == 1_032_762
+        assert _fill(lu) == 1_032_762
     # the panel changes only the order of the updates: roundoff
     u = fem.solve_robin_poisson(problem, system, lu).values
     u_ref = ref.solve(system.load)
     assert np.max(np.abs(u - u_ref)) <= 1e-13 * np.max(np.abs(u_ref))
+
+
+@pytest.mark.parametrize("name", sorted(_PANEL_MESHES))
+def test_factor_matches_public_splu(name):
+    # oracle: scipy's public splu with the arguments `factor_robin` hands
+    # to SuperLU's extension; the same factor bit for bit
+    m = _PANEL_MESHES[name]()
+    problem = fem.RobinProblem(mesh=m, beta=1.0)
+    system = fem.assemble(problem)
+    A = system.robin_matrix(1.0)
+    lu = fem.factor_robin(A)
+    ref = scipy.sparse.linalg.splu(_csc(system, A), permc_spec="MMD_AT_PLUS_A",
+                                   diag_pivot_thresh=0.0, panel_size=2,
+                                   options={"SymmetricMode": True})
+    assert np.array_equal(lu.perm_c, ref.perm_c)
+    assert np.array_equal(lu.perm_r, ref.perm_r)
+    assert _fill(lu) == ref.L.nnz + ref.U.nnz
+    if name == "square-21k":
+        assert _fill(lu) == 1_032_762
+    for got, want in zip(_factors(lu), (ref.L, ref.U)):
+        for a, b in ((got.data, want.data), (got.indices, want.indices),
+                     (got.indptr, want.indptr)):
+            assert np.array_equal(a, b)
+    rng = np.random.default_rng(7)
+    for b in (system.load, rng.normal(size=len(m.vertices))):
+        assert np.array_equal(lu.solve(b), ref.solve(b))
+
+
+def test_missing_extension_names_the_path():
+    with pytest.raises(ImportError, match=r"sparse.linalg._dsolve") as info:
+        fem._scipy_extension("scipy.sparse.linalg._dsolve._missing")
+    assert info.value.path.endswith(os.path.join("sparse", "linalg", "_dsolve"))
+
+
+def test_singular_robin_matrix_is_a_solver_error():
+    # a zero column: SuperLU's "exactly singular" becomes SingularSystemError
+    data = np.array([1.0, 1.0])
+    indices = np.array([0, 1], dtype=np.int32)
+    indptr = np.array([0, 1, 2, 2], dtype=np.int32)
+    with pytest.raises(fem.SingularSystemError, match="3 dof"):
+        fem.factor_robin((data, indices, indptr))
 
 
 def test_mass_total_matches_measure():
@@ -283,7 +376,7 @@ def test_weak_form_residual():
     problem = fem.RobinProblem(mesh=m, beta=1.0)
     system = fem.assemble(problem)
     u = fem.solve_robin_poisson(problem)
-    res = system.robin_matrix(1.0) @ u.values - system.load
+    res = _csc(system, system.robin_matrix(1.0)) @ u.values - system.load
     rng = np.random.default_rng(11)
     for _ in range(20):
         phi = rng.normal(size=len(m.vertices))
@@ -298,7 +391,7 @@ def test_flux_identity():
         system = fem.assemble(problem)
         u = fem.solve_robin_poisson(problem)
         ones = np.ones(len(m.vertices))
-        lhs = beta * float(u.values @ (system.boundary_mass @ ones))
+        lhs = beta * float(u.values @ (_csc(system, system.boundary_mass) @ ones))
         rhs = float(system.load.sum())
         assert lhs == pytest.approx(rhs, rel=1e-8)
 
@@ -349,8 +442,8 @@ def test_rayleigh_quotient_consistency():
     lam, u = fem.solve_robin_eigen(m, beta=1.0)
     system = fem.assemble(fem.RobinProblem(mesh=m, beta=1.0))
     x = u.values
-    quotient = float(x @ (system.robin_matrix(1.0) @ x)) / float(
-        x @ (system.mass @ x))
+    quotient = float(x @ (_csc(system, system.robin_matrix(1.0)) @ x)) / float(
+        x @ (_csc(system, system.mass) @ x))
     assert quotient == pytest.approx(lam, rel=1e-8)
 
 
@@ -416,13 +509,13 @@ def test_eigen_above_20k_dof_on_the_shared_factor(monkeypatch):
     m = msh.refine(msh.refine(m))
     assert len(m.vertices) > 20_000
     factored = []
-    splu = fem.splu
+    gstrf = fem.gstrf
 
     def counted(*args, **kwargs):
-        factored.append(args[0].shape)
-        return splu(*args, **kwargs)
+        factored.append(args[0])
+        return gstrf(*args, **kwargs)
 
-    monkeypatch.setattr(fem, "splu", counted)
+    monkeypatch.setattr(fem, "gstrf", counted)
     problem = fem.RobinProblem(mesh=m, beta=1.0)
     system = fem.assemble(problem)
     lu = fem.factor_robin(system.robin_matrix(1.0))
@@ -442,8 +535,9 @@ def test_eigenfield_solves_generalized_problem():
     m = _disk(0.1)
     lam, u = fem.solve_robin_eigen(m, beta=1.0)
     system = fem.assemble(fem.RobinProblem(mesh=m, beta=1.0))
-    res = system.robin_matrix(1.0) @ u.values - lam * (system.mass @ u.values)
-    scale = float(np.linalg.norm(system.mass @ u.values))
+    mass = _csc(system, system.mass)
+    res = _csc(system, system.robin_matrix(1.0)) @ u.values - lam * (mass @ u.values)
+    scale = float(np.linalg.norm(mass @ u.values))
     # the 1e-9 eigenvalue stop bounds the vector residual only to its root
     assert float(np.linalg.norm(res)) <= 1e-4 * lam * scale
 
