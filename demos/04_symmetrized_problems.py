@@ -45,12 +45,11 @@ print(f"\nhemisphere torsion: center {v_half.values[0]:.6f}, "
 # eigenvalues as the first root of u'(R) + beta u(R) for the Bessel ground state
 print("\nradial Robin eigenvalues on the unit disk:")
 for beta in (0.1, 1.0, 10.0):
-    lam, profile = solve_radial_eigen(GeodesicBall(flat, 1.0), beta)
-    print(f"  beta = {beta:<4g} lambda = {lam:.10f}  "
-          f"(profile positive: {bool(np.all(profile.values > 0))})")
+    lam = solve_radial_eigen(GeodesicBall(flat, 1.0), beta)
+    print(f"  beta = {beta:<4g} lambda = {lam:.10f}")
 
 # large beta approaches the Dirichlet disk value, the squared first root
 # of the Bessel function J0
-lam_big, _ = solve_radial_eigen(GeodesicBall(flat, 1.0), 1e8)
+lam_big = solve_radial_eigen(GeodesicBall(flat, 1.0), 1e8)
 print(f"  beta = 1e8  lambda = {lam_big:.6f} "
       f"(Dirichlet limit 5.783186)")

@@ -657,8 +657,10 @@ def run(config: ExperimentConfig, jobs: int = 1, stream=None) -> int:
     # serially before any check runs, so cells (and worker threads) only read
     # shared state; the finest level goes first, so its assembly and factor,
     # which set the peak memory, run before the coarser levels' records are
-    # held.  A record on the same ball as one built before (a flat polygon
-    # keeps its measure under refine) shares that record's radial side.
+    # held.  A record shares the source's rearrangement with the records of
+    # its level, whose betas all take the same source, and the radial side
+    # with a record on the same ball and beta (a flat polygon keeps its
+    # measure under refine).
     if any(c.check_id != "isoperimetric" for c in config.checks):
         eigen = any(c.check_id == "bossel-daners" for c in config.checks)
         for state in reversed(states):

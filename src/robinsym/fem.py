@@ -330,11 +330,13 @@ def solve_robin_eigen(mesh: MeasuredMesh, beta: float,
 
     x = np.ones(len(system.load))
     x /= math.sqrt(_dot(x, matvec(M, x)))
+    Mx = matvec(M, x)
     lam = energy(x)
     for _ in range(_EIGEN_MAX_ITERS):
-        y = lu.solve(matvec(M, x))
+        y = lu.solve(Mx)
         y /= math.sqrt(_dot(y, matvec(M, y)))
-        lam_new = energy(y) / _dot(y, matvec(M, y))
+        Mx = matvec(M, y)  # M x for the next round, x = y
+        lam_new = energy(y) / _dot(y, Mx)
         x = y
         if abs(lam_new - lam) <= 1e-9 * abs(lam_new):
             lam = lam_new

@@ -301,6 +301,10 @@ class MeasuredMesh:
         self._edges = edges
         areas.flags.writeable = False
         self._chart_areas = areas
+        # one rounding of the exact sum (a pairwise sum moved a refined annulus
+        # sector's measure in its last bit between levels); the memoryview
+        # hands fsum one float at a time
+        self._total_measure = math.fsum(memoryview(areas * self.centroid_density()))
         # length_factor sees the direction only through its square, so one
         # orientation per undirected edge measures both half-edges
         ln, fac = self._length_factors(edges.ends)
@@ -349,7 +353,7 @@ class MeasuredMesh:
 
     def total_measure(self) -> float:
         """Weighted area, per-triangle quadrature exact for linear density."""
-        return float(np.sum(self.chart_areas() * self.centroid_density()))
+        return self._total_measure
 
     def boundary_chart_lengths(self) -> np.ndarray:
         return _chart_lengths(self.vertices, self.boundary_edges)

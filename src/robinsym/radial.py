@@ -8,9 +8,9 @@ rearrangement f*, and the twin is one fixed quadrature of that flux over
 the sphere area.  The first Robin eigenvalue of a ball is the first root of
 the Robin condition on the closed-form radial ground state, 0F1 (a Bessel
 function) when flat and 2F1 on the sphere, which numpy sums as Frobenius
-series: about the center, and past the equator about the antipode.  Both
-return sampled profiles dense enough to serve as reference values for the
-2-D finite element solutions.
+series: about the center, and past the equator about the antipode.  The
+twin is a profile sampled densely enough to serve as reference values for
+the 2-D finite element solutions; the eigenvalue is a number.
 
 Volumes V(r) and sphere areas A(r) = V'(r) are the weighted ones of the
 model space; the cone-angle weight cancels in every quotient V / A.
@@ -172,19 +172,9 @@ def solve_symmetrized_poisson(ball: GeodesicBall, beta: float,
 # below 2^-54 of its value (and, in a power series, of its term T_1, the
 # scale of the derivative's sum when lam is small), and leaves the batch
 # there, so its value never depends on the batch it is in.  A step of the
-# sum takes a block of terms at a time on a narrow batch, a scan (a running
-# product gives the terms, a running sum the partial sums), and one term at a
-# time on a batch of _SERIES_WIDE samples or more, a profile; every sample
-# sees the same operations in the same order either way.  numpy's running
-# products and sums walk element by element, about 4 ns an element against
-# 0.5 ns for a plain product, which costs little on a scan's 65 samples but
-# not on a profile's 4097: summed in blocks, the profile takes 3.5 to 4
-# times as long (0.35 -> 1.4 ms on the flat disk of radius 0.5642, 0.7 ->
-# 2.5 ms on the S^2 cap of radius 1; one core of a 2-core x86 machine).  The
-# two steps cross between 512 and 1024 samples, far from both batches the
-# solver sums.
+# sum takes a block of terms at a time: a running product gives the terms,
+# a running sum the partial sums.
 
-_SERIES_WIDE = 256
 _SERIES_TERMS = 256
 _SERIES_TOL = 2.0**-54
 _TINY = 1e-300
@@ -233,13 +223,11 @@ def _series(n: int, kind: str, lam, x):
     A power series has Y0 = sum_k T_k and Y1 = sum_k (k + rho) T_k.  The
     logarithmic rows of the second solution add T_k G_k to Y0 and T_k ((k +
     rho) G_k + 1) to Y1, G_k = ln x + g_k with g_k = dlnT_k/drho.  Each step
-    sums a block of terms, or one term on a batch of ``_SERIES_WIDE`` or more,
-    and every block's end is a checkpoint.  A sample still short of 2^-54
-    after ``_SERIES_TERMS`` terms is nan.
+    sums a block of terms, and every block's end is a checkpoint.  A sample
+    still short of 2^-54 after ``_SERIES_TERMS`` terms is nan.
     """
     P, inv_q, dP, dlnQ, order, log_from, block = _series_rows(n, kind)
     width = max(lam.size, x.size)
-    step = 1 if width >= _SERIES_WIDE else block
     out = np.full((2, width), np.nan)
     live = np.arange(width)
     # lam and x are columns; one of length 1 is shared by every sample
@@ -247,48 +235,44 @@ def _series(n: int, kind: str, lam, x):
     x = x.reshape(-1, 1)
     if log_from is not None:
         log_x = np.log(x)
-    for b0 in range(0, _SERIES_TERMS, block):
+    for k0 in range(0, _SERIES_TERMS, block):
+        cols = slice(k0, k0 + block)
         # the block's term ratios but for the factor x, and its g_k
-        p = P[b0:b0 + block] - lam
+        p = P[cols] - lam
         if log_from is not None:
             # P = lam exactly: T keeps a factor 2^-70 and g its inverse, so
             # T G tends to the limit and T alone to 0
             p[p == 0.0] = 2.0**-70
-            g = dP[b0:b0 + block] / p - dlnQ[b0:b0 + block]
-            g[:, 0] = 0.0 if b0 == 0 else g[:, 0] + g_last
+            g = dP[cols] / p - dlnQ[cols]
+            g[:, 0] = 0.0 if k0 == 0 else g[:, 0] + g_last
             np.add.accumulate(g, axis=1, out=g)
             g_last = g[:, -1]
-        p *= inv_q[b0:b0 + block]
-        for j in range(0, block, step):
-            k0 = b0 + j
-            cols = slice(k0, k0 + step)
-            T = p[:, j:j + step] * x
-            if k0:
-                T[:, 0] *= last
-            else:
-                T[:, 0] = 1.0
-            if step > 1:  # even over one column numpy walks every row
-                np.multiply.accumulate(T, axis=1, out=T)
-            last = T[:, -1]
-            sums = np.empty((2, live.size, step))
-            if log_from is None:
-                sums[0] = T
-                np.multiply(T, order[cols], out=sums[1])
-                if k0 <= 1 < k0 + step:
-                    scale = np.abs(T[:, 1 - k0])
-            else:
-                G = g[:, j:j + step] + log_x
-                power = min(max(log_from - k0, 0), step)
-                G[:, :power] = 1.0
-                np.multiply(G, T, out=sums[0])
-                np.multiply(G, order[cols], out=sums[1])
-                sums[1, :, power:] += 1.0
-                sums[1] *= T
-            if k0:  # the carried sums enter first: every partial sum is sequential
-                sums[:, :, 0] += y
-            if step > 1:
-                np.add.accumulate(sums, axis=2, out=sums)
-            y = sums[:, :, -1]
+        p *= inv_q[cols]
+        T = p * x
+        if k0:
+            T[:, 0] *= last
+        else:
+            T[:, 0] = 1.0
+        np.multiply.accumulate(T, axis=1, out=T)
+        last = T[:, -1]
+        sums = np.empty((2, live.size, block))
+        if log_from is None:
+            sums[0] = T
+            np.multiply(T, order[cols], out=sums[1])
+            if k0 == 0:
+                scale = np.abs(T[:, 1])
+        else:
+            G = g + log_x
+            power = min(max(log_from - k0, 0), block)
+            G[:, :power] = 1.0
+            np.multiply(G, T, out=sums[0])
+            np.multiply(G, order[cols], out=sums[1])
+            sums[1, :, power:] += 1.0
+            sums[1] *= T
+        if k0:  # the carried sums enter first: every partial sum is sequential
+            sums[:, :, 0] += y
+        np.add.accumulate(sums, axis=2, out=sums)
+        y = sums[:, :, -1]
         # the checkpoint: a sample that has stopped leaves the batch
         if log_from is None:
             done = np.abs(last) <= _SERIES_TOL * np.minimum(np.abs(y[0]), scale)
@@ -438,8 +422,8 @@ def _digamma(x):
     return np.log(y) - 0.5 / y - tail - steps
 
 
-def solve_radial_eigen(ball: GeodesicBall, beta: float):
-    """First Robin eigenpair of a geodesic ball, (lambda, profile).
+def solve_radial_eigen(ball: GeodesicBall, beta: float) -> float:
+    """First Robin eigenvalue lambda of a geodesic ball.
 
     lambda is the first root of the secular function u'(R) + beta u(R) of the
     closed-form ground state of :func:`_ground_state`, bracketed by a 64-cell
@@ -448,8 +432,12 @@ def solve_radial_eigen(ball: GeodesicBall, beta: float):
     the unit ball, lambda(R, beta) = lambda(1, beta R) / R^2, so the series
     never meets a large argument below the root.  Non-finite samples (the
     series overflows at lambda far past the root) never bracket a root.  The
-    profile samples the closed form on 4097 uniform radii; it is positive
-    and normalized to u(0) = 1.
+    scan cannot step over the first root: the secular function is negative
+    on (lambda_1, lambda_2), and a scan cell, at most max(0.25, lambda_1 / 32)
+    wide (the cap doubles only while every sample below it is positive), is
+    narrower than that gap.  So the ground state at lambda,
+    ``_ground_state(ball.space, lambda, r)`` with u(0) = 1, is positive on
+    [0, R].
     """
     if beta <= 0.0:
         raise ValueError(f"beta must be positive, got {beta}")
@@ -486,9 +474,4 @@ def solve_radial_eigen(ball: GeodesicBall, beta: float):
             break
         lo, hi = cell
 
-    lam = 0.5 * (lo + hi) / scale**2
-    grid = np.linspace(0.0, R, 4097)
-    values, _ = _ground_state(space, lam, grid)
-    if float(np.min(values)) <= 0.0:
-        raise EigenBracketError("ground state crosses zero; bracket missed the first root")
-    return lam, RadialProfile(ball=ball, grid=grid, values=values)
+    return 0.5 * (lo + hi) / scale**2

@@ -276,10 +276,12 @@ def solve_record(problem: RobinProblem, space: ModelSpace, eigen: bool = False,
     rearrangement of the problem's source, whose Schwarz rearrangement is its
     source.
 
-    ``built`` holds records already solved in the same run.  A unit-source
-    problem whose matched ball (space and radius, bit for bit) and beta equal
-    those of a unit-source record there takes that record's twin and ball
-    eigenvalue instead of solving them again: both depend on nothing else."""
+    ``built`` holds records already solved in the same run.  A problem whose
+    source is the very source object of a record there (None, the unit
+    source, included) takes that record's f*; if the matched ball (space and
+    radius, bit for bit) and beta are equal too, it also takes the record's
+    twin and ball eigenvalue instead of solving them again: both depend on
+    nothing else."""
     mesh, beta = problem.mesh, problem.beta
     if system is None:
         system = fem.assemble(problem)
@@ -293,18 +295,18 @@ def solve_record(problem: RobinProblem, space: ModelSpace, eigen: bool = False,
             pair = (math.nan, None)
     del system, lu  # the factor is the largest allocation; it sets the peak memory
     ball = GeodesicBall(space, radius_for_volume(space, mesh.total_measure()))
-    if problem.source is None:
-        fstar = None
-        twin = next((rec for rec in built
-                     if rec.fstar is None and rec.ball == ball
-                     and rec.problem.beta == beta
-                     and (rec.ball_eigenvalue is not None or not eigen)), None)
+    source = problem.source
+    same_source = [rec for rec in built if rec.problem.source is source]
+    if same_source:
+        fstar = same_source[0].fstar
     else:
-        fstar = decreasing_rearrangement(distribution_function(problem.source))
-        twin = None
+        fstar = None if source is None else decreasing_rearrangement(distribution_function(source))
+    twin = next((rec for rec in same_source
+                 if rec.ball == ball and rec.problem.beta == beta
+                 and (rec.ball_eigenvalue is not None or not eigen)), None)
     if twin is None:
         v = solve_symmetrized_poisson(ball, beta, fstar)
-        lam = solve_radial_eigen(ball, beta)[0] if eigen else None
+        lam = solve_radial_eigen(ball, beta) if eigen else None
     else:
         v, lam = twin.v, twin.ball_eigenvalue if eigen else None
     return SolveRecord(problem=problem, u=u, dist=distribution_function(u),

@@ -1,13 +1,18 @@
 """Test-side radial oracles shared by the test modules: the flat torsion
-closed form, a radial twin with a field source, the distribution of a
-sampled radial profile, and the log derivative of a sampled positive
-profile."""
+closed form, a radial twin with a field source, the ball's Robin ground
+state sampled as a profile, the distribution of a sampled radial profile,
+and the log derivative of a sampled positive profile."""
 
 import numpy as np
 
 from robinsym import mesh as msh
 from robinsym.model_geometry import GeodesicBall, radius_for_volume, volume_profile
-from robinsym.radial import RadialProfile, solve_symmetrized_poisson
+from robinsym.radial import (
+    RadialProfile,
+    _ground_state,
+    solve_radial_eigen,
+    solve_symmetrized_poisson,
+)
 from robinsym.rearrange import (
     DistributionData,
     decreasing_rearrangement,
@@ -35,6 +40,20 @@ def field_twin(space, domain, beta, **kw):
     fstar = decreasing_rearrangement(distribution_function(field))
     ball = GeodesicBall(space=space, radius=radius_for_volume(space, fstar.total))
     return fstar, solve_symmetrized_poisson(ball, beta, fstar)
+
+
+def ground_state_profile(ball: GeodesicBall, lam: float) -> RadialProfile:
+    """The closed-form radial ground state at ``lam`` on 4,097 uniform radii
+    of the ball, normalized to u(0) = 1."""
+    grid = np.linspace(0.0, ball.radius, 4097)
+    values, _ = _ground_state(ball.space, lam, grid)
+    return RadialProfile(ball=ball, grid=grid, values=values)
+
+
+def radial_eigenpair(ball: GeodesicBall, beta: float) -> tuple[float, RadialProfile]:
+    """The ball's first Robin eigenvalue and its ground-state profile."""
+    lam = solve_radial_eigen(ball, beta)
+    return lam, ground_state_profile(ball, lam)
 
 
 def profile_distribution(profile: RadialProfile, space) -> DistributionData:

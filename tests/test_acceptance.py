@@ -79,7 +79,7 @@ def test_criterion_03_eigenvalue_comparison():
     # the radial reference itself: the closed-form route reproduces the frozen
     # unit-disk value to 1e-10
     ball = mg.GeodesicBall(FLAT, 1.0)
-    lam_radial = radial.solve_radial_eigen(ball, 1.0)[0]
+    lam_radial = radial.solve_radial_eigen(ball, 1.0)
     assert abs(lam_radial - 1.5769927308134737) <= 1e-10
     # in the large-beta limit the disk eigenvalue approaches the squared
     # first root of the Bessel function J0

@@ -442,6 +442,12 @@ _FIXED_CONFIG = dict(beta=[0.1, 1.0, 10.0], h=0.05, refine_levels=2,
     (dict(space={"kappa": 1, "n": 2}, domain={"kind": "spherical_cap", "theta": 1.0},
           h=0.15, refine_levels=1, checks=[{"id": "bossel-daners"},
                                            {"id": "saint-venant"}]), True),
+    # the annulus sector's measure sums to the same bits at every level: one
+    # ball for every level, on a curved boundary
+    (dict(domain={"kind": "annulus_sector", "r_inner": 1.0, "r_outer": 2.0,
+                  "angle0": 0.0, "angle1": 1.0},
+          beta=[0.1, 1.0], h=0.1, refine_levels=2,
+          checks=[{"id": "bossel-daners"}, {"id": "saint-venant"}]), False),
 ])
 def test_run_builds_each_radial_side_once(tmp_path, capsys, monkeypatch,
                                           overrides, per_level):
@@ -475,14 +481,26 @@ def test_run_singular_factorization_exits_three(tmp_path, capsys, monkeypatch):
     assert "solver:" in err and "exactly singular" in err
 
 
-def test_run_expression_source(tmp_path, capsys):
+def test_run_expression_source(tmp_path, capsys, monkeypatch):
+    fields = []
+
+    def counted(field):
+        fields.append(field)
+        return rearrange.distribution_function(field)
+
+    monkeypatch.setattr(cli.verify, "distribution_function", counted)
     path = _write_config(
         tmp_path, domain={"kind": "disk", "radius": 1.0},
         source={"expr": "1 + 2*exp(-8*((x-0.3)^2 + (y-0.2)^2))"}, h=0.25,
+        beta=[0.5, 2.0], refine_levels=1,
         checks=[{"id": "thm1.1", "p": 1.0, "q": 1},
                 {"id": "min-comparison"}, {"id": "measure-bound"}])
     assert cli.main(["run", path]) == 0
     capsys.readouterr()
+    # two levels times two betas: one distribution of each solution, and one
+    # of the source per level, which both betas' twins share
+    assert len(fields) == 2 * (2 + 1)
+    assert len({id(field) for field in fields}) == len(fields)
 
 
 def test_run_field_source(tmp_path, capsys):
@@ -570,9 +588,9 @@ def test_run_saved_field_source_passes(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli.verify, "distribution_function", counted)
     assert cli.main(["run", path]) == 0
     capsys.readouterr()
-    # u and the source once per beta: the level-set chain reads the
-    # source's rearrangement from the record
-    assert len(calls) == 6
+    # u once per beta and the source once, its rearrangement shared by the
+    # three betas' records, where the level-set chain reads it
+    assert len(calls) == 4
     with open(tmp_path / "out" / "summary.csv") as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == 75

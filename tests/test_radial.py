@@ -6,6 +6,8 @@ import tracemalloc
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 from scipy.special import j0, j1
 
@@ -32,8 +34,10 @@ from robinsym.rearrange import (
 from radial_oracles import (
     field_twin,
     flat_torsion_profile,
+    ground_state_profile,
     log_derivative,
     profile_distribution,
+    radial_eigenpair,
 )
 
 FLAT2 = ModelSpace(kappa=0, n=2, alpha=1.0)
@@ -235,9 +239,7 @@ def test_twin_keeps_exact_slope():
     cap = solve_symmetrized_poisson(GeodesicBall(space=SPHERE2, radius=2.5), 1.0)
     assert cap.slope[0] == 0.0
     assert np.allclose(cap.slope, np.tan(cap.grid / 2.0), rtol=1e-14, atol=0.0)
-    # the eigen and Schwarz profiles carry none
-    _, ground = solve_radial_eigen(GeodesicBall(space=SPHERE2, radius=1.0), 1.0)
-    assert ground.slope is None
+    # the Schwarz profile carries none
     fstar, _ = field_twin(FLAT2, "square", 1.0, side=1.0)
     assert schwarz_rearrangement(fstar.dist, FLAT2).slope is None
 
@@ -301,7 +303,7 @@ def _bisect_bessel_zero(lo, hi):
 
 def test_eigen_disk_stiff_limit_hits_dirichlet():
     ball = GeodesicBall(space=FLAT2, radius=1.0)
-    lam, u = solve_radial_eigen(ball, 1e6)
+    lam, u = radial_eigenpair(ball, 1e6)
     j01 = _bisect_bessel_zero(2.0, 3.0)
     assert abs(lam - j01**2) < 1e-3
     assert u.values[0] == 1.0
@@ -310,7 +312,7 @@ def test_eigen_disk_stiff_limit_hits_dirichlet():
 
 def test_eigen_disk_bessel_condition():
     ball = GeodesicBall(space=FLAT2, radius=1.0)
-    lam, u = solve_radial_eigen(ball, 1.0)
+    lam, u = radial_eigenpair(ball, 1.0)
     k = brentq(lambda t: t * j1(t) - j0(t), 1.0, 2.0, xtol=1e-14)
     assert abs(lam - k * k) < 1e-9
     # eigenfunction shape against the Bessel profile itself
@@ -322,17 +324,17 @@ def test_eigen_ball_three_dims():
     # for n=3, u = sin(kr)/(kr) and beta=1 makes the boundary condition
     # collapse to cos k = 0, so the eigenvalue is exactly pi^2/4
     space = ModelSpace(kappa=0, n=3, alpha=1.0)
-    lam, _ = solve_radial_eigen(GeodesicBall(space=space, radius=1.0), 1.0)
+    lam = solve_radial_eigen(GeodesicBall(space=space, radius=1.0), 1.0)
     assert abs(lam - math.pi**2 / 4) < 1e-9
 
 
 def test_eigen_decreasing_in_radius():
-    lam1, _ = solve_radial_eigen(GeodesicBall(space=FLAT2, radius=1.0), 1.0)
-    lam2, _ = solve_radial_eigen(GeodesicBall(space=FLAT2, radius=2.0), 1.0)
+    lam1 = solve_radial_eigen(GeodesicBall(space=FLAT2, radius=1.0), 1.0)
+    lam2 = solve_radial_eigen(GeodesicBall(space=FLAT2, radius=2.0), 1.0)
     assert abs(lam1 - 1.5769927308134737) < 1e-9
     assert lam1 > lam2
-    lc1, _ = solve_radial_eigen(GeodesicBall(space=SPHERE2, radius=1.0), 1.0)
-    lc2, _ = solve_radial_eigen(GeodesicBall(space=SPHERE2, radius=1.5), 1.0)
+    lc1 = solve_radial_eigen(GeodesicBall(space=SPHERE2, radius=1.0), 1.0)
+    lc2 = solve_radial_eigen(GeodesicBall(space=SPHERE2, radius=1.5), 1.0)
     assert lc1 > lc2
 
 
@@ -343,7 +345,7 @@ def test_eigen_decreasing_in_radius():
 ], ids=["S2", "S3", "S4"])
 def test_eigen_cap_regression_and_residuals(n, R, beta, expected):
     ball = GeodesicBall(space=ModelSpace(kappa=1, n=n, alpha=1.0), radius=R)
-    lam, u = solve_radial_eigen(ball, beta)
+    lam, u = radial_eigenpair(ball, beta)
     assert abs(lam - expected) < 1e-9 * lam
     robin = abs(_right_derivative(u.grid, u.values) + beta * u.boundary_value)
     assert robin < 1e-8
@@ -379,7 +381,7 @@ def test_eigen_s3_matches_mpmath_root(R, beta):
     # 3.3e-9 at R=3 and 3.8e-7 at R=3.1, beta=1e6); the oracle is the
     # hypergeometric secular function in 30-digit arithmetic
     ball = GeodesicBall(space=ModelSpace(kappa=1, n=3, alpha=1.0), radius=R)
-    lam, _ = solve_radial_eigen(ball, beta)
+    lam = solve_radial_eigen(ball, beta)
     with mpmath.workdps(30):
         expected = float(mpmath.findroot(_mpmath_secular(3, R, beta), lam))
     assert abs(lam - expected) < 1e-11 * expected
@@ -393,7 +395,7 @@ def test_eigen_even_sphere_near_antipode_matches_mpmath_root(n, R, beta):
     # R >= 2.9; a -inf sample once bracketed a spurious root (S^2, R = 3.1,
     # beta = 10 gave 0.073099 against the true 0.085881)
     ball = GeodesicBall(space=ModelSpace(kappa=1, n=n, alpha=1.0), radius=R)
-    lam, _ = solve_radial_eigen(ball, beta)
+    lam = solve_radial_eigen(ball, beta)
     with mpmath.workdps(30):
         expected = float(mpmath.findroot(_mpmath_secular(n, R, beta), lam))
     assert abs(lam - expected) < 1e-10 * expected
@@ -404,7 +406,7 @@ def test_eigen_s2_at_the_antipode_guard_matches_mpmath_root(beta):
     # R = 3.14 sits just inside the guard R < pi - 1e-3, where the ground
     # state is summed in the Frobenius basis at the antipode
     ball = GeodesicBall(space=SPHERE2, radius=3.14)
-    lam, _ = solve_radial_eigen(ball, beta)
+    lam = solve_radial_eigen(ball, beta)
     with mpmath.workdps(30):
         expected = float(mpmath.findroot(_mpmath_secular(2, 3.14, beta), lam))
     assert abs(lam - expected) < 1e-12 * expected
@@ -434,7 +436,7 @@ def test_ground_state_matches_mpmath(kappa, n):
     radii = (0.3, 1.0, 2.5) if kappa == 0 else (0.3, 1.0, 2.0, 2.9, math.pi - 1.1e-3)
     space = ModelSpace(kappa=kappa, n=n, alpha=1.0)
     for R in radii:
-        dirichlet = solve_radial_eigen(GeodesicBall(space=space, radius=R), 1e8)[0]
+        dirichlet = solve_radial_eigen(GeodesicBall(space=space, radius=R), 1e8)
         lam, r = np.meshgrid(dirichlet * np.array([0.0, 1e-6, 0.1, 0.5, 0.99]),
                              [0.0, 0.5 * R, R])
         u, du = _ground_state(space, lam, r)
@@ -452,8 +454,7 @@ def test_ground_state_value_ignores_its_batch(space):
     # the zoom re-evaluates its bracket ends and trusts their signs: a
     # sample's (u, u') is the same bits alone, in a scan and in a profile
     for R in (0.7, 2.6):
-        # 65 and 255 lams are summed a block of terms per step, 256 and more
-        # one term per step
+        # a sample leaves the batch at its own checkpoint, whatever the width
         for width in (65, 255, 256, 257, 301):
             lams = np.linspace(0.0, 16.0, width)
             u, du = _ground_state(space, lams, R)
@@ -471,12 +472,25 @@ def test_ground_state_value_ignores_its_batch(space):
 def test_eigen_disk_robin_residual():
     ball = GeodesicBall(space=FLAT2, radius=1.0)
     beta = 2.5
-    lam, u = solve_radial_eigen(ball, beta)
+    lam, u = radial_eigenpair(ball, beta)
     assert abs(_right_derivative(u.grid, u.values) + beta * u.boundary_value) < 1e-8
     g, v = u.grid[::32], u.values[::32]
     res = _interior_ode_residual(g, v, lambda r: 1.0 / r,
                                  lambda r: lam * np.interp(r, u.grid, u.values))
     assert float(np.max(np.abs(res))) < 1e-8
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(n=st.integers(2, 8), kappa=st.sampled_from([0, 1]),
+       R=st.floats(0.01, math.pi - 1e-3, exclude_max=True),
+       log_beta=st.floats(-8.0, 8.0))
+def test_ground_state_positive_at_the_eigenvalue(n, kappa, R, log_beta):
+    # the scan brackets the first root, not a later one: over the admissible
+    # range the ground state at the computed eigenvalue has no zero in the ball
+    ball = GeodesicBall(space=ModelSpace(kappa=kappa, n=n, alpha=1.0), radius=R)
+    lam = solve_radial_eigen(ball, 10.0**log_beta)
+    assert type(lam) is float
+    assert float(np.min(ground_state_profile(ball, lam).values)) > 0.0
 
 
 def test_eigen_validation():
@@ -494,7 +508,7 @@ def test_eigen_validation():
 def test_log_derivative_of_ground_state():
     ball = GeodesicBall(space=FLAT2, radius=1.0)
     beta = 1.0
-    _, u = solve_radial_eigen(ball, beta)
+    _, u = radial_eigenpair(ball, beta)
     ld = log_derivative(u)
     assert abs(ld[0]) < 1e-6
     assert np.all(np.diff(ld) < 0.0)
@@ -504,7 +518,7 @@ def test_log_derivative_of_ground_state():
 
 
 def test_log_derivative_cap():
-    _, u = solve_radial_eigen(GeodesicBall(space=SPHERE2, radius=1.0), 0.8)
+    _, u = radial_eigenpair(GeodesicBall(space=SPHERE2, radius=1.0), 0.8)
     ld = log_derivative(u)
     assert abs(ld[0]) < 1e-6
     assert np.all(np.diff(ld) < 0.0)

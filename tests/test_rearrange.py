@@ -455,24 +455,56 @@ _QUAD_PQ = ((1.5, 1.0), (1.5, 2.0), (1.5, 2.7), (3.0, 1.0), (0.6, 1.0),
             (1.0, 1.0), (1.0, 2.0), (0.5, 1.0), (2.0, 2.0))
 
 
-def _oracle_lorentz(field: ScalarField, p: float, q: float) -> float:
-    """Lorentz norm of a positive P1 field from the per-triangle superlevel
-    area fractions, integrated by mpmath between the vertex values."""
+def _superlevel_measure(field: ScalarField):
+    """t -> mu(t) of a positive P1 field for an array of levels t, summed
+    from the per-triangle superlevel area fractions."""
     mesh = field.mesh
     w = mesh.chart_areas() * mesh.centroid_density()
     a, b, c = np.sort(field.values[mesh.triangles], axis=1).T
 
-    def integrand(t):
-        t = float(t)
+    def mu(t):
+        t = np.asarray(t, dtype=float)[:, None]
         with np.errstate(divide="ignore", invalid="ignore"):
             frac = np.where(t < a, 1.0,
                             np.where(t < b, 1.0 - (t - a) ** 2 / ((b - a) * (c - a)),
                                      np.where(t < c, (c - t) ** 2 / ((c - b) * (c - a)),
                                               0.0)))
-        return t ** (q - 1.0) * float(np.sum(w * frac)) ** (q / p)
+        return np.sum(w * frac, axis=1)
+
+    return mu
+
+
+def _oracle_lorentz(field: ScalarField, p: float, q: float) -> float:
+    """Lorentz norm of a positive P1 field from the per-triangle superlevel
+    area fractions, integrated by mpmath between the vertex values."""
+    mu = _superlevel_measure(field)
+
+    def integrand(t):
+        t = float(t)
+        return t ** (q - 1.0) * float(mu([t])[0]) ** (q / p)
 
     levels = np.unique(np.concatenate([[0.0], field.values]))
     return float((p * mpmath.quad(integrand, list(levels))) ** (1.0 / q))
+
+
+_GL3 = np.polynomial.legendre.leggauss(3)
+
+
+def _gauss_lorentz(field: ScalarField, p: float, q: float) -> float:
+    """The oracle of :func:`_oracle_lorentz` for q/p in {1, 2} and q <= 2:
+    mu is quadratic on each slot between vertex values, so the integrand
+    t^(q-1) mu^(q/p) is a polynomial of degree <= 5 there, which 3-point
+    Gauss-Legendre integrates exactly."""
+    assert q / p in (1.0, 2.0) and q in (1.0, 2.0)
+    levels = np.unique(np.concatenate([[0.0], field.values]))
+    half = 0.5 * np.diff(levels)
+    mid = 0.5 * (levels[1:] + levels[:-1])
+    t = (mid[:, None] + half[:, None] * _GL3[0]).ravel()
+    mu = _superlevel_measure(field)
+    # a few hundred levels at a time: mu's fractions are (levels, triangles)
+    mu_t = np.concatenate([mu(part) for part in np.split(t, range(256, len(t), 256))])
+    values = (t ** (q - 1.0) * mu_t ** (q / p)).reshape(-1, 3)
+    return float((p * math.fsum(half * (values @ _GL3[1]))) ** (1.0 / q))
 
 
 @pytest.mark.parametrize("kind", ["random-disk", "strip", "torsion-square"])
@@ -481,7 +513,7 @@ def test_lorentz_matches_triangle_oracle(kind):
     # the strip attains its maximum along an edge, where mu vanishes like c - t;
     # on the torsion square an antiderivative of the large slot coefficients
     # took the q/p = 2 pairs 55 and 1.7e3 relative off
-    pairs = _QUAD_PQ
+    pairs, oracle = _QUAD_PQ, _oracle_lorentz
     if kind == "random-disk":
         field = _random_field(generate_domain("disk", target_h=0.4, radius=1.0),
                               seed=7, positive=True)
@@ -489,10 +521,11 @@ def test_lorentz_matches_triangle_oracle(kind):
         field = _strip_field(_square_mesh())
     else:
         field = verify.solve_record(RobinProblem(mesh=_TORSION_SQUARE, beta=1.0), FLAT2).u
-        pairs = _QUAD_PQ[-4:]  # the oracle takes about 2.5 s a pair here
+        # q/p = 1 or 2: the polynomial integrands, exact by Gauss-Legendre
+        pairs, oracle = _QUAD_PQ[-4:], _gauss_lorentz
     dist = distribution_function(field)
     for p, q in pairs:
-        exact = _oracle_lorentz(field, p, q)
+        exact = oracle(field, p, q)
         assert lorentz_norm(dist, LorentzParams(p, q)) == pytest.approx(exact, rel=1e-9)
 
 

@@ -16,7 +16,7 @@ from robinsym import radial
 from robinsym import rearrange as rr
 from robinsym import verify
 
-from radial_oracles import field_twin, log_derivative
+from radial_oracles import field_twin, log_derivative, radial_eigenpair
 
 FLAT = mg.ModelSpace(kappa=0, n=2)
 
@@ -378,7 +378,7 @@ def test_twin_norm_field_source_matches_gauss_oracle(space, domain, kw):
 
 
 def test_twin_norm_needs_the_slope():
-    _, ground = radial.solve_radial_eigen(mg.GeodesicBall(FLAT, 1.0), 1.0)
+    _, ground = radial_eigenpair(mg.GeodesicBall(FLAT, 1.0), 1.0)
     with pytest.raises(ValueError, match="slope"):
         verify._twin_lorentz_norm(ground, rr.LorentzParams(1.0, 1.0))
 
@@ -582,7 +582,7 @@ def test_bossel_functional_radial_test_function():
     disk = _disk(0.1)
     lam, u = fem.solve_robin_eigen(disk, 1.0)
     ball = mg.GeodesicBall(FLAT, mg.radius_for_volume(FLAT, disk.total_measure()))
-    lam_ball, vprof = radial.solve_radial_eigen(ball, 1.0)
+    lam_ball, vprof = radial_eigenpair(ball, 1.0)
     ld = log_derivative(vprof)
     r = np.hypot(disk.vertices[:, 0], disk.vertices[:, 1])
     phi_vals = np.clip(-np.interp(r, vprof.grid, ld), 0.0, None)
