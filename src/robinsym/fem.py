@@ -240,10 +240,10 @@ def assemble(problem: RobinProblem) -> AssembledSystem:
     third = (area / 3.0)[:, None]
     rho_mid = edge_midpoints(mesh.density[tris])
     quarter = 0.25 * rho_mid
-    mass = element_matrix((quarter + np.roll(quarter, 1, axis=1)) * third,
+    mass = element_matrix((quarter + quarter[:, [2, 0, 1]]) * third,
                           quarter * third)
     g_mid = edge_midpoints(problem.source_values()[tris]) * rho_mid
-    load_local = third * (0.5 * (g_mid + np.roll(g_mid, 1, axis=1)))
+    load_local = third * (0.5 * (g_mid + g_mid[:, [2, 0, 1]]))
     load = np.bincount(tris.ravel(), load_local.ravel(), nv)
 
     # boundary mass, 2-point Gauss per edge on the arclength parameter

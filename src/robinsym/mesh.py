@@ -218,7 +218,8 @@ class MeasuredMesh:
             )
         self._edges = _edges  # the triangulation's table, when the caller has it
         self.validate()
-        _, self.boundary_density = self._length_factors(self.boundary_edges)
+        _, at_tail, at_head = self._length_factors(self.boundary_edges)
+        self.boundary_density = np.stack([at_tail, at_head], axis=1)
 
     # -- structure ---------------------------------------------------------
 
@@ -236,8 +237,17 @@ class MeasuredMesh:
             raise MeshInvariantError("index-range: triangle index out of range")
         if b.min() < 0 or b.max() >= len(v):
             raise MeshInvariantError("index-range: boundary edge index out of range")
+        # a vertex off every triangle has no equation in the P1 system, and
+        # fields are ranked by their vertex values as the corners' values
+        used = np.zeros(len(v), dtype=bool)
+        used[t] = True
+        unused = np.flatnonzero(~used)
+        if len(unused):
+            raise MeshInvariantError(f"vertex-used: vertex {unused[0]} lies on no triangle")
 
-        p = v[t]
+        # np.take copies the rows in one loop; the fancy index v[t] runs
+        # numpy's general indexing per row, about ten times slower
+        p = np.take(v, t, axis=0)
         d1 = p[:, 1] - p[:, 0]
         d2 = p[:, 2] - p[:, 0]
         areas = 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
@@ -256,7 +266,7 @@ class MeasuredMesh:
         # conformity: directed interior edges pair up, boundary edges appear once
         n = len(v)
         edges = self._edges if self._edges is not None else _edge_table(t, n)
-        forward = np.bincount(edges.edge[(t < np.roll(t, -1, axis=1)).ravel()],
+        forward = np.bincount(edges.edge[(t < t[:, [1, 2, 0]]).ravel()],
                               minlength=len(edges.first))
         repeats = np.nonzero((forward > 1) | (edges.count - forward > 1))[0]
         if len(repeats):
@@ -299,16 +309,18 @@ class MeasuredMesh:
                 )
 
         self._edges = edges
-        areas.flags.writeable = False
+        rho = np.mean(self.density[t], axis=1)
+        areas.flags.writeable = rho.flags.writeable = False
         self._chart_areas = areas
+        self._centroid_density = rho
         # one rounding of the exact sum (a pairwise sum moved a refined annulus
         # sector's measure in its last bit between levels); the memoryview
         # hands fsum one float at a time
-        self._total_measure = math.fsum(memoryview(areas * self.centroid_density()))
+        self._total_measure = math.fsum(memoryview(areas * rho))
         # length_factor sees the direction only through its square, so one
         # orientation per undirected edge measures both half-edges
-        ln, fac = self._length_factors(edges.ends)
-        self._mesh_size = float(np.max(ln * np.max(fac, axis=1)))
+        ln, at_tail, at_head = self._length_factors(edges.ends)
+        self._mesh_size = float(np.max(ln * np.maximum(at_tail, at_head)))
 
     # -- measures ----------------------------------------------------------
 
@@ -322,7 +334,7 @@ class MeasuredMesh:
     def basis_gradients(self) -> np.ndarray:
         """(M, 3, 2) chart gradients of each triangle's three P1 hat
         functions: rot90 of the opposite edge over twice the chart area."""
-        p = self.vertices[self.triangles]
+        p = np.take(self.vertices, self.triangles, axis=0)
         det = 2.0 * self._chart_areas
         grads = np.empty((len(p), 3, 2))
         for i in range(3):
@@ -339,7 +351,7 @@ class MeasuredMesh:
         if self.geometry != "warped":
             return covectors
         weight = warped_metric_tensors(
-            self.warp, np.mean(self.vertices[self.triangles], axis=1))
+            self.warp, np.mean(np.take(self.vertices, self.triangles, axis=0), axis=1))
         return np.einsum("t...a,tab->t...b", covectors, weight)
 
     def matrix_pattern(self) -> "MatrixPattern":
@@ -348,8 +360,9 @@ class MeasuredMesh:
 
     def centroid_density(self) -> np.ndarray:
         """Per-triangle density frozen at the centroid (equals the vertex mean
-        for the linear densities used throughout)."""
-        return np.mean(self.density[self.triangles], axis=1)
+        for the linear densities used throughout); read-only, computed once
+        by validate."""
+        return self._centroid_density
 
     def total_measure(self) -> float:
         """Weighted area, per-triangle quadrature exact for linear density."""
@@ -370,19 +383,16 @@ class MeasuredMesh:
         return float(np.max(_chart_lengths(self.vertices, self._edges.ends)))
 
     def _length_factors(self, ends):
-        """Chart lengths of the (K, 2) vertex pairs and the length factors at both ends."""
-        a = self.vertices[ends[:, 0]]
-        b = self.vertices[ends[:, 1]]
+        """Chart lengths of the (K, 2) vertex pairs and the length factors at
+        their tails and at their heads.  Only the warped chart's factor reads
+        the unit direction."""
+        a = np.take(self.vertices, ends[:, 0], axis=0)
+        b = np.take(self.vertices, ends[:, 1], axis=0)
         seg = b - a
         ln = np.hypot(seg[:, 0], seg[:, 1])
-        d = seg / np.maximum(ln, 1e-300)[:, None]
-        return ln, np.stack(
-            [
-                length_factor(self.geometry, self.warp, a, d),
-                length_factor(self.geometry, self.warp, b, d),
-            ],
-            axis=1,
-        )
+        d = seg / np.maximum(ln, 1e-300)[:, None] if self.geometry == "warped" else None
+        return (ln, length_factor(self.geometry, self.warp, a, d),
+                length_factor(self.geometry, self.warp, b, d))
 
     @property
     def boundary_vertices(self) -> np.ndarray:
@@ -399,7 +409,7 @@ def edge_midpoints(corners) -> np.ndarray:
     """Values at the edge midpoints 01, 12, 20 of linear functions given by
     their (M, 3) corner values: the nodes of the edge-midpoint rule, area/3
     times the sum, exact for quadratics."""
-    return 0.5 * (corners + np.roll(corners, -1, axis=1))
+    return 0.5 * (corners + corners[:, [1, 2, 0]])
 
 
 def sorted_unique(values) -> np.ndarray:
@@ -497,12 +507,26 @@ def _half_edges(triangles) -> np.ndarray:
 
 
 def _edge_table(triangles, n_vertices) -> _EdgeTable:
+    """The arrays ``np.unique(key, return_index=True, return_inverse=True,
+    return_counts=True)`` gives for the half-edges' keys lo * N + hi, from
+    the same stable sort, without the sorted keys it also returns.  The
+    stable sort (timsort) puts each key's first half-edge first in its
+    group; on these keys, which come in long runs, it is faster than
+    numpy's default sort."""
     tail = triangles.ravel()
-    head = np.roll(triangles, -1, axis=1).ravel()
+    head = triangles[:, [1, 2, 0]].ravel()
     key = np.minimum(tail, head) * n_vertices + np.maximum(tail, head)
     del head
-    _, first, edge, count = np.unique(key, return_index=True, return_inverse=True,
-                                      return_counts=True)
+    perm = np.argsort(key, kind="stable")
+    key = key[perm]
+    new = np.empty(len(key), dtype=bool)
+    new[:1] = True
+    np.not_equal(key[1:], key[:-1], out=new[1:])
+    starts = np.flatnonzero(new)
+    first = perm[starts]
+    count = np.diff(np.append(starts, len(key)))
+    edge = np.empty(len(key), dtype=np.intp)
+    edge[perm] = np.cumsum(new) - 1
     return _EdgeTable(triangles, edge, first, count)
 
 
@@ -537,7 +561,7 @@ def _matrix_pattern(edges: _EdgeTable, n_vertices, boundary_edges) -> MatrixPatt
 
 
 def _chart_lengths(vertices, ends) -> np.ndarray:
-    seg = vertices[ends[:, 1]] - vertices[ends[:, 0]]
+    seg = np.take(vertices, ends[:, 1], axis=0) - np.take(vertices, ends[:, 0], axis=0)
     return np.hypot(seg[:, 0], seg[:, 1])
 
 
@@ -787,7 +811,7 @@ def _refine4(verts, tris, edges):
     ab, bc, ca = number[edges.edge].reshape(-1, 3).T
     a, b, c = tris.T
     out = np.stack([a, ab, ca, ab, b, bc, ca, bc, c, ab, bc, ca], axis=1)
-    mids = (verts[parents[:, 0]] + verts[parents[:, 1]]) / 2.0
+    mids = (np.take(verts, parents[:, 0], axis=0) + np.take(verts, parents[:, 1], axis=0)) / 2.0
     return np.concatenate([verts, mids]), out.reshape(-1, 3), parents
 
 

@@ -146,38 +146,56 @@ class DistributionData:
 
     @staticmethod
     def from_field(field: ScalarField) -> "DistributionData":
+        """mu of |field|, ranking the vertex values once.
+
+        |h| > t for t >= 0 splits into the disjoint parts {h > t} and
+        {-h > t}; a part with no positive value adds nothing and is dropped.
+        One ``np.unique`` ranks the vertex values of the parts left.  The
+        breakpoints are 0 and the distinct positive values, with values
+        closer than 1e-14 (relative to max(max |h|, 1)) merged; each distinct
+        value is snapped onto its nearest breakpoint once, and a triangle
+        reads its corners' snapped values through its three ranks, sorted.
+        Every vertex lies on a triangle (``MeasuredMesh.validate``), so the
+        ranked values are exactly the corner values.
+        """
         mesh = field.mesh
         weights = mesh.chart_areas() * mesh.centroid_density()
         total = float(np.sum(weights))
-        tri_vals = field.values[mesh.triangles]
-        # |h| > t for t >= 0 splits into {h > t} and {-h > t}, disjoint
-        triples = np.vstack([np.sort(tri_vals, axis=1), np.sort(-tri_vals, axis=1)])
-        w = np.concatenate([weights, weights])
-        keep = triples[:, 2] > 0.0
-        triples, w = triples[keep], w[keep]
-
-        scale = float(np.max(np.abs(tri_vals))) if tri_vals.size else 1.0
-        tol = _VALUE_MERGE_TOL * max(scale, 1.0)
-        positive = triples > 0.0
-        vals = triples[positive]
-        raw, inverse = np.unique(np.concatenate([[0.0], vals]), return_inverse=True)
+        h = field.values
+        tol = _VALUE_MERGE_TOL * max(float(np.max(np.abs(h))), 1.0)
+        parts = [x for x in (h, -h) if np.max(x) > 0.0]
+        values, rank = np.unique(np.concatenate(parts) if parts else np.empty(0),
+                                 return_inverse=True)
+        zero = int(np.searchsorted(values, 0.0, side="right"))  # the first positive
+        raw = np.concatenate([[0.0], values[zero:]])
         merged = np.concatenate([[True], np.diff(raw) > tol])
         breaks = raw[merged]
 
         # snap the positive values onto the nearest merged breakpoint; a raw
         # value's lower neighbour is the last kept breakpoint at or below it
-        lower = (np.cumsum(merged) - 1)[inverse[1:]]
+        lower = (np.cumsum(merged) - 1)[1:]
         upper = np.minimum(lower + 1, len(breaks) - 1)
-        up = np.abs(vals - breaks[lower]) > np.abs(breaks[upper] - vals)
+        up = np.abs(raw[1:] - breaks[lower]) > np.abs(breaks[upper] - raw[1:])
         index = np.where(up, upper, lower)
-        triples[positive] = breaks[index]
+        snapped = np.concatenate([values[:zero], breaks[index]])
         # slot j + 1 starts at breaks[j]; every value <= 0 starts slot 1
-        slot = np.ones(triples.shape, dtype=np.intp)
-        slot[positive] = index + 1
+        start = np.concatenate([np.ones(zero, dtype=np.intp), index + 1])
+
+        # each part's triangles in mesh order, corner ranks sorted by a
+        # network of three compare-exchanges; a triangle with no positive
+        # corner adds nothing
+        rank = rank.reshape(len(parts), len(h))
+        x, y, z = (rank[:, corner].ravel() for corner in mesh.triangles.T)
+        lo, hi = np.minimum(x, y), np.maximum(x, y)
+        ra, mid = np.minimum(lo, z), np.maximum(lo, z)
+        rb, rc = np.minimum(hi, mid), np.maximum(hi, mid)
+        keep = rc >= zero
+        ra, rb, rc = ra[keep], rb[keep], rc[keep]
+        w = np.tile(weights, len(parts))[keep]
 
         K = len(breaks)
-        a, b, c = triples.T
-        sa, sb, sc = slot.T
+        a, b, c = snapped[ra], snapped[rb], snapped[rc]
+        sa, sb, sc = start[ra], start[rb], start[rc]
         # the pieces of mu on each triangle, each A + B t + C t^2 from a
         # start slot to an end slot: the flat piece w on [0, a) for a > 0,
         # the rising one w * (1 - (t-a)^2/D1) on [max(a,0), b) and the
@@ -421,7 +439,8 @@ def lorentz_norm(dist: DistributionData, params: LorentzParams) -> float:
     being `DistributionData.moment(q - 1, q / p)`, one fixed Gauss pass over
     the slots with mu clipped at 0.  q = inf: sup_t t^p mu(t), from the slot
     ends and the critical points of each slot's quadratic.  A value that
-    overflows double precision raises LorentzDivergenceError.
+    overflows double precision raises LorentzDivergenceError, and so does a
+    finite-q value that underflows to 0 while mu has positive mass.
     """
     p, q = params.p, params.q
     if math.isinf(q):
@@ -451,6 +470,13 @@ def lorentz_norm(dist: DistributionData, params: LorentzParams) -> float:
     if not math.isfinite(value):
         raise LorentzDivergenceError(
             f"Lorentz integral for (p={p}, q={q}) did not converge"
+        )
+    if value == 0.0 and dist.moment(0.0, 1.0) > 0.0:
+        # mu has positive mass, so the norm is positive: t^(q-1) mu^(q/p), or
+        # the integral's 1/q-th power, fell below the least double
+        raise LorentzDivergenceError(
+            f"Lorentz integral for (p={p}, q={q}) underflowed to 0 while mu "
+            f"has positive mass"
         )
     return value
 

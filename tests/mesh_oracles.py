@@ -1,5 +1,6 @@
 """Test-side loop versions of the structured mesh generators, the reference
-the vectorized builders in ``robinsym.mesh`` must match array for array."""
+the vectorized builders in ``robinsym.mesh`` must match array for array, and
+the edge table as ``np.unique`` numbers it."""
 
 import math
 
@@ -88,3 +89,16 @@ def annulus_sector_build_loop(r_inner, r_outer, angle0, angle1, kr, ka):
             tris.append((v00, v10, v11))
             tris.append((v00, v11, v01))
     return verts, np.array(tris, dtype=np.int64)
+
+
+def edge_table_by_unique(triangles, n_vertices):
+    """(edge, first, count) of the undirected edges of a triangulation from
+    ``np.unique`` of the half-edge keys lo * N + hi, half-edge 3k + i running
+    from corner i to corner i + 1 of triangle k: its stable sort makes each
+    edge's first half-edge the first in triangle order."""
+    tail = triangles.ravel()
+    head = np.roll(triangles, -1, axis=1).ravel()
+    key = np.minimum(tail, head) * n_vertices + np.maximum(tail, head)
+    _, first, edge, count = np.unique(key, return_index=True, return_inverse=True,
+                                      return_counts=True)
+    return edge, first, count

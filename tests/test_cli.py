@@ -120,6 +120,19 @@ def _saved_cone(tmp_path):
     return path.read_text()
 
 
+def _unused_vertex_mesh(tmp_path):
+    """A saved 49-vertex square with a 50th point on no triangle."""
+    square = msh.generate_domain("square", target_h=0.25, side=1.0)
+    assert len(square.vertices) == 49
+    msh.save_mesh(square, str(tmp_path / "square.json"))
+    obj = json.loads((tmp_path / "square.json").read_text())
+    obj["vertices"].append([0.5, 2.0])
+    obj["density"].append(1.0)
+    path = tmp_path / "unused.json"
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
 def test_mesh_subcommand_failures(tmp_path, capsys):
     out = ["--out", str(tmp_path / "x.json")]
     disk = ["disk", "--h", "0.3", "--radius", "1.0", "--geometry", "warped"]
@@ -143,9 +156,10 @@ def test_mesh_subcommand_failures(tmp_path, capsys):
     }
     for name, content in files.items():
         (tmp_path / name).write_bytes(content)
+    _unused_vertex_mesh(tmp_path)
     cases = [(["mesh", "gen"] + argv + out, "mesh gen: ") for argv in gen]
     cases += [(["mesh", "validate", str(tmp_path / name)], "mesh validate: ")
-              for name in list(files) + ["absent.json"]]
+              for name in list(files) + ["unused.json", "absent.json"]]
     for argv, prefix in cases:
         assert cli.main(argv) == 2, argv
         err = capsys.readouterr().err
@@ -546,6 +560,17 @@ def test_run_solver_error_exits_three(tmp_path, capsys):
                          checks=[{"id": "min-comparison"}])
     assert cli.main(["run", path]) == 3
     assert "solver:" in capsys.readouterr().err
+
+
+def test_run_mesh_with_unused_vertex_exits_two(tmp_path, capsys):
+    # the mesh is refused by name as it loads; it used to reach the factor
+    # and exit 3 with "Factor is exactly singular"
+    path = _write_config(tmp_path, domain={"mesh": _unused_vertex_mesh(tmp_path)},
+                         checks=[{"id": "saint-venant"}])
+    assert cli.main(["run", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config: ") and "vertex-used: vertex 49 " in err
+    assert not (tmp_path / "out" / "summary.csv").exists()
 
 
 def test_run_missing_field_mesh_exits_two(tmp_path, capsys):

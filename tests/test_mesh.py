@@ -26,7 +26,12 @@ from robinsym.mesh import (
     warped_profile,
 )
 
-from mesh_oracles import annulus_sector_build_loop, disk_build_loop, square_build_loop
+from mesh_oracles import (
+    annulus_sector_build_loop,
+    disk_build_loop,
+    edge_table_by_unique,
+    square_build_loop,
+)
 
 L_SHAPE = [(0.0, 0.0), (2.0, 0.0), (2.0, 1.0), (1.0, 1.0), (1.0, 2.0), (0.0, 2.0)]
 
@@ -335,6 +340,12 @@ def test_invariant_violations_are_named():
     with pytest.raises(MeshInvariantError, match="index-range"):
         MeasuredMesh(m.vertices, t2, m.boundary_edges)
 
+    # a point off every triangle: its row of the Robin matrix is empty, and a
+    # run on the mesh stopped in the factor as exactly singular
+    extra = np.vstack([m.vertices, [[0.5, 2.0]]])
+    with pytest.raises(MeshInvariantError, match=f"vertex-used: vertex {len(m.vertices)} "):
+        MeasuredMesh(extra, m.triangles, m.boundary_edges)
+
 
 def test_directed_edge_repeat_is_named():
     # two overlapping triangles both run the edge 0 -> 1
@@ -560,8 +571,12 @@ def test_edge_table_gathers_from_the_triangles(name):
     m = generate_domain(params.pop("kind"), params.pop("target_h"), **params)
     given = MeasuredMesh(m.vertices, m.triangles.copy(), m.boundary_edges, geometry=m.geometry,
                          warp=m.warp)
-    for mesh in (m, refine(m), given):
+    for mesh in (m, refine(m), refine(refine(m)), given):
         table = mesh._edges
+        # the arrays of np.unique, dtypes included
+        for got, want in zip(table[1:], edge_table_by_unique(mesh.triangles,
+                                                             len(mesh.vertices))):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
         half = mesh_module._half_edges(mesh.triangles)
         assert np.array_equal(table.ends, half[table.first])
         assert np.array_equal(table.boundary, half[table.count[table.edge] == 1])

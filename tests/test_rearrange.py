@@ -35,6 +35,7 @@ from robinsym.rearrange import (
 )
 
 from radial_oracles import flat_torsion_profile, profile_distribution
+from rearrange_oracles import corner_sort_distribution
 
 FLAT2 = ModelSpace(kappa=0, n=2, alpha=1.0)
 SPHERE2 = ModelSpace(kappa=1, n=2, alpha=1.0)
@@ -256,6 +257,48 @@ def test_plateau_field():
     for s in (0.55, 0.7, 0.99):
         assert float(h(np.array([s]))[0]) == pytest.approx(0.5, abs=1e-12)
     assert float(h(np.array([0.3]))[0]) == pytest.approx(0.7, abs=1e-12)
+
+
+_BIT_MESHES = {
+    "square": generate_domain("square", target_h=0.1, side=1.0),
+    "disk": generate_domain("disk", target_h=0.15, radius=1.0),
+    "cap": generate_domain("spherical_cap", target_h=0.15, theta=1.0),
+    "cone": generate_domain("disk", target_h=0.2, radius=1.0, geometry="warped",
+                            warp=warped_profile("cone", 0.5)),
+}
+
+
+def _bits(x):
+    return x.dtype, x.shape, x.view(np.uint64).tolist()
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(name=st.sampled_from(sorted(_BIT_MESHES)), seed=st.integers(0, 2**32 - 1),
+       form=st.sampled_from(["signed", "negative", "positive"]),
+       shift=st.floats(-1.0, 1.0), decimals=st.sampled_from([None, 0, 1, 2]),
+       jitter=st.booleans(), zeros=st.floats(0.0, 1.0),
+       scale=st.sampled_from([1.0, 1e-300, 1e12]))
+def test_from_field_matches_corner_sort_bit_for_bit(name, seed, form, shift, decimals,
+                                                    jitter, zeros, scale):
+    # vertex values ranked once give the corner-sort build's breakpoints and
+    # coefficients to the bit, sign bits included: ties (rounded values),
+    # copies within the merge tolerance (jitter), zeros, sign changes and
+    # fields of one sign
+    mesh = _BIT_MESHES[name]
+    rng = np.random.default_rng(seed)
+    values = rng.normal(size=len(mesh.vertices)) + shift
+    if decimals is not None:
+        values = np.round(values, decimals)
+    if jitter:
+        values += rng.uniform(-3e-15, 3e-15, len(values))
+    values[rng.random(len(values)) < zeros] = 0.0
+    if form != "signed":
+        values = np.abs(values) if form == "positive" else -np.abs(values)
+    field = ScalarField(mesh=mesh, values=scale * values)
+    new, old = distribution_function(field), corner_sort_distribution(field)
+    for attr in ("_breaks", "_A", "_B", "_C"):
+        assert _bits(getattr(new, attr)) == _bits(getattr(old, attr)), attr
+    assert new.total == old.total
 
 
 def test_roundoff_copies_of_a_value_merge_into_one_breakpoint():
@@ -556,6 +599,16 @@ def test_lorentz_fine_square_in_budget():
         value = lorentz_norm(rec.dist, LorentzParams(p, q))
         assert time.perf_counter() - start < 5.0
         assert math.isfinite(value) and value > 0.0
+
+
+def test_lorentz_underflow_is_refused():
+    # the 5,184-vertex torsion square, max u = 0.33: t^999 underflows to 0
+    # for every t up to max u, and the norm read exactly 0.0
+    mesh = generate_domain("square", target_h=0.02, side=1.0)
+    dist = verify.solve_record(RobinProblem(mesh=mesh, beta=1.0), FLAT2).dist
+    assert lorentz_norm(dist, LorentzParams(1.0, 300.0)) == pytest.approx(0.231, abs=1e-3)
+    with pytest.raises(LorentzDivergenceError, match="underflowed"):
+        lorentz_norm(dist, LorentzParams(1.0, 1000.0))
 
 
 _SMALL_DISK = generate_domain("disk", target_h=0.4, radius=1.0)
