@@ -301,6 +301,21 @@ def test_from_field_matches_corner_sort_bit_for_bit(name, seed, form, shift, dec
     assert new.total == old.total
 
 
+def test_an_exact_snapping_tie_goes_down():
+    # 0.5 + s merges into the breakpoint 0.5, and 0.5 + 2 s lies exactly
+    # halfway between 0.5 and the next breakpoint 0.5 + 4 s: it snaps down,
+    # as in the corner-sort build
+    mesh = _square_mesh()
+    step = 2.0**-47  # under the 1e-14 merge tolerance; two steps are over it
+    values = np.full(len(mesh.vertices), 0.25)
+    values[:4] = 0.5 + step * np.array([0.0, 1.0, 2.0, 4.0])
+    field = ScalarField(mesh=mesh, values=values)
+    new, old = distribution_function(field), corner_sort_distribution(field)
+    assert new._breaks.tolist() == [0.0, 0.25, 0.5, 0.5 + 4.0 * step]
+    for attr in ("_breaks", "_A", "_B", "_C"):
+        assert _bits(getattr(new, attr)) == _bits(getattr(old, attr)), attr
+
+
 def test_roundoff_copies_of_a_value_merge_into_one_breakpoint():
     # five levels held by many vertices each, every copy moved by up to
     # 3e-15, below the 1e-14 merge tolerance: each level's copies snap onto
