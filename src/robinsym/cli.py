@@ -13,6 +13,7 @@ Exit codes: 0 all checks passed at the finest level, 1 a check failed there,
 
 import argparse
 import concurrent.futures
+import contextlib
 import dataclasses
 import json
 import math
@@ -28,8 +29,7 @@ from .mesh import (MAX_VERTICES, MeasuredMesh, MeshFormatError,
                    MeshInvariantError, ScalarField, generate_domain, load_mesh,
                    refine, save_mesh, warped_profile)
 from .model_geometry import ModelSpace
-from .rearrange import (LorentzDivergenceError, SphereOverflowError,
-                        schwarz_rearrangement)
+from .rearrange import LorentzDivergenceError, SphereOverflowError
 from .verify import HypothesisRangeError
 
 
@@ -570,6 +570,15 @@ def _level_state(config, mesh) -> _LevelState:
     return _LevelState(mesh=mesh, problems=problems, solves={})
 
 
+@contextlib.contextmanager
+def _solve_stage(beta, mesh):
+    """A solver error while solving or recording one (level, beta)."""
+    try:
+        yield
+    except _SOLVER_ERRORS as exc:
+        raise SolverStageError(f"solve (beta={beta}, h={mesh.mesh_size():g})", exc)
+
+
 def _run_cell(cell: _Cell, state: _LevelState, space) -> list:
     cid = cell.request.check_id
     try:
@@ -595,7 +604,7 @@ def _write_plot(path, header, columns):
         fh.writelines(",".join(map(repr, row)) + "\n" for row in rows)
 
 
-def _write_plots(config, states, space, out_dir):
+def _write_plots(config, states, out_dir):
     plots = os.path.join(out_dir, "plots")
     os.makedirs(plots, exist_ok=True)
     for ib, beta in enumerate(config.beta):
@@ -607,7 +616,7 @@ def _write_plots(config, states, space, out_dir):
             t = np.linspace(0.0, float(np.max(rec.u.values)), 257)
             _write_plot(os.path.join(plots, f"mu_b{ib}_L{level}.csv"),
                         ("t", "mu"), (t, dist.evaluate(t)))
-            usharp = schwarz_rearrangement(dist, space)
+            usharp = rec.ustar
             r = np.linspace(0.0, ball.radius, 257)
             _write_plot(os.path.join(plots, f"usharp_b{ib}_L{level}.csv"),
                         ("r", "usharp", "v"),
@@ -657,24 +666,27 @@ def run(config: ExperimentConfig, jobs: int = 1, stream=None) -> int:
     # serially before any check runs, so cells (and worker threads) only read
     # shared state; the finest level goes first, so its assembly and factor,
     # which set the peak memory, run before the coarser levels' records are
-    # held.  A record shares the source's rearrangement with the records of
-    # its level, whose betas all take the same source, and the radial side
-    # with a record on the same ball and beta (a flat polygon keeps its
-    # measure under refine).
+    # held.  A level's assembly is dropped once its last beta is solved,
+    # before any of its records builds a distribution function.  A record
+    # shares the source's rearrangement with the records of its level, whose
+    # betas all take the same source, and the radial side with a record on
+    # the same ball and beta (a flat polygon keeps its measure under refine).
     if any(c.check_id != "isoperimetric" for c in config.checks):
         eigen = any(c.check_id == "bossel-daners" for c in config.checks)
         for state in reversed(states):
             system = None
+            solved = {}
             for beta, problem in state.problems.items():
-                try:
+                with _solve_stage(beta, state.mesh):
                     if system is None:
                         system = fem.assemble(problem)
-                    state.solves[beta] = verify.solve_record(
-                        problem, space, eigen, system,
+                    solved[beta] = verify.solve_discrete(problem, eigen, system)
+            del system
+            for beta, problem in state.problems.items():
+                with _solve_stage(beta, state.mesh):
+                    state.solves[beta] = verify.record_solution(
+                        problem, space, *solved.pop(beta),
                         built=[rec for st in states for rec in st.solves.values()])
-                except _SOLVER_ERRORS as exc:
-                    raise SolverStageError(
-                        f"solve (beta={beta}, h={state.mesh.mesh_size():g})", exc)
 
     def run_cell(cell):
         return _run_cell(cell, states[cell.level], space)
@@ -688,7 +700,7 @@ def run(config: ExperimentConfig, jobs: int = 1, stream=None) -> int:
     reports = [rep for cell_reports in results for rep in cell_reports]
     verify.reports_to_csv(reports, os.path.join(out_dir, "summary.csv"))
     verify.reports_to_jsonl(reports, os.path.join(out_dir, "reports.jsonl"))
-    _write_plots(config, states, space, out_dir)
+    _write_plots(config, states, out_dir)
     _write_gap_tables(config, reports, out_dir)
 
     finest = len(states) - 1

@@ -190,11 +190,15 @@ class AssembledSystem:
         explicit zeros: the stiffness of an edge opposite two right angles is
         exactly 0, and a stored zero there would only add fill to the
         factor."""
-        data = self.stiffness + beta * self.boundary_mass
+        data = beta * self.boundary_mass
+        data += self.stiffness
         keep = data != 0.0
-        kept = np.zeros(len(data) + 1, dtype=np.int32)
-        np.cumsum(keep, out=kept[1:])
-        return data[keep], self.pattern.indices[keep], kept[self.pattern.indptr]
+        # the kept slots per column; every column of the pattern holds its
+        # diagonal slot, so reduceat sees no empty segment
+        indptr = np.zeros(len(self.pattern.indptr), dtype=np.int32)
+        np.cumsum(np.add.reduceat(keep, self.pattern.indptr[:-1], dtype=np.int32),
+                  out=indptr[1:])
+        return data[keep], self.pattern.indices[keep], indptr
 
 
 def _check_metric(mesh: MeasuredMesh):
@@ -208,43 +212,79 @@ def _check_metric(mesh: MeasuredMesh):
         )
 
 
+def _sum_per_index(index, values, n) -> np.ndarray:
+    """``np.bincount(index, values, n)``: each index's values summed in
+    order from 0.0, without the intp copy bincount makes of an int32 index."""
+    out = np.zeros(n)
+    np.add.at(out, index, values)
+    return out
+
+
 def assemble(problem: RobinProblem) -> AssembledSystem:
-    """Stiffness, mass, boundary mass, and load of the weak Robin form."""
+    """Stiffness, mass, boundary mass, and load of the weak Robin form.
+    The (M, 3) element values share one buffer, filled in place in the
+    order of operations of the element formulas."""
     mesh = problem.mesh
     _check_metric(mesh)
     tris = mesh.triangles
+    corners = tris.ravel()
     nv = len(mesh.vertices)
-    area = mesh.chart_areas()
+    area = mesh.chart_areas()[:, None]
     pattern = mesh.matrix_pattern()
     n_edges = len(pattern.upper)
 
-    def element_matrix(diag, off):
-        # per triangle, (M, 3) values at the corners and on the half-edges
-        # ab, bc, ca, summed per vertex and per edge
-        return pattern.data(np.bincount(tris.ravel(), diag.ravel(), nv),
-                            np.bincount(pattern.half_edge, off.ravel(), n_edges))
+    # per triangle, (M, 3) values at the corners or on the half-edges ab,
+    # bc, ca, summed per vertex or per edge
+    def per_vertex(local):
+        return np.bincount(corners, local.ravel(), nv)
+
+    def per_edge(local):
+        return _sum_per_index(pattern.half_edge, local.ravel(), n_edges)
 
     # area (W g_i).g_j, with j = i on the diagonal and j = i + 1 on half-edge
     # i: one value per triangle side makes K exactly symmetric
     grads = mesh.basis_gradients()
     weighted = mesh.dirichlet_weighted(grads)
-    nxt = [1, 2, 0]
-    k_diag = weighted[..., 0] * grads[..., 0] + weighted[..., 1] * grads[..., 1]
-    k_off = weighted[..., 0] * grads[:, nxt, 0] + weighted[..., 1] * grads[:, nxt, 1]
+    local = weighted[..., 0] * grads[..., 0]
+    local += weighted[..., 1] * grads[..., 1]
+    local *= area
+    k_diag = per_vertex(local)
+    for i in range(3):
+        j = (i + 1) % 3
+        np.multiply(weighted[:, i, 0], grads[:, j, 0], out=local[:, i])
+        local[:, i] += weighted[:, i, 1] * grads[:, j, 1]
     del grads, weighted
-    stiffness = element_matrix(k_diag * area[:, None], k_off * area[:, None])
+    local *= area
+    stiffness = pattern.data(k_diag, per_edge(local))
+
+    def plus_previous(values):
+        # values + values[:, [2, 0, 1]], into the buffer, a column at a time
+        for i in range(3):
+            np.add(values[:, (i + 2) % 3], values[:, i], out=local[:, i])
+
+    # the load: third * (0.5 * (g_mid + g_mid[:, [2, 0, 1]])) per corner
+    third = area / 3.0
+    rho_mid = edge_midpoints(mesh.density[tris])
+    g_mid = edge_midpoints(problem.source_values()[tris])
+    g_mid *= rho_mid
+    plus_previous(g_mid)
+    del g_mid
+    local *= 0.5
+    local *= third
+    load = per_vertex(local)
 
     # phi_i is 1/2 at the midpoints i (of edge i, i+1) and i-1 and 0 at the
     # third, so the local mass is area/3 times rho/4 at the shared midpoint
     # off the diagonal and at both adjacent ones on it
-    third = (area / 3.0)[:, None]
-    rho_mid = edge_midpoints(mesh.density[tris])
-    quarter = 0.25 * rho_mid
-    mass = element_matrix((quarter + quarter[:, [2, 0, 1]]) * third,
-                          quarter * third)
-    g_mid = edge_midpoints(problem.source_values()[tris]) * rho_mid
-    load_local = third * (0.5 * (g_mid + g_mid[:, [2, 0, 1]]))
-    load = np.bincount(tris.ravel(), load_local.ravel(), nv)
+    quarter = rho_mid
+    quarter *= 0.25
+    plus_previous(quarter)
+    local *= third  # (quarter + quarter[:, [2, 0, 1]]) * third
+    m_diag = per_vertex(local)
+    np.multiply(quarter, third, out=local)
+    del quarter, rho_mid
+    mass = pattern.data(m_diag, per_edge(local))
+    del local
 
     # boundary mass, 2-point Gauss per edge on the arclength parameter
     edges = mesh.boundary_edges

@@ -245,12 +245,7 @@ class MeasuredMesh:
         if len(unused):
             raise MeshInvariantError(f"vertex-used: vertex {unused[0]} lies on no triangle")
 
-        # np.take copies the rows in one loop; the fancy index v[t] runs
-        # numpy's general indexing per row, about ten times slower
-        p = np.take(v, t, axis=0)
-        d1 = p[:, 1] - p[:, 0]
-        d2 = p[:, 2] - p[:, 0]
-        areas = 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+        areas = _signed_areas(v, t)
         bad = np.nonzero(areas <= 0.0)[0]
         if len(bad):
             raise MeshInvariantError(
@@ -274,6 +269,7 @@ class MeasuredMesh:
             lo, hi = sorted(int(x) for x in edges.ends[e])
             key = (lo, hi) if forward[e] > 1 else (hi, lo)
             raise MeshInvariantError(f"edge-conformity: directed edge {key} repeats")
+        del forward
         tail, head = edges.boundary.T
         found = np.sort(tail * n + head)
         declared = sorted_unique(b[:, 0] * n + b[:, 1])
@@ -309,7 +305,11 @@ class MeasuredMesh:
                 )
 
         self._edges = edges
-        rho = np.mean(self.density[t], axis=1)
+        # the vertex mean, summed left to right as np.mean sums a row of three
+        d = self.density
+        rho = d[t[:, 0]] + d[t[:, 1]]
+        rho += d[t[:, 2]]
+        rho /= 3.0
         areas.flags.writeable = rho.flags.writeable = False
         self._chart_areas = areas
         self._centroid_density = rho
@@ -320,7 +320,9 @@ class MeasuredMesh:
         # length_factor sees the direction only through its square, so one
         # orientation per undirected edge measures both half-edges
         ln, at_tail, at_head = self._length_factors(edges.ends)
-        self._mesh_size = float(np.max(ln * np.maximum(at_tail, at_head)))
+        np.maximum(at_tail, at_head, out=at_head)
+        at_head *= ln
+        self._mesh_size = float(np.max(at_head))
 
     # -- measures ----------------------------------------------------------
 
@@ -334,13 +336,17 @@ class MeasuredMesh:
     def basis_gradients(self) -> np.ndarray:
         """(M, 3, 2) chart gradients of each triangle's three P1 hat
         functions: rot90 of the opposite edge over twice the chart area."""
-        p = np.take(self.vertices, self.triangles, axis=0)
+        x, y = self.vertices[:, 0], self.vertices[:, 1]
+        t = self.triangles
         det = 2.0 * self._chart_areas
-        grads = np.empty((len(p), 3, 2))
+        grads = np.empty((len(t), 3, 2))
         for i in range(3):
-            a, b = p[:, (i + 1) % 3], p[:, (i + 2) % 3]
-            grads[:, i, 0] = (a[:, 1] - b[:, 1]) / det
-            grads[:, i, 1] = (b[:, 0] - a[:, 0]) / det
+            a, b = t[:, (i + 1) % 3], t[:, (i + 2) % 3]
+            gx, gy = grads[:, i, 0], grads[:, i, 1]
+            np.subtract(y[a], y[b], out=gx)
+            gx /= det
+            np.subtract(x[b], x[a], out=gy)
+            gy /= det
         return grads
 
     def dirichlet_weighted(self, covectors) -> np.ndarray:
@@ -390,9 +396,13 @@ class MeasuredMesh:
         b = np.take(self.vertices, ends[:, 1], axis=0)
         seg = b - a
         ln = np.hypot(seg[:, 0], seg[:, 1])
-        d = seg / np.maximum(ln, 1e-300)[:, None] if self.geometry == "warped" else None
-        return (ln, length_factor(self.geometry, self.warp, a, d),
-                length_factor(self.geometry, self.warp, b, d))
+        if self.geometry == "warped":
+            seg /= np.maximum(ln, 1e-300)[:, None]
+        else:
+            seg = None
+        at_tail = length_factor(self.geometry, self.warp, a, seg)
+        del a
+        return ln, at_tail, length_factor(self.geometry, self.warp, b, seg)
 
     @property
     def boundary_vertices(self) -> np.ndarray:
@@ -409,7 +419,10 @@ def edge_midpoints(corners) -> np.ndarray:
     """Values at the edge midpoints 01, 12, 20 of linear functions given by
     their (M, 3) corner values: the nodes of the edge-midpoint rule, area/3
     times the sum, exact for quadratics."""
-    return 0.5 * (corners + corners[:, [1, 2, 0]])
+    out = corners[:, [1, 2, 0]]
+    out += corners
+    out *= 0.5  # 0.5 * (corners + corners[:, [1, 2, 0]]), in place
+    return out
 
 
 def sorted_unique(values) -> np.ndarray:
@@ -444,6 +457,9 @@ class ScalarField:
 # generation helpers
 
 
+_NEXT_CORNER = np.array([1, 2, 0], dtype=np.int32)
+
+
 class _EdgeTable(NamedTuple):
     """Undirected edges of a triangulation, numbered in sorted key order.
 
@@ -455,15 +471,22 @@ class _EdgeTable(NamedTuple):
     """
 
     triangles: np.ndarray  # (M, 3) the triangulation itself, not a copy
-    edge: np.ndarray  # (3M,) the undirected edge of each half-edge
-    first: np.ndarray  # (E,) the first half-edge on each edge
-    count: np.ndarray  # (E,) half-edges on each edge: 1 on the boundary, 2 inside
+    edge: np.ndarray  # (3M,) int32, the undirected edge of each half-edge
+    first: np.ndarray  # (E,) int32, the first half-edge on each edge
+    count: np.ndarray  # (E,) int32, half-edges on each edge: 1 on the boundary, 2 inside
 
     def _gather(self, which) -> np.ndarray:
-        """(len(which), 2) tail and head of the given half-edges."""
+        """(len(which), 2) tail and head of the given half-edges.  The head
+        of half-edge 3k + i is the tail of 3k + (i + 1) mod 3: one division
+        finds 3k, and a table lookup the next corner."""
         corners = self.triangles.ravel()
-        return np.stack([corners[which], corners[which - which % 3 + (which + 1) % 3]],
-                        axis=1)
+        nxt = which // 3
+        nxt *= 3
+        nxt += _NEXT_CORNER[which - nxt]
+        out = np.empty((len(which), 2), dtype=corners.dtype)
+        out[:, 0] = corners[which]
+        out[:, 1] = corners[nxt]
+        return out
 
     @property
     def ends(self) -> np.ndarray:
@@ -486,10 +509,10 @@ class MatrixPattern(NamedTuple):
 
     indptr: np.ndarray  # (N + 1,) int32
     indices: np.ndarray  # (N + 2E,) int32
-    diag: np.ndarray  # (N,) the slot of (i, i)
-    upper: np.ndarray  # (E,) the slot of (lo, hi) of each edge of the table
-    lower: np.ndarray  # (E,) the slot of (hi, lo)
-    half_edge: np.ndarray  # (3M,) the edge of each half-edge ab, bc, ca, in triangle order
+    diag: np.ndarray  # (N,) int32, the slot of (i, i)
+    upper: np.ndarray  # (E,) int32, the slot of (lo, hi) of each edge of the table
+    lower: np.ndarray  # (E,) int32, the slot of (hi, lo)
+    half_edge: np.ndarray  # (3M,) int32, the edge of each half-edge ab, bc, ca, in triangle order
     boundary: np.ndarray  # (K,) the edge of each declared boundary edge
 
     def data(self, diag, off) -> np.ndarray:
@@ -502,6 +525,16 @@ class MatrixPattern(NamedTuple):
         return out
 
 
+def _signed_areas(vertices, triangles) -> np.ndarray:
+    """(M,) signed chart areas, positive for counterclockwise triangles."""
+    x, y = vertices[:, 0], vertices[:, 1]
+    t0, t1, t2 = triangles.T
+    areas = (x[t1] - x[t0]) * (y[t2] - y[t0])
+    areas -= (y[t1] - y[t0]) * (x[t2] - x[t0])
+    areas *= 0.5
+    return areas
+
+
 def _half_edges(triangles) -> np.ndarray:
     return triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
 
@@ -509,24 +542,39 @@ def _half_edges(triangles) -> np.ndarray:
 def _edge_table(triangles, n_vertices) -> _EdgeTable:
     """The arrays ``np.unique(key, return_index=True, return_inverse=True,
     return_counts=True)`` gives for the half-edges' keys lo * N + hi, from
-    the same stable sort, without the sorted keys it also returns.  The
-    stable sort (timsort) puts each key's first half-edge first in its
-    group; on these keys, which come in long runs, it is faster than
-    numpy's default sort."""
-    tail = triangles.ravel()
-    head = triangles[:, [1, 2, 0]].ravel()
-    key = np.minimum(tail, head) * n_vertices + np.maximum(tail, head)
+    the same stable sort, without the sorted keys it also returns, and as
+    int32, which holds every half-edge, edge and vertex id while 3M < 2^31
+    (generated meshes stop at MAX_VERTICES, far below; a larger array of
+    triangles is refused).  The keys are int64, since N^2 passes 2^31 above
+    46,341 vertices.  The stable sort (timsort) puts each key's first
+    half-edge first in its group; on these keys, which come in long runs,
+    it is faster than numpy's default sort.  Each intermediate is dropped
+    once it is read."""
+    if 3 * len(triangles) > np.iinfo(np.int32).max:
+        raise MeshInvariantError(
+            f"index-range: {len(triangles)} triangles have more half-edges than int32 ids")
+    head = triangles[:, [1, 2, 0]]
+    key = np.minimum(triangles, head, dtype=np.int64)
+    np.maximum(triangles, head, out=head)
+    key *= n_vertices
+    key += head
     del head
+    key = key.ravel()
     perm = np.argsort(key, kind="stable")
     key = key[perm]
     new = np.empty(len(key), dtype=bool)
     new[:1] = True
     np.not_equal(key[1:], key[:-1], out=new[1:])
+    del key
     starts = np.flatnonzero(new)
-    first = perm[starts]
-    count = np.diff(np.append(starts, len(key)))
-    edge = np.empty(len(key), dtype=np.intp)
-    edge[perm] = np.cumsum(new) - 1
+    first = perm[starts].astype(np.int32)
+    count = np.diff(starts, append=len(new)).astype(np.int32)
+    del starts
+    number = np.cumsum(new, dtype=np.int32)
+    del new
+    number -= 1
+    edge = np.empty(len(perm), dtype=np.int32)
+    edge[perm] = number
     return _EdgeTable(triangles, edge, first, count)
 
 
@@ -536,26 +584,34 @@ def _matrix_pattern(edges: _EdgeTable, n_vertices, boundary_edges) -> MatrixPatt
     so the rows below the diagonal come in edge order; those above it take
     one stable sort of the edges by hi."""
     n = n_vertices
-    a, b = edges.ends.T
-    lo, hi = np.minimum(a, b), np.maximum(a, b)
-    rank = np.arange(len(lo))
-    above = np.bincount(hi, minlength=n)
-    below = np.bincount(lo, minlength=n)
-    indptr = np.zeros(n + 1, dtype=np.int64)
+    ends = edges.ends
+    lo = np.minimum(ends[:, 0], ends[:, 1], dtype=np.int32)
+    hi = np.maximum(ends[:, 0], ends[:, 1], dtype=np.int32)
+    del ends
+    above = np.bincount(hi, minlength=n).astype(np.int32)
+    below = np.bincount(lo, minlength=n).astype(np.int32)
+    indptr = np.zeros(n + 1, dtype=np.int32)
     np.cumsum(above + below + 1, out=indptr[1:])
     diag = indptr[:-1] + above
-    lower = diag[lo] + 1 + rank - (np.cumsum(below) - below)[lo]
+    # edge e is the (e - f)-th below the diagonal of column lo, f the first
+    # edge of that column; above it, the edges by hi come column by column
+    lower = np.arange(len(lo), dtype=np.int32)
+    lower += (diag + 1 - (np.cumsum(below, dtype=np.int32) - below))[lo]
     by_hi = np.argsort(hi, kind="stable")
-    col = hi[by_hi]
+    slot = np.arange(len(hi), dtype=np.int32)
+    slot += (indptr[:-1] - (np.cumsum(above, dtype=np.int32) - above))[hi[by_hi]]
     upper = np.empty_like(lower)
-    upper[by_hi] = indptr[col] + rank - (np.cumsum(above) - above)[col]
+    upper[by_hi] = slot
+    del by_hi, slot, above, below
     indices = np.empty(indptr[-1], dtype=np.int32)
-    indices[diag] = np.arange(n)
+    indices[diag] = np.arange(n, dtype=np.int32)
     indices[lower] = hi
     indices[upper] = lo
-    boundary = np.searchsorted(lo * n + hi, np.min(boundary_edges, axis=1) * n
+    key = lo.astype(np.int64)
+    key *= n
+    key += hi
+    boundary = np.searchsorted(key, np.min(boundary_edges, axis=1) * n
                                + np.max(boundary_edges, axis=1))
-    indptr = indptr.astype(np.int32)
     indptr.flags.writeable = indices.flags.writeable = False
     return MatrixPattern(indptr, indices, diag, upper, lower, edges.edge, boundary)
 
@@ -806,13 +862,22 @@ def _refine4(verts, tris, edges):
     pair of each midpoint.
     """
     order = np.argsort(edges.first)
-    parents = edges.ends[order]
-    number = len(verts) + np.argsort(order)  # the inverse permutation
+    parents = edges._gather(edges.first[order])
+    number = np.empty(len(order), dtype=np.int32)  # the inverse permutation
+    number[order] = np.arange(len(verts), len(verts) + len(order), dtype=np.int32)
+    del order
     ab, bc, ca = number[edges.edge].reshape(-1, 3).T
+    del number
     a, b, c = tris.T
     out = np.stack([a, ab, ca, ab, b, bc, ca, bc, c, ab, bc, ca], axis=1)
-    mids = (np.take(verts, parents[:, 0], axis=0) + np.take(verts, parents[:, 1], axis=0)) / 2.0
-    return np.concatenate([verts, mids]), out.reshape(-1, 3), parents
+    del ab, bc, ca
+    new_verts = np.empty((len(verts) + len(parents), 2))
+    new_verts[:len(verts)] = verts
+    mids = new_verts[len(verts):]
+    np.take(verts, parents[:, 0], axis=0, out=mids)
+    mids += np.take(verts, parents[:, 1], axis=0)
+    mids /= 2.0
+    return new_verts, out.reshape(-1, 3), parents
 
 
 def _polygon_points(points, target_h):

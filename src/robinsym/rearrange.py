@@ -157,6 +157,11 @@ class DistributionData:
         reads its corners' snapped values through its three ranks, sorted.
         Every vertex lies on a triangle (``MeasuredMesh.validate``), so the
         ranked values are exactly the corner values.
+
+        The working set is a few arrays of one value per triangle: int32
+        ranks sorted in place, and each kind of piece of mu added slot by
+        slot into the coefficients as it is formed, in the order one
+        ``np.bincount`` over all pieces would sum them.
         """
         mesh = field.mesh
         weights = mesh.chart_areas() * mesh.centroid_density()
@@ -166,6 +171,7 @@ class DistributionData:
         parts = [x for x in (h, -h) if np.max(x) > 0.0]
         values, rank = np.unique(np.concatenate(parts) if parts else np.empty(0),
                                  return_inverse=True)
+        rank = rank.astype(np.int32).reshape(len(parts), len(h))
         zero = int(np.searchsorted(values, 0.0, side="right"))  # the first positive
         raw = np.concatenate([[0.0], values[zero:]])
         merged = np.concatenate([[True], np.diff(raw) > tol])
@@ -179,49 +185,68 @@ class DistributionData:
         index = np.where(up, upper, lower)
         snapped = np.concatenate([values[:zero], breaks[index]])
         # slot j + 1 starts at breaks[j]; every value <= 0 starts slot 1
-        start = np.concatenate([np.ones(zero, dtype=np.intp), index + 1])
+        start = np.concatenate([np.ones(zero, dtype=np.int32), index + 1], dtype=np.int32)
+        del values, raw, merged, lower, upper, up, index
 
         # each part's triangles in mesh order, corner ranks sorted by a
         # network of three compare-exchanges; a triangle with no positive
         # corner adds nothing
-        rank = rank.reshape(len(parts), len(h))
-        x, y, z = (rank[:, corner].ravel() for corner in mesh.triangles.T)
-        lo, hi = np.minimum(x, y), np.maximum(x, y)
-        ra, mid = np.minimum(lo, z), np.maximum(lo, z)
-        rb, rc = np.minimum(hi, mid), np.maximum(hi, mid)
+        ra, rb, rc = (rank[:, corner].ravel() for corner in mesh.triangles.T)
+        del rank
+        lo = np.minimum(ra, rb)
+        np.maximum(ra, rb, out=rb)
+        ra = np.minimum(lo, rc)
+        np.maximum(lo, rc, out=rc)
+        lo = np.minimum(rb, rc)
+        np.maximum(rb, rc, out=rc)
+        rb = lo
+        w = weights if len(parts) == 1 else np.tile(weights, len(parts))
         keep = rc >= zero
-        ra, rb, rc = ra[keep], rb[keep], rc[keep]
-        w = np.tile(weights, len(parts))[keep]
+        if not keep.all():
+            ra, rb, rc, w = ra[keep], rb[keep], rc[keep], w[keep]
 
         K = len(breaks)
         a, b, c = snapped[ra], snapped[rb], snapped[rc]
         sa, sb, sc = start[ra], start[rb], start[rc]
+        del ra, rb, rc
         # the pieces of mu on each triangle, each A + B t + C t^2 from a
         # start slot to an end slot: the flat piece w on [0, a) for a > 0,
         # the rising one w * (1 - (t-a)^2/D1) on [max(a,0), b) and the
-        # falling one w * (c-t)^2/D2 on [max(b,0), c)
+        # falling one w * (c-t)^2/D2 on [max(b,0), c).  Each piece adds its
+        # coefficient at its start slot and takes it off at its end slot,
+        # one kind of piece after the other; the running sum is each slot's
+        # coefficient
+        A, B, C = np.zeros(K + 1), np.zeros(K + 1), np.zeros(K + 1)
+
+        def add(coef, piece, begin, end):
+            # the piece's own temporary is negated in place: adding -x, not
+            # subtracting x, keeps the sign bit of a nan
+            np.add.at(coef, begin, piece)
+            np.add.at(coef, end, np.negative(piece, out=piece))
+
+        def rising(on):
+            ar, cr, wr = a[on], c[on], w[on]
+            d1 = (b[on] - ar) * (cr - ar)
+            begin, end = sa[on], sb[on]
+            add(A, wr - wr * ar**2 / d1, begin, end)
+            add(B, 2.0 * wr * ar / d1, begin, end)
+            add(C, -wr / d1, begin, end)
+
+        def falling(on):
+            af, cf, wf = a[on], c[on], w[on]
+            d2 = (cf - b[on]) * (cf - af)
+            begin, end = sb[on], sc[on]
+            add(A, wf * cf**2 / d2, begin, end)
+            add(B, -2.0 * wf * cf / d2, begin, end)
+            add(C, wf / d2, begin, end)
+
         flat = a > 0.0
-        rise = b > np.maximum(a, 0.0)
-        fall = c > np.maximum(b, 0.0)
-        ar, cr, wr = a[rise], c[rise], w[rise]
-        d1 = (b[rise] - ar) * (cr - ar)
-        af, cf, wf = a[fall], c[fall], w[fall]
-        d2 = (cf - b[fall]) * (cf - af)
-        n_flat = np.count_nonzero(flat)
-        at = np.concatenate([np.ones(n_flat, dtype=np.intp), sa[flat],
-                             sa[rise], sb[rise], sb[fall], sc[fall]])
-        curved = at[2 * n_flat:]  # the flat piece has no B and C
-
-        def running(index, coefs):
-            # each piece adds its coefficient at its start slot and takes it
-            # off at its end slot, one kind of piece after the other; the
-            # running sum is each slot's coefficient
-            terms = np.concatenate([x for coef in coefs for x in (coef, -coef)])
-            return np.cumsum(np.bincount(index, terms, minlength=K + 1))
-
-        A = running(at, [w[flat], wr - wr * ar**2 / d1, wf * cf**2 / d2])
-        B = running(curved, [2.0 * wr * ar / d1, -2.0 * wf * cf / d2])
-        C = running(curved, [-wr / d1, wf / d2])
+        add(A, w[flat], np.ones(np.count_nonzero(flat), dtype=np.int32), sa[flat])
+        del flat
+        rising(b > np.maximum(a, 0.0))
+        falling(c > np.maximum(b, 0.0))
+        for coef in (A, B, C):
+            np.cumsum(coef, out=coef)
         A[0], B[0], C[0] = total, 0.0, 0.0  # mu = total below t = 0
         A[K], B[K], C[K] = 0.0, 0.0, 0.0  # and 0 at/above the max value
         return DistributionData(breaks, A, B, C, total)

@@ -10,9 +10,10 @@ so a refinement study can confirm convergence instead of trusting a single
 pass.
 
 Every check that compares u with its twin reads one :class:`SolveRecord`,
-built once per problem by :func:`solve_record`: u, its distribution, the
-decreasing rearrangement of the source, the matched ball, the twin v and,
-for the eigenvalue check, the ball's first Robin eigenvalue.
+built once per problem by :func:`solve_record`, or by its two steps,
+:func:`solve_discrete` and :func:`record_solution`: u, its distribution,
+the decreasing rearrangement of the source, the matched ball, the twin v
+and, for the eigenvalue check, the ball's first Robin eigenvalue.
 The record checks on construction that u lives on the problem's mesh and
 that the ball matches the mesh measure, so no check repeats either guard.
 The twin is read on its own grid, from its values and its exact slope.
@@ -28,6 +29,7 @@ chain), and every triangle at once in the Bossel functional.
 """
 
 import csv
+import functools
 import json
 import logging
 import math
@@ -265,23 +267,22 @@ class SolveRecord:
         """The matched ball, the twin's domain."""
         return self.v.ball
 
+    @functools.cached_property
+    def ustar(self) -> RadialProfile:
+        """u's Schwarz rearrangement in the ball's space, built on first
+        read and kept: the pointwise check and the run's plots read the
+        same one."""
+        return schwarz_rearrangement(self.dist, self.ball.space)
 
-def solve_record(problem: RobinProblem, space: ModelSpace, eigen: bool = False,
-                 system: fem.AssembledSystem | None = None,
-                 built: Iterable[SolveRecord] = ()) -> SolveRecord:
-    """Factor the problem once: the Poisson solve and, with ``eigen``, the
-    inverse iteration share the factor, freed before the rest is built.
-    ``system`` is the problem's assembly, which serves every beta on its mesh
-    and source; it defaults to a fresh one.  The twin takes the decreasing
-    rearrangement of the problem's source, whose Schwarz rearrangement is its
-    source.
 
-    ``built`` holds records already solved in the same run.  A problem whose
-    source is the very source object of a record there (None, the unit
-    source, included) takes that record's f*; if the matched ball (space and
-    radius, bit for bit) and beta are equal too, it also takes the record's
-    twin and ball eigenvalue instead of solving them again: both depend on
-    nothing else."""
+def solve_discrete(problem: RobinProblem, eigen: bool = False,
+                   system: fem.AssembledSystem | None = None) -> tuple:
+    """(u, pair): the P1 solution and, with ``eigen``, the first eigenpair,
+    from one factor that the Poisson solve and the inverse iteration share
+    and that is freed on return; pair is None without ``eigen`` and
+    (nan, None) when the ground state changed sign.  ``system`` is the
+    problem's assembly, which serves every beta on its mesh and source; it
+    defaults to a fresh one."""
     mesh, beta = problem.mesh, problem.beta
     if system is None:
         system = fem.assemble(problem)
@@ -293,7 +294,38 @@ def solve_record(problem: RobinProblem, space: ModelSpace, eigen: bool = False,
             pair = fem.solve_robin_eigen(mesh, beta, system, lu)
         except fem.EigenSignError:
             pair = (math.nan, None)
-    del system, lu  # the factor is the largest allocation; it sets the peak memory
+    return u, pair
+
+
+def solve_record(problem: RobinProblem, space: ModelSpace, eigen: bool = False,
+                 system: fem.AssembledSystem | None = None,
+                 built: Iterable[SolveRecord] = ()) -> SolveRecord:
+    """The record of a problem solved once: :func:`solve_discrete` factors
+    it (``system``, the problem's assembly, defaults to a fresh one), then
+    :func:`record_solution` builds u's distribution, the matched ball and
+    the twin (``built`` is read there).  The factor, and a fresh assembly,
+    are freed before the record is built; a caller's ``system`` lives as
+    long as the caller holds it, which is why ``robinsym run`` calls the two
+    steps itself and drops each level's assembly between them."""
+    return record_solution(problem, space, *solve_discrete(problem, eigen, system), built)
+
+
+def record_solution(problem: RobinProblem, space: ModelSpace, u: ScalarField,
+                    pair: tuple | None = None,
+                    built: Iterable[SolveRecord] = ()) -> SolveRecord:
+    """The record of the problem's solution u and, when one is given, its
+    eigenpair (as :func:`solve_discrete` returns them): u's distribution,
+    the matched ball, and the twin, which takes the decreasing
+    rearrangement of the problem's source, whose Schwarz rearrangement is
+    its source.
+
+    ``built`` holds records already solved in the same run.  A problem whose
+    source is the very source object of a record there (None, the unit
+    source, included) takes that record's f*; if the matched ball (space and
+    radius, bit for bit) and beta are equal too, it also takes the record's
+    twin and ball eigenvalue instead of solving them again: both depend on
+    nothing else."""
+    mesh, beta, eigen = problem.mesh, problem.beta, pair is not None
     ball = GeodesicBall(space, radius_for_volume(space, mesh.total_measure()))
     source = problem.source
     same_source = [rec for rec in built if rec.problem.source is source]
@@ -627,7 +659,7 @@ def check_theorem_main2(rec: SolveRecord, p: float = 1.0, q: int = 1,
     space = rec.ball.space
     if pointwise:
         _pointwise_range(space)
-        ustar = schwarz_rearrangement(rec.dist, space)
+        ustar = rec.ustar
         v_at = np.interp(ustar.grid, rec.v.grid, rec.v.values)
         worst = float(np.max(ustar.values - v_at))
         h = rec.u.mesh.mesh_size()

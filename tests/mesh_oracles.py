@@ -1,10 +1,11 @@
 """Test-side loop versions of the structured mesh generators, the reference
 the vectorized builders in ``robinsym.mesh`` must match array for array, and
-the edge table as ``np.unique`` numbers it."""
+the edge table and the P1 matrix pattern as ``np.unique`` numbers the edges."""
 
 import math
 
 import numpy as np
+import scipy.sparse
 
 
 def zip_rings_loop(inner, inner_angles, outer, outer_angles):
@@ -95,10 +96,30 @@ def edge_table_by_unique(triangles, n_vertices):
     """(edge, first, count) of the undirected edges of a triangulation from
     ``np.unique`` of the half-edge keys lo * N + hi, half-edge 3k + i running
     from corner i to corner i + 1 of triangle k: its stable sort makes each
-    edge's first half-edge the first in triangle order."""
-    tail = triangles.ravel()
-    head = np.roll(triangles, -1, axis=1).ravel()
+    edge's first half-edge the first in triangle order.  The keys are int64
+    whatever the triangles' dtype; the three arrays come back as int32, the
+    table's index dtype."""
+    tail = triangles.ravel().astype(np.int64)
+    head = np.roll(triangles, -1, axis=1).ravel().astype(np.int64)
     key = np.minimum(tail, head) * n_vertices + np.maximum(tail, head)
     _, first, edge, count = np.unique(key, return_index=True, return_inverse=True,
                                       return_counts=True)
-    return edge, first, count
+    return edge.astype(np.int32), first.astype(np.int32), count.astype(np.int32)
+
+
+def pattern_by_unique(triangles, n_vertices, boundary_edges):
+    """The CSC pattern of a P1 matrix from the edges ``np.unique`` finds:
+    (indptr, indices), the (row, column) of each upper, lower and diagonal
+    slot of the table's edges, and the edge of each boundary edge."""
+    tail = triangles.ravel().astype(np.int64)
+    head = np.roll(triangles, -1, axis=1).ravel().astype(np.int64)
+    keys = np.unique(np.minimum(tail, head) * n_vertices + np.maximum(tail, head))
+    lo, hi = np.divmod(keys, n_vertices)
+    diag = np.arange(n_vertices)
+    rows, cols = np.concatenate([lo, hi, diag]), np.concatenate([hi, lo, diag])
+    csc = scipy.sparse.coo_matrix((np.ones(len(rows)), (rows, cols)),
+                                  shape=(n_vertices, n_vertices)).tocsc()
+    csc.sort_indices()
+    b = boundary_edges.astype(np.int64)
+    boundary = np.searchsorted(keys, b.min(axis=1) * n_vertices + b.max(axis=1))
+    return csc.indptr, csc.indices, (lo, hi), boundary

@@ -56,8 +56,10 @@ def corner_sort_distribution(field) -> DistributionData:
     curved = at[2 * n_flat:]
 
     def running(index, coefs):
+        # bincount returns int zeros when it has no term at all, so the
+        # float dtype is asked for: mu = total below t = 0 even then
         terms = np.concatenate([x for coef in coefs for x in (coef, -coef)])
-        return np.cumsum(np.bincount(index, terms, minlength=K + 1))
+        return np.cumsum(np.bincount(index, terms, minlength=K + 1), dtype=float)
 
     A = running(at, [w[flat], wr - wr * ar**2 / d1, wf * cf**2 / d2])
     B = running(curved, [2.0 * wr * ar / d1, -2.0 * wf * cf / d2])

@@ -5,6 +5,7 @@ import dataclasses
 import io
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -411,7 +412,7 @@ _ALL_CHECKS = [{"id": "thm1.1", "p": 1.0, "q": 1}, {"id": "thm1.2", "p": 1.5, "q
 
 
 def test_run_solves_each_level_and_beta_once(tmp_path, capsys, monkeypatch):
-    counts = {"assemble": 0, "factor": 0, "distribution": 0}
+    counts = {"assemble": 0, "factor": 0, "distribution": 0, "schwarz": 0}
 
     def counting(key, fn):
         def wrapped(*args, **kwargs):
@@ -423,6 +424,9 @@ def test_run_solves_each_level_and_beta_once(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(fem, "gstrf", counting("factor", fem.gstrf))
     monkeypatch.setattr(cli.verify, "distribution_function", counting(
         "distribution", rearrange.distribution_function))
+    # the kink radii: one call per Schwarz rearrangement, whoever builds it
+    monkeypatch.setattr(rearrange, "radii_for_volumes", counting(
+        "schwarz", rearrange.radii_for_volumes))
 
     outputs = []
     for jobs in ("1", "2"):
@@ -434,15 +438,42 @@ def test_run_solves_each_level_and_beta_once(tmp_path, capsys, monkeypatch):
         reports = [json.loads(line) for line in
                    (out / "reports.jsonl").read_text().splitlines()]
         assert not any(r["context"].get("retried") for r in reports)
-        # two levels times two betas: one factorization and one distribution
-        # function of the solution each, and one assembly per level
-        assert counts == {"assemble": 2, "factor": 4, "distribution": 4}
-        counts.update(assemble=0, factor=0, distribution=0)
+        # two levels times two betas: one factorization, one distribution
+        # function of the solution and one Schwarz rearrangement of it, which
+        # the pointwise check and the plots share, each; one assembly per level
+        assert counts == {"assemble": 2, "factor": 4, "distribution": 4, "schwarz": 4}
+        counts.update(assemble=0, factor=0, distribution=0, schwarz=0)
         outputs.append(sorted(
             (str(f.relative_to(out)), f.read_bytes()) for f in out.rglob("*")
             if f.is_file() and f.name != "config_resolved.json"))
     capsys.readouterr()
     assert outputs[0] == outputs[1]
+
+
+def test_run_frees_each_level_assembly_before_its_distributions(tmp_path, monkeypatch):
+    # a level's assembly serves all its betas' factors and then dies, so no
+    # distribution function, of u or of a field source, is built beside it
+    systems, seen = [], []
+    real_assemble = fem.assemble
+
+    def assemble(problem):
+        system = real_assemble(problem)
+        systems.append(weakref.ref(system))
+        return system
+
+    def distribution(field):
+        seen.append([ref() is None for ref in systems])
+        return rearrange.distribution_function(field)
+
+    monkeypatch.setattr(fem, "assemble", assemble)
+    monkeypatch.setattr(verify, "distribution_function", distribution)
+    config = cli.load_config(_write_config(
+        tmp_path, beta=[0.5, 2.0], refine_levels=1, source={"expr": "1 + x"},
+        checks=[{"id": "thm1.1", "p": 1.0, "q": 1}, {"id": "bossel-daners"}]))
+    assert cli.run(config, stream=io.StringIO()) == 0
+    # per level, the source's distribution and one of u per beta
+    assert len(systems) == 2 and len(seen) == 6
+    assert all(all(dead) and len(dead) in (1, 2) for dead in seen)
 
 
 _FIXED_CONFIG = dict(beta=[0.1, 1.0, 10.0], h=0.05, refine_levels=2,

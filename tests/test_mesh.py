@@ -30,6 +30,7 @@ from mesh_oracles import (
     annulus_sector_build_loop,
     disk_build_loop,
     edge_table_by_unique,
+    pattern_by_unique,
     square_build_loop,
 )
 
@@ -597,6 +598,51 @@ def test_refine_retains_no_half_edge_copy():
     assert len(fine.vertices) == 21_025
     # 3.85 MB measured; a (3M, 2) int64 copy of the half-edges adds 2.0 MB
     assert retained < 4.5e6
+
+
+def test_refine_transient_memory():
+    m = refine(generate_domain("square", target_h=0.04, side=1.0))
+    tracemalloc.start()
+    try:
+        fine = refine(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(fine.vertices) == 21_025
+    # 8.3 MB measured; 14.1 MB with int64 edge ids and the validate
+    # temporaries alive through the length factors
+    assert peak < 10e6
+
+
+def test_edge_table_refuses_more_half_edges_than_int32_ids():
+    # a broadcast view: the refusal comes before any array is built
+    triangles = np.broadcast_to(np.array([[0, 1, 2]]), (2**31 // 3 + 1, 3))
+    with pytest.raises(MeshInvariantError, match="index-range"):
+        mesh_module._edge_table(triangles, 3)
+
+
+def test_edge_table_and_pattern_past_int32_keys():
+    # 47,961 vertices: the keys lo * N + hi pass 2^31, so an int32 key would
+    # wrap and merge edges
+    m = generate_domain("square", target_h=0.0065, side=1.0)
+    n = len(m.vertices)
+    assert n == 47_961 and (n - 2) * n + n - 1 > 2**31
+    table = m._edges
+    for got, want in zip(table[1:], edge_table_by_unique(m.triangles, n)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    pattern = m.matrix_pattern()
+    indptr, indices, (lo, hi), boundary = pattern_by_unique(
+        m.triangles, n, m.boundary_edges)
+    assert np.array_equal(pattern.indptr, indptr)
+    assert np.array_equal(pattern.indices, indices)
+    column = np.searchsorted(pattern.indptr, np.arange(len(pattern.indices)), side="right") - 1
+    assert np.array_equal(column[pattern.diag], np.arange(n))
+    assert np.array_equal(pattern.indices[pattern.diag], np.arange(n))
+    assert np.array_equal(column[pattern.upper], hi)
+    assert np.array_equal(pattern.indices[pattern.upper], lo)
+    assert np.array_equal(column[pattern.lower], lo)
+    assert np.array_equal(pattern.indices[pattern.lower], hi)
+    assert np.array_equal(pattern.boundary, boundary)
 
 
 @pytest.mark.parametrize("name", sorted(ORACLE_DOMAINS))

@@ -5,6 +5,7 @@ norm identities, against a per-triangle mpmath oracle and closed forms.
 
 import math
 import time
+import tracemalloc
 import warnings
 
 import mpmath
@@ -16,8 +17,8 @@ from scipy.special import beta as beta_fn
 from scipy.special import betainc
 
 from robinsym import verify
-from robinsym.fem import RobinProblem
-from robinsym.mesh import ScalarField, generate_domain, warped_profile
+from robinsym.fem import RobinProblem, solve_robin_poisson
+from robinsym.mesh import ScalarField, generate_domain, refine, warped_profile
 from robinsym.model_geometry import GeodesicBall, ModelSpace, volume_profile
 from robinsym.radial import solve_symmetrized_poisson
 from robinsym.rearrange import (
@@ -299,6 +300,34 @@ def test_from_field_matches_corner_sort_bit_for_bit(name, seed, form, shift, dec
     for attr in ("_breaks", "_A", "_B", "_C"):
         assert _bits(getattr(new, attr)) == _bits(getattr(old, attr)), attr
     assert new.total == old.total
+
+
+@pytest.mark.parametrize("scale", [0.0, 1e-300])
+def test_a_field_below_the_merge_tolerance_keeps_the_total_below_zero(scale):
+    # every value merges into the breakpoint 0, so no piece is added: mu is
+    # the total measure below t = 0, not that measure cut to an integer
+    mesh = _BIT_MESHES["cap"]
+    values = scale * np.random.default_rng(0).normal(size=len(mesh.vertices))
+    dist = distribution_function(ScalarField(mesh=mesh, values=values))
+    assert dist.total == pytest.approx(2.0 * math.pi * (1.0 - math.cos(1.0)), rel=0.05)
+    assert dist.evaluate(-1.0) == dist.total
+    assert dist.evaluate(0.0) == 0.0
+
+
+def test_square_21k_distribution_function_memory():
+    m = refine(refine(generate_domain("square", target_h=0.04, side=1.0)))
+    assert len(m.vertices) == 21_025
+    u = solve_robin_poisson(RobinProblem(mesh=m, beta=1.0))
+    tracemalloc.start()
+    try:
+        dist = distribution_function(u)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dist.total == m.total_measure() == pytest.approx(1.0)
+    # 4.7 MB measured; 15.9 MB with int64 corner ranks and every piece's
+    # index and term concatenated for one bincount
+    assert peak < 6.5e6
 
 
 def test_an_exact_snapping_tie_goes_down():
