@@ -1,9 +1,10 @@
 """P1 finite elements for the Robin problems on a measured mesh.
 
-Assembly produces the stiffness, interior mass, boundary mass, and load of
-the weak Robin formulation from the P1 element kernel of the mesh module
-(chart areas, ``basis_gradients``, ``dirichlet_weighted``,
-``edge_midpoints``).  In two dimensions the Dirichlet integrand is
+Assembly produces the stiffness, boundary mass, and load of the weak Robin
+formulation from the P1 element kernel of the mesh module (chart areas,
+``basis_gradients``, ``dirichlet_weighted``, ``edge_midpoints``); the
+interior mass matrix, which only the eigen solve reads, is built there by
+:func:`mass_matrix`.  In two dimensions the Dirichlet integrand is
 conformally invariant, so for the flat and stereographic charts the
 stiffness is the plain chart stiffness; warped charts carry the full
 sqrt(det g) g^{-1} weight, frozen per triangle at the centroid.  Mass and
@@ -13,17 +14,19 @@ densities.
 
 Each triangle's contributions are summed per vertex and per edge of the
 mesh's edge table, and the sums fill one CSC pattern
-(``MeasuredMesh.matrix_pattern``) that the three matrices share.  One value
-per edge makes every matrix exactly symmetric.
+(``MeasuredMesh.matrix_pattern``) that the matrices share.  One value per
+edge makes every matrix exactly symmetric.  The boundary mass is nonzero
+only on the slots where boundary vertices and edges couple, and it is kept
+as its values on those slots.
 
 Both solvers use one direct factorization of the SPD Robin matrix
 K + beta B at every mesh size, a sparse LU without pivoting.  K + beta B is
-added on that pattern and goes to SuperLU as built, with a panel of 2
-columns in place of SuperLU's 20: the panel's workspace grows with rows x
-panel size, and a 2-D P1 matrix has supernodes too narrow to use a wide
-one.  The Poisson solve is one back-substitution, inverse power iteration
-one per round, and a caller needing both passes them the same assembly and
-factor.
+K with beta B added at the boundary slots, and it goes to SuperLU as built,
+with a panel of 2 columns in place of SuperLU's 20: the panel's workspace
+grows with rows x panel size, and a 2-D P1 matrix has supernodes too narrow
+to use a wide one.  The Poisson solve is one back-substitution, inverse
+power iteration one per round, and a caller needing both passes them the
+same assembly and factor.
 
 The matrices are numpy data arrays on the pattern, and a matrix handed to
 SuperLU is its CSC triple (data, indices, indptr).  Of scipy this module
@@ -131,6 +134,11 @@ class EigenSignError(RuntimeError):
     """The computed ground state changes sign (discretization failure)."""
 
 
+def _check_beta(beta):
+    if not (beta > 0.0) or not math.isfinite(beta):
+        raise ValueError(f"beta must be positive and finite, got {beta}")
+
+
 @dataclass(frozen=True)
 class RobinProblem:
     """Robin boundary problem data; ``source=None`` is the unit torsion source."""
@@ -140,8 +148,7 @@ class RobinProblem:
     source: ScalarField | None = None
 
     def __post_init__(self):
-        if not (self.beta > 0.0) or not math.isfinite(self.beta):
-            raise ValueError(f"beta must be positive and finite, got {self.beta}")
+        _check_beta(self.beta)
         if self.source is not None:
             if self.source.mesh is not self.mesh:
                 raise ValueError("source field lives on a different mesh")
@@ -160,14 +167,18 @@ class RobinProblem:
 
 @dataclass(frozen=True)
 class AssembledSystem:
-    """The weak Robin form on one mesh: the three matrices are data arrays on
-    the mesh's :meth:`~robinsym.mesh.MeasuredMesh.matrix_pattern`.  Nothing
-    here depends on beta."""
+    """The weak Robin form on one mesh, what a factor of K + beta B and a
+    Poisson solve read: the stiffness K, a data array on the mesh's
+    :meth:`~robinsym.mesh.MeasuredMesh.matrix_pattern`; the boundary mass B
+    as its values on the slots where it can be nonzero, the diagonal slots
+    of the boundary vertices and both slots of each boundary edge, in slot
+    order; and the load.  The mass matrix is not here: the eigen solve
+    builds it with :func:`mass_matrix`.  Nothing here depends on beta."""
 
     pattern: MatrixPattern
     stiffness: np.ndarray
-    mass: np.ndarray
-    boundary_mass: np.ndarray
+    boundary_slots: np.ndarray  # ascending slots of the pattern
+    boundary_values: np.ndarray  # B at those slots
     load: np.ndarray
 
     def matvec(self, matrix: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -185,13 +196,25 @@ class AssembledSystem:
         _sparsetools.csc_matvec(n, n, self.pattern.indptr, self.pattern.indices, matrix, x, y)
         return y
 
+    def boundary_matvec(self, x: np.ndarray) -> np.ndarray:
+        """B x from the boundary slots, bit for bit what :meth:`matvec` gives
+        for B's full data array: the CSC mat-vec adds each slot's value times
+        x at its column to y at its row, slot after slot, and the slots left
+        out add exact zeros."""
+        slots = self.boundary_slots
+        columns = np.searchsorted(self.pattern.indptr, slots, side="right") - 1
+        return _sum_per_index(self.pattern.indices[slots], self.boundary_values * x[columns],
+                              len(self.load))
+
     def robin_matrix(self, beta: float):
         """K + beta B as a CSC triple (data, indices, indptr) without
         explicit zeros: the stiffness of an edge opposite two right angles is
         exactly 0, and a stored zero there would only add fill to the
-        factor."""
-        data = beta * self.boundary_mass
-        data += self.stiffness
+        factor.  beta must be positive and finite, as for
+        :class:`RobinProblem`: at 0 the matrix is the singular Neumann one."""
+        _check_beta(beta)
+        data = self.stiffness.copy()
+        data[self.boundary_slots] += beta * self.boundary_values
         keep = data != 0.0
         # the kept slots per column; every column of the pattern holds its
         # diagonal slot, so reduceat sees no empty segment
@@ -220,10 +243,37 @@ def _sum_per_index(index, values, n) -> np.ndarray:
     return out
 
 
+def _plus_previous(values, out):
+    """values + values[:, [2, 0, 1]] into ``out``, a column at a time."""
+    for i in range(3):
+        np.add(values[:, (i + 2) % 3], values[:, i], out=out[:, i])
+
+
+def mass_matrix(mesh: MeasuredMesh, pattern: MatrixPattern) -> np.ndarray:
+    """The mass matrix of the density-weighted edge-midpoint rule, a data
+    array on ``pattern``, the mesh's matrix pattern.  phi_i is 1/2 at the
+    midpoints i (of edge i, i+1) and i-1 and 0 at the third, so the local
+    mass is area/3 times rho/4 at the shared midpoint off the diagonal and
+    at both adjacent ones on it."""
+    tris = mesh.triangles
+    third = mesh.chart_areas()[:, None] / 3.0
+    quarter = edge_midpoints(mesh.density[tris])
+    quarter *= 0.25
+    local = np.empty_like(quarter)
+    _plus_previous(quarter, local)
+    local *= third  # (quarter + quarter[:, [2, 0, 1]]) * third
+    diag = np.bincount(tris.ravel(), local.ravel(), len(mesh.vertices))
+    np.multiply(quarter, third, out=local)
+    del quarter
+    return pattern.data(diag, _sum_per_index(pattern.half_edge, local.ravel(),
+                                             len(pattern.upper)))
+
+
 def assemble(problem: RobinProblem) -> AssembledSystem:
-    """Stiffness, mass, boundary mass, and load of the weak Robin form.
-    The (M, 3) element values share one buffer, filled in place in the
-    order of operations of the element formulas."""
+    """Stiffness, boundary mass, and load of the weak Robin form; the mass
+    matrix is left to the eigen solve.  The (M, 3) element values share one
+    buffer, filled in place in the order of operations of the element
+    formulas."""
     mesh = problem.mesh
     _check_metric(mesh)
     tris = mesh.triangles
@@ -257,36 +307,19 @@ def assemble(problem: RobinProblem) -> AssembledSystem:
     local *= area
     stiffness = pattern.data(k_diag, per_edge(local))
 
-    def plus_previous(values):
-        # values + values[:, [2, 0, 1]], into the buffer, a column at a time
-        for i in range(3):
-            np.add(values[:, (i + 2) % 3], values[:, i], out=local[:, i])
-
     # the load: third * (0.5 * (g_mid + g_mid[:, [2, 0, 1]])) per corner
-    third = area / 3.0
-    rho_mid = edge_midpoints(mesh.density[tris])
     g_mid = edge_midpoints(problem.source_values()[tris])
-    g_mid *= rho_mid
-    plus_previous(g_mid)
+    g_mid *= edge_midpoints(mesh.density[tris])
+    _plus_previous(g_mid, local)
     del g_mid
     local *= 0.5
-    local *= third
+    local *= area / 3.0
     load = per_vertex(local)
-
-    # phi_i is 1/2 at the midpoints i (of edge i, i+1) and i-1 and 0 at the
-    # third, so the local mass is area/3 times rho/4 at the shared midpoint
-    # off the diagonal and at both adjacent ones on it
-    quarter = rho_mid
-    quarter *= 0.25
-    plus_previous(quarter)
-    local *= third  # (quarter + quarter[:, [2, 0, 1]]) * third
-    m_diag = per_vertex(local)
-    np.multiply(quarter, third, out=local)
-    del quarter, rho_mid
-    mass = pattern.data(m_diag, per_edge(local))
     del local
 
-    # boundary mass, 2-point Gauss per edge on the arclength parameter
+    # boundary mass, 2-point Gauss per edge on the arclength parameter: at
+    # each boundary vertex the sum over its edges, on each boundary edge
+    # the edge's own value, both slots of the edge alike
     edges = mesh.boundary_edges
     lengths = mesh.boundary_chart_lengths()
     sigma = mesh.boundary_density
@@ -299,11 +332,16 @@ def assemble(problem: RobinProblem) -> AssembledSystem:
         b01 += 0.5 * (1.0 - t) * t * st
         b11 += 0.5 * t**2 * st
     at_ends = np.column_stack([lengths * b00, lengths * b11])
-    boundary_mass = pattern.data(np.bincount(edges.ravel(), at_ends.ravel(), nv),
-                                 np.bincount(pattern.boundary, lengths * b01, n_edges))
+    vertices = mesh.boundary_vertices
+    off = lengths * b01
+    slots = np.concatenate([pattern.diag[vertices], pattern.upper[pattern.boundary],
+                            pattern.lower[pattern.boundary]])
+    values = np.concatenate([np.bincount(edges.ravel(), at_ends.ravel(), nv)[vertices],
+                             off, off])
+    order = np.argsort(slots)
 
-    return AssembledSystem(pattern=pattern, stiffness=stiffness, mass=mass,
-                           boundary_mass=boundary_mass, load=load)
+    return AssembledSystem(pattern=pattern, stiffness=stiffness, boundary_slots=slots[order],
+                           boundary_values=values[order], load=load)
 
 
 def _csc_triple(arrays, shape):
@@ -357,16 +395,18 @@ def solve_robin_eigen(mesh: MeasuredMesh, beta: float,
     Returns (lambda, eigenfield) with the field positive and normalized to
     max = 1; eigenvalue tolerance 1e-9 relative.  ``system`` and ``lu`` may
     be those of a Poisson solve at the same (mesh, beta), whatever its load.
+    The mass matrix is built here, after the factor, by :func:`mass_matrix`.
     """
+    _check_beta(beta)
     if system is None:
         system = assemble(RobinProblem(mesh=mesh, beta=beta))
     if lu is None:
         lu = factor_robin(system.robin_matrix(beta))
-    K, B, M = system.stiffness, system.boundary_mass, system.mass
+    K, M = system.stiffness, mass_matrix(mesh, system.pattern)
     matvec = system.matvec
 
     def energy(x):  # x.(K + beta B)x, without building K + beta B again
-        return _dot(x, matvec(K, x)) + beta * _dot(x, matvec(B, x))
+        return _dot(x, matvec(K, x)) + beta * _dot(x, system.boundary_matvec(x))
 
     x = np.ones(len(system.load))
     x /= math.sqrt(_dot(x, matvec(M, x)))

@@ -279,7 +279,8 @@ def solve_discrete(problem: RobinProblem, eigen: bool = False,
                    system: fem.AssembledSystem | None = None) -> tuple:
     """(u, pair): the P1 solution and, with ``eigen``, the first eigenpair,
     from one factor that the Poisson solve and the inverse iteration share
-    and that is freed on return; pair is None without ``eigen`` and
+    and that is freed on return (the inverse iteration builds the mass
+    matrix, after the factor); pair is None without ``eigen`` and
     (nan, None) when the ground state changed sign.  ``system`` is the
     problem's assembly, which serves every beta on its mesh and source; it
     defaults to a fresh one."""

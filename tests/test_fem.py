@@ -1,5 +1,6 @@
 """Finite element assembly and Robin solvers."""
 
+import io
 import json
 import os
 import subprocess
@@ -12,7 +13,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg
 
-from robinsym import fem
+from robinsym import cli, fem
 from robinsym import mesh as msh
 from robinsym import model_geometry as mg
 
@@ -85,15 +86,30 @@ def _csc(system, matrix):
     return sp.csc_matrix(matrix, shape=(n, n))
 
 
-def _matrices(system):
+def _full_boundary_mass(system):
+    """The boundary mass as a data array on the whole pattern: its values
+    at the boundary slots, zeros elsewhere."""
+    full = np.zeros(len(system.pattern.indices))
+    full[system.boundary_slots] = system.boundary_values
+    return full
+
+
+def _data_arrays(system, mesh):
+    """Stiffness, mass (built as the eigen solve builds it) and boundary
+    mass as data arrays on the pattern."""
+    return (system.stiffness, fem.mass_matrix(mesh, system.pattern),
+            _full_boundary_mass(system))
+
+
+def _matrices(system, mesh):
     """Stiffness, mass and boundary mass as scipy CSC matrices."""
-    return [_csc(system, data) for data in
-            (system.stiffness, system.mass, system.boundary_mass)]
+    return [_csc(system, data) for data in _data_arrays(system, mesh)]
 
 
 def test_unit_square_mass_and_stiffness():
-    system = fem.assemble(fem.RobinProblem(mesh=_unit_square(), beta=1.0))
-    stiffness, mass, boundary_mass = _matrices(system)
+    m = _unit_square()
+    system = fem.assemble(fem.RobinProblem(mesh=m, beta=1.0))
+    stiffness, mass, boundary_mass = _matrices(system, m)
     assert abs(mass.sum() - 1.0) < 1e-12
     assert np.max(np.abs(stiffness @ np.ones(4))) < 1e-12
     # perimeter of the unit square
@@ -151,7 +167,7 @@ def test_matrices_symmetric_and_positive():
     for make in _KERNEL_MESHES.values():
         m = make()
         system = fem.assemble(fem.RobinProblem(mesh=m, beta=1.0))
-        stiffness, mass, boundary_mass = _matrices(system)
+        stiffness, mass, boundary_mass = _matrices(system, m)
         A = _csc(system, system.robin_matrix(1.0))
         # one value per edge: exact symmetry, also for the warped weight,
         # whose (W g_i).g_j and (W g_j).g_i round apart
@@ -171,18 +187,24 @@ def test_assembly_matches_coo_reference(name):
     system = fem.assemble(problem)
     # builds on the shared pattern, changing no matrix
     A = _csc(system, system.robin_matrix(2.0))
-    stiffness, mass, boundary_mass = _matrices(system)
+    stiffness, mass, boundary_mass = _matrices(system, m)
     ref_k, ref_m, ref_b, ref_load = _coo_assembly(problem)
+    ref_a = ref_k + 2.0 * ref_b
+    ref_a.eliminate_zeros()
     for got, ref in ((stiffness, ref_k), (mass, ref_m),
-                     (boundary_mass, ref_b), (A, ref_k + 2.0 * ref_b)):
+                     (boundary_mass, ref_b), (A, ref_a)):
         assert got.format == "csc"
         assert abs(got - ref).max() <= 1e-14 * abs(ref).max()
     assert np.max(np.abs(system.load - ref_load)) <= 1e-14 * np.max(np.abs(ref_load))
+    # the Robin matrix stores no zero, and the boundary slots hold all of B
+    assert np.count_nonzero(A.data) == A.nnz
+    assert np.count_nonzero(boundary_mass.data) == len(system.boundary_slots)
 
 
 def test_shared_pattern_is_read_only():
-    system = fem.assemble(fem.RobinProblem(mesh=_disk(0.3), beta=1.0))
-    stiffness, mass, boundary_mass = _matrices(system)
+    m = _disk(0.3)
+    system = fem.assemble(fem.RobinProblem(mesh=m, beta=1.0))
+    stiffness, mass, boundary_mass = _matrices(system, m)
     indices = stiffness.indices
     for mat in (mass, boundary_mass):
         assert np.shares_memory(mat.indices, indices)
@@ -200,15 +222,16 @@ def test_matvec_matches_scipy_bit_for_bit(name):
     m = _KERNEL_MESHES[name]()
     system = fem.assemble(fem.RobinProblem(mesh=m, beta=1.0))
     rng = np.random.default_rng(3)
-    for data, mat in zip((system.stiffness, system.mass, system.boundary_mass),
-                         _matrices(system)):
+    arrays = _data_arrays(system, m)
+    for data, mat in zip(arrays, _matrices(system, m)):
         for x in (np.ones(len(m.vertices)), rng.normal(size=len(m.vertices))):
             assert np.array_equal(system.matvec(data, x), mat @ x)
     # the compiled loop reads unchecked: a wrong size is refused before it
+    mass = arrays[1]
     with pytest.raises(ValueError):
-        system.matvec(system.mass, np.ones(len(m.vertices) - 1))
+        system.matvec(mass, np.ones(len(m.vertices) - 1))
     with pytest.raises(ValueError):
-        system.matvec(system.mass[:-1], np.ones(len(m.vertices)))
+        system.matvec(mass[:-1], np.ones(len(m.vertices)))
 
 
 def test_square_21k_robin_matrix_and_assembly_memory():
@@ -226,10 +249,131 @@ def test_square_21k_robin_matrix_and_assembly_memory():
     # the hypotenuse stiffness is exactly 0 and stays out of the factor's input
     assert A.format == "csc"
     assert np.count_nonzero(A.data) == A.nnz == 104_545
-    # 7.6 MB measured, 12.5 MB with a fresh (M, 3) array per step of the
-    # element formulas and int64 pattern slots; summing COO triplets into
-    # CSR took 30.1 MB
+    # 6.7 MB measured; 7.6 MB with the mass matrix and a full boundary mass
+    # array, 12.5 MB with a fresh (M, 3) array per step of the element
+    # formulas and int64 pattern slots; summing COO triplets into CSR took
+    # 30.1 MB
     assert peak < 9.5e6
+
+
+def test_square_21k_assembly_keeps_what_the_factor_reads():
+    # what a level holds while its factor runs: the pattern, the stiffness,
+    # the boundary mass on its boundary slots, the load and K + beta B.
+    # 3.96 MB measured; 6.27 MB with the mass matrix and the boundary mass
+    # as full data arrays on the pattern
+    m = msh.refine(msh.refine(msh.generate_domain("square", target_h=0.04, side=1.0)))
+    assert len(m.vertices) == 21_025
+    problem = fem.RobinProblem(mesh=m, beta=1.0)
+    tracemalloc.start()
+    try:
+        system = fem.assemble(problem)
+        A = system.robin_matrix(1.0)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(A) == 3
+    # 576 boundary vertices and edges: 1,728 slots of the 146,017
+    assert len(system.boundary_slots) == 1_728
+    assert len(system.stiffness) == 146_017
+    assert retained < 4.3e6
+
+
+@pytest.mark.parametrize("beta", [0.0, -1.0, float("inf"), float("nan")])
+def test_robin_matrix_refuses_a_beta_without_a_robin_problem(beta):
+    # at 0 the matrix is the singular Neumann one, which SuperLU factors
+    # without complaint into a solution of size 1e15; below 0 it is
+    # indefinite; inf and nan make no matrix at all
+    m = msh.generate_domain("square", target_h=0.1, side=1.0)
+    problem = fem.RobinProblem(mesh=m, beta=1.0)
+    system = fem.assemble(problem)
+    lu = fem.factor_robin(system.robin_matrix(1.0))
+    with pytest.raises(ValueError, match="beta must be positive and finite"):
+        system.robin_matrix(beta)
+    with pytest.raises(ValueError, match="beta must be positive and finite"):
+        fem.solve_robin_eigen(m, beta, system, lu)
+
+
+_BIT_MESHES = {
+    "flat-square": lambda: msh.refine(msh.generate_domain("square", target_h=0.05, side=1.0)),
+    "sphere-cap": lambda: msh.generate_domain("spherical_cap", target_h=0.07, theta=1.0),
+    "cone-disk": lambda: _disk(0.08, geometry="warped", warp=msh.warped_profile("cone", 0.6)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BIT_MESHES))
+def test_boundary_slots_give_the_full_boundary_mass_bit_for_bit(name, monkeypatch):
+    m = _BIT_MESHES[name]()
+    beta = 2.5
+    problem = fem.RobinProblem(mesh=m, beta=beta)
+    system = fem.assemble(problem)
+    full = _full_boundary_mass(system)
+    # B x from the slots is the CSC mat-vec of B's full data array
+    rng = np.random.default_rng(13)
+    for x in (np.ones(len(m.vertices)), rng.normal(size=len(m.vertices))):
+        assert np.array_equal(system.boundary_matvec(x), system.matvec(full, x))
+    # K + beta B is what beta B + K on the full arrays gives, zeros dropped
+    data = beta * full
+    data += system.stiffness
+    keep = data != 0.0
+    reference = sp.csc_matrix((data.copy(), system.pattern.indices.copy(),
+                               system.pattern.indptr.copy()))
+    reference.eliminate_zeros()
+    got = system.robin_matrix(beta)
+    assert np.array_equal(got[0], data[keep])
+    assert np.array_equal(got[1], reference.indices)
+    assert np.array_equal(got[2], reference.indptr)
+    # the eigenpair through the slots is the one through the full array
+    lu = fem.factor_robin(got)
+    lam, ground = fem.solve_robin_eigen(m, beta, system, lu)
+    monkeypatch.setattr(fem.AssembledSystem, "boundary_matvec",
+                        lambda self, x: self.matvec(full, x))
+    lam_full, ground_full = fem.solve_robin_eigen(m, beta, system, lu)
+    assert lam == lam_full
+    assert np.array_equal(ground.values, ground_full.values)
+
+
+_RUN_CHECKS = [{"id": "thm1.1", "p": 1.0, "q": 1}, {"id": "thm1.2-pointwise"},
+               {"id": "saint-venant"}, {"id": "bossel-daners"}, {"id": "level-set-chain"},
+               {"id": "flux-identity"}, {"id": "measure-bound"}, {"id": "isoperimetric"},
+               {"id": "min-comparison"}]
+
+
+def _run_config(tmp_path, checks):
+    doc = {"space": {"kappa": 0, "n": 2}, "domain": {"kind": "square", "side": 1.0},
+           "source": "torsion", "beta": [0.5, 2.0], "h": 0.2, "refine_levels": 1,
+           "checks": checks, "output_dir": str(tmp_path / "out")}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    return cli.load_config(str(path))
+
+
+def test_run_builds_the_mass_matrix_only_for_the_eigen_solve(tmp_path, monkeypatch):
+    real_mass, real_eigen = fem.mass_matrix, fem.solve_robin_eigen
+
+    def refused(mesh, pattern):
+        raise AssertionError("mass matrix built without an eigen solve")
+
+    monkeypatch.setattr(fem, "mass_matrix", refused)
+    config = _run_config(tmp_path, [c for c in _RUN_CHECKS if c["id"] != "bossel-daners"])
+    assert cli.run(config, stream=io.StringIO()) == 0
+
+    built, eigen = [], []
+
+    def counted_mass(mesh, pattern):
+        built.append(mesh)
+        return real_mass(mesh, pattern)
+
+    def counted_eigen(mesh, *args, **kwargs):
+        eigen.append(mesh)
+        return real_eigen(mesh, *args, **kwargs)
+
+    monkeypatch.setattr(fem, "mass_matrix", counted_mass)
+    monkeypatch.setattr(fem, "solve_robin_eigen", counted_eigen)
+    config = _run_config(tmp_path, _RUN_CHECKS)
+    assert cli.run(config, stream=io.StringIO()) == 0
+    # two levels times two betas: one mass matrix per eigen solve
+    assert len(eigen) == 4
+    assert built == eigen
 
 
 def _default_panel_factor(A):
@@ -320,8 +464,9 @@ def test_singular_robin_matrix_is_a_solver_error():
 def test_mass_total_matches_measure():
     cap = msh.generate_domain("spherical_cap", target_h=0.15, theta=1.0)
     system = fem.assemble(fem.RobinProblem(mesh=cap, beta=1.0))
-    assert system.mass.sum() == pytest.approx(cap.total_measure(), rel=1e-12)
-    assert system.boundary_mass.sum() == pytest.approx(
+    assert fem.mass_matrix(cap, system.pattern).sum() == pytest.approx(
+        cap.total_measure(), rel=1e-12)
+    assert system.boundary_values.sum() == pytest.approx(
         cap.boundary_measure(), rel=1e-12)
 
 
@@ -393,7 +538,7 @@ def test_flux_identity():
         system = fem.assemble(problem)
         u = fem.solve_robin_poisson(problem)
         ones = np.ones(len(m.vertices))
-        lhs = beta * float(u.values @ (_csc(system, system.boundary_mass) @ ones))
+        lhs = beta * float(u.values @ (_csc(system, _full_boundary_mass(system)) @ ones))
         rhs = float(system.load.sum())
         assert lhs == pytest.approx(rhs, rel=1e-8)
 
@@ -445,7 +590,7 @@ def test_rayleigh_quotient_consistency():
     system = fem.assemble(fem.RobinProblem(mesh=m, beta=1.0))
     x = u.values
     quotient = float(x @ (_csc(system, system.robin_matrix(1.0)) @ x)) / float(
-        x @ (_csc(system, system.mass) @ x))
+        x @ (_csc(system, fem.mass_matrix(m, system.pattern)) @ x))
     assert quotient == pytest.approx(lam, rel=1e-8)
 
 
@@ -537,7 +682,7 @@ def test_eigenfield_solves_generalized_problem():
     m = _disk(0.1)
     lam, u = fem.solve_robin_eigen(m, beta=1.0)
     system = fem.assemble(fem.RobinProblem(mesh=m, beta=1.0))
-    mass = _csc(system, system.mass)
+    mass = _csc(system, fem.mass_matrix(m, system.pattern))
     res = _csc(system, system.robin_matrix(1.0)) @ u.values - lam * (mass @ u.values)
     scale = float(np.linalg.norm(mass @ u.values))
     # the 1e-9 eigenvalue stop bounds the vector residual only to its root
