@@ -263,9 +263,9 @@ def mass_matrix(mesh: MeasuredMesh, pattern: MatrixPattern) -> np.ndarray:
     _plus_previous(quarter, local)
     local *= third  # (quarter + quarter[:, [2, 0, 1]]) * third
     diag = np.bincount(tris.ravel(), local.ravel(), len(mesh.vertices))
-    np.multiply(quarter, third, out=local)
-    del quarter
-    return pattern.data(diag, _sum_per_index(pattern.half_edge, local.ravel(),
+    del local
+    quarter *= third
+    return pattern.data(diag, _sum_per_index(pattern.half_edge, quarter.ravel(),
                                              len(pattern.upper)))
 
 
