@@ -11,8 +11,6 @@ Exit codes: 0 all checks passed at the finest level, 1 a check failed there,
 2 the config was rejected, 3 a solver broke down.
 """
 
-import argparse
-import concurrent.futures
 import contextlib
 import dataclasses
 import json
@@ -20,6 +18,7 @@ import math
 import os
 import re
 import sys
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -31,6 +30,9 @@ from .mesh import (MAX_VERTICES, MeasuredMesh, MeshFormatError,
 from .model_geometry import ModelSpace
 from .rearrange import LorentzDivergenceError, SphereOverflowError
 from .verify import HypothesisRangeError
+
+if TYPE_CHECKING:  # only the command line parses arguments, in build_parser
+    import argparse
 
 
 class ConfigError(ValueError):
@@ -692,6 +694,8 @@ def run(config: ExperimentConfig, jobs: int = 1, stream=None) -> int:
         return _run_cell(cell, states[cell.level], space)
 
     if jobs > 1:
+        import concurrent.futures
+
         with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(run_cell, cells))
     else:
@@ -763,7 +767,9 @@ def _mesh_validate(args) -> int:
 # ---------------------------------------------------------------------------
 # entry point
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> "argparse.ArgumentParser":
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="robinsym",
         description="Symmetrization comparisons for Robin boundary problems")

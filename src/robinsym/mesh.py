@@ -419,9 +419,10 @@ def edge_midpoints(corners) -> np.ndarray:
     """Values at the edge midpoints 01, 12, 20 of linear functions given by
     their (M, 3) corner values: the nodes of the edge-midpoint rule, area/3
     times the sum, exact for quadratics."""
-    out = corners[:, [1, 2, 0]]
-    out += corners
-    out *= 0.5  # 0.5 * (corners + corners[:, [1, 2, 0]]), in place
+    out = np.empty(corners.shape)
+    for k in range(3):
+        np.add(corners[:, k], corners[:, (k + 1) % 3], out=out[:, k])
+    out *= 0.5
     return out
 
 

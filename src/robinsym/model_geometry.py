@@ -114,11 +114,19 @@ def sphere_area(space: ModelSpace, r):
 
 
 def _check_radius(space, r):
+    """r as a float array clipped to [0, max_radius], roundoff outside it
+    forgiven; r itself when it needs no clipping.  The range is that of the
+    numbers in r: a nan neither hides nor raises."""
     r = np.asarray(r, dtype=float)
-    if np.any(r < -1e-15) or (space.kappa == 1 and np.any(r > math.pi + 1e-12)):
+    if not r.size:
+        return r
+    lo, hi = np.fmin.reduce(r, axis=None), np.fmax.reduce(r, axis=None)
+    if lo < -1e-15 or (space.kappa == 1 and hi > math.pi + 1e-12):
         raise DomainRangeError(
             f"radius must lie in [0, {space.max_radius}] for kappa={space.kappa}"
         )
+    if lo >= 0.0 and hi <= space.max_radius:
+        return r
     return np.clip(r, 0.0, space.max_radius)
 
 

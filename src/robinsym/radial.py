@@ -5,12 +5,15 @@ boundary condition is Talenti's radial twin: its source is the Schwarz
 rearrangement f# of the mesh source, so by the layer-cake identity its flux
 through every sphere is the exact running integral of the decreasing
 rearrangement f*, and the twin is one fixed quadrature of that flux over
-the sphere area.  The first Robin eigenvalue of a ball is the first root of
-the Robin condition on the closed-form radial ground state, 0F1 (a Bessel
-function) when flat and 2F1 on the sphere, which numpy sums as Frobenius
-series: about the center, and past the equator about the antipode.  The
-twin is a profile sampled densely enough to serve as reference values for
-the 2-D finite element solutions; the eigenvalue is a number.
+the sphere area, run a block of grid cells at a time so that its
+temporaries are a block long.  The first Robin eigenvalue of a ball is the
+first root of the Robin condition on the closed-form radial ground state,
+0F1 (a Bessel function) when flat and 2F1 on the sphere, which numpy sums
+as Frobenius series: about the center, and past the equator about the
+antipode.  The twin is a profile sampled densely enough to serve as
+reference values for the 2-D finite element solutions; the eigenvalue is a
+number.  The Gauss-Legendre rules are numpy's, computed here without
+``numpy.polynomial``.
 
 Volumes V(r) and sphere areas A(r) = V'(r) are the weighted ones of the
 model space; the cone-angle weight cancels in every quotient V / A.
@@ -92,8 +95,50 @@ class RadialProfile:
         return float(self.values[-1])
 
 
-_GL4 = np.polynomial.legendre.leggauss(4)
+def _legendre_sum(x, c):
+    """sum_j c_j P_j(x) by Clenshaw's recurrence, step for step as numpy's
+    ``legval``."""
+    c0, c1 = (c[-2], c[-1]) if len(c) > 1 else (c[0], 0.0)
+    nd = len(c)
+    for i in range(3, len(c) + 1):
+        nd -= 1
+        c0, c1 = c[-i] - c1 * ((nd - 1) / nd), c0 + c1 * x * ((2 * nd - 1) / nd)
+    return c0 + c1 * x
+
+
+@functools.cache
+def _gauss_rule(n: int):
+    """n-point Gauss-Legendre nodes and weights on [-1, 1], read-only.
+
+    The steps of numpy's ``leggauss`` and so its bits, without importing
+    ``numpy.polynomial``: the eigenvalues of the symmetric companion matrix
+    of P_n, one Newton step on P_n / P_n', the weights 1 / (P_{n-1} P_n')
+    scaled to sum to 2, and both made symmetric about 0.
+    """
+    scale = 1.0 / np.sqrt(2 * np.arange(n) + 1)
+    # eigvalsh reads the lower triangle
+    x = np.linalg.eigvalsh(np.diag(np.arange(1, n) * scale[:-1] * scale[1:], -1))
+    c = np.zeros(n + 1)
+    c[n] = 1.0
+    dc = np.zeros(n)  # P_n' = sum of (2j + 1) P_j over j = n - 1, n - 3, ...
+    dc[n - 1::-2] = np.arange(2 * n - 1, 0, -4)
+    df = _legendre_sum(x, dc)
+    x -= _legendre_sum(x, c) / df
+    fm = _legendre_sum(x, c[1:])
+    fm /= np.abs(fm).max()
+    df /= np.abs(df).max()
+    w = 1 / (fm * df)
+    w = (w + w[::-1]) / 2
+    x = (x - x[::-1]) / 2
+    w *= 2.0 / w.sum()
+    x.setflags(write=False)  # shared by every caller of the cache
+    w.setflags(write=False)
+    return x, w
+
+
+_GL4 = _gauss_rule(4)
 _GRID_CELLS = 32768
+_BLOCK_CELLS = 8192
 
 
 def solve_symmetrized_poisson(ball: GeodesicBall, beta: float,
@@ -112,9 +157,13 @@ def solve_symmetrized_poisson(ball: GeodesicBall, beta: float,
     The integral runs one fixed 4-point Gauss-Legendre rule per cell of the
     output grid, 32,769 uniform radii, with the cells split for the
     quadrature at the radii where f* changes analytic form; a reversed
-    cumulative sum gives v at every grid point.  The integrand, the slope
-    -v', is non-negative, so v is non-increasing by construction; the
-    profile keeps it, exact at every grid radius and 0 at the center.
+    cumulative sum gives v at every grid point.  The rule runs over blocks
+    of 8,192 cells, and the sub-cells a kink splits off stay in the block of
+    their cell, so each cell's sum adds the same terms in the same order as
+    over the whole grid at once, while the Gauss rows and profile
+    temporaries are a block long.  The integrand, the slope -v', is
+    non-negative, so v is non-increasing by construction; the profile keeps
+    it, exact at every grid radius and 0 at the center.
     """
     if beta <= 0.0:
         raise ValueError(f"beta must be positive, got {beta}")
@@ -126,41 +175,50 @@ def solve_symmetrized_poisson(ball: GeodesicBall, beta: float,
     grid = np.linspace(0.0, R, _GRID_CELLS + 1)
     if source is None:
         cumulative = lambda w: w
-        edges = grid
+        kinks = np.empty(0)
     else:
         if abs(source.total - volume) > 1e-9 * volume:
             raise ValueError(f"source measure {source.total!r} does not match "
                              f"the ball volume {volume!r}")
         total = source.total
         cumulative = lambda w: source.cumulative(np.minimum(w, total))
-        kinks = np.clip(radii_for_volumes(space, source.kinks()), 0.0, R)
-        edges = sorted_unique(np.concatenate([grid, kinks]))
+        kinks = sorted_unique(np.clip(radii_for_volumes(space, source.kinks()), 0.0, R))
 
-    lo, hi = edges[:-1], edges[1:]
-    half = 0.5 * (hi - lo)
-    mid = 0.5 * (lo + hi)
-    # one Gauss node at a time, with cum(V) stored before A is evaluated:
-    # the temporaries of the volume profile are a column long, not four
-    slope = np.empty((len(lo), len(_GL4[0])))
-    for k, node in enumerate(_GL4[0]):
-        s = half * node + mid
-        slope[:, k] = cumulative(volume_profile(space, s))
-        slope[:, k] /= volume_profile_derivative(space, s)
-    weights = slope @ _GL4[1]
-    del slope
-    weights *= half
     values = np.zeros(_GRID_CELLS + 1)
-    values[:-1] = np.bincount(np.searchsorted(grid, lo, side="right") - 1,
-                              weights=weights, minlength=_GRID_CELLS)
+    slope = np.zeros(_GRID_CELLS + 1)
+    for start in range(0, _GRID_CELLS, _BLOCK_CELLS):
+        cells = grid[start:start + _BLOCK_CELLS + 1]
+        # the kinks strictly inside the block split its cells; one on a grid
+        # radius splits nothing
+        inside = kinks[np.searchsorted(kinks, cells[0], side="right"):
+                       np.searchsorted(kinks, cells[-1], side="left")]
+        edges = sorted_unique(np.concatenate([cells, inside])) if len(inside) else cells
+        lo, hi = edges[:-1], edges[1:]
+        half = 0.5 * (hi - lo)
+        mid = 0.5 * (lo + hi)
+        # one Gauss node at a time, with cum(V) stored before A is evaluated:
+        # the temporaries of the volume profile are a column long, not four
+        rows = np.empty((len(lo), len(_GL4[0])))
+        for k, node in enumerate(_GL4[0]):
+            s = half * node + mid
+            rows[:, k] = cumulative(volume_profile(space, s))
+            rows[:, k] /= volume_profile_derivative(space, s)
+        weights = rows @ _GL4[1]
+        del rows
+        weights *= half
+        values[start:start + _BLOCK_CELLS] = np.bincount(
+            np.searchsorted(cells, lo, side="right") - 1, weights=weights,
+            minlength=_BLOCK_CELLS)
+        r = cells[1:]
+        at_grid = slope[start + 1:start + _BLOCK_CELLS + 1]
+        at_grid[:] = cumulative(volume_profile(space, r))
+        at_grid /= volume_profile_derivative(space, r)
     # v at each grid radius is the boundary value plus the sum of the cells
     # outside it
     tail = values[-2::-1]
     np.cumsum(tail, out=tail)
     values += float(cumulative(volume)) / (beta * volume_profile_derivative(space, R))
-    r = grid[1:]
-    at_grid = np.zeros(_GRID_CELLS + 1)
-    at_grid[1:] = cumulative(volume_profile(space, r)) / volume_profile_derivative(space, r)
-    return RadialProfile(ball=ball, grid=grid, values=values, slope=at_grid)
+    return RadialProfile(ball=ball, grid=grid, values=values, slope=slope)
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,7 @@ from .model_geometry import (
     radius_for_volume,
     volume_profile,
 )
-from .radial import RadialProfile
+from .radial import RadialProfile, _gauss_rule
 
 _VALUE_MERGE_TOL = 1e-14
 
@@ -62,12 +62,6 @@ class LorentzDivergenceError(ArithmeticError):
 
 # ---------------------------------------------------------------------------
 # quadrature
-
-
-@functools.cache
-def _gauss_rule(n):
-    """n-point Gauss-Legendre nodes and weights on [-1, 1]."""
-    return np.polynomial.legendre.leggauss(n)
 
 
 def _gauss_nodes(lo, hi, n=16):
@@ -271,6 +265,19 @@ class DistributionData:
         out = self._B[idx] + 2.0 * t * self._C[idx]
         return out if out.ndim else float(out)
 
+    def _gauss2(self, j, lo, hi):
+        """2-point Gauss on slot(s) j over [lo, hi], exact for its quadratic mu."""
+        nodes, half = _gauss_nodes(lo, hi, 2)
+        return _mu_power(self, j, nodes, 1.0) @ _gauss_rule(2)[1] * half
+
+    @functools.cached_property
+    def _tails(self) -> np.ndarray:
+        """Integral of mu over [t_j, infinity) at each breakpoint t_j: computed
+        once, since a radial twin reads it on every block and Gauss node."""
+        K = len(self._breaks)
+        seg = self._gauss2(np.s_[1:K, None], self._breaks[:-1], self._breaks[1:])
+        return np.concatenate([np.cumsum(seg[::-1])[::-1], [0.0]])
+
     def tail_integral(self, t):
         """Integral of mu over [max(t, 0), infinity): 2-point Gauss, exact for
         the quadratic mu of a slot, on every slot past t and on the part of
@@ -278,17 +285,11 @@ class DistributionData:
         t = np.asarray(t, dtype=float)
         br = self._breaks
         K = len(br)
-
-        def gauss2(j, lo, hi):
-            nodes, half = _gauss_nodes(lo, hi, 2)
-            return _mu_power(self, j, nodes, 1.0) @ _gauss_rule(2)[1] * half
-
-        seg = gauss2(np.s_[1:K, None], br[:-1], br[1:])
-        suffix = np.concatenate([np.cumsum(seg[::-1])[::-1], [0.0]])
+        suffix = self._tails
         idx = np.searchsorted(br, t, side="right")
         j = np.clip(idx, 1, K - 1)
         tc = np.clip(t, br[j - 1], br[j])
-        partial = gauss2(j.ravel()[:, None], tc.ravel(), br[j].ravel()).reshape(t.shape)
+        partial = self._gauss2(j.ravel()[:, None], tc.ravel(), br[j].ravel()).reshape(t.shape)
         out = np.where(idx >= K, 0.0,
                        np.where(idx == 0, suffix[0], partial + suffix[j]))
         return out if out.ndim else float(out)

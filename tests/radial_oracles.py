@@ -1,13 +1,22 @@
 """Test-side radial oracles shared by the test modules: the flat torsion
-closed form, a radial twin with a field source, the ball's Robin ground
-state sampled as a profile, the distribution of a sampled radial profile,
-and the log derivative of a sampled positive profile."""
+closed form, a radial twin with a field source, the radial twin summed over
+the whole grid in one block, the ball's Robin ground state sampled as a
+profile, the distribution of a sampled radial profile, and the log
+derivative of a sampled positive profile."""
 
 import numpy as np
 
 from robinsym import mesh as msh
-from robinsym.model_geometry import GeodesicBall, radius_for_volume, volume_profile
+from robinsym.model_geometry import (
+    GeodesicBall,
+    radii_for_volumes,
+    radius_for_volume,
+    volume_profile,
+    volume_profile_derivative,
+)
 from robinsym.radial import (
+    _GL4,
+    _GRID_CELLS,
     RadialProfile,
     _ground_state,
     solve_radial_eigen,
@@ -40,6 +49,42 @@ def field_twin(space, domain, beta, **kw):
     fstar = decreasing_rearrangement(distribution_function(field))
     ball = GeodesicBall(space=space, radius=radius_for_volume(space, fstar.total))
     return fstar, solve_symmetrized_poisson(ball, beta, fstar)
+
+
+def single_block_twin(ball: GeodesicBall, beta: float, source=None) -> RadialProfile:
+    """The radial twin of ``solve_symmetrized_poisson`` with its quadrature
+    run over the whole grid at once: every cell, split at the kinks of f*,
+    in one array of Gauss rows and one ``bincount``."""
+    space, R = ball.space, ball.radius
+    volume = volume_profile(space, R)
+    grid = np.linspace(0.0, R, _GRID_CELLS + 1)
+    if source is None:
+        cumulative = lambda w: w
+        edges = grid
+    else:
+        cumulative = lambda w: source.cumulative(np.minimum(w, source.total))
+        kinks = np.clip(radii_for_volumes(space, source.kinks()), 0.0, R)
+        edges = msh.sorted_unique(np.concatenate([grid, kinks]))
+    lo, hi = edges[:-1], edges[1:]
+    half = 0.5 * (hi - lo)
+    mid = 0.5 * (lo + hi)
+    rows = np.empty((len(lo), len(_GL4[0])))
+    for k, node in enumerate(_GL4[0]):
+        s = half * node + mid
+        rows[:, k] = cumulative(volume_profile(space, s))
+        rows[:, k] /= volume_profile_derivative(space, s)
+    weights = rows @ _GL4[1]
+    weights *= half
+    values = np.zeros(_GRID_CELLS + 1)
+    values[:-1] = np.bincount(np.searchsorted(grid, lo, side="right") - 1,
+                              weights=weights, minlength=_GRID_CELLS)
+    tail = values[-2::-1]
+    np.cumsum(tail, out=tail)
+    values += float(cumulative(volume)) / (beta * volume_profile_derivative(space, R))
+    r = grid[1:]
+    slope = np.zeros(_GRID_CELLS + 1)
+    slope[1:] = cumulative(volume_profile(space, r)) / volume_profile_derivative(space, r)
+    return RadialProfile(ball=ball, grid=grid, values=values, slope=slope)
 
 
 def ground_state_profile(ball: GeodesicBall, lam: float) -> RadialProfile:

@@ -1,4 +1,5 @@
-"""Start-up contract: a CLI run imports no scipy subpackage.
+"""Start-up contract: a CLI run imports no scipy subpackage, and no module
+that it does not execute.
 
 `robinsym.cli` loads two pieces of scipy, the extension modules of SuperLU
 and of the sparse mat-vec, which `fem` finds by their file locations in the
@@ -9,10 +10,15 @@ memory.
 The radial ground state, its root finder and the Saint-Venant quadrature
 are numpy, so `scipy.special`, `scipy.optimize`, `scipy.integrate` and
 `scipy.interpolate` stay unloaded too.
+Nor does a run load what only other entry points use: the Gauss-Legendre
+rules are robinsym's own, so `numpy.polynomial` stays unloaded; `argparse`
+is imported by the command line's parser alone; and `concurrent.futures`
+by a run with `--jobs > 1` alone, the one run that may load it.
 
-`cli.run` itself imports nothing: a module loaded on first use inside the
-run (as `numpy.ma` is by a flagless `np.unique`) would land in the run's
-time.  For the same reason the import leaves no BLAS thread pool spinning.
+`cli.run` itself imports nothing under `--jobs 1`: a module loaded on
+first use inside the run (as `numpy.ma` is by a flagless `np.unique`)
+would land in the run's time.  For the same reason the import leaves no
+BLAS thread pool spinning.
 """
 
 import json
@@ -27,7 +33,8 @@ import robinsym
 from robinsym import fem
 
 _UNLOADED = ("scipy.sparse", "scipy.sparse.linalg", "scipy.linalg", "scipy.special",
-             "scipy.optimize", "scipy.integrate", "scipy.interpolate")
+             "scipy.optimize", "scipy.integrate", "scipy.interpolate",
+             "numpy.polynomial", "argparse", "concurrent.futures")
 
 _SCRIPT = """
 import io, json, sys
@@ -56,8 +63,8 @@ def _config(tmp_path, name, space, domain):
 
 def _steps(tmp_path):
     """[step, exit code, the _UNLOADED modules loaded, the modules the step
-    added] for the import and a run of the square and the cap config, in
-    one fresh interpreter."""
+    added] for the import and a `--jobs 1` run of the square and the cap
+    config, in one fresh interpreter."""
     configs = [
         _config(tmp_path, "square", {"kappa": 0, "n": 2},
                 {"kind": "square", "side": 1.0}),

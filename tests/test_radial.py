@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 from scipy.special import j0, j1
 
+from robinsym import rearrange
+from robinsym.mesh import sorted_unique
 from robinsym.model_geometry import (
     GeodesicBall,
     ModelSpace,
@@ -19,6 +21,9 @@ from robinsym.model_geometry import (
     volume_profile_derivative,
 )
 from robinsym.radial import (
+    _BLOCK_CELLS,
+    _GL4,
+    _GRID_CELLS,
     DegenerateBallError,
     RadialProfile,
     _ground_state,
@@ -38,10 +43,13 @@ from radial_oracles import (
     log_derivative,
     profile_distribution,
     radial_eigenpair,
+    single_block_twin,
 )
 
 FLAT2 = ModelSpace(kappa=0, n=2, alpha=1.0)
+FLAT3 = ModelSpace(kappa=0, n=3, alpha=1.0)
 SPHERE2 = ModelSpace(kappa=1, n=2, alpha=1.0)
+SPHERE3 = ModelSpace(kappa=1, n=3, alpha=1.0)
 
 
 def _uniform_step(grid):
@@ -242,6 +250,66 @@ def test_twin_keeps_exact_slope():
     # the Schwarz profile carries none
     fstar, _ = field_twin(FLAT2, "square", 1.0, side=1.0)
     assert schwarz_rearrangement(fstar.dist, FLAT2).slope is None
+
+
+def test_gauss_rules_are_leggauss_bit_for_bit():
+    from numpy.polynomial.legendre import leggauss
+    for n in range(1, 17):
+        for got, want in zip(rearrange._gauss_rule(n), leggauss(n)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), n
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(_GL4, leggauss(4)))
+
+
+def _block_edge_source(space, R):
+    """f* of a decreasing profile sampled at radii on, one to three ulps
+    beside, and 0.3, 0.7 and 1 cell beside each inner block edge of the
+    twin's grid.  The profile is 3 - (r/R)^2 less 1e-3 k^2 past the k-th of
+    these radii, so f* changes slope at each of them (a kink at a cell's
+    midpoint would leave the symmetric Gauss rule exact)."""
+    cell = R / _GRID_CELLS
+    edges = np.linspace(0.0, R, _GRID_CELLS + 1)[_BLOCK_CELLS:-1:_BLOCK_CELLS]
+    near = [edges] + [edges + d * cell for d in (-1.0, -0.7, -0.3, 0.3, 0.7, 1.0)]
+    for side in (0.0, R):
+        step = edges
+        for _ in range(3):
+            step = np.nextafter(step, side)
+            near.append(step)
+    near = sorted_unique(np.concatenate(near))
+    radii = sorted_unique(np.concatenate([np.linspace(0.0, R, 257), near]))
+    drops = np.searchsorted(near, radii, side="right")
+    profile = RadialProfile(ball=GeodesicBall(space=space, radius=R), grid=radii,
+                            values=3.0 - (radii / R) ** 2 - 1e-3 * drops**2)
+    return decreasing_rearrangement(profile_distribution(profile, space))
+
+
+_TWIN_BALLS = [(FLAT2, 1.0), (FLAT3, 0.8), (SPHERE2, 2.5), (SPHERE3, 2.0)]
+
+
+@pytest.mark.parametrize("space,R", _TWIN_BALLS, ids=["flat2", "flat3", "s2", "s3"])
+def test_twin_blocks_match_one_block(space, R):
+    # the quadrature in blocks of cells sums the same terms in the same order
+    # as over the whole grid at once: unit source, and kinks on and next to
+    # the block edges, where the cells they split stay in their own block
+    ball = GeodesicBall(space=space, radius=R)
+    fstar = _block_edge_source(space, R)
+    kinks = radii_for_volumes(space, fstar.kinks())
+    edges = np.linspace(0.0, R, _GRID_CELLS + 1)[_BLOCK_CELLS:-1:_BLOCK_CELLS]
+    offset = np.abs(kinks[:, None] - edges)
+    assert np.any(offset == 0.0)
+    assert np.any((offset > 0.0) & (offset < 1e-3 * R / _GRID_CELLS))
+    for source in (None, fstar):
+        got = solve_symmetrized_poisson(ball, 0.7, source)
+        want = single_block_twin(ball, 0.7, source)
+        assert got.values.tobytes() == want.values.tobytes()
+        assert got.slope.tobytes() == want.slope.tobytes()
+
+
+@pytest.mark.parametrize("space,domain,kw", _FIELD_TWINS, ids=["square", "cap"])
+def test_field_twin_blocks_match_one_block(space, domain, kw):
+    fstar, v = field_twin(space, domain, 1.3, **kw)
+    want = single_block_twin(v.ball, 1.3, fstar)
+    assert v.values.tobytes() == want.values.tobytes()
+    assert v.slope.tobytes() == want.slope.tobytes()
 
 
 def test_poisson_rejects_mismatched_source():
@@ -555,9 +623,10 @@ def test_radial_profile_validation():
 
 @pytest.mark.parametrize("space", [FLAT2, SPHERE2], ids=["flat-disk", "s2-cap"])
 def test_twin_peak_memory_is_a_few_columns(space):
-    # the Gauss rule runs one node at a time into one (cells, 4) array; the
-    # four nodes at once peaked at 4.5 MiB (flat) and 5.5 MiB (S^2), the
-    # node-by-node rule at 2.5 and 2.75 MiB, for a 0.75 MiB profile
+    # the Gauss rule runs one node at a time into one (cells, 4) array, a
+    # block of 8,192 cells at a time; the four nodes at once over the whole
+    # grid peaked at 4.5 MiB (flat) and 5.5 MiB (S^2), node by node at 2.5
+    # and 2.75 MiB, and in blocks at 1.38 and 1.44 MiB, for a 0.75 MiB profile
     ball = GeodesicBall(space=space, radius=1.0)
     solve_symmetrized_poisson(ball, 1.0)
     tracemalloc.start()
@@ -567,4 +636,4 @@ def test_twin_peak_memory_is_a_few_columns(space):
     finally:
         tracemalloc.stop()
     assert v.boundary_value == pytest.approx(0.5 if space.kappa == 0 else math.tan(0.5))
-    assert peak <= 3.0 * 2**20
+    assert peak <= 2.0 * 2**20
