@@ -34,20 +34,21 @@ config = {
     ],
 }
 
-workdir = pathlib.Path(tempfile.mkdtemp(prefix="robinsym_demo_"))
-cfg_path = workdir / "config.json"
-cfg_path.write_text(json.dumps(config, indent=2))
-out_dir = workdir / "results"
+with tempfile.TemporaryDirectory(prefix="robinsym_demo_") as tmp:
+    workdir = pathlib.Path(tmp)
+    cfg_path = workdir / "config.json"
+    cfg_path.write_text(json.dumps(config, indent=2))
+    out_dir = workdir / "results"
 
-code = cli.main(["run", str(cfg_path), "--output-dir", str(out_dir)])
-print(f"\nexit code {code}")
+    code = cli.main(["run", str(cfg_path), "--output-dir", str(out_dir)])
+    print(f"\nexit code {code}")
 
-print("\nsummary.csv:")
-print((out_dir / "summary.csv").read_text())
+    print("\nsummary.csv:")
+    print((out_dir / "summary.csv").read_text())
 
-print("plot tables:")
-for path in sorted((out_dir / "plots").iterdir()):
-    print(f"  {path.name}")
+    print("plot tables:")
+    for path in sorted((out_dir / "plots").iterdir()):
+        print(f"  {path.name}")
 
 # equivalent shell usage:
 #   robinsym list-checks --json

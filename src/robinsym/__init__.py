@@ -96,6 +96,7 @@ from .verify import (
     reports_to_csv,
     reports_to_jsonl,
     solve_record,
+    solve_records,
 )
 
 __version__ = "0.1.0"
@@ -152,6 +153,7 @@ __all__ = [
     "schwarz_rearrangement",
     "solve_radial_eigen",
     "solve_record",
+    "solve_records",
     "solve_robin_eigen",
     "solve_robin_poisson",
     "solve_symmetrized_poisson",

@@ -11,7 +11,6 @@ Exit codes: 0 all checks passed at the finest level, 1 a check failed there,
 2 the config was rejected, 3 a solver broke down.
 """
 
-import contextlib
 import dataclasses
 import json
 import math
@@ -546,55 +545,30 @@ def _auto_thresholds(rec: verify.SolveRecord, count=20):
     return umin + (umax - umin) * np.arange(1, take + 1) / (take + 1)
 
 
-@dataclasses.dataclass
-class _Cell:
-    beta: float
-    level: int
-    request: CheckRequest
-
-
-@dataclasses.dataclass
-class _LevelState:
-    mesh: MeasuredMesh
-    problems: dict              # beta -> RobinProblem
-    solves: dict                # beta -> verify.SolveRecord
-
-
-def _level_state(config, mesh) -> _LevelState:
+def _level_problems(config, mesh) -> dict:
     """A level's problems, one per beta; a source the comparison does not
     take (negative somewhere, or zero everywhere) is a ConfigError."""
     source = _source_field(config, mesh)
     try:
-        problems = {beta: RobinProblem(mesh=mesh, beta=beta, source=source)
-                    for beta in config.beta}
+        return {beta: RobinProblem(mesh=mesh, beta=beta, source=source)
+                for beta in config.beta}
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    return _LevelState(mesh=mesh, problems=problems, solves={})
 
 
-@contextlib.contextmanager
-def _solve_stage(beta, mesh):
-    """A solver error while solving or recording one (level, beta)."""
+def _run_cell(cell, mesh, rec, space) -> list:
+    beta, level, request = cell
+    cid = request.check_id
     try:
-        yield
+        reports = _CHECKS[cid].run(mesh, rec, space, request.params)
     except _SOLVER_ERRORS as exc:
-        raise SolverStageError(f"solve (beta={beta}, h={mesh.mesh_size():g})", exc)
-
-
-def _run_cell(cell: _Cell, state: _LevelState, space) -> list:
-    cid = cell.request.check_id
-    try:
-        reports = _CHECKS[cid].run(state.mesh, state.solves.get(cell.beta),
-                                   space, cell.request.params)
-    except _SOLVER_ERRORS as exc:
-        raise SolverStageError(
-            f"check {cid} (beta={cell.beta}, level={cell.level})", exc)
+        raise SolverStageError(f"check {cid} (beta={beta}, level={level})", exc)
     tagged = []
     for rep in reports:
         ctx = dict(rep.context)
-        ctx["level"] = cell.level
+        ctx["level"] = level
         ctx["verify_op"] = rep.check_id
-        ctx.setdefault("beta", cell.beta)
+        ctx.setdefault("beta", beta)
         tagged.append(dataclasses.replace(rep, check_id=cid, context=ctx))
     return tagged
 
@@ -606,14 +580,14 @@ def _write_plot(path, header, columns):
         fh.writelines(",".join(map(repr, row)) + "\n" for row in rows)
 
 
-def _write_plots(config, states, out_dir):
+def _write_plots(config, solves, out_dir):
     plots = os.path.join(out_dir, "plots")
     os.makedirs(plots, exist_ok=True)
     for ib, beta in enumerate(config.beta):
-        for level, state in enumerate(states):
-            if beta not in state.solves:
+        for level, records in enumerate(solves):
+            if beta not in records:
                 continue
-            rec = state.solves[beta]
+            rec = records[beta]
             dist, ball, v = rec.dist, rec.ball, rec.v
             t = np.linspace(0.0, float(np.max(rec.u.values)), 257)
             _write_plot(os.path.join(plots, f"mu_b{ib}_L{level}.csv"),
@@ -653,45 +627,38 @@ def run(config: ExperimentConfig, jobs: int = 1, stream=None) -> int:
         json.dump(config.resolved, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
-    base = _build_domain(config.domain, config.h)
-    _check_refined_size(base, config.refine_levels)
-    states = [_level_state(config, base)]
+    meshes = [_build_domain(config.domain, config.h)]
+    _check_refined_size(meshes[0], config.refine_levels)
+    problems = [_level_problems(config, meshes[0])]
     for _ in range(config.refine_levels):
-        states.append(_level_state(config, refine(states[-1].mesh)))
+        meshes.append(refine(meshes[-1]))
+        problems.append(_level_problems(config, meshes[-1]))
 
-    cells = [_Cell(beta=beta, level=level, request=request)
-             for beta in config.beta for level in range(len(states))
-             for request in config.checks]
+    cells = [(beta, level, request) for beta in config.beta
+             for level in range(len(meshes)) for request in config.checks]
     space = config.space
 
-    # one assembly per level and one solve record per (level, beta), built
-    # serially before any check runs, so cells (and worker threads) only read
-    # shared state; the finest level goes first, so its assembly and factor,
-    # which set the peak memory, run before the coarser levels' records are
-    # held.  A level's assembly is dropped once its last beta is solved,
-    # before any of its records builds a distribution function.  A record
-    # shares the source's rearrangement with the records of its level, whose
-    # betas all take the same source, and the radial side with a record on
-    # the same ball and beta (a flat polygon keeps its measure under refine).
+    # every record is built before any check runs, so cells (and worker
+    # threads) only read them.  The finest level goes first: its factor sets
+    # the peak memory, so it runs before the coarser levels' records are
+    # held.  Levels on one ball share their twins through one table.
+    solves = [{} for _ in meshes]
     if any(c.check_id != "isoperimetric" for c in config.checks):
         eigen = any(c.check_id == "bossel-daners" for c in config.checks)
-        for state in reversed(states):
-            system = None
-            solved = {}
-            for beta, problem in state.problems.items():
-                with _solve_stage(beta, state.mesh):
-                    if system is None:
-                        system = fem.assemble(problem)
-                    solved[beta] = verify.solve_discrete(problem, eigen, system)
-            del system
-            for beta, problem in state.problems.items():
-                with _solve_stage(beta, state.mesh):
-                    state.solves[beta] = verify.record_solution(
-                        problem, space, *solved.pop(beta),
-                        built=[rec for st in states for rec in st.solves.values()])
+        twins = {}
+        for level in reversed(range(len(meshes))):
+            try:
+                records = verify.solve_records(list(problems[level].values()),
+                                               space, eigen, twins)
+            except _SOLVER_ERRORS as exc:
+                betas = ", ".join(map(str, problems[level]))
+                raise SolverStageError(
+                    f"solve (beta={betas}, h={meshes[level].mesh_size():g})", exc)
+            solves[level] = dict(zip(problems[level], records))
 
     def run_cell(cell):
-        return _run_cell(cell, states[cell.level], space)
+        beta, level, _ = cell
+        return _run_cell(cell, meshes[level], solves[level].get(beta), space)
 
     if jobs > 1:
         import concurrent.futures
@@ -704,13 +671,13 @@ def run(config: ExperimentConfig, jobs: int = 1, stream=None) -> int:
     reports = [rep for cell_reports in results for rep in cell_reports]
     verify.reports_to_csv(reports, os.path.join(out_dir, "summary.csv"))
     verify.reports_to_jsonl(reports, os.path.join(out_dir, "reports.jsonl"))
-    _write_plots(config, states, out_dir)
+    _write_plots(config, solves, out_dir)
     _write_gap_tables(config, reports, out_dir)
 
-    finest = len(states) - 1
+    finest = len(meshes) - 1
     failed = [
-        rep for i, cell in enumerate(cells) if cell.level == finest
-        for rep in results[i] if not rep.skipped and not rep.passed
+        rep for (_, level, _), reps in zip(cells, results) if level == finest
+        for rep in reps if not rep.skipped and not rep.passed
     ]
     stream.write(f"{len(reports)} report lines -> {out_dir}\n")
     for rep in failed:

@@ -26,6 +26,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .fem import _check_beta
 from .mesh import sorted_unique
 from .model_geometry import (
     GeodesicBall,
@@ -165,8 +166,7 @@ def solve_symmetrized_poisson(ball: GeodesicBall, beta: float,
     non-negative, so v is non-increasing by construction; the profile keeps
     it, exact at every grid radius and 0 at the center.
     """
-    if beta <= 0.0:
-        raise ValueError(f"beta must be positive, got {beta}")
+    _check_beta(beta)
     space = ball.space
     R = ball.radius
     if space.kappa == 1 and sn_kappa(1, R) < 1e-12:
@@ -497,8 +497,7 @@ def solve_radial_eigen(ball: GeodesicBall, beta: float) -> float:
     ``_ground_state(ball.space, lambda, r)`` with u(0) = 1, is positive on
     [0, R].
     """
-    if beta <= 0.0:
-        raise ValueError(f"beta must be positive, got {beta}")
+    _check_beta(beta)
     space = ball.space
     R = ball.radius
     if space.kappa == 1 and R >= math.pi - 1e-3:

@@ -9,11 +9,11 @@ even where the interior error is O(h^2).  Every report keeps its raw gap
 so a refinement study can confirm convergence instead of trusting a single
 pass.
 
-Every check that compares u with its twin reads one :class:`SolveRecord`,
-built once per problem by :func:`solve_record`, or by its two steps,
-:func:`solve_discrete` and :func:`record_solution`: u, its distribution,
-the decreasing rearrangement of the source, the matched ball, the twin v
-and, for the eigenvalue check, the ball's first Robin eigenvalue.
+Every check that compares u with its twin reads one :class:`SolveRecord`:
+u, its distribution, the decreasing rearrangement of the source, the
+matched ball, the twin v and, for the eigenvalue check, the ball's first
+Robin eigenvalue.  :func:`solve_records` builds a level's records, one
+assembly for every beta and no assembly beside a distribution function.
 The record checks on construction that u lives on the problem's mesh and
 that the ball matches the mesh measure, so no check repeats either guard.
 The twin is read on its own grid, from its values and its exact slope.
@@ -33,7 +33,7 @@ import functools
 import json
 import logging
 import math
-from collections.abc import Iterable
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -275,75 +275,62 @@ class SolveRecord:
         return schwarz_rearrangement(self.dist, self.ball.space)
 
 
-def solve_discrete(problem: RobinProblem, eigen: bool = False,
-                   system: fem.AssembledSystem | None = None) -> tuple:
-    """(u, pair): the P1 solution and, with ``eigen``, the first eigenpair,
-    from one factor that the Poisson solve and the inverse iteration share
-    and that is freed on return (the inverse iteration builds the mass
-    matrix, after the factor); pair is None without ``eigen`` and
-    (nan, None) when the ground state changed sign.  ``system`` is the
-    problem's assembly, which serves every beta on its mesh and source; it
-    defaults to a fresh one."""
-    mesh, beta = problem.mesh, problem.beta
-    if system is None:
-        system = fem.assemble(problem)
-    lu = fem.factor_robin(system.robin_matrix(beta))
-    u = fem.solve_robin_poisson(problem, system, lu)
-    pair = None
-    if eigen:
-        try:
-            pair = fem.solve_robin_eigen(mesh, beta, system, lu)
-        except fem.EigenSignError:
-            pair = (math.nan, None)
-    return u, pair
+def solve_records(problems: Sequence[RobinProblem], space: ModelSpace,
+                  eigen: bool = False, twins: dict | None = None) -> list:
+    """One record per problem of a level: problems on one mesh with one
+    source, which differ in beta alone.
 
+    The level is assembled once.  Per beta, one factor serves the Poisson
+    solve and, with ``eigen``, the inverse iteration, and is freed before
+    the next beta's; the assembly is freed before any distribution function
+    is built.  Then the source is rearranged once and each record built: u's
+    distribution, the matched ball and the twin v, with the ball's first
+    Robin eigenvalue when ``eigen`` asks for it.
 
-def solve_record(problem: RobinProblem, space: ModelSpace, eigen: bool = False,
-                 system: fem.AssembledSystem | None = None,
-                 built: Iterable[SolveRecord] = ()) -> SolveRecord:
-    """The record of a problem solved once: :func:`solve_discrete` factors
-    it (``system``, the problem's assembly, defaults to a fresh one), then
-    :func:`record_solution` builds u's distribution, the matched ball and
-    the twin (``built`` is read there).  The factor, and a fresh assembly,
-    are freed before the record is built; a caller's ``system`` lives as
-    long as the caller holds it, which is why ``robinsym run`` calls the two
-    steps itself and drops each level's assembly between them."""
-    return record_solution(problem, space, *solve_discrete(problem, eigen, system), built)
-
-
-def record_solution(problem: RobinProblem, space: ModelSpace, u: ScalarField,
-                    pair: tuple | None = None,
-                    built: Iterable[SolveRecord] = ()) -> SolveRecord:
-    """The record of the problem's solution u and, when one is given, its
-    eigenpair (as :func:`solve_discrete` returns them): u's distribution,
-    the matched ball, and the twin, which takes the decreasing
-    rearrangement of the problem's source, whose Schwarz rearrangement is
-    its source.
-
-    ``built`` holds records already solved in the same run.  A problem whose
-    source is the very source object of a record there (None, the unit
-    source, included) takes that record's f*; if the matched ball (space and
-    radius, bit for bit) and beta are equal too, it also takes the record's
-    twin and ball eigenvalue instead of solving them again: both depend on
-    nothing else."""
-    mesh, beta, eigen = problem.mesh, problem.beta, pair is not None
+    ``twins`` maps (ball, beta) to the unit source's (v, ball eigenvalue or
+    None).  A caller that passes one dict to several levels solves each
+    twin, and each ball eigenvalue, once: both depend on nothing else.  A
+    field source's twin depends on its level's rearrangement and is not
+    shared."""
+    mesh, source = problems[0].mesh, problems[0].source
+    if any(p.mesh is not mesh or p.source is not source for p in problems):
+        raise ValueError("the problems of one solve need one mesh and one source")
+    system = fem.assemble(problems[0])
+    solved = []
+    for problem in problems:
+        lu = fem.factor_robin(system.robin_matrix(problem.beta))
+        u = fem.solve_robin_poisson(problem, system, lu)
+        pair = None
+        if eigen:
+            try:
+                pair = fem.solve_robin_eigen(mesh, problem.beta, system, lu)
+            except fem.EigenSignError:
+                pair = (math.nan, None)
+        solved.append((u, pair))
+        del lu
+    del system
+    fstar = None if source is None else decreasing_rearrangement(distribution_function(source))
+    if twins is None or source is not None:
+        twins = {}
     ball = GeodesicBall(space, radius_for_volume(space, mesh.total_measure()))
-    source = problem.source
-    same_source = [rec for rec in built if rec.problem.source is source]
-    if same_source:
-        fstar = same_source[0].fstar
-    else:
-        fstar = None if source is None else decreasing_rearrangement(distribution_function(source))
-    twin = next((rec for rec in same_source
-                 if rec.ball == ball and rec.problem.beta == beta
-                 and (rec.ball_eigenvalue is not None or not eigen)), None)
-    if twin is None:
-        v = solve_symmetrized_poisson(ball, beta, fstar)
-        lam = solve_radial_eigen(ball, beta) if eigen else None
-    else:
-        v, lam = twin.v, twin.ball_eigenvalue if eigen else None
-    return SolveRecord(problem=problem, u=u, dist=distribution_function(u),
-                       fstar=fstar, v=v, eigen=pair, ball_eigenvalue=lam)
+    records = []
+    for problem, (u, pair) in zip(problems, solved):
+        v, lam = twins.get((ball, problem.beta), (None, None))
+        if v is None:
+            v = solve_symmetrized_poisson(ball, problem.beta, fstar)
+        if eigen and lam is None:
+            lam = solve_radial_eigen(ball, problem.beta)
+        twins[ball, problem.beta] = v, lam
+        records.append(SolveRecord(problem=problem, u=u, dist=distribution_function(u),
+                                   fstar=fstar, v=v, eigen=pair,
+                                   ball_eigenvalue=lam if eigen else None))
+    return records
+
+
+def solve_record(problem: RobinProblem, space: ModelSpace,
+                 eigen: bool = False) -> SolveRecord:
+    """The record of one problem, solved as a level of its own."""
+    return solve_records([problem], space, eigen)[0]
 
 
 def _refined_record(rec: SolveRecord, eigen: bool = False) -> SolveRecord:

@@ -526,6 +526,20 @@ def test_run_singular_factorization_exits_three(tmp_path, capsys, monkeypatch):
     assert "solver:" in err and "exactly singular" in err
 
 
+def test_run_solver_error_names_the_level(tmp_path, capsys, monkeypatch):
+    # the finest level is solved first, all its betas in one call
+    def singular(*args, **kwargs):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(fem, "gstrf", singular)
+    path = _write_config(tmp_path, beta=[0.5, 2.0], refine_levels=1,
+                         checks=[{"id": "min-comparison"}])
+    assert cli.main(["run", path]) == 3
+    fine = msh.refine(msh.generate_domain("square", target_h=0.2, side=1.0))
+    err = capsys.readouterr().err
+    assert f"solve (beta=0.5, 2.0, h={fine.mesh_size():g}): " in err
+
+
 def test_run_expression_source(tmp_path, capsys, monkeypatch):
     fields = []
 

@@ -40,6 +40,19 @@ def test_radial_distribution_route_is_gone():
     assert "rad" not in {f.name for f in dataclasses.fields(verify.SolveRecord)}
 
 
+def test_two_step_solve_api_is_gone():
+    # one call solves a level's problems, and a lone problem is a level of
+    # its own
+    for name in ("solve_discrete", "record_solution"):
+        assert name not in robinsym.__all__
+        assert not hasattr(robinsym, name)
+        assert not hasattr(verify, name)
+    assert list(inspect.signature(verify.solve_record).parameters) == [
+        "problem", "space", "eigen"]
+    assert list(inspect.signature(verify.solve_records).parameters) == [
+        "problems", "space", "eigen", "twins"]
+
+
 def test_every_twin_check_reads_its_solve_record():
     # a comparison of u with its twin takes the record and its own
     # parameters; the record validates the mesh and the match once

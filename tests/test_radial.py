@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 from scipy.special import j0, j1
 
-from robinsym import rearrange
+from robinsym import fem, rearrange
 from robinsym.mesh import sorted_unique
 from robinsym.model_geometry import (
     GeodesicBall,
@@ -339,6 +339,19 @@ def test_poisson_rejects_bad_beta():
         solve_symmetrized_poisson(ball, 0.0)
     with pytest.raises(ValueError):
         solve_symmetrized_poisson(ball, -2.0)
+
+
+@pytest.mark.parametrize("beta", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("solve", [solve_symmetrized_poisson, solve_radial_eigen])
+def test_radial_solvers_refuse_beta_as_the_robin_problem_does(solve, beta):
+    # nan had reached the twin's profile check and the eigen scan's cap, an
+    # EigenBracketError; inf had returned a profile
+    with pytest.raises(ValueError) as expected:
+        fem._check_beta(beta)
+    with pytest.raises(ValueError) as raised:
+        solve(GeodesicBall(space=FLAT2, radius=1.0), beta)
+    assert type(raised.value) is ValueError
+    assert str(raised.value) == str(expected.value)
 
 
 def test_poisson_rejects_degenerate_cap():

@@ -489,36 +489,73 @@ def test_rigidity_retries_solve_on_the_refined_mesh():
 
 def test_solve_record_shares_the_radial_side_of_an_equal_ball():
     sq = _square(0.2)
-    fine = _record(msh.refine(sq), FLAT, 1.0, eigen=True)
+    problem = fem.RobinProblem(mesh=sq, beta=1.0)
+    twins = {}
+    fine, = verify.solve_records([fem.RobinProblem(mesh=msh.refine(sq), beta=1.0)],
+                                 FLAT, True, twins)
     fresh = _record(sq, FLAT, 1.0, eigen=True)
     assert fresh.ball == fine.ball  # refine keeps the square's measure
-    shared = verify.solve_record(fem.RobinProblem(mesh=sq, beta=1.0), FLAT,
-                                 eigen=True, built=[fine])
+    shared, = verify.solve_records([problem], FLAT, True, twins)
     assert shared.v is fine.v and shared.ball_eigenvalue == fine.ball_eigenvalue
     assert np.array_equal(shared.v.values, fresh.v.values)
     assert np.array_equal(shared.v.slope, fresh.v.slope)
     assert shared.ball_eigenvalue == fresh.ball_eigenvalue
     assert np.array_equal(shared.u.values, fresh.u.values)
-    # a record without the ball eigenvalue lends its twin only to one that
-    # needs none
-    plain = verify.solve_record(fem.RobinProblem(mesh=sq, beta=1.0), FLAT,
-                                built=[fine])
-    assert plain.v is fine.v and plain.ball_eigenvalue is None
-    again = verify.solve_record(fem.RobinProblem(mesh=sq, beta=1.0), FLAT,
-                                eigen=True, built=[plain])
-    assert again.v is not plain.v and again.ball_eigenvalue == fresh.ball_eigenvalue
-    # another beta, another space or a source: solved afresh
+    # an entry holds the ball eigenvalue once an eigen record has asked for
+    # it, and lends it to eigen records alone
+    borrowed, = verify.solve_records([problem], FLAT, False, twins)
+    assert borrowed.v is fine.v and borrowed.ball_eigenvalue is None
+    lone = {}
+    plain, = verify.solve_records([problem], FLAT, False, lone)
+    assert lone[plain.ball, 1.0][0] is plain.v and lone[plain.ball, 1.0][1] is None
+    again, = verify.solve_records([problem], FLAT, True, lone)
+    assert again.v is plain.v and again.ball_eigenvalue == fresh.ball_eigenvalue
+    assert lone[plain.ball, 1.0][1] == fresh.ball_eigenvalue
+    # another beta, another space or a source: solved afresh, and a field
+    # source's twin stays out of the table
     source = msh.ScalarField(mesh=sq, values=np.ones(len(sq.vertices)))
-    for problem, space in ((fem.RobinProblem(mesh=sq, beta=2.0), FLAT),
-                           (fem.RobinProblem(mesh=sq, beta=1.0), mg.ModelSpace(0, 3)),
-                           (fem.RobinProblem(mesh=sq, beta=1.0, source=source), FLAT)):
-        rec = verify.solve_record(problem, space, eigen=True, built=[fine])
+    for other, space in ((fem.RobinProblem(mesh=sq, beta=2.0), FLAT),
+                         (fem.RobinProblem(mesh=sq, beta=1.0), mg.ModelSpace(0, 3)),
+                         (fem.RobinProblem(mesh=sq, beta=1.0, source=source), FLAT)):
+        rec, = verify.solve_records([other], space, True, twins)
         assert rec.v is not fine.v
+    assert len(twins) == 3
     # the eigenpair and the ball eigenvalue come together
     with pytest.raises(ValueError):
         dataclasses.replace(fine, ball_eigenvalue=None)
     with pytest.raises(ValueError):
         dataclasses.replace(plain, ball_eigenvalue=1.0)
+
+
+def test_solve_records_refuses_two_meshes_or_two_sources(monkeypatch):
+    sq, other = _square(0.25), _square(0.25)
+    ones = msh.ScalarField(mesh=sq, values=np.ones(len(sq.vertices)))
+    monkeypatch.setattr(fem, "assemble", None)  # refused before any work
+    for problems in ([fem.RobinProblem(mesh=sq, beta=1.0),
+                      fem.RobinProblem(mesh=other, beta=2.0)],
+                     [fem.RobinProblem(mesh=sq, beta=1.0),
+                      fem.RobinProblem(mesh=sq, beta=2.0, source=ones)]):
+        with pytest.raises(ValueError, match="one mesh and one source"):
+            verify.solve_records(problems, FLAT)
+
+
+def test_solve_records_match_one_solve_per_beta():
+    # a level's records: the solve of each beta alone, bit for bit, with one
+    # rearrangement of the source
+    disk = _disk(0.25)
+    x, y = disk.vertices[:, 0], disk.vertices[:, 1]
+    source = msh.ScalarField(mesh=disk, values=1.0 + np.exp(-4.0 * (x**2 + y**2)))
+    problems = [fem.RobinProblem(mesh=disk, beta=beta, source=source)
+                for beta in (0.5, 2.0)]
+    level = verify.solve_records(problems, FLAT, eigen=True)
+    assert level[0].fstar is level[1].fstar
+    for rec, problem in zip(level, problems):
+        alone = verify.solve_record(problem, FLAT, eigen=True)
+        assert rec.problem is problem
+        assert np.array_equal(rec.u.values, alone.u.values)
+        assert np.array_equal(rec.v.values, alone.v.values)
+        assert rec.eigen[0] == alone.eigen[0]
+        assert rec.ball_eigenvalue == alone.ball_eigenvalue
 
 
 def test_eigen_record_builds_one_robin_matrix(monkeypatch):
