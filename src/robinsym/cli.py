@@ -419,6 +419,10 @@ def load_config(path: str, output_dir: str | None = None) -> ExperimentConfig:
         beta_ok = False
     if not beta_ok:
         raise ConfigError("beta must be a non-empty list of positive reals")
+    beta = tuple(float(b) for b in beta)
+    if len(set(beta)) < len(beta):
+        # a run keys its solves by beta: a repeated one would write its rows twice
+        raise ConfigError(f"beta repeats a value: {list(beta)}")
 
     h = _need(doc, "h", float, "config")
     if not (h > 0.0 and math.isfinite(h)):
@@ -438,7 +442,7 @@ def load_config(path: str, output_dir: str | None = None) -> ExperimentConfig:
         "space": {"kappa": space.kappa, "n": space.n, "alpha": space.alpha},
         "domain": domain,
         "source": source_doc,
-        "beta": [float(b) for b in beta],
+        "beta": list(beta),
         "h": h,
         "refine_levels": levels,
         "checks": [dict({"id": c.check_id}, **c.params) for c in checks],
@@ -446,7 +450,7 @@ def load_config(path: str, output_dir: str | None = None) -> ExperimentConfig:
     }
     return ExperimentConfig(
         space=space, domain=domain, source=source,
-        beta=tuple(float(b) for b in beta), checks=tuple(checks),
+        beta=beta, checks=tuple(checks),
         h=h, refine_levels=levels, output_dir=str(out), resolved=resolved)
 
 
@@ -639,22 +643,24 @@ def run(config: ExperimentConfig, jobs: int = 1, stream=None) -> int:
     space = config.space
 
     # every record is built before any check runs, so cells (and worker
-    # threads) only read them.  The finest level goes first: its factor sets
-    # the peak memory, so it runs before the coarser levels' records are
-    # held.  Levels on one ball share their twins through one table.
+    # threads) only read them.  The coarsest level goes first: each refined
+    # level's solver is built on its coarse level's, whose Robin matrices
+    # and factor it takes over through one table.  A run that does not
+    # refine keeps no table, which would only hold every beta's factor at
+    # once.  Levels on one ball share their twins through another table.
     solves = [{} for _ in meshes]
     if any(c.check_id != "isoperimetric" for c in config.checks):
         eigen = any(c.check_id == "bossel-daners" for c in config.checks)
-        twins = {}
-        for level in reversed(range(len(meshes))):
+        twins, solvers = {}, {} if config.refine_levels else None
+        for level, mesh in enumerate(meshes):
             try:
                 records = verify.solve_records(list(problems[level].values()),
-                                               space, eigen, twins)
+                                               space, eigen, twins, solvers)
             except _SOLVER_ERRORS as exc:
                 betas = ", ".join(map(str, problems[level]))
-                raise SolverStageError(
-                    f"solve (beta={betas}, h={meshes[level].mesh_size():g})", exc)
+                raise SolverStageError(f"solve (beta={betas}, h={mesh.mesh_size():g})", exc)
             solves[level] = dict(zip(problems[level], records))
+        del solvers
 
     def run_cell(cell):
         beta, level, _ = cell

@@ -19,22 +19,30 @@ edge makes every matrix exactly symmetric.  The boundary mass is nonzero
 only on the slots where boundary vertices and edges couple, and it is kept
 as its values on those slots.
 
-Both solvers use one direct factorization of the SPD Robin matrix
-K + beta B at every mesh size, a sparse LU without pivoting.  K + beta B is
-K with beta B added at the boundary slots, and it goes to SuperLU as built,
-with a panel of 2 columns in place of SuperLU's 20: the panel's workspace
-grows with rows x panel size, and a 2-D P1 matrix has supernodes too narrow
-to use a wide one.  The Poisson solve is one back-substitution, inverse
-power iteration one per round, and a caller needing both passes them the
-same assembly and factor.
+The solvers of the SPD Robin matrix K + beta B, which is K with beta B
+added at the boundary slots, follow the mesh (:func:`robin_solver`).  A
+mesh that no refinement made gets one direct factorization, a sparse LU
+without pivoting: the matrix goes to SuperLU as built, with a panel of 2
+columns in place of SuperLU's 20, since the panel's workspace grows with
+rows x panel size and a 2-D P1 matrix has supernodes too narrow to use a
+wide one.  There the Poisson solve is one back-substitution and the eigen
+solve inverse power iteration, one per round.  A mesh made by
+:func:`~robinsym.mesh.refine` gets a :class:`RobinHierarchy` over its
+refine chain: the nested P1 spaces give a V-cycle (Bramble-Pasciak-Xu)
+with the first mesh's factor as its coarse solve, which preconditions CG
+for the Poisson solve and LOBPCG (Knyazev) for the eigen solve, at a cost
+linear in the mesh.  Either solver has ``solve(b)``, and a caller needing
+both solves passes them the same assembly and solver.  The multilevel
+solves log their route, steps and final residual at DEBUG.
 
 The matrices are numpy data arrays on the pattern, and a matrix handed to
-SuperLU is its CSC triple (data, indices, indptr).  Of scipy this module
-uses two compiled functions, SuperLU's ``gstrf`` and the CSC mat-vec, and
-it loads their extension modules from their files in the installed scipy.
-Importing them through ``scipy.sparse`` would load scipy's array-API layer,
-which imports ``numpy.f2py``, ``numpy.testing``, ``numpy.ma`` and
-``numpy.random`` besides: about 0.3 s and 30 MB a process.  So a run
+SuperLU or a hierarchy is its CSC triple (data, indices, indptr).  Of
+scipy this module uses two compiled functions, SuperLU's ``gstrf`` and the
+CSC mat-vec, and it loads their extension modules from their files in the
+installed scipy.  Importing them through ``scipy.sparse`` would load
+scipy's array-API layer, which imports ``numpy.f2py``, ``numpy.testing``,
+``numpy.ma`` and ``numpy.random`` besides: about 0.3 s and 30 MB a
+process.  So a run
 imports no scipy subpackage.
 """
 
@@ -44,8 +52,10 @@ import importlib.util
 import json
 import math
 import os
+import logging
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -59,7 +69,21 @@ from .mesh import (
     read_json_object,
 )
 
+_LOG = logging.getLogger(__name__)
+
 _EIGEN_MAX_ITERS = 400
+
+# the multilevel route, chosen on L1-L3 of squares, disks, S^2 caps and
+# warped cones for beta from 1e-8 to 1e8: CG's relative residual, that of
+# its one refinement step, and its step cap; the least relative fall of
+# LOBPCG's Ritz value in a step, and its step cap; the ratio of the ends
+# of the Chebyshev smoother's interval
+_CG_TOL = 1e-10
+_REFINE_TOL = 1e-5
+_CG_MAX_ITERS = 200
+_LOBPCG_TOL = 1e-13
+_LOBPCG_MAX_ITERS = 200
+_SMOOTH_RANGE = 6.0
 
 # the 2-point Gauss nodes on [0, 1]
 _GAUSS2 = (0.5 - 0.5 / math.sqrt(3.0), 0.5 + 0.5 / math.sqrt(3.0))
@@ -192,9 +216,7 @@ class AssembledSystem:
         if matrix.shape != slots or x.shape != (n,):
             raise ValueError(f"matvec takes {slots[0]} matrix values and a vector of "
                              f"{n}, got {matrix.shape} and {x.shape}")
-        y = np.zeros(n)
-        _sparsetools.csc_matvec(n, n, self.pattern.indptr, self.pattern.indices, matrix, x, y)
-        return y
+        return _csc_matvec((matrix, self.pattern.indices, self.pattern.indptr), x)
 
     def boundary_matvec(self, x: np.ndarray) -> np.ndarray:
         """B x from the boundary slots, bit for bit what :meth:`matvec` gives
@@ -366,14 +388,172 @@ def factor_robin(A):
         raise SingularSystemError(f"Robin matrix on {n} dof: {exc}") from exc
 
 
+def _csc_matvec(A, x) -> np.ndarray:
+    """A x for the CSC triple A = (data, indices, indptr) of a square matrix
+    and the float vector x.  The compiled loop reads x unchecked, so its
+    size is checked here."""
+    data, indices, indptr = A
+    n = len(indptr) - 1
+    x = np.ascontiguousarray(x, dtype=float)
+    if x.shape != (n,):
+        raise ValueError(f"a matrix of {n} columns takes a vector of {n}, got {x.shape}")
+    y = np.zeros(n)
+    _sparsetools.csc_matvec(n, n, indptr, indices, data, x, y)
+    return y
+
+
+class _Level(NamedTuple):
+    """One refined level of a :class:`RobinHierarchy`."""
+
+    matrix: tuple  # K + beta B as a CSC triple, which is also its CSR triple
+    diagonal: np.ndarray  # its diagonal, the Jacobi smoother's
+    parents: np.ndarray  # (E, 2) int32, the parent pair of each midpoint on the level below
+    smoother: tuple  # the Chebyshev smoother's three coefficients
+
+
+def _level(matrix, parents) -> _Level:
+    data, indices, indptr = matrix
+    columns = np.repeat(np.arange(len(indptr) - 1, dtype=np.int32), np.diff(indptr))
+    diagonal = data[indices == columns]
+    # Gershgorin: no eigenvalue of D^-1 A passes its largest absolute row sum
+    top = float(np.max(np.add.reduceat(np.abs(data), indptr[:-1]) / diagonal))
+    # the degree-2 Chebyshev recurrence on [top / _SMOOTH_RANGE, top], of
+    # centre theta and half-width delta (Saad, Iterative Methods, 12.3)
+    theta = 0.5 * top * (1.0 + 1.0 / _SMOOTH_RANGE)
+    delta = 0.5 * top * (1.0 - 1.0 / _SMOOTH_RANGE)
+    rho0 = delta / theta
+    rho1 = 1.0 / (2.0 / rho0 - rho0)
+    return _Level(matrix, diagonal, parents, (1.0 / theta, 2.0 * rho1 / delta, 1.0 + rho1 * rho0))
+
+
+class RobinHierarchy:
+    """K + beta B on a mesh made by :func:`~robinsym.mesh.refine` and on
+    each coarser mesh of its refine chain, for a V-cycle: per refined level
+    the Robin matrix, its diagonal and the parent pairs of its midpoints,
+    coarsest first, over the direct factor of the chain's first mesh.
+
+    :meth:`solve` is the factor's ``solve``: conjugate gradients
+    preconditioned by one V-cycle per step.  The V-cycle smooths with a
+    degree-2 Chebyshev polynomial in D^-1 A before and after the coarse
+    correction, over [top / _SMOOTH_RANGE, top] with ``top`` a Gershgorin
+    bound, and the same polynomial on both sides keeps it symmetric.  P1
+    prolongation keeps a coarse vertex's value and gives a midpoint its
+    parents' mean; restriction is its transpose."""
+
+    def __init__(self, coarse, levels: tuple = ()):
+        self.coarse = coarse  # the first mesh's factor
+        self.levels = levels
+
+    def refined(self, matrix, parents) -> "RobinHierarchy":
+        """The hierarchy of the mesh one refinement above, whose Robin
+        matrix is the triple ``matrix``."""
+        return RobinHierarchy(self.coarse, self.levels + (_level(matrix, parents),))
+
+    def matvec(self, x) -> np.ndarray:
+        """(K + beta B) x on the finest level."""
+        return _csc_matvec(self.levels[-1].matrix, x)
+
+    @staticmethod
+    def _smooth(level: _Level, r) -> np.ndarray:
+        """The Chebyshev correction p(D^-1 A) D^-1 r for the residual r:
+        a Jacobi step d, then d's residual r1 folded in."""
+        first, second, keep = level.smoother
+        d = r / level.diagonal
+        d *= first
+        r1 = r - _csc_matvec(level.matrix, d)
+        r1 /= level.diagonal
+        r1 *= second
+        d *= keep
+        d += r1
+        return d
+
+    def _vcycle(self, depth: int, b) -> np.ndarray:
+        if depth < 0:
+            return self.coarse.solve(b)
+        level = self.levels[depth]
+        n = len(b) - len(level.parents)
+        x = self._smooth(level, b)
+        r = b - _csc_matvec(level.matrix, x)
+        half = 0.5 * r[n:]
+        rc = r[:n] + np.bincount(level.parents[:, 0], half, n)
+        rc += np.bincount(level.parents[:, 1], half, n)
+        xc = self._vcycle(depth - 1, rc)
+        x[:n] += xc
+        pair = np.take(xc, level.parents)
+        x[n:] += 0.5 * (pair[:, 0] + pair[:, 1])
+        x += self._smooth(level, b - _csc_matvec(level.matrix, x))
+        return x
+
+    def precondition(self, r) -> np.ndarray:
+        """One V-cycle from zero on the residual r."""
+        return self._vcycle(len(self.levels) - 1, r)
+
+    def _cg(self, b, tol: float):
+        """CG on (K + beta B) x = b from zero, to the relative residual tol
+        of its recurrence: x, the steps and the recurrence's residual norm."""
+        x = np.zeros(len(b))
+        r = np.array(b, dtype=float)
+        stop = tol * math.sqrt(_dot(r, r))
+        z = self.precondition(r)
+        p = z.copy()
+        rz = _dot(r, z)
+        for step in range(1, _CG_MAX_ITERS + 1):
+            q = self.matvec(p)
+            alpha = rz / _dot(p, q)
+            x += alpha * p
+            r -= alpha * q
+            res = math.sqrt(_dot(r, r))
+            if res <= stop:
+                return x, step, res
+            z = self.precondition(r)
+            rz, rz_old = _dot(r, z), rz
+            p *= rz / rz_old
+            p += z
+        raise SolverConvergenceError(f"multilevel CG missed {tol:g} in {_CG_MAX_ITERS} steps")
+
+    def solve(self, b) -> np.ndarray:
+        """(K + beta B)^-1 b: CG to the relative residual _CG_TOL, then one
+        step of refinement, CG on the true residual to _REFINE_TOL.  CG's
+        recurrence drifts from the true residual by the rounding of its
+        first, largest steps; the refinement step's are small."""
+        n = len(self.levels[-1].diagonal)
+        b = np.asarray(b, dtype=float)
+        if b.shape != (n,):
+            raise ValueError(f"a system of {n} unknowns takes a vector of {n}, got {b.shape}")
+        x, steps, _ = self._cg(b, _CG_TOL)
+        dx, more, res = self._cg(b - self.matvec(x), _REFINE_TOL)
+        x += dx
+        _LOG.debug("multilevel CG on %d dof: %d + %d iterations, relative residual %.3e",
+                   len(b), steps, more, res / math.sqrt(_dot(b, b)))
+        return x
+
+
+def robin_solver(mesh: MeasuredMesh, system: AssembledSystem, beta: float, coarse=None):
+    """The solver of K + beta B on ``mesh`` from its assembly ``system``:
+    the direct factor on a mesh that no refinement made, and on a refined
+    mesh the :class:`RobinHierarchy` over its refine chain.  ``coarse`` is
+    the solver on ``mesh.coarse`` at the same beta, when the caller holds
+    it; otherwise each coarser mesh is assembled here, and only the first
+    is factored."""
+    if mesh.coarse is None:
+        return factor_robin(system.robin_matrix(beta))
+    if coarse is None:
+        below = mesh.coarse
+        coarse = robin_solver(below, assemble(RobinProblem(mesh=below, beta=beta)), beta)
+    if not isinstance(coarse, RobinHierarchy):
+        coarse = RobinHierarchy(coarse)
+    return coarse.refined(system.robin_matrix(beta), mesh.parents)
+
+
 def solve_robin_poisson(problem: RobinProblem, system: AssembledSystem | None = None,
                         lu=None) -> ScalarField:
     """Weak solution of -div(grad u) = f with the Robin boundary condition;
-    ``system`` and ``lu`` default to the problem's assembly and factor."""
+    ``system`` and ``lu`` default to the problem's assembly and its
+    :func:`robin_solver`."""
     if system is None:
         system = assemble(problem)
     if lu is None:
-        lu = factor_robin(system.robin_matrix(problem.beta))
+        lu = robin_solver(problem.mesh, system, problem.beta)
     u = lu.solve(system.load)
     if float(np.min(u)) <= 0.0:
         warnings.warn("solution is not strictly positive; mesh too coarse",
@@ -388,22 +568,103 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.einsum("i,i->", a, b))
 
 
+def _lobpcg(hierarchy: RobinHierarchy, mass, x) -> tuple:
+    """The smallest eigenpair of (K + beta B) x = lambda M x by LOBPCG of
+    block size 1 (Knyazev 2001), from the positive start x, preconditioned
+    by the hierarchy's V-cycle; ``mass`` is x -> M x.  Each step is a
+    Rayleigh-Ritz step on x, the preconditioned residual w and the last
+    step p, each of unit M-norm; p is dropped for a step whose basis is too
+    close to dependent for a Cholesky factor of its Gram matrix.  It stops
+    once the Ritz value falls by at most _LOBPCG_TOL relative in a step: a
+    residual test would never stop for beta near 0, where the rounding of
+    A x outweighs lambda M x, and the Ritz value is exact to the square of
+    the residual.  lambda is then x's Rayleigh quotient."""
+    A = hierarchy.matvec
+    Mx = mass(x)
+    scale = 1.0 / math.sqrt(_dot(x, Mx))
+    x = x * scale
+    Mx *= scale
+    Ax = A(x)
+    lam = _dot(x, Ax)
+    p = None
+    for step in range(1, _LOBPCG_MAX_ITERS + 1):
+        r = Ax - lam * Mx
+        w = hierarchy.precondition(r)
+        Mw = mass(w)
+        scale = 1.0 / math.sqrt(_dot(w, Mw))
+        w *= scale
+        Mw *= scale
+        basis = [(x, Ax, Mx), (w, A(w), Mw)]
+        if p is not None:
+            basis.append(p)
+        k = len(basis)
+        gram_a = np.empty((k, k))
+        gram_m = np.empty((k, k))
+        for i in range(k):
+            for j in range(i, k):
+                gram_a[i, j] = gram_a[j, i] = _dot(basis[i][0], basis[j][1])
+                gram_m[i, j] = gram_m[j, i] = _dot(basis[i][0], basis[j][2])
+        for k in range(len(basis), 1, -1):
+            try:
+                inverse = np.linalg.inv(np.linalg.cholesky(gram_m[:k, :k]))
+                break
+            except np.linalg.LinAlgError:
+                pass
+        else:
+            raise SolverConvergenceError(f"LOBPCG basis collapsed at step {step}")
+        del basis[k:]
+        _, vectors = np.linalg.eigh(inverse @ gram_a[:k, :k] @ inverse.T)
+        coef = inverse.T @ vectors[:, 0]
+        # the new step p: the part of the new x off the old x, per product
+        p = tuple(sum(c * part[m] for c, part in zip(coef[1:], basis[1:])) for m in range(3))
+        x, Ax, Mx = (coef[0] * basis[0][m] + p[m] for m in range(3))
+        scale = 1.0 / math.sqrt(_dot(x, Mx))
+        x *= scale
+        Ax *= scale
+        Mx *= scale
+        scale = 1.0 / math.sqrt(_dot(p[0], p[2]))
+        p = tuple(part * scale for part in p)
+        lam, last = _dot(x, Ax), lam
+        if last - lam <= _LOBPCG_TOL * lam:
+            break
+    else:
+        raise SolverConvergenceError(
+            f"multilevel LOBPCG missed {_LOBPCG_TOL:g} in {_LOBPCG_MAX_ITERS} steps")
+    Ax, Mx = A(x), mass(x)
+    lam = _dot(x, Ax) / _dot(x, Mx)
+    r = Ax - lam * Mx
+    _LOG.debug("multilevel LOBPCG on %d dof: %d iterations, relative residual %.3e",
+               len(x), step, math.sqrt(_dot(r, r) / _dot(Mx, Mx)) / lam)
+    return lam, x
+
+
 def solve_robin_eigen(mesh: MeasuredMesh, beta: float,
-                      system: AssembledSystem | None = None, lu=None):
-    """Smallest Robin eigenpair by inverse power iteration, zero shift.
+                      system: AssembledSystem | None = None, lu=None, torsion=None):
+    """Smallest Robin eigenpair: by inverse power iteration, zero shift,
+    from ones for a direct factor, and by :func:`_lobpcg` from the torsion
+    function for a :class:`RobinHierarchy`.
 
     Returns (lambda, eigenfield) with the field positive and normalized to
-    max = 1; eigenvalue tolerance 1e-9 relative.  ``system`` and ``lu`` may
-    be those of a Poisson solve at the same (mesh, beta), whatever its load.
-    The mass matrix is built here, after the factor, by :func:`mass_matrix`.
+    max = 1; eigenvalue tolerance 1e-9 relative for inverse iteration.
+    ``system`` and ``lu`` may be those of a Poisson solve at the same
+    (mesh, beta), whatever its load, and ``lu`` defaults to the
+    :func:`robin_solver`.  ``torsion``, the torsion function's values, is
+    solved for when LOBPCG needs it and the caller does not pass it.  The
+    mass matrix is built here, after the solver, by :func:`mass_matrix`.
     """
     _check_beta(beta)
     if system is None:
         system = assemble(RobinProblem(mesh=mesh, beta=beta))
     if lu is None:
-        lu = factor_robin(system.robin_matrix(beta))
+        lu = robin_solver(mesh, system, beta)
     K, M = system.stiffness, mass_matrix(mesh, system.pattern)
     matvec = system.matvec
+
+    if isinstance(lu, RobinHierarchy):
+        if torsion is None:  # it solves (K + beta B) u = M 1
+            torsion = lu.solve(matvec(M, np.ones(len(system.load))))
+        lam, x = _lobpcg(lu, lambda y: matvec(M, y), torsion)
+        return lam, _ground_state(mesh, x)
 
     def energy(x):  # x.(K + beta B)x, without building K + beta B again
         return _dot(x, matvec(K, x)) + beta * _dot(x, system.boundary_matvec(x))
@@ -426,7 +687,11 @@ def solve_robin_eigen(mesh: MeasuredMesh, beta: float,
         raise SolverConvergenceError(
             f"inverse power iteration missed 1e-9 in {_EIGEN_MAX_ITERS} rounds"
         )
+    return lam, _ground_state(mesh, x)
 
+
+def _ground_state(mesh: MeasuredMesh, x) -> ScalarField:
+    """The eigenvector x as the positive ground state of max 1."""
     if x[int(np.argmax(np.abs(x)))] < 0.0:
         x = -x
     # stiff beta on non-acute meshes dips a few boundary values slightly
@@ -436,7 +701,7 @@ def solve_robin_eigen(mesh: MeasuredMesh, beta: float,
         raise EigenSignError("computed ground state changes sign")
     x = np.maximum(x, 0.0)
     x /= float(np.max(x))
-    return lam, ScalarField(mesh=mesh, values=x)
+    return ScalarField(mesh=mesh, values=x)
 
 
 # ---------------------------------------------------------------------------

@@ -194,10 +194,15 @@ class MeasuredMesh:
         Required exactly when geometry is ``warped``.
     density : (N,) array, optional
         Per-vertex area density; computed from the geometry when omitted.
+
+    A mesh made by :func:`refine` keeps the mesh it refined as ``coarse``
+    and, as ``parents``, the (E, 2) int32 parent pair of each of its
+    midpoints, the vertices after the coarse mesh's; both are None on any
+    other mesh.  The P1 space of ``coarse`` is then a subspace of this one.
     """
 
     def __init__(self, vertices, triangles, boundary_edges, geometry="flat",
-                 warp=None, density=None, *, _edges=None):
+                 warp=None, density=None, *, _edges=None, _coarse=None, _parents=None):
         self.vertices = np.ascontiguousarray(vertices, dtype=float)
         self.triangles = np.ascontiguousarray(triangles, dtype=np.int64)
         self.boundary_edges = np.ascontiguousarray(boundary_edges, dtype=np.int64)
@@ -217,6 +222,8 @@ class MeasuredMesh:
                 self.density.shape == ref.shape and np.allclose(self.density, ref, rtol=1e-12, atol=1e-12)
             )
         self._edges = _edges  # the triangulation's table, when the caller has it
+        self.coarse = _coarse
+        self.parents = _parents
         self.validate()
         _, at_tail, at_head = self._length_factors(self.boundary_edges)
         self.boundary_density = np.stack([at_tail, at_head], axis=1)
@@ -995,7 +1002,9 @@ def generate_domain(kind: str, target_h: float, geometry: str = "flat",
 
 def refine(mesh: MeasuredMesh) -> MeasuredMesh:
     """Uniform midpoint refinement; densities recomputed from the geometry
-    (interpolated when the mesh carries a custom density)."""
+    (interpolated when the mesh carries a custom density).  The refined
+    mesh keeps ``mesh`` as its ``coarse`` mesh, with its midpoints'
+    ``parents``."""
     verts, tris, parents = _refine4(mesh.vertices, mesh.triangles, mesh._edges)
     edges = _edge_table(tris, len(verts))
     density = None
@@ -1006,7 +1015,7 @@ def refine(mesh: MeasuredMesh) -> MeasuredMesh:
         )
     return MeasuredMesh(verts, tris, _extract_boundary(edges, len(verts)),
                         geometry=mesh.geometry, warp=mesh.warp, density=density,
-                        _edges=edges)
+                        _edges=edges, _coarse=mesh, _parents=parents.astype(np.int32))
 
 
 def save_mesh(mesh: MeasuredMesh, path: str):

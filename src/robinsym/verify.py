@@ -276,38 +276,51 @@ class SolveRecord:
 
 
 def solve_records(problems: Sequence[RobinProblem], space: ModelSpace,
-                  eigen: bool = False, twins: dict | None = None) -> list:
+                  eigen: bool = False, twins: dict | None = None,
+                  solvers: dict | None = None) -> list:
     """One record per problem of a level: problems on one mesh with one
     source, which differ in beta alone.
 
-    The level is assembled once.  Per beta, one factor serves the Poisson
-    solve and, with ``eigen``, the inverse iteration, and is freed before
-    the next beta's; the assembly is freed before any distribution function
-    is built.  Then the source is rearranged once and each record built: u's
-    distribution, the matched ball and the twin v, with the ball's first
-    Robin eigenvalue when ``eigen`` asks for it.
+    The level is assembled once.  Per beta, one :func:`fem.robin_solver`
+    serves the Poisson solve and, with ``eigen``, the eigen solve: the
+    direct factor on a mesh that no refinement made, the multilevel
+    hierarchy on a refined one.  The assembly is freed before any
+    distribution function is built.  Then the source is rearranged once and
+    each record built: u's distribution, the matched ball and the twin v,
+    with the ball's first Robin eigenvalue when ``eigen`` asks for it.
 
     ``twins`` maps (ball, beta) to the unit source's (v, ball eigenvalue or
     None).  A caller that passes one dict to several levels solves each
     twin, and each ball eigenvalue, once: both depend on nothing else.  A
     field source's twin depends on its level's rearrangement and is not
-    shared."""
+    shared.
+
+    ``solvers`` maps (mesh, beta) to a solver.  A caller that passes one
+    dict to the levels of a refine chain, coarsest first, builds each
+    level's Robin matrix and the first level's factor once per beta: a
+    level takes its coarse level's solvers out of the dict and leaves its
+    own.  Without it, each solver on a refined mesh assembles the coarser
+    levels again, and each level's solver is freed before the next beta's."""
     mesh, source = problems[0].mesh, problems[0].source
     if any(p.mesh is not mesh or p.source is not source for p in problems):
         raise ValueError("the problems of one solve need one mesh and one source")
     system = fem.assemble(problems[0])
     solved = []
     for problem in problems:
-        lu = fem.factor_robin(system.robin_matrix(problem.beta))
-        u = fem.solve_robin_poisson(problem, system, lu)
+        coarse = None if solvers is None else solvers.pop((mesh.coarse, problem.beta), None)
+        solver = fem.robin_solver(mesh, system, problem.beta, coarse)
+        u = fem.solve_robin_poisson(problem, system, solver)
         pair = None
         if eigen:
             try:
-                pair = fem.solve_robin_eigen(mesh, problem.beta, system, lu)
+                pair = fem.solve_robin_eigen(mesh, problem.beta, system, solver,
+                                             u.values if source is None else None)
             except fem.EigenSignError:
                 pair = (math.nan, None)
         solved.append((u, pair))
-        del lu
+        if solvers is not None:
+            solvers[mesh, problem.beta] = solver
+        del solver
     del system
     fstar = None if source is None else decreasing_rearrangement(distribution_function(source))
     if twins is None or source is not None:

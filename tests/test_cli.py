@@ -276,10 +276,13 @@ _BOOLEAN_FIELDS = [
     dict(source={"expr": "x*0"}),
     # no field takes a boolean; Python would read true as the number 1
     *(overrides for overrides, _ in _BOOLEAN_FIELDS),
+    # a run solves a beta once, and a repeated one would repeat its rows
+    dict(beta=[1.0, 2.0, 1]),
 ])
 def test_malformed_config_exits_two(tmp_path, capsys, overrides):
     # each passes load_config's field rules and fails when the run builds
-    # the domain or evaluates the source; a boolean is refused up front
+    # the domain or evaluates the source; a boolean or a repeated beta is
+    # refused up front
     path = _write_config(tmp_path, **overrides)
     assert cli.main(["run", path]) == 2
     err = capsys.readouterr().err
@@ -438,10 +441,12 @@ def test_run_solves_each_level_and_beta_once(tmp_path, capsys, monkeypatch):
         reports = [json.loads(line) for line in
                    (out / "reports.jsonl").read_text().splitlines()]
         assert not any(r["context"].get("retried") for r in reports)
-        # two levels times two betas: one factorization, one distribution
-        # function of the solution and one Schwarz rearrangement of it, which
-        # the pointwise check and the plots share, each; one assembly per level
-        assert counts == {"assemble": 2, "factor": 4, "distribution": 4, "schwarz": 4}
+        # two levels times two betas: one distribution function of the
+        # solution and one Schwarz rearrangement of it, which the pointwise
+        # check and the plots share, each; one assembly per level, and one
+        # factorization per beta, on the coarse level, which the refined
+        # level's multilevel solve takes over
+        assert counts == {"assemble": 2, "factor": 2, "distribution": 4, "schwarz": 4}
         counts.update(assemble=0, factor=0, distribution=0, schwarz=0)
         outputs.append(sorted(
             (str(f.relative_to(out)), f.read_bytes()) for f in out.rglob("*")
@@ -527,7 +532,8 @@ def test_run_singular_factorization_exits_three(tmp_path, capsys, monkeypatch):
 
 
 def test_run_solver_error_names_the_level(tmp_path, capsys, monkeypatch):
-    # the finest level is solved first, all its betas in one call
+    # the coarsest level is solved first, all its betas in one call, and
+    # only it is factored
     def singular(*args, **kwargs):
         raise RuntimeError("Factor is exactly singular")
 
@@ -535,9 +541,9 @@ def test_run_solver_error_names_the_level(tmp_path, capsys, monkeypatch):
     path = _write_config(tmp_path, beta=[0.5, 2.0], refine_levels=1,
                          checks=[{"id": "min-comparison"}])
     assert cli.main(["run", path]) == 3
-    fine = msh.refine(msh.generate_domain("square", target_h=0.2, side=1.0))
+    coarse = msh.generate_domain("square", target_h=0.2, side=1.0)
     err = capsys.readouterr().err
-    assert f"solve (beta=0.5, 2.0, h={fine.mesh_size():g}): " in err
+    assert f"solve (beta=0.5, 2.0, h={coarse.mesh_size():g}): " in err
 
 
 def test_run_expression_source(tmp_path, capsys, monkeypatch):

@@ -2,6 +2,7 @@
 
 import io
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -632,12 +633,15 @@ def test_cone_torsion_center_value():
 _EIGEN_SCRIPT = """
 from robinsym import fem, mesh as msh
 m = msh.refine(msh.refine(msh.generate_domain("square", target_h=0.04, side=1.0)))
-print(len(m.vertices), repr(fem.solve_robin_eigen(m, 1.0)[0]))
+alone = msh.MeasuredMesh(m.vertices, m.triangles, m.boundary_edges)
+print(len(m.vertices), repr(fem.solve_robin_eigen(m, 1.0)[0]),
+      repr(fem.solve_robin_eigen(alone, 1.0)[0]))
 """
 
 
 def test_eigen_value_ignores_the_blas_thread_count():
-    # the inverse iteration's dots run in numpy's own loops: OpenBLAS splits
+    # the dots of LOBPCG on the refined square and of inverse iteration on
+    # the same mesh standing alone run in numpy's own loops: OpenBLAS splits
     # a dot this long over its threads, and the sum then depends on their
     # number
     env = dict(os.environ, PYTHONPATH=str(Path(fem.__file__).parents[1]))
@@ -652,8 +656,11 @@ def test_eigen_value_ignores_the_blas_thread_count():
 
 
 def test_eigen_above_20k_dof_on_the_shared_factor(monkeypatch):
+    # the twice refined square as a mesh of its own, which the direct factor
+    # solves
     m = msh.generate_domain("square", target_h=0.04, side=1.0)
     m = msh.refine(msh.refine(m))
+    m = msh.MeasuredMesh(m.vertices, m.triangles, m.boundary_edges)
     assert len(m.vertices) > 20_000
     factored = []
     gstrf = fem.gstrf
@@ -723,3 +730,146 @@ def test_field_file_errors(tmp_path):
         malformed.write_text(json.dumps({"mesh_ref": "disk.json", "values": values}))
         with pytest.raises(msh.MeshFormatError, match="malformed content"):
             fem.load_field(str(malformed))
+
+
+# ---------------------------------------------------------------------------
+# the multilevel route on refined meshes
+
+
+def _chains():
+    """Three refinements of a square, a disk, an S^2 cap and a c = 0.6
+    warped-cone disk: L1-L3, of 4,225 to 15,769 vertices at L3."""
+    bases = {
+        "square": msh.generate_domain("square", target_h=0.2, side=1.0),
+        "disk": _disk(0.2),
+        "cap": msh.generate_domain("spherical_cap", target_h=0.2, theta=1.0),
+        "cone": _disk(0.2, geometry="warped", warp=msh.warped_profile("cone", 0.6)),
+    }
+    for name, mesh in bases.items():
+        for level in (1, 2, 3):
+            mesh = msh.refine(mesh)
+            yield f"{name}-L{level}", mesh
+
+
+def _steps(caplog):
+    """{route: [steps, ...]} from the multilevel solves' DEBUG records."""
+    steps = {}
+    for record in caplog.records:
+        route = record.msg.split()[1]
+        steps.setdefault(route, []).append(
+            record.args[1] + record.args[2] if route == "CG" else record.args[1])
+    caplog.clear()
+    return steps
+
+
+# every solve's CG steps (both phases) and LOBPCG steps stay below this
+_MAX_STEPS = 20
+
+
+@pytest.mark.filterwarnings("ignore:solution is not strictly positive")
+def test_multilevel_work_is_bounded_across_meshes_levels_and_beta(caplog):
+    caplog.set_level(logging.DEBUG, logger="robinsym.fem")
+    for name, mesh in _chains():
+        for beta in (1e-8, 1e-4, 1.0, 1e4, 1e8):
+            problem = fem.RobinProblem(mesh=mesh, beta=beta)
+            system = fem.assemble(problem)
+            A = system.robin_matrix(beta)
+            solver = fem.robin_solver(mesh, system, beta)
+            u = fem.solve_robin_poisson(problem, system, solver).values
+            fem.solve_robin_eigen(mesh, beta, system, solver, torsion=u)
+            steps = _steps(caplog)
+            assert len(steps["CG"]) == 1 and len(steps["LOBPCG"]) == 1, (name, beta)
+            assert max(steps["CG"] + steps["LOBPCG"]) < _MAX_STEPS, (name, beta, steps)
+            direct = fem.factor_robin(A).solve(system.load)
+            if beta in (1e-8, 1e-4, 1e8):
+                # the direct u is itself ill-conditioned here (at 1e-4 it is
+                # up to 6e-10 off the solution refined in extended
+                # precision, the multilevel u 1e-10): the multilevel u
+                # leaves no larger a residual
+                def residual(x):
+                    return np.linalg.norm(system.load - fem._csc_matvec(A, x))
+
+                assert residual(u) <= residual(direct), (name, beta)
+            else:
+                assert np.max(np.abs(u - direct)) <= 1e-10 * np.max(np.abs(direct)), (name, beta)
+
+
+@pytest.mark.parametrize("name", ["fixed-L1", "fixed-L2", "disk", "cap", "cone"])
+def test_multilevel_route_matches_the_direct_factor(name):
+    base = {
+        "fixed-L1": lambda: msh.generate_domain("square", target_h=0.05, side=1.0),
+        "fixed-L2": lambda: msh.refine(msh.generate_domain("square", target_h=0.05, side=1.0)),
+        "disk": lambda: _disk(0.1),
+        "cap": lambda: msh.generate_domain("spherical_cap", target_h=0.1, theta=1.0),
+        "cone": lambda: _disk(0.1, geometry="warped", warp=msh.warped_profile("cone", 0.6)),
+    }[name]()
+    mesh = msh.refine(base)
+    for beta in (0.1, 1.0, 10.0):
+        problem = fem.RobinProblem(mesh=mesh, beta=beta)
+        system = fem.assemble(problem)
+        lu = fem.factor_robin(system.robin_matrix(beta))
+        u, u_direct = (fem.solve_robin_poisson(problem, system, s).values
+                       for s in (None, lu))
+        assert np.max(np.abs(u - u_direct)) <= 1e-10 * np.max(u_direct)
+        lam = fem.solve_robin_eigen(mesh, beta, system)[0]
+        lam_direct = fem.solve_robin_eigen(mesh, beta, system, lu)[0]
+        assert abs(lam - lam_direct) <= 1e-10 * lam_direct
+
+
+def test_multilevel_solves_log_at_debug_only(caplog):
+    mesh = msh.refine(msh.generate_domain("square", target_h=0.2, side=1.0))
+    caplog.set_level(logging.DEBUG, logger="robinsym.fem")
+    fem.solve_robin_eigen(mesh, 1.0)
+    fem.solve_robin_poisson(fem.RobinProblem(mesh=mesh, beta=1.0))
+    # the eigen solve's torsion function, its LOBPCG and the Poisson solve
+    messages = [r.getMessage() for r in caplog.records]
+    assert [r.levelno for r in caplog.records] == [logging.DEBUG] * 3
+    assert [m.split(" on ")[0] for m in messages] == [
+        "multilevel CG", "multilevel LOBPCG", "multilevel CG"]
+    for message in messages:
+        assert f"on {len(mesh.vertices)} dof: " in message
+        assert "iterations, relative residual " in message
+    # the direct route logs nothing, and a process that configures no
+    # logging prints nothing
+    caplog.clear()
+    fem.solve_robin_poisson(fem.RobinProblem(mesh=mesh.coarse, beta=1.0))
+    assert caplog.records == []
+    script = ("from robinsym import fem, mesh as msh\n"
+              "m = msh.refine(msh.generate_domain('square', target_h=0.2, side=1.0))\n"
+              "fem.solve_robin_eigen(m, 1.0)\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(fem.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout == "" and done.stderr == ""
+
+
+def test_hierarchy_refuses_a_vector_of_another_size():
+    # the compiled mat-vec reads its vector unchecked
+    mesh = msh.refine(msh.generate_domain("square", target_h=0.2, side=1.0))
+    system = fem.assemble(fem.RobinProblem(mesh=mesh, beta=1.0))
+    hierarchy = fem.robin_solver(mesh, system, 1.0)
+    for size in (1, len(mesh.vertices) - 1):
+        with pytest.raises(ValueError, match="takes a vector of"):
+            hierarchy.solve(np.ones(size))
+        with pytest.raises(ValueError, match="takes a vector of"):
+            hierarchy.matvec(np.ones(size))
+
+
+def test_lobpcg_drops_a_dependent_step_and_refuses_a_collapsed_basis(monkeypatch):
+    mesh = msh.refine(msh.generate_domain("square", target_h=0.2, side=1.0))
+    lam = fem.solve_robin_eigen(mesh, 1.0)[0]
+    cholesky = np.linalg.cholesky
+
+    def dependent_above(size):
+        def factor(gram):
+            if len(gram) > size:
+                raise np.linalg.LinAlgError("not positive definite")
+            return cholesky(gram)
+        return factor
+
+    # without the last step p, LOBPCG is preconditioned steepest descent
+    monkeypatch.setattr(fem.np.linalg, "cholesky", dependent_above(2))
+    assert fem.solve_robin_eigen(mesh, 1.0)[0] == pytest.approx(lam, rel=1e-10)
+    monkeypatch.setattr(fem.np.linalg, "cholesky", dependent_above(1))
+    with pytest.raises(fem.SolverConvergenceError, match="basis collapsed"):
+        fem.solve_robin_eigen(mesh, 1.0)

@@ -50,7 +50,7 @@ def test_two_step_solve_api_is_gone():
     assert list(inspect.signature(verify.solve_record).parameters) == [
         "problem", "space", "eigen"]
     assert list(inspect.signature(verify.solve_records).parameters) == [
-        "problems", "space", "eigen", "twins"]
+        "problems", "space", "eigen", "twins", "solvers"]
 
 
 def test_every_twin_check_reads_its_solve_record():

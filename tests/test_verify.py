@@ -478,13 +478,53 @@ def test_rigidity_retries_solve_on_the_refined_mesh():
     report = verify.check_saint_venant(dataclasses.replace(rec, u=doubled))
     assert report.passed and report.context["retried"] is True
     assert report.context["h"] == pytest.approx(0.5 * sq.mesh_size())
-    lam_fine = fem.solve_robin_eigen(msh.refine(sq), 1.0)[0]
+    # the retry's multilevel eigen solve starts from its torsion function
+    fine = msh.refine(sq)
+    torsion = fem.solve_robin_poisson(fem.RobinProblem(mesh=fine, beta=1.0)).values
+    lam_fine = fem.solve_robin_eigen(fine, 1.0, torsion=torsion)[0]
     for lam in (0.0, math.nan):
         report = verify.check_bossel_daners(dataclasses.replace(rec, eigen=(lam, None)))
         assert report.passed and report.context["retried"] is True
         assert report.lhs == lam_fine
     with pytest.raises(ValueError):
         verify.check_bossel_daners(_record(sq, FLAT, 1.0))
+
+
+def test_solve_record_on_a_refined_mesh_factors_only_the_coarsest(tmp_path, monkeypatch):
+    base = _square(0.2)
+    factored = []
+    factor = fem.factor_robin
+
+    def counted(A):
+        factored.append(len(A[2]) - 1)
+        return factor(A)
+
+    monkeypatch.setattr(fem, "factor_robin", counted)
+
+    def direct(mesh):
+        # u and lambda from the direct factor
+        problem = fem.RobinProblem(mesh=mesh, beta=1.0)
+        system = fem.assemble(problem)
+        lu = factor(system.robin_matrix(1.0))
+        return lu.solve(system.load), fem.solve_robin_eigen(mesh, 1.0, system, lu)[0]
+
+    # a refined mesh built outside a run, as the refine retry builds one:
+    # the multilevel route, on the one factor of the chain's first mesh
+    fine = msh.refine(msh.refine(base))
+    rec = verify.solve_record(fem.RobinProblem(mesh=fine, beta=1.0), FLAT, eigen=True)
+    assert factored == [len(base.vertices)]
+    u, lam = direct(fine)
+    assert np.max(np.abs(rec.u.values - u)) <= 1e-10 * np.max(u)
+    assert abs(rec.eigen[0] - lam) <= 1e-10 * lam
+    # the chain's first mesh and a loaded mesh keep the direct factor's bits
+    msh.save_mesh(fine, str(tmp_path / "fine.json"))
+    loaded = msh.load_mesh(str(tmp_path / "fine.json"))
+    for mesh in (base, loaded):
+        factored.clear()
+        rec = verify.solve_record(fem.RobinProblem(mesh=mesh, beta=1.0), FLAT, eigen=True)
+        assert factored == [len(mesh.vertices)]
+        u, lam = direct(mesh)
+        assert np.array_equal(rec.u.values, u) and rec.eigen[0] == lam
 
 
 def test_solve_record_shares_the_radial_side_of_an_equal_ball():
