@@ -95,6 +95,7 @@ from .verify import (
     eigen_test_field,
     reports_to_csv,
     reports_to_jsonl,
+    solve_level,
     solve_record,
     solve_records,
 )
@@ -151,6 +152,7 @@ __all__ = [
     "save_field",
     "save_mesh",
     "schwarz_rearrangement",
+    "solve_level",
     "solve_radial_eigen",
     "solve_record",
     "solve_records",

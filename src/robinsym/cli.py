@@ -623,6 +623,16 @@ def _write_gap_tables(config, reports, out_dir):
                 ("h", "gap"), (hs[order], gaps[order]))
 
 
+def _solve_stage(call, problems, *args):
+    """``call(problems, *args)`` on a level's problems, a library failure
+    named by the level's betas and mesh size."""
+    try:
+        return call(problems, *args)
+    except _SOLVER_ERRORS as exc:
+        betas = ", ".join(str(p.beta) for p in problems)
+        raise SolverStageError(f"solve (beta={betas}, h={problems[0].mesh.mesh_size():g})", exc)
+
+
 def run(config: ExperimentConfig, jobs: int = 1, stream=None) -> int:
     stream = stream or sys.stdout
     out_dir = config.output_dir
@@ -643,24 +653,27 @@ def run(config: ExperimentConfig, jobs: int = 1, stream=None) -> int:
     space = config.space
 
     # every record is built before any check runs, so cells (and worker
-    # threads) only read them.  The coarsest level goes first: each refined
+    # threads) only read them.  Levels are solved coarsest first: a refined
     # level's solver is built on its coarse level's, whose Robin matrices
-    # and factor it takes over through one table.  A run that does not
-    # refine keeps no table, which would only hold every beta's factor at
-    # once.  Levels on one ball share their twins through another table.
+    # and factor it takes over, and the finest level keeps none of its own.
+    # Records are then built finest first, so that no level's records are
+    # held while a finer level solves.  Levels on one ball share their
+    # twins through one table.
     solves = [{} for _ in meshes]
     if any(c.check_id != "isoperimetric" for c in config.checks):
         eigen = any(c.check_id == "bossel-daners" for c in config.checks)
-        twins, solvers = {}, {} if config.refine_levels else None
-        for level, mesh in enumerate(meshes):
-            try:
-                records = verify.solve_records(list(problems[level].values()),
-                                               space, eigen, twins, solvers)
-            except _SOLVER_ERRORS as exc:
-                betas = ", ".join(map(str, problems[level]))
-                raise SolverStageError(f"solve (beta={betas}, h={mesh.mesh_size():g})", exc)
+        solved, coarse = [], None
+        for level in range(len(meshes)):
+            solvers = {} if level < len(meshes) - 1 else None
+            solved.append(_solve_stage(verify.solve_level, list(problems[level].values()),
+                                       eigen, coarse, solvers))
+            coarse = solvers
+        twins = {}
+        for level in reversed(range(len(meshes))):
+            records = _solve_stage(verify.solve_records, list(problems[level].values()),
+                                   space, eigen, twins, solved[level])
+            solved[level] = None
             solves[level] = dict(zip(problems[level], records))
-        del solvers
 
     def run_cell(cell):
         beta, level, _ = cell

@@ -77,13 +77,15 @@ _EIGEN_MAX_ITERS = 400
 # warped cones for beta from 1e-8 to 1e8: CG's relative residual, that of
 # its one refinement step, and its step cap; the least relative fall of
 # LOBPCG's Ritz value in a step, and its step cap; the ratio of the ends
-# of the Chebyshev smoother's interval
+# of the Chebyshev smoother's interval; the cap on the Jacobi sweeps of
+# LOBPCG's 3 x 3 Rayleigh-Ritz step, which converge quadratically
 _CG_TOL = 1e-10
 _REFINE_TOL = 1e-5
 _CG_MAX_ITERS = 200
 _LOBPCG_TOL = 1e-13
 _LOBPCG_MAX_ITERS = 200
 _SMOOTH_RANGE = 6.0
+_JACOBI_SWEEPS = 50
 
 # the 2-point Gauss nodes on [0, 1]
 _GAUSS2 = (0.5 - 0.5 / math.sqrt(3.0), 0.5 + 0.5 / math.sqrt(3.0))
@@ -568,17 +570,102 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.einsum("i,i->", a, b))
 
 
+def _cholesky(gram) -> list | None:
+    """The lower Cholesky factor of the small symmetric matrix ``gram``
+    (nested lists), or None where a pivot is not positive: the basis the
+    Gram matrix is taken of is then too close to dependent."""
+    k = len(gram)
+    L = [[0.0] * k for _ in range(k)]
+    for i in range(k):
+        for j in range(i + 1):
+            s = gram[i][j] - sum(L[i][m] * L[j][m] for m in range(j))
+            if i > j:
+                L[i][j] = s / L[j][j]
+            elif s > 0.0:
+                L[i][i] = math.sqrt(s)
+            else:
+                return None
+    return L
+
+
+def _forward(L, b) -> list:
+    """L^-1 b for the lower triangular L."""
+    y = []
+    for i, row in enumerate(L):
+        y.append((b[i] - sum(row[m] * y[m] for m in range(i))) / row[i])
+    return y
+
+
+def _lowest_eigenvector(a) -> list:
+    """The eigenvector of the least eigenvalue of the small symmetric matrix
+    ``a`` (nested lists, overwritten) by cyclic Jacobi rotations (Golub and
+    Van Loan, 8.5), which converge quadratically; a rotation is skipped
+    once its entry is below the rounding of both diagonal entries."""
+    k = len(a)
+    v = [[float(i == j) for j in range(k)] for i in range(k)]
+    for _ in range(_JACOBI_SWEEPS):
+        rotated = False
+        for p in range(k - 1):
+            for q in range(p + 1, k):
+                apq = a[p][q]
+                tiny = 100.0 * abs(apq)
+                if abs(a[p][p]) + tiny == abs(a[p][p]) and abs(a[q][q]) + tiny == abs(a[q][q]):
+                    continue
+                rotated = True
+                theta = 0.5 * (a[q][q] - a[p][p]) / apq
+                t = math.copysign(1.0 / (abs(theta) + math.hypot(theta, 1.0)), theta)
+                c = 1.0 / math.sqrt(t * t + 1.0)
+                s = t * c
+                a[p][p] -= t * apq
+                a[q][q] += t * apq
+                a[p][q] = a[q][p] = 0.0
+                for r in range(k):
+                    if r != p and r != q:
+                        arp, arq = a[r][p], a[r][q]
+                        a[r][p] = a[p][r] = c * arp - s * arq
+                        a[r][q] = a[q][r] = s * arp + c * arq
+                    vrp, vrq = v[r][p], v[r][q]
+                    v[r][p] = c * vrp - s * vrq
+                    v[r][q] = s * vrp + c * vrq
+        if not rotated:
+            low = min(range(k), key=lambda i: a[i][i])
+            return [row[low] for row in v]
+    raise SolverConvergenceError(f"Jacobi rotations missed a {k} x {k} eigenvector "
+                                 f"in {_JACOBI_SWEEPS} sweeps")
+
+
+def _ritz(gram_a, gram_m) -> list | None:
+    """The coefficients of the least Ritz vector of the small pencil
+    (gram_a, gram_m), in scalar Python: a Cholesky factor L of gram_m, the
+    least eigenvector y of L^-1 gram_a L^-T, and L^-T y, with the first
+    coefficient not negative.  None where gram_m has no Cholesky factor."""
+    L = _cholesky(gram_m)
+    if L is None:
+        return None
+    k = len(L)
+    half = [_forward(L, column) for column in gram_a]  # the columns of L^-1 gram_a
+    pencil = [_forward(L, [half[i][j] for i in range(k)]) for j in range(k)]
+    y = _lowest_eigenvector([[0.5 * (pencil[i][j] + pencil[j][i]) for j in range(k)]
+                             for i in range(k)])
+    coef = [0.0] * k
+    for i in reversed(range(k)):
+        coef[i] = (y[i] - sum(L[m][i] * coef[m] for m in range(i + 1, k))) / L[i][i]
+    return coef if coef[0] >= 0.0 else [-c for c in coef]
+
+
 def _lobpcg(hierarchy: RobinHierarchy, mass, x) -> tuple:
     """The smallest eigenpair of (K + beta B) x = lambda M x by LOBPCG of
-    block size 1 (Knyazev 2001), from the positive start x, preconditioned
-    by the hierarchy's V-cycle; ``mass`` is x -> M x.  Each step is a
+    block size 1 (Knyazev 2001), from the start x, preconditioned by the
+    hierarchy's V-cycle; ``mass`` is x -> M x.  Each step is a
     Rayleigh-Ritz step on x, the preconditioned residual w and the last
-    step p, each of unit M-norm; p is dropped for a step whose basis is too
-    close to dependent for a Cholesky factor of its Gram matrix.  It stops
-    once the Ritz value falls by at most _LOBPCG_TOL relative in a step: a
-    residual test would never stop for beta near 0, where the rounding of
-    A x outweighs lambda M x, and the Ritz value is exact to the square of
-    the residual.  lambda is then x's Rayleigh quotient."""
+    step p, each of unit M-norm, by :func:`_ritz`; p is dropped for a step
+    whose basis is too close to dependent for a Cholesky factor of its Gram
+    matrix.  The 3 x 3 algebra runs in scalar Python, so that the run loads
+    no LAPACK code and its rounding does not follow the BLAS build.  It
+    stops once the Ritz value falls by at most _LOBPCG_TOL relative in a
+    step: a residual test would never stop for beta near 0, where the
+    rounding of A x outweighs lambda M x, and the Ritz value is exact to the
+    square of the residual.  lambda is then x's Rayleigh quotient."""
     A = hierarchy.matvec
     Mx = mass(x)
     scale = 1.0 / math.sqrt(_dot(x, Mx))
@@ -597,24 +684,15 @@ def _lobpcg(hierarchy: RobinHierarchy, mass, x) -> tuple:
         basis = [(x, Ax, Mx), (w, A(w), Mw)]
         if p is not None:
             basis.append(p)
-        k = len(basis)
-        gram_a = np.empty((k, k))
-        gram_m = np.empty((k, k))
-        for i in range(k):
-            for j in range(i, k):
-                gram_a[i, j] = gram_a[j, i] = _dot(basis[i][0], basis[j][1])
-                gram_m[i, j] = gram_m[j, i] = _dot(basis[i][0], basis[j][2])
+        gram_a = [[_dot(u[0], v[1]) for v in basis] for u in basis]
+        gram_m = [[_dot(u[0], v[2]) for v in basis] for u in basis]
         for k in range(len(basis), 1, -1):
-            try:
-                inverse = np.linalg.inv(np.linalg.cholesky(gram_m[:k, :k]))
+            coef = _ritz([row[:k] for row in gram_a[:k]], [row[:k] for row in gram_m[:k]])
+            if coef is not None:
                 break
-            except np.linalg.LinAlgError:
-                pass
         else:
             raise SolverConvergenceError(f"LOBPCG basis collapsed at step {step}")
         del basis[k:]
-        _, vectors = np.linalg.eigh(inverse @ gram_a[:k, :k] @ inverse.T)
-        coef = inverse.T @ vectors[:, 0]
         # the new step p: the part of the new x off the old x, per product
         p = tuple(sum(c * part[m] for c, part in zip(coef[1:], basis[1:])) for m in range(3))
         x, Ax, Mx = (coef[0] * basis[0][m] + p[m] for m in range(3))
@@ -639,18 +717,18 @@ def _lobpcg(hierarchy: RobinHierarchy, mass, x) -> tuple:
 
 
 def solve_robin_eigen(mesh: MeasuredMesh, beta: float,
-                      system: AssembledSystem | None = None, lu=None, torsion=None):
+                      system: AssembledSystem | None = None, lu=None):
     """Smallest Robin eigenpair: by inverse power iteration, zero shift,
-    from ones for a direct factor, and by :func:`_lobpcg` from the torsion
-    function for a :class:`RobinHierarchy`.
+    from ones for a direct factor, and by :func:`_lobpcg` for a
+    :class:`RobinHierarchy`, from one V-cycle on M 1, a rough torsion
+    function.
 
     Returns (lambda, eigenfield) with the field positive and normalized to
     max = 1; eigenvalue tolerance 1e-9 relative for inverse iteration.
     ``system`` and ``lu`` may be those of a Poisson solve at the same
     (mesh, beta), whatever its load, and ``lu`` defaults to the
-    :func:`robin_solver`.  ``torsion``, the torsion function's values, is
-    solved for when LOBPCG needs it and the caller does not pass it.  The
-    mass matrix is built here, after the solver, by :func:`mass_matrix`.
+    :func:`robin_solver`.  The mass matrix is built here, after the solver,
+    by :func:`mass_matrix`.
     """
     _check_beta(beta)
     if system is None:
@@ -661,9 +739,8 @@ def solve_robin_eigen(mesh: MeasuredMesh, beta: float,
     matvec = system.matvec
 
     if isinstance(lu, RobinHierarchy):
-        if torsion is None:  # it solves (K + beta B) u = M 1
-            torsion = lu.solve(matvec(M, np.ones(len(system.load))))
-        lam, x = _lobpcg(lu, lambda y: matvec(M, y), torsion)
+        start = lu.precondition(matvec(M, np.ones(len(system.load))))
+        lam, x = _lobpcg(lu, lambda y: matvec(M, y), start)
         return lam, _ground_state(mesh, x)
 
     def energy(x):  # x.(K + beta B)x, without building K + beta B again

@@ -195,14 +195,13 @@ class MeasuredMesh:
     density : (N,) array, optional
         Per-vertex area density; computed from the geometry when omitted.
 
-    A mesh made by :func:`refine` keeps the mesh it refined as ``coarse``
-    and, as ``parents``, the (E, 2) int32 parent pair of each of its
-    midpoints, the vertices after the coarse mesh's; both are None on any
-    other mesh.  The P1 space of ``coarse`` is then a subspace of this one.
+    A mesh made by :func:`refine` keeps the mesh it refined as ``coarse``,
+    None on any other mesh.  The P1 space of ``coarse`` is then a subspace
+    of this one, and :attr:`parents` gives the parent pair of each midpoint.
     """
 
     def __init__(self, vertices, triangles, boundary_edges, geometry="flat",
-                 warp=None, density=None, *, _edges=None, _coarse=None, _parents=None):
+                 warp=None, density=None, *, _edges=None, _coarse=None):
         self.vertices = np.ascontiguousarray(vertices, dtype=float)
         self.triangles = np.ascontiguousarray(triangles, dtype=np.int64)
         self.boundary_edges = np.ascontiguousarray(boundary_edges, dtype=np.int64)
@@ -223,12 +222,21 @@ class MeasuredMesh:
             )
         self._edges = _edges  # the triangulation's table, when the caller has it
         self.coarse = _coarse
-        self.parents = _parents
         self.validate()
         _, at_tail, at_head = self._length_factors(self.boundary_edges)
         self.boundary_density = np.stack([at_tail, at_head], axis=1)
 
     # -- structure ---------------------------------------------------------
+
+    @property
+    def parents(self) -> np.ndarray | None:
+        """The (E, 2) int32 parent pair of each midpoint, the vertices after
+        the coarse mesh's, on a mesh made by :func:`refine`; None on any
+        other.  It is read off the coarse mesh's edge table on each call,
+        so a mesh does not hold it."""
+        if self.coarse is None:
+            return None
+        return _midpoint_parents(self.coarse._edges).astype(np.int32)
 
     def validate(self):
         v, t, b = self.vertices, self.triangles, self.boundary_edges
@@ -862,6 +870,15 @@ def _ear_clip(pts):
     return np.array(tris, dtype=np.int64)
 
 
+def _midpoint_parents(edges: _EdgeTable, order=None) -> np.ndarray:
+    """The (E, 2) parent pair of each midpoint :func:`_refine4` adds: the
+    ends of the edges in the order their first half-edges come, which
+    ``order`` gives when the caller has it."""
+    if order is None:
+        order = np.argsort(edges.first)
+    return edges._gather(edges.first[order])
+
+
 def _refine4(verts, tris, edges):
     """Split every triangle into four via shared edge midpoints.
 
@@ -870,7 +887,7 @@ def _refine4(verts, tris, edges):
     pair of each midpoint.
     """
     order = np.argsort(edges.first)
-    parents = edges._gather(edges.first[order])
+    parents = _midpoint_parents(edges, order)
     number = np.empty(len(order), dtype=np.int32)  # the inverse permutation
     number[order] = np.arange(len(verts), len(verts) + len(order), dtype=np.int32)
     del order
@@ -1003,8 +1020,7 @@ def generate_domain(kind: str, target_h: float, geometry: str = "flat",
 def refine(mesh: MeasuredMesh) -> MeasuredMesh:
     """Uniform midpoint refinement; densities recomputed from the geometry
     (interpolated when the mesh carries a custom density).  The refined
-    mesh keeps ``mesh`` as its ``coarse`` mesh, with its midpoints'
-    ``parents``."""
+    mesh keeps ``mesh`` as its ``coarse`` mesh."""
     verts, tris, parents = _refine4(mesh.vertices, mesh.triangles, mesh._edges)
     edges = _edge_table(tris, len(verts))
     density = None
@@ -1015,7 +1031,7 @@ def refine(mesh: MeasuredMesh) -> MeasuredMesh:
         )
     return MeasuredMesh(verts, tris, _extract_boundary(edges, len(verts)),
                         geometry=mesh.geometry, warp=mesh.warp, density=density,
-                        _edges=edges, _coarse=mesh, _parents=parents.astype(np.int32))
+                        _edges=edges, _coarse=mesh)
 
 
 def save_mesh(mesh: MeasuredMesh, path: str):

@@ -12,8 +12,9 @@ pass.
 Every check that compares u with its twin reads one :class:`SolveRecord`:
 u, its distribution, the decreasing rearrangement of the source, the
 matched ball, the twin v and, for the eigenvalue check, the ball's first
-Robin eigenvalue.  :func:`solve_records` builds a level's records, one
-assembly for every beta and no assembly beside a distribution function.
+Robin eigenvalue.  :func:`solve_records` builds a level's records from
+:func:`solve_level`'s solutions, one assembly for every beta, freed
+before any distribution function is built.
 The record checks on construction that u lives on the problem's mesh and
 that the ball matches the mesh measure, so no check repeats either guard.
 The twin is read on its own grid, from its values and its exact slope.
@@ -275,17 +276,57 @@ class SolveRecord:
         return schwarz_rearrangement(self.dist, self.ball.space)
 
 
+def _level_mesh(problems: Sequence[RobinProblem]) -> MeasuredMesh:
+    mesh, source = problems[0].mesh, problems[0].source
+    if any(p.mesh is not mesh or p.source is not source for p in problems):
+        raise ValueError("the problems of one solve need one mesh and one source")
+    return mesh
+
+
+def solve_level(problems: Sequence[RobinProblem], eigen: bool = False,
+                coarse: dict | None = None, solvers: dict | None = None) -> list:
+    """The Poisson solution u of each problem of a level, problems on one
+    mesh with one source that differ in beta alone, with its eigenpair
+    when ``eigen`` asks for it: a list of (u, (lambda, ground state) or
+    None).
+
+    The level is assembled once, and the assembly freed on return.  Per
+    beta, one :func:`fem.robin_solver` serves the Poisson solve and the
+    eigen solve: the direct factor on a mesh that no refinement made, the
+    multilevel hierarchy on a refined one.  ``coarse`` maps beta to the
+    solver on the mesh this one refined, taken out as it is used; without
+    it a refined mesh's solver assembles the coarser meshes again.  Each
+    beta's solver is freed before the next beta's unless ``solvers`` is
+    given: it is then kept there under its beta, for the next finer level.
+    """
+    mesh = _level_mesh(problems)
+    system = fem.assemble(problems[0])
+    solved = []
+    for problem in problems:
+        below = None if coarse is None else coarse.pop(problem.beta, None)
+        solver = fem.robin_solver(mesh, system, problem.beta, below)
+        u = fem.solve_robin_poisson(problem, system, solver)
+        pair = None
+        if eigen:
+            try:
+                pair = fem.solve_robin_eigen(mesh, problem.beta, system, solver)
+            except fem.EigenSignError:
+                pair = (math.nan, None)
+        solved.append((u, pair))
+        if solvers is not None:
+            solvers[problem.beta] = solver
+        del solver
+    return solved
+
+
 def solve_records(problems: Sequence[RobinProblem], space: ModelSpace,
                   eigen: bool = False, twins: dict | None = None,
-                  solvers: dict | None = None) -> list:
+                  solved: list | None = None) -> list:
     """One record per problem of a level: problems on one mesh with one
     source, which differ in beta alone.
 
-    The level is assembled once.  Per beta, one :func:`fem.robin_solver`
-    serves the Poisson solve and, with ``eigen``, the eigen solve: the
-    direct factor on a mesh that no refinement made, the multilevel
-    hierarchy on a refined one.  The assembly is freed before any
-    distribution function is built.  Then the source is rearranged once and
+    The problems are solved by :func:`solve_level`, unless the caller
+    passes its list as ``solved``.  Then the source is rearranged once and
     each record built: u's distribution, the matched ball and the twin v,
     with the ball's first Robin eigenvalue when ``eigen`` asks for it.
 
@@ -293,35 +334,13 @@ def solve_records(problems: Sequence[RobinProblem], space: ModelSpace,
     None).  A caller that passes one dict to several levels solves each
     twin, and each ball eigenvalue, once: both depend on nothing else.  A
     field source's twin depends on its level's rearrangement and is not
-    shared.
-
-    ``solvers`` maps (mesh, beta) to a solver.  A caller that passes one
-    dict to the levels of a refine chain, coarsest first, builds each
-    level's Robin matrix and the first level's factor once per beta: a
-    level takes its coarse level's solvers out of the dict and leaves its
-    own.  Without it, each solver on a refined mesh assembles the coarser
-    levels again, and each level's solver is freed before the next beta's."""
-    mesh, source = problems[0].mesh, problems[0].source
-    if any(p.mesh is not mesh or p.source is not source for p in problems):
-        raise ValueError("the problems of one solve need one mesh and one source")
-    system = fem.assemble(problems[0])
-    solved = []
-    for problem in problems:
-        coarse = None if solvers is None else solvers.pop((mesh.coarse, problem.beta), None)
-        solver = fem.robin_solver(mesh, system, problem.beta, coarse)
-        u = fem.solve_robin_poisson(problem, system, solver)
-        pair = None
-        if eigen:
-            try:
-                pair = fem.solve_robin_eigen(mesh, problem.beta, system, solver,
-                                             u.values if source is None else None)
-            except fem.EigenSignError:
-                pair = (math.nan, None)
-        solved.append((u, pair))
-        if solvers is not None:
-            solvers[mesh, problem.beta] = solver
-        del solver
-    del system
+    shared."""
+    mesh, source = _level_mesh(problems), problems[0].source
+    if solved is None:
+        solved = solve_level(problems, eigen)
+    if len(solved) != len(problems):
+        raise ValueError(f"{len(problems)} problems take {len(problems)} solutions, "
+                         f"got {len(solved)}")
     fstar = None if source is None else decreasing_rearrangement(distribution_function(source))
     if twins is None or source is not None:
         twins = {}

@@ -481,6 +481,45 @@ def test_run_frees_each_level_assembly_before_its_distributions(tmp_path, monkey
     assert all(all(dead) and len(dead) in (1, 2) for dead in seen)
 
 
+
+def test_run_solves_coarsest_first_and_builds_records_finest_first(tmp_path, monkeypatch):
+    # a refined level's solvers take over its coarse level's, and the
+    # finest level keeps none of its own: one finest solver lives at a
+    # time, and none is left when the records are built, finest first, so
+    # that no level's records are held while a finer level solves
+    events, hierarchies = [], []
+    real_solver = fem.robin_solver
+
+    def robin_solver(mesh, system, beta, coarse=None):
+        live = [ref() for ref in hierarchies if ref() is not None]
+        events.append(("solve", len(mesh.vertices), [len(h.levels) for h in live]))
+        solver = real_solver(mesh, system, beta, coarse)
+        if isinstance(solver, fem.RobinHierarchy):
+            hierarchies.append(weakref.ref(solver))
+        return solver
+
+    def distribution(field):
+        live = [ref() for ref in hierarchies if ref() is not None]
+        events.append(("record", len(field.mesh.vertices), live))
+        return rearrange.distribution_function(field)
+
+    monkeypatch.setattr(fem, "robin_solver", robin_solver)
+    monkeypatch.setattr(verify, "distribution_function", distribution)
+    config = cli.load_config(_write_config(
+        tmp_path, beta=[0.5, 2.0], refine_levels=2,
+        checks=[{"id": "thm1.1", "p": 1.0, "q": 1}, {"id": "bossel-daners"}]))
+    assert cli.run(config, stream=io.StringIO()) == 0
+    solves = [e for e in events if e[0] == "solve"]
+    records = [e for e in events if e[0] == "record"]
+    assert events == solves + records and len(solves) == len(records) == 6
+    sizes = [e[1] for e in solves]
+    assert sizes == sorted(sizes) and [e[1] for e in records] == sorted(sizes, reverse=True)
+    # L1 keeps both betas' hierarchies for L2, and L2's first beta's is
+    # gone by its second's, which would read [2, 1]
+    assert [e[2] for e in solves] == [[], [], [], [1], [1, 1], [1]]
+    assert all(e[2] == [] for e in records)
+
+
 _FIXED_CONFIG = dict(beta=[0.1, 1.0, 10.0], h=0.05, refine_levels=2,
                      checks=_ALL_CHECKS)
 

@@ -776,7 +776,7 @@ def test_multilevel_work_is_bounded_across_meshes_levels_and_beta(caplog):
             A = system.robin_matrix(beta)
             solver = fem.robin_solver(mesh, system, beta)
             u = fem.solve_robin_poisson(problem, system, solver).values
-            fem.solve_robin_eigen(mesh, beta, system, solver, torsion=u)
+            fem.solve_robin_eigen(mesh, beta, system, solver)
             steps = _steps(caplog)
             assert len(steps["CG"]) == 1 and len(steps["LOBPCG"]) == 1, (name, beta)
             assert max(steps["CG"] + steps["LOBPCG"]) < _MAX_STEPS, (name, beta, steps)
@@ -821,11 +821,11 @@ def test_multilevel_solves_log_at_debug_only(caplog):
     caplog.set_level(logging.DEBUG, logger="robinsym.fem")
     fem.solve_robin_eigen(mesh, 1.0)
     fem.solve_robin_poisson(fem.RobinProblem(mesh=mesh, beta=1.0))
-    # the eigen solve's torsion function, its LOBPCG and the Poisson solve
+    # the eigen solve's LOBPCG and the Poisson solve's CG
     messages = [r.getMessage() for r in caplog.records]
-    assert [r.levelno for r in caplog.records] == [logging.DEBUG] * 3
+    assert [r.levelno for r in caplog.records] == [logging.DEBUG] * 2
     assert [m.split(" on ")[0] for m in messages] == [
-        "multilevel CG", "multilevel LOBPCG", "multilevel CG"]
+        "multilevel LOBPCG", "multilevel CG"]
     for message in messages:
         assert f"on {len(mesh.vertices)} dof: " in message
         assert "iterations, relative residual " in message
@@ -855,21 +855,47 @@ def test_hierarchy_refuses_a_vector_of_another_size():
             hierarchy.matvec(np.ones(size))
 
 
+def test_ritz_step_matches_lapack_and_lobpcg_calls_none(monkeypatch):
+    # the 3 x 3 Rayleigh-Ritz step in scalar Python against numpy's LAPACK,
+    # on pencils whose Gram matrix of A spans ten orders of magnitude
+    rng = np.random.default_rng(7)
+    for k in (2, 3) * 50:
+        B, C = rng.standard_normal((2, k, k))
+        scale = np.sqrt(10.0 ** rng.uniform(-4, 6, k))
+        gram_a = (B @ B.T + 0.1 * np.eye(k)) * np.outer(scale, scale)
+        gram_m = C @ C.T + 0.1 * np.eye(k)
+        inverse = np.linalg.inv(np.linalg.cholesky(gram_m))
+        values = np.linalg.eigvalsh(inverse @ gram_a @ inverse.T)
+        coef = np.array(fem._ritz(gram_a.tolist(), gram_m.tolist()))
+        assert coef[0] >= 0.0
+        # both are backward stable: they agree to the rounding of the top
+        ritz = (coef @ gram_a @ coef) / (coef @ gram_m @ coef)
+        assert abs(ritz - values[0]) <= 1e-13 * values[-1]
+    assert fem._ritz([[1.0, 0.0], [0.0, 2.0]], [[1.0, 1.0], [1.0, 1.0]]) is None
+
+    # so the multilevel eigen solve loads no LAPACK code
+    def refused(*args, **kwargs):
+        raise AssertionError("numpy.linalg called")
+
+    for name in ("cholesky", "inv", "eigh", "eigvalsh", "solve"):
+        monkeypatch.setattr(fem.np.linalg, name, refused)
+    mesh = msh.refine(msh.generate_domain("square", target_h=0.2, side=1.0))
+    assert fem.solve_robin_eigen(mesh, 1.0)[0] > 0.0
+
+
 def test_lobpcg_drops_a_dependent_step_and_refuses_a_collapsed_basis(monkeypatch):
     mesh = msh.refine(msh.generate_domain("square", target_h=0.2, side=1.0))
     lam = fem.solve_robin_eigen(mesh, 1.0)[0]
-    cholesky = np.linalg.cholesky
+    cholesky = fem._cholesky
 
     def dependent_above(size):
         def factor(gram):
-            if len(gram) > size:
-                raise np.linalg.LinAlgError("not positive definite")
-            return cholesky(gram)
+            return None if len(gram) > size else cholesky(gram)
         return factor
 
     # without the last step p, LOBPCG is preconditioned steepest descent
-    monkeypatch.setattr(fem.np.linalg, "cholesky", dependent_above(2))
+    monkeypatch.setattr(fem, "_cholesky", dependent_above(2))
     assert fem.solve_robin_eigen(mesh, 1.0)[0] == pytest.approx(lam, rel=1e-10)
-    monkeypatch.setattr(fem.np.linalg, "cholesky", dependent_above(1))
+    monkeypatch.setattr(fem, "_cholesky", dependent_above(1))
     with pytest.raises(fem.SolverConvergenceError, match="basis collapsed"):
         fem.solve_robin_eigen(mesh, 1.0)

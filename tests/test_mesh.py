@@ -422,6 +422,17 @@ def test_refine_preserves_and_halves():
     assert r.total_measure() == pytest.approx(1.0, abs=1e-12)
     assert r.chart_mesh_size() == pytest.approx(0.5 * m.chart_mesh_size(), rel=1e-12)
     assert len(r.triangles) == 4 * len(m.triangles)
+    # the refined mesh keeps its coarse mesh, and reads the parent pair of
+    # each midpoint off the coarse mesh's edges; no other mesh has either
+    assert r.coarse is m and m.coarse is None and m.parents is None
+    n = len(m.vertices)
+    assert r.parents.dtype == np.int32 and r.parents.shape == (len(r.vertices) - n, 2)
+    def keys(pairs):  # each edge once, as lo * n + hi
+        return np.sort(np.min(pairs, axis=1) * n + np.max(pairs, axis=1))
+
+    np.testing.assert_array_equal(keys(r.parents), keys(m._edges.ends))
+    np.testing.assert_array_equal(
+        r.vertices[n:], 0.5 * (m.vertices[r.parents[:, 0]] + m.vertices[r.parents[:, 1]]))
 
 
 def test_refine_interpolates_custom_density():

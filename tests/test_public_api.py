@@ -50,7 +50,9 @@ def test_two_step_solve_api_is_gone():
     assert list(inspect.signature(verify.solve_record).parameters) == [
         "problem", "space", "eigen"]
     assert list(inspect.signature(verify.solve_records).parameters) == [
-        "problems", "space", "eigen", "twins", "solvers"]
+        "problems", "space", "eigen", "twins", "solved"]
+    assert list(inspect.signature(verify.solve_level).parameters) == [
+        "problems", "eigen", "coarse", "solvers"]
 
 
 def test_every_twin_check_reads_its_solve_record():

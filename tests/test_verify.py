@@ -478,10 +478,7 @@ def test_rigidity_retries_solve_on_the_refined_mesh():
     report = verify.check_saint_venant(dataclasses.replace(rec, u=doubled))
     assert report.passed and report.context["retried"] is True
     assert report.context["h"] == pytest.approx(0.5 * sq.mesh_size())
-    # the retry's multilevel eigen solve starts from its torsion function
-    fine = msh.refine(sq)
-    torsion = fem.solve_robin_poisson(fem.RobinProblem(mesh=fine, beta=1.0)).values
-    lam_fine = fem.solve_robin_eigen(fine, 1.0, torsion=torsion)[0]
+    lam_fine = fem.solve_robin_eigen(msh.refine(sq), 1.0)[0]
     for lam in (0.0, math.nan):
         report = verify.check_bossel_daners(dataclasses.replace(rec, eigen=(lam, None)))
         assert report.passed and report.context["retried"] is True
@@ -577,6 +574,12 @@ def test_solve_records_refuses_two_meshes_or_two_sources(monkeypatch):
                       fem.RobinProblem(mesh=sq, beta=2.0, source=ones)]):
         with pytest.raises(ValueError, match="one mesh and one source"):
             verify.solve_records(problems, FLAT)
+        with pytest.raises(ValueError, match="one mesh and one source"):
+            verify.solve_level(problems)
+    # nor does a level's solutions list that does not match its problems
+    problems = [fem.RobinProblem(mesh=sq, beta=1.0), fem.RobinProblem(mesh=sq, beta=2.0)]
+    with pytest.raises(ValueError, match="2 problems take 2 solutions, got 1"):
+        verify.solve_records(problems, FLAT, solved=[None])
 
 
 def test_solve_records_match_one_solve_per_beta():
