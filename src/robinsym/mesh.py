@@ -14,8 +14,15 @@ geometries are supported:
 Generators produce structured meshes for disks, squares, spherical caps and
 annulus sectors, and ear-clipping plus midpoint refinement for general simple
 polygons.  Meshes serialize to a small JSON schema.
+
+Passes over triangles, edges or half-edges run in blocks of :data:`BLOCK`
+rows, here and in the modules that read a mesh, so that their temporaries
+are a block long; each keeps the order of operations of one pass over all
+rows, so its result does not depend on the block.  Refinement still sorts
+the half-edges of the new mesh, once, to number its edges.
 """
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -49,6 +56,19 @@ _H_SAFETY = 0.7
 # meshes of the benchmarks: a runaway target_h or refinement count stops here
 # and not in the allocator
 MAX_VERTICES = 2**21
+
+# the rows a pass over triangles, edges, distribution slots or radial grid
+# cells takes at a time: its temporaries are a block long, so a level's peak
+# is what the level keeps plus one block, while every sum still adds its
+# terms in the order of one pass over all rows
+BLOCK = 8192
+
+
+def _blocks(n, width=1) -> list:
+    """The slices of range(n) in order, each but the last of BLOCK values
+    when a row holds ``width`` values: BLOCK rows, or fewer of more."""
+    size = max(BLOCK // width, 1)
+    return [slice(start, min(start + size, n)) for start in range(0, n, size)]
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +256,8 @@ class MeasuredMesh:
         so a mesh does not hold it."""
         if self.coarse is None:
             return None
-        return _midpoint_parents(self.coarse._edges).astype(np.int32)
+        edges = self.coarse._edges
+        return _midpoint_parents(edges, _first_half_edges(edges))
 
     def validate(self):
         v, t, b = self.vertices, self.triangles, self.boundary_edges
@@ -276,14 +297,19 @@ class MeasuredMesh:
         # conformity: directed interior edges pair up, boundary edges appear once
         n = len(v)
         edges = self._edges if self._edges is not None else _edge_table(t, n)
-        forward = np.bincount(edges.edge[(t < t[:, [1, 2, 0]]).ravel()],
-                              minlength=len(edges.first))
-        repeats = np.nonzero((forward > 1) | (edges.count - forward > 1))[0]
-        if len(repeats):
-            e = repeats[0]
-            lo, hi = sorted(int(x) for x in edges.ends[e])
-            key = (lo, hi) if forward[e] > 1 else (hi, lo)
-            raise MeshInvariantError(f"edge-conformity: directed edge {key} repeats")
+        # per edge, its half-edges that run from the lower vertex to the
+        # higher, counted a block of triangles at a time
+        forward = np.zeros(len(edges.first), dtype=np.int32)
+        for rows in _blocks(len(t)):
+            ascending = (t[rows] < t[rows][:, [1, 2, 0]]).ravel()
+            np.add.at(forward, edges.edge[3 * rows.start:3 * rows.stop][ascending], np.int32(1))
+        for rows in _blocks(len(forward)):
+            repeats = np.flatnonzero((forward[rows] > 1) | (edges.count[rows] - forward[rows] > 1))
+            if len(repeats):
+                e = rows.start + repeats[0]
+                lo, hi = sorted(int(x) for x in edges.ends[e])
+                key = (lo, hi) if forward[e] > 1 else (hi, lo)
+                raise MeshInvariantError(f"edge-conformity: directed edge {key} repeats")
         del forward
         tail, head = edges.boundary.T
         found = np.sort(tail * n + head)
@@ -298,10 +324,14 @@ class MeasuredMesh:
                 f"(missing {missing}, extra {extra})"
             )
 
-        # boundary edges must close up into loops
-        outdeg = np.bincount(b[:, 0], minlength=n)
-        indeg = np.bincount(b[:, 1], minlength=n)
-        unchained = np.nonzero((outdeg + indeg > 0) & ((outdeg != 1) | (indeg != 1)))[0]
+        # boundary edges must close up into loops: each of their vertices
+        # is the tail of one and the head of one
+        ends = sorted_unique(b)
+        chained = np.ones(len(ends), dtype=bool)
+        for side in (np.sort(b[:, 0]), np.sort(b[:, 1])):
+            chained &= (np.searchsorted(side, ends, side="right")
+                        - np.searchsorted(side, ends, side="left")) == 1
+        unchained = ends[~chained]
         if len(unchained):
             raise MeshInvariantError(f"boundary-loops: vertex {unchained[0]} does not chain")
 
@@ -322,22 +352,25 @@ class MeasuredMesh:
         self._edges = edges
         # the vertex mean, summed left to right as np.mean sums a row of three
         d = self.density
-        rho = d[t[:, 0]] + d[t[:, 1]]
-        rho += d[t[:, 2]]
+        rho = np.empty(len(t))
+        for rows in _blocks(len(t)):
+            corners = t[rows]
+            np.add(d[corners[:, 0]], d[corners[:, 1]], out=rho[rows])
+            rho[rows] += d[corners[:, 2]]
         rho /= 3.0
         areas.flags.writeable = rho.flags.writeable = False
         self._chart_areas = areas
         self._centroid_density = rho
         # one rounding of the exact sum (a pairwise sum moved a refined annulus
-        # sector's measure in its last bit between levels); the memoryview
-        # hands fsum one float at a time
-        self._total_measure = math.fsum(memoryview(areas * rho))
-        # length_factor sees the direction only through its square, so one
-        # orientation per undirected edge measures both half-edges
-        ln, at_tail, at_head = self._length_factors(edges.ends)
-        np.maximum(at_tail, at_head, out=at_head)
-        at_head *= ln
-        self._mesh_size = float(np.max(at_head))
+        # sector's measure in its last bit between levels), so the order of
+        # the blocks is free; the memoryviews hand fsum one float at a time
+        self._total_measure = math.fsum(itertools.chain.from_iterable(
+            memoryview(areas[rows] * rho[rows]) for rows in _blocks(len(t))))
+        # the longest edge over blocks of edges, a max being exact in any
+        # order.  length_factor sees the direction only through its square,
+        # so one orientation per undirected edge measures both half-edges
+        self._mesh_size = float(np.max([self._longest(edges._gather(edges.first[rows]))
+                                        for rows in _blocks(len(edges.first))]))
 
     # -- measures ----------------------------------------------------------
 
@@ -348,12 +381,13 @@ class MeasuredMesh:
     def chart_areas(self) -> np.ndarray:
         return self._chart_areas  # read-only, computed once by validate
 
-    def basis_gradients(self) -> np.ndarray:
-        """(M, 3, 2) chart gradients of each triangle's three P1 hat
-        functions: rot90 of the opposite edge over twice the chart area."""
+    def basis_gradients(self, rows=slice(None)) -> np.ndarray:
+        """(m, 3, 2) chart gradients of the three P1 hat functions of each
+        triangle in the slice ``rows`` (all of them by default): rot90 of
+        the opposite edge over twice the chart area."""
         x, y = self.vertices[:, 0], self.vertices[:, 1]
-        t = self.triangles
-        det = 2.0 * self._chart_areas
+        t = self.triangles[rows]
+        det = 2.0 * self._chart_areas[rows]
         grads = np.empty((len(t), 3, 2))
         for i in range(3):
             a, b = t[:, (i + 1) % 3], t[:, (i + 2) % 3]
@@ -364,15 +398,16 @@ class MeasuredMesh:
             gy /= det
         return grads
 
-    def dirichlet_weighted(self, covectors) -> np.ndarray:
-        """Per-triangle chart covectors, shape (M, ..., 2), times the
-        Dirichlet weight sqrt(det g) g^{-1} frozen at the centroid.  On the
-        conformal charts the weight is the identity (the 2-D Dirichlet
-        integral is conformally invariant) and the input comes back as is."""
+    def dirichlet_weighted(self, covectors, rows=slice(None)) -> np.ndarray:
+        """Chart covectors of the triangles in the slice ``rows`` (all of
+        them by default), shape (m, ..., 2), times the Dirichlet weight
+        sqrt(det g) g^{-1} frozen at each centroid.  On the conformal charts
+        the weight is the identity (the 2-D Dirichlet integral is conformally
+        invariant) and the input comes back as is."""
         if self.geometry != "warped":
             return covectors
         weight = warped_metric_tensors(
-            self.warp, np.mean(np.take(self.vertices, self.triangles, axis=0), axis=1))
+            self.warp, np.mean(np.take(self.vertices, self.triangles[rows], axis=0), axis=1))
         return np.einsum("t...a,tab->t...b", covectors, weight)
 
     def matrix_pattern(self) -> "MatrixPattern":
@@ -402,6 +437,14 @@ class MeasuredMesh:
 
     def chart_mesh_size(self) -> float:
         return float(np.max(_chart_lengths(self.vertices, self._edges.ends)))
+
+    def _longest(self, ends) -> float:
+        """The largest metric length of the (K, 2) vertex pairs, each the
+        chart length times the larger factor at its ends."""
+        ln, at_tail, at_head = self._length_factors(ends)
+        np.maximum(at_tail, at_head, out=at_head)
+        at_head *= ln
+        return np.max(at_head)
 
     def _length_factors(self, ends):
         """Chart lengths of the (K, 2) vertex pairs and the length factors at
@@ -511,8 +554,11 @@ class _EdgeTable(NamedTuple):
 
     @property
     def boundary(self) -> np.ndarray:
-        """Half-edges on one triangle only, in triangle order."""
-        return self._gather(np.flatnonzero(self.count[self.edge] == 1))
+        """Half-edges on one triangle only, in triangle order, found a block
+        of half-edges at a time."""
+        return self._gather(np.concatenate([
+            np.flatnonzero(self.count[self.edge[rows]] == 1) + rows.start
+            for rows in _blocks(len(self.edge))]))
 
 
 class MatrixPattern(NamedTuple):
@@ -531,23 +577,25 @@ class MatrixPattern(NamedTuple):
     half_edge: np.ndarray  # (3M,) int32, the edge of each half-edge ab, bc, ca, in triangle order
     boundary: np.ndarray  # (K,) the edge of each declared boundary edge
 
-    def data(self, diag, off) -> np.ndarray:
-        """The data array of the symmetric matrix with per-vertex diagonal
-        ``diag`` and per-edge off-diagonal ``off``."""
-        out = np.empty(len(self.indices))
-        out[self.diag] = diag
-        out[self.upper] = off
-        out[self.lower] = off
-        return out
+    def mirror(self, data):
+        """Copy each edge's value in the data array ``data`` from its upper
+        slot to its lower one, a block of edges at a time: a symmetric
+        matrix is summed on the diagonal and upper slots alone."""
+        for rows in _blocks(len(self.upper)):
+            data[self.lower[rows]] = data[self.upper[rows]]
 
 
 def _signed_areas(vertices, triangles) -> np.ndarray:
-    """(M,) signed chart areas, positive for counterclockwise triangles."""
+    """(M,) signed chart areas, positive for counterclockwise triangles, a
+    block of triangles at a time."""
     x, y = vertices[:, 0], vertices[:, 1]
-    t0, t1, t2 = triangles.T
-    areas = (x[t1] - x[t0]) * (y[t2] - y[t0])
-    areas -= (y[t1] - y[t0]) * (x[t2] - x[t0])
-    areas *= 0.5
+    areas = np.empty(len(triangles))
+    for rows in _blocks(len(triangles)):
+        t0, t1, t2 = triangles[rows].T
+        area = areas[rows]
+        np.multiply(x[t1] - x[t0], y[t2] - y[t0], out=area)
+        area -= (y[t1] - y[t0]) * (x[t2] - x[t0])
+        area *= 0.5
     return areas
 
 
@@ -577,20 +625,27 @@ def _edge_table(triangles, n_vertices) -> _EdgeTable:
     del head
     key = key.ravel()
     perm = np.argsort(key, kind="stable")
-    key = key[perm]
+    # whether each key in sorted order starts a new edge, the sorted keys
+    # gathered a block at a time
     new = np.empty(len(key), dtype=bool)
     new[:1] = True
-    np.not_equal(key[1:], key[:-1], out=new[1:])
+    for rows in _blocks(len(perm)):
+        ordered = key[perm[max(rows.start - 1, 0):rows.stop]]
+        np.not_equal(ordered[1:], ordered[:-1], out=new[max(rows.start, 1):rows.stop])
     del key
     starts = np.flatnonzero(new)
     first = perm[starts].astype(np.int32)
     count = np.diff(starts, append=len(new)).astype(np.int32)
     del starts
-    number = np.cumsum(new, dtype=np.int32)
-    del new
-    number -= 1
+    # the edges numbered in sorted order, a block of sorted half-edges at a
+    # time
     edge = np.empty(len(perm), dtype=np.int32)
-    edge[perm] = number
+    number = -1
+    for rows in _blocks(len(perm)):
+        numbers = np.cumsum(new[rows], dtype=np.int32)
+        numbers += number
+        edge[perm[rows]] = numbers
+        number = int(numbers[-1])
     return _EdgeTable(triangles, edge, first, count)
 
 
@@ -637,21 +692,19 @@ def _chart_lengths(vertices, ends) -> np.ndarray:
     return np.hypot(seg[:, 0], seg[:, 1])
 
 
-def _extract_boundary(edges: _EdgeTable, n_vertices) -> np.ndarray:
+def _extract_boundary(edges: _EdgeTable) -> np.ndarray:
     """Half-edges on exactly one triangle, chained into loops; each loop
     starts at its smallest vertex, and the loops come in that order."""
     tail, head = edges.boundary.T
-    succ = np.full(n_vertices, -1, dtype=np.int64)
-    succ[tail] = head
-    unvisited = succ.copy()
+    succ = dict(zip(tail.tolist(), head.tolist()))  # a repeated tail keeps its last head
+    unvisited = set(succ)
     chain = []
-    for cur in np.sort(tail).tolist():
-        while unvisited[cur] >= 0:
+    for cur in sorted(unvisited):
+        while cur in unvisited:
             chain.append(cur)
-            unvisited[cur] = -1
+            unvisited.remove(cur)
             cur = succ[cur]
-    chain = np.array(chain, dtype=np.int64)
-    return np.stack([chain, succ[chain]], axis=1)
+    return np.array([(cur, succ[cur]) for cur in chain], dtype=np.int64).reshape(-1, 2)
 
 
 def _zip_rings(inner, inner_angles, outer, outer_angles):
@@ -870,37 +923,56 @@ def _ear_clip(pts):
     return np.array(tris, dtype=np.int64)
 
 
-def _midpoint_parents(edges: _EdgeTable, order=None) -> np.ndarray:
-    """The (E, 2) parent pair of each midpoint :func:`_refine4` adds: the
-    ends of the edges in the order their first half-edges come, which
-    ``order`` gives when the caller has it."""
-    if order is None:
-        order = np.argsort(edges.first)
-    return edges._gather(edges.first[order])
+def _first_half_edges(edges: _EdgeTable) -> list:
+    """Per block of half-edges, those that are the first on their edge, in
+    order: the order :func:`_refine4` numbers the midpoints in."""
+    firsts = []
+    for rows in _blocks(len(edges.edge)):
+        which = np.arange(rows.start, rows.stop, dtype=np.int32)
+        firsts.append(which[edges.first[edges.edge[rows]] == which])
+    return firsts
+
+
+def _midpoint_parents(edges: _EdgeTable, firsts: list) -> np.ndarray:
+    """The (E, 2) int32 parent pair of each midpoint :func:`_refine4` adds:
+    the ends of the edges in the order of their first half-edges, the
+    blocks of :func:`_first_half_edges`."""
+    parents = np.empty((len(edges.first), 2), dtype=np.int32)
+    done = 0
+    for block in firsts:
+        parents[done:done + len(block)] = edges._gather(block)
+        done += len(block)
+    return parents
 
 
 def _refine4(verts, tris, edges):
     """Split every triangle into four via shared edge midpoints.
 
     Midpoints follow the old vertices, numbered in the order their edges are
-    first met.  Returns the vertices, the triangles and the (E, 2) parent
-    pair of each midpoint.
+    first met.  Returns the vertices, the triangles and the (E, 2) int32
+    parent pair of each midpoint.  The midpoints' numbers and the new
+    triangles are formed a block at a time.
     """
-    order = np.argsort(edges.first)
-    parents = _midpoint_parents(edges, order)
-    number = np.empty(len(order), dtype=np.int32)  # the inverse permutation
-    number[order] = np.arange(len(verts), len(verts) + len(order), dtype=np.int32)
-    del order
-    ab, bc, ca = number[edges.edge].reshape(-1, 3).T
+    firsts = _first_half_edges(edges)
+    number = np.empty(len(edges.first), dtype=np.int32)  # each edge's midpoint
+    done = len(verts)
+    for block in firsts:
+        number[edges.edge[block]] = np.arange(done, done + len(block), dtype=np.int32)
+        done += len(block)
+    out = np.empty((len(tris), 12), dtype=tris.dtype)
+    for rows in _blocks(len(tris)):
+        ab, bc, ca = number[edges.edge[3 * rows.start:3 * rows.stop]].reshape(-1, 3).T
+        a, b, c = tris[rows].T
+        for k, column in enumerate((a, ab, ca, ab, b, bc, ca, bc, c, ab, bc, ca)):
+            out[rows, k] = column
     del number
-    a, b, c = tris.T
-    out = np.stack([a, ab, ca, ab, b, bc, ca, bc, c, ab, bc, ca], axis=1)
-    del ab, bc, ca
+    parents = _midpoint_parents(edges, firsts)
     new_verts = np.empty((len(verts) + len(parents), 2))
     new_verts[:len(verts)] = verts
     mids = new_verts[len(verts):]
-    np.take(verts, parents[:, 0], axis=0, out=mids)
-    mids += np.take(verts, parents[:, 1], axis=0)
+    for rows in _blocks(len(parents)):
+        np.take(verts, parents[rows, 0], axis=0, out=mids[rows])
+        mids[rows] += np.take(verts, parents[rows, 1], axis=0)
     mids /= 2.0
     return new_verts, out.reshape(-1, 3), parents
 
@@ -1013,7 +1085,7 @@ def generate_domain(kind: str, target_h: float, geometry: str = "flat",
                 f"domain reaches chart radius {rmax:.3f} > cap {CHART_RADIUS_CAP}"
             )
     edges = _edge_table(tris, len(verts))
-    return MeasuredMesh(verts, tris, _extract_boundary(edges, len(verts)),
+    return MeasuredMesh(verts, tris, _extract_boundary(edges),
                         geometry=geometry, warp=warp, _edges=edges)
 
 
@@ -1029,7 +1101,7 @@ def refine(mesh: MeasuredMesh) -> MeasuredMesh:
         density = np.concatenate(
             [mesh.density, 0.5 * (mesh.density[parents[:, 0]] + mesh.density[parents[:, 1]])]
         )
-    return MeasuredMesh(verts, tris, _extract_boundary(edges, len(verts)),
+    return MeasuredMesh(verts, tris, _extract_boundary(edges),
                         geometry=mesh.geometry, warp=mesh.warp, density=density,
                         _edges=edges, _coarse=mesh)
 

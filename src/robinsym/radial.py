@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .fem import _check_beta
-from .mesh import sorted_unique
+from .mesh import _blocks, sorted_unique
 from .model_geometry import (
     GeodesicBall,
     ModelSpace,
@@ -139,7 +139,6 @@ def _gauss_rule(n: int):
 
 _GL4 = _gauss_rule(4)
 _GRID_CELLS = 32768
-_BLOCK_CELLS = 8192
 
 
 def solve_symmetrized_poisson(ball: GeodesicBall, beta: float,
@@ -159,12 +158,12 @@ def solve_symmetrized_poisson(ball: GeodesicBall, beta: float,
     output grid, 32,769 uniform radii, with the cells split for the
     quadrature at the radii where f* changes analytic form; a reversed
     cumulative sum gives v at every grid point.  The rule runs over blocks
-    of 8,192 cells, and the sub-cells a kink splits off stay in the block of
-    their cell, so each cell's sum adds the same terms in the same order as
-    over the whole grid at once, while the Gauss rows and profile
-    temporaries are a block long.  The integrand, the slope -v', is
-    non-negative, so v is non-increasing by construction; the profile keeps
-    it, exact at every grid radius and 0 at the center.
+    of the mesh module's BLOCK cells (8,192), and the sub-cells a kink
+    splits off stay in the block of their cell, so each cell's sum adds the
+    same terms in the same order as over the whole grid at once, while the
+    Gauss rows and profile temporaries are a block long.  The integrand,
+    the slope -v', is non-negative, so v is non-increasing by construction;
+    the profile keeps it, exact at every grid radius and 0 at the center.
     """
     _check_beta(beta)
     space = ball.space
@@ -186,8 +185,8 @@ def solve_symmetrized_poisson(ball: GeodesicBall, beta: float,
 
     values = np.zeros(_GRID_CELLS + 1)
     slope = np.zeros(_GRID_CELLS + 1)
-    for start in range(0, _GRID_CELLS, _BLOCK_CELLS):
-        cells = grid[start:start + _BLOCK_CELLS + 1]
+    for block in _blocks(_GRID_CELLS):
+        cells = grid[block.start:block.stop + 1]
         # the kinks strictly inside the block split its cells; one on a grid
         # radius splits nothing
         inside = kinks[np.searchsorted(kinks, cells[0], side="right"):
@@ -206,11 +205,10 @@ def solve_symmetrized_poisson(ball: GeodesicBall, beta: float,
         weights = rows @ _GL4[1]
         del rows
         weights *= half
-        values[start:start + _BLOCK_CELLS] = np.bincount(
-            np.searchsorted(cells, lo, side="right") - 1, weights=weights,
-            minlength=_BLOCK_CELLS)
+        values[block] = np.bincount(np.searchsorted(cells, lo, side="right") - 1,
+                                    weights=weights, minlength=len(cells) - 1)
         r = cells[1:]
-        at_grid = slope[start + 1:start + _BLOCK_CELLS + 1]
+        at_grid = slope[block.start + 1:block.stop + 1]
         at_grid[:] = cumulative(volume_profile(space, r))
         at_grid /= volume_profile_derivative(space, r)
     # v at each grid radius is the boundary value plus the sum of the cells

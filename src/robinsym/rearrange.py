@@ -22,7 +22,9 @@ The coefficients are only evaluated at points, never integrated
 symbolically: on near-flat triangles they reach 1e8 to 1e12, and an
 antiderivative of A + B t + C t^2 cancels there.  Every integral of
 t^e mu(t)^k — the layer-cake tail, the moments and the Lorentz norms — is a
-Gauss rule on the slots, with mu clipped at 0.
+Gauss rule on the slots, with mu clipped at 0.  The moments' Gauss nodes
+are formed a block of the mesh module's BLOCK nodes at a time, each sum in
+the order of one pass over all slots.
 """
 
 import functools
@@ -31,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import ScalarField, edge_midpoints, sorted_unique
+from .mesh import ScalarField, _blocks, edge_midpoints, sorted_unique
 from .model_geometry import (
     GeodesicBall,
     ModelSpace,
@@ -303,7 +305,10 @@ class DistributionData:
         else 16.  The top slot ends where mu jumps to 0 (a plateau), or
         vanishes like c - t (an edge) or (c - t)^2 (an isolated maximum), and
         on the first t^e is singular at 0 for e < 0: the end-graded rule takes
-        both.  An overflow leaves inf or nan.
+        both.  The interior slots' nodes are evaluated a block of BLOCK
+        nodes at a time, and their per-slot sums meet the half-widths in one
+        dot, as one pass over all slots would.  An overflow leaves inf or
+        nan.
         """
         e, k = float(exponent_t), float(power_mu)
         if not (e > -1.0 and k > 0.0):
@@ -326,10 +331,16 @@ class DistributionData:
                 t = lo + (hi - lo) * _END_X
                 f = _mu_power(self, K - 1, t, k) * t ** e
                 integral += (hi - lo) * _quadrature(f, w16, _END_HALF)
-            t, half = _gauss_nodes(br[1:K - 2], br[2:K - 1], n)
-            f = _mu_power(self, np.s_[2:K - 1, None], t, k)
-            f *= t ** e
-            integral += _quadrature(f, _gauss_rule(n)[1], half)
+            # the interior slots 2 .. K - 2, a block of BLOCK Gauss nodes at
+            # a time: each slot's row sum, then one dot with the half-widths
+            sums = np.empty(max(K - 3, 0))
+            for rows in _blocks(len(sums), n):
+                lo, hi = br[rows.start + 1:rows.stop + 1], br[rows.start + 2:rows.stop + 2]
+                t, _ = _gauss_nodes(lo, hi, n)
+                f = _mu_power(self, np.s_[rows.start + 2:rows.stop + 2, None], t, k)
+                f *= t ** e
+                sums[rows] = np.einsum("ij,j->i", f, _gauss_rule(n)[1])
+            integral += float(np.einsum("i,i->", sums, 0.5 * (br[2:K - 1] - br[1:K - 2])))
         return float(integral)
 
 

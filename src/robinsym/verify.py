@@ -41,7 +41,7 @@ import numpy as np
 
 from . import fem
 from .fem import _GAUSS2, RobinProblem
-from .mesh import MeasuredMesh, ScalarField, edge_midpoints, length_factor, refine
+from .mesh import MeasuredMesh, ScalarField, _blocks, edge_midpoints, length_factor, refine
 from .model_geometry import (
     GeodesicBall,
     ModelSpace,
@@ -176,10 +176,14 @@ def _space_context(space: ModelSpace, **extra) -> dict:
 
 
 def _integrate_field(mesh: MeasuredMesh, values: np.ndarray) -> float:
-    """Weighted integral of a P1 field by the edge-midpoint rule."""
+    """Weighted integral of a P1 field by the edge-midpoint rule: each
+    triangle's term formed a block of triangles at a time, then one sum."""
     tri = mesh.triangles
-    mid = edge_midpoints(values[tri]) * edge_midpoints(mesh.density[tri])
-    return float(np.sum(mesh.chart_areas() / 3.0 * np.sum(mid, axis=1)))
+    terms = np.empty(len(tri))
+    for rows in _blocks(len(tri)):
+        mid = edge_midpoints(values[tri[rows]]) * edge_midpoints(mesh.density[tri[rows]])
+        np.multiply(mesh.chart_areas()[rows] / 3.0, np.sum(mid, axis=1), out=terms[rows])
+    return float(np.sum(terms))
 
 
 def _grid_simpson(grid: np.ndarray, y: np.ndarray, weight: float = 1.0) -> float:
@@ -290,10 +294,11 @@ def solve_level(problems: Sequence[RobinProblem], eigen: bool = False,
     when ``eigen`` asks for it: a list of (u, (lambda, ground state) or
     None).
 
-    The level is assembled once, and the assembly freed on return.  Per
-    beta, one :func:`fem.robin_solver` serves the Poisson solve and the
-    eigen solve: the direct factor on a mesh that no refinement made, the
-    multilevel hierarchy on a refined one.  ``coarse`` maps beta to the
+    The level is assembled once.  Per beta, one :func:`fem.robin_solver`
+    serves the eigen solve and the Poisson solve: the direct factor on a
+    mesh that no refinement made, the multilevel hierarchy on a refined
+    one.  The last Poisson solve reads the load alone, so the assembly's
+    matrices and pattern are freed before it.  ``coarse`` maps beta to the
     solver on the mesh this one refined, taken out as it is used; without
     it a refined mesh's solver assembles the coarser meshes again.  Each
     beta's solver is freed before the next beta's unless ``solvers`` is
@@ -305,13 +310,15 @@ def solve_level(problems: Sequence[RobinProblem], eigen: bool = False,
     for problem in problems:
         below = None if coarse is None else coarse.pop(problem.beta, None)
         solver = fem.robin_solver(mesh, system, problem.beta, below)
-        u = fem.solve_robin_poisson(problem, system, solver)
         pair = None
         if eigen:
             try:
                 pair = fem.solve_robin_eigen(mesh, problem.beta, system, solver)
             except fem.EigenSignError:
                 pair = (math.nan, None)
+        if problem is problems[-1]:
+            system = system.load_only()
+        u = fem.solve_robin_poisson(problem, system, solver)
         solved.append((u, pair))
         if solvers is not None:
             solvers[problem.beta] = solver

@@ -640,6 +640,16 @@ def test_run_failing_check_exits_one(tmp_path, capsys):
     assert summary[1].split(",")[5] == "False"
 
 
+def test_run_tiny_beta_eigen_on_the_direct_route_exits_zero(tmp_path, capsys):
+    # an unrefined 3,367-vertex disk at beta = 1e-8: inverse iteration's
+    # quotient wanders by 2.7e-7 relative there, and its 1e-9 test on the
+    # change of lambda alone had exited 3 after 400 rounds
+    path = _write_config(tmp_path, domain={"kind": "disk", "radius": 1.0}, h=0.05,
+                         beta=[1e-8], checks=[{"id": "bossel-daners"}])
+    assert cli.main(["run", path]) == 0
+    assert "all checks passed" in capsys.readouterr().out
+
+
 def test_run_solver_error_exits_three(tmp_path, capsys):
     mesh = msh.generate_domain("square", target_h=0.5, side=1.0)
     sick = msh.MeasuredMesh(mesh.vertices, mesh.triangles, mesh.boundary_edges,

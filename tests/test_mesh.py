@@ -38,8 +38,7 @@ L_SHAPE = [(0.0, 0.0), (2.0, 0.0), (2.0, 1.0), (1.0, 1.0), (1.0, 2.0), (0.0, 2.0
 
 
 def boundary_of(verts, tris):
-    return mesh_module._extract_boundary(mesh_module._edge_table(tris, len(verts)),
-                                         len(verts))
+    return mesh_module._extract_boundary(mesh_module._edge_table(tris, len(verts)))
 
 
 def shoelace_of_boundary(mesh):

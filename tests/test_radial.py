@@ -12,7 +12,7 @@ from scipy.optimize import brentq
 from scipy.special import j0, j1
 
 from robinsym import fem, rearrange
-from robinsym.mesh import sorted_unique
+from robinsym.mesh import BLOCK, sorted_unique
 from robinsym.model_geometry import (
     GeodesicBall,
     ModelSpace,
@@ -21,7 +21,6 @@ from robinsym.model_geometry import (
     volume_profile_derivative,
 )
 from robinsym.radial import (
-    _BLOCK_CELLS,
     _GL4,
     _GRID_CELLS,
     DegenerateBallError,
@@ -267,7 +266,7 @@ def _block_edge_source(space, R):
     these radii, so f* changes slope at each of them (a kink at a cell's
     midpoint would leave the symmetric Gauss rule exact)."""
     cell = R / _GRID_CELLS
-    edges = np.linspace(0.0, R, _GRID_CELLS + 1)[_BLOCK_CELLS:-1:_BLOCK_CELLS]
+    edges = np.linspace(0.0, R, _GRID_CELLS + 1)[BLOCK:-1:BLOCK]
     near = [edges] + [edges + d * cell for d in (-1.0, -0.7, -0.3, 0.3, 0.7, 1.0)]
     for side in (0.0, R):
         step = edges
@@ -293,7 +292,7 @@ def test_twin_blocks_match_one_block(space, R):
     ball = GeodesicBall(space=space, radius=R)
     fstar = _block_edge_source(space, R)
     kinks = radii_for_volumes(space, fstar.kinks())
-    edges = np.linspace(0.0, R, _GRID_CELLS + 1)[_BLOCK_CELLS:-1:_BLOCK_CELLS]
+    edges = np.linspace(0.0, R, _GRID_CELLS + 1)[BLOCK:-1:BLOCK]
     offset = np.abs(kinks[:, None] - edges)
     assert np.any(offset == 0.0)
     assert np.any((offset > 0.0) & (offset < 1e-3 * R / _GRID_CELLS))

@@ -11,7 +11,7 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import beta as beta_fn
 from scipy.special import betainc
@@ -240,6 +240,12 @@ def test_cumulative_matches_mesh_integral(kind, h, seed):
 
 @settings(max_examples=25, deadline=None, database=None)
 @given(**_PROPERTY_INPUTS)
+# the draw that fails on every run, 3.7e-10 against the bound of 1e-10.
+# Hypothesis's xfail is strict: once ROADMAP item F (the cancellation of the
+# monomial slots) is repaired the example passes, the test fails, and the
+# xfail goes
+@example(kind="square", h=0.1875, seed=308).xfail(
+    raises=AssertionError, reason="ROADMAP F: slot cancellation in mu")
 def test_schwarz_rearrangement_is_equimeasurable(kind, h, seed):
     dist = distribution_function(_property_field(kind, h, seed))
     rad = profile_distribution(schwarz_rearrangement(dist, FLAT2), FLAT2)
