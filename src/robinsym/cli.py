@@ -633,7 +633,13 @@ def _solve_stage(call, problems, *args):
         raise SolverStageError(f"solve (beta={betas}, h={problems[0].mesh.mesh_size():g})", exc)
 
 
-def run(config: ExperimentConfig, jobs: int = 1, stream=None) -> int:
+def run(config: ExperimentConfig, stream=None, *, jobs: int = 1) -> int:
+    """Run ``config``'s checks on every level and beta, one cell after
+    another, and write the summary, reports and plots; the exit code is 0,
+    or 1 when a check fails at the finest level.  ``jobs`` takes 1 alone:
+    the benchmark harness in ``perfbench/`` still passes it."""
+    if jobs != 1:
+        raise ValueError(f"run takes jobs=1 alone, got {jobs}")
     stream = stream or sys.stdout
     out_dir = config.output_dir
     os.makedirs(out_dir, exist_ok=True)
@@ -652,13 +658,12 @@ def run(config: ExperimentConfig, jobs: int = 1, stream=None) -> int:
              for level in range(len(meshes)) for request in config.checks]
     space = config.space
 
-    # every record is built before any check runs, so cells (and worker
-    # threads) only read them.  Levels are solved coarsest first: a refined
-    # level's solver is built on its coarse level's, whose Robin matrices
-    # and factor it takes over, and the finest level keeps none of its own.
-    # Records are then built finest first, so that no level's records are
-    # held while a finer level solves.  Levels on one ball share their
-    # twins through one table.
+    # every record is built before any check runs, and the cells only read
+    # them.  Levels are solved coarsest first: a refined level's solver is
+    # built on its coarse level's, whose Robin matrices and factor it takes
+    # over, and the finest level keeps none of its own.  Records are then
+    # built finest first, so that no level's records are held while a finer
+    # level solves.  Levels on one ball share their twins through one table.
     solves = [{} for _ in meshes]
     if any(c.check_id != "isoperimetric" for c in config.checks):
         eigen = any(c.check_id == "bossel-daners" for c in config.checks)
@@ -675,17 +680,8 @@ def run(config: ExperimentConfig, jobs: int = 1, stream=None) -> int:
             solved[level] = None
             solves[level] = dict(zip(problems[level], records))
 
-    def run_cell(cell):
-        beta, level, _ = cell
-        return _run_cell(cell, meshes[level], solves[level].get(beta), space)
-
-    if jobs > 1:
-        import concurrent.futures
-
-        with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(run_cell, cells))
-    else:
-        results = [run_cell(cell) for cell in cells]
+    results = [_run_cell((beta, level, request), meshes[level], solves[level].get(beta), space)
+               for beta, level, request in cells]
 
     reports = [rep for cell_reports in results for rep in cell_reports]
     verify.reports_to_csv(reports, os.path.join(out_dir, "summary.csv"))
@@ -764,7 +760,6 @@ def build_parser() -> "argparse.ArgumentParser":
     p_run = sub.add_parser("run", help="execute an experiment config")
     p_run.add_argument("config")
     p_run.add_argument("--output-dir", default=None)
-    p_run.add_argument("--jobs", type=int, default=1)
 
     p_list = sub.add_parser("list-checks", help="list available checks")
     p_list.add_argument("--json", action="store_true")
@@ -801,12 +796,9 @@ def main(argv=None) -> int:
         if args.mesh_command == "gen":
             return _mesh_gen(args)
         return _mesh_validate(args)
-    if args.jobs < 1:
-        print("run: --jobs must be >= 1", file=sys.stderr)
-        return 2
     try:
         config = load_config(args.config, output_dir=args.output_dir)
-        return run(config, jobs=args.jobs)
+        return run(config)
     except ConfigError as exc:
         print(f"config: {exc}", file=sys.stderr)
         return 2

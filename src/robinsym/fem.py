@@ -27,17 +27,17 @@ mesh that no refinement made gets one direct factorization, a sparse LU
 without pivoting: the matrix goes to SuperLU as built, with a panel of 2
 columns in place of SuperLU's 20, since the panel's workspace grows with
 rows x panel size and a 2-D P1 matrix has supernodes too narrow to use a
-wide one.  There the Poisson solve is one back-substitution and the eigen
-solve inverse power iteration, one per round.  A mesh made by
-:func:`~robinsym.mesh.refine` gets a :class:`RobinHierarchy` over its
+wide one.  There the Poisson solve is one back-substitution.  A mesh made
+by :func:`~robinsym.mesh.refine` gets a :class:`RobinHierarchy` over its
 refine chain: the nested P1 spaces give a V-cycle (Bramble-Pasciak-Xu)
 with the first mesh's factor as its coarse solve, which preconditions CG
-for the Poisson solve and LOBPCG (Knyazev) for the eigen solve, at a cost
-linear in the mesh.  Either solver has ``solve(b)``, and a caller needing
-both solves passes them the same assembly and solver; a Poisson solve on a
-solver built before reads the assembly's load alone
-(:meth:`AssembledSystem.load_only`).  The multilevel solves log their
-route, steps and final residual at DEBUG.
+for the Poisson solve, at a cost linear in the mesh.  Either solver has
+``solve(b)``, and a caller needing both solves passes them the same
+assembly and solver; a Poisson solve on a solver built before reads the
+assembly's load alone (:meth:`AssembledSystem.load_only`).  The eigen
+solve is LOBPCG (Knyazev) on either route, preconditioned by the factor's
+exact solve or by one V-cycle.  CG and LOBPCG log their route, steps and
+final residual at DEBUG.
 
 The matrices are numpy data arrays on the pattern, and a matrix handed to
 SuperLU or a hierarchy is its CSC triple (data, indices, indptr).  Of
@@ -75,14 +75,13 @@ from .mesh import (
 
 _LOG = logging.getLogger(__name__)
 
-_EIGEN_MAX_ITERS = 400
-
 # the multilevel route, chosen on L1-L3 of squares, disks, S^2 caps and
 # warped cones for beta from 1e-8 to 1e8: CG's relative residual, that of
 # its one refinement step, and its step cap; the least relative fall of
-# LOBPCG's Ritz value in a step, and its step cap; the ratio of the ends
-# of the Chebyshev smoother's interval; the cap on the Jacobi sweeps of
-# LOBPCG's 3 x 3 Rayleigh-Ritz step, which converge quadratically
+# LOBPCG's Ritz value in a step, and its step cap, which the direct route
+# shares; the ratio of the ends of the Chebyshev smoother's interval; the
+# cap on the Jacobi sweeps of LOBPCG's 3 x 3 Rayleigh-Ritz step, which
+# converge quadratically
 _CG_TOL = 1e-10
 _REFINE_TOL = 1e-5
 _CG_MAX_ITERS = 200
@@ -153,7 +152,9 @@ class SingularGeometryError(ValueError):
 
 
 class SolverConvergenceError(RuntimeError):
-    """Inverse power iteration missed its tolerance within the round cap."""
+    """An iterative solve, CG, LOBPCG or the Jacobi rotations of LOBPCG's
+    Rayleigh-Ritz step, missed its tolerance within its step cap, or
+    LOBPCG's basis collapsed."""
 
 
 class SingularSystemError(RuntimeError):
@@ -515,10 +516,6 @@ class RobinHierarchy:
         """(K + beta B) x on the finest level, into ``out`` when given."""
         return _csc_matvec(self.levels[-1].matrix, x, out)
 
-    def precondition(self, r) -> np.ndarray:
-        """One V-cycle from zero on the residual r."""
-        return _VCycle(self)(r)
-
     def _cg(self, b, tol: float, vcycle, work):
         """CG on (K + beta B) x = b from zero, to the relative residual tol
         of its recurrence: x, the steps and the recurrence's residual norm.
@@ -745,20 +742,21 @@ def _ritz(gram_a, gram_m) -> list | None:
     return coef if coef[0] >= 0.0 else [-c for c in coef]
 
 
-def _lobpcg(hierarchy: RobinHierarchy, mass, x) -> tuple:
+def _lobpcg(route: str, A, precondition, mass, x) -> tuple:
     """The smallest eigenpair of (K + beta B) x = lambda M x by LOBPCG of
-    block size 1 (Knyazev 2001), from the start x, preconditioned by the
-    hierarchy's V-cycle; ``mass`` is x -> M x.  Each step is a
-    Rayleigh-Ritz step on x, the preconditioned residual w and the last
-    step p, each of unit M-norm, by :func:`_ritz`; p is dropped for a step
-    whose basis is too close to dependent for a Cholesky factor of its Gram
-    matrix.  The 3 x 3 algebra runs in scalar Python, so that the run loads
-    no LAPACK code and its rounding does not follow the BLAS build.  It
-    stops once the Ritz value falls by at most _LOBPCG_TOL relative in a
-    step: a residual test would never stop for beta near 0, where the
-    rounding of A x outweighs lambda M x, and the Ritz value is exact to the
-    square of the residual.  lambda is then x's Rayleigh quotient."""
-    A, precondition = hierarchy.matvec, _VCycle(hierarchy)
+    block size 1 (Knyazev 2001), from the start x; ``A`` is
+    x -> (K + beta B) x, ``precondition`` an approximate or exact solve
+    with K + beta B, ``mass`` x -> M x, and ``route`` names the solver in
+    the DEBUG record.  Each step is a Rayleigh-Ritz step on x, the
+    preconditioned residual w and the last step p, each of unit M-norm, by
+    :func:`_ritz`; p is dropped for a step whose basis is too close to
+    dependent for a Cholesky factor of its Gram matrix.  The 3 x 3 algebra
+    runs in scalar Python, so that the run loads no LAPACK code and its
+    rounding does not follow the BLAS build.  It stops once the Ritz value
+    falls by at most _LOBPCG_TOL relative in a step: a residual test would
+    never stop for beta near 0, where the rounding of A x outweighs
+    lambda M x, and the Ritz value is exact to the square of the residual.
+    lambda is then x's Rayleigh quotient."""
     Mx = mass(x)
     scale = 1.0 / math.sqrt(_dot(x, Mx))
     x = x * scale
@@ -802,30 +800,40 @@ def _lobpcg(hierarchy: RobinHierarchy, mass, x) -> tuple:
             break
     else:
         raise SolverConvergenceError(
-            f"multilevel LOBPCG missed {_LOBPCG_TOL:g} in {_LOBPCG_MAX_ITERS} steps")
+            f"{route} LOBPCG missed {_LOBPCG_TOL:g} in {_LOBPCG_MAX_ITERS} steps")
     Ax, Mx = A(x), mass(x)
     lam = _dot(x, Ax) / _dot(x, Mx)
     r = Ax - lam * Mx
-    _LOG.debug("multilevel LOBPCG on %d dof: %d iterations, relative residual %.3e",
+    _LOG.debug(f"{route} LOBPCG on %d dof: %d iterations, relative residual %.3e",
                len(x), step, math.sqrt(_dot(r, r) / _dot(Mx, Mx)) / lam)
     return lam, x
 
 
+def _eigen_route(system: AssembledSystem, beta: float, lu) -> tuple:
+    """What :func:`_lobpcg` runs with the solver ``lu`` of K + beta B: the
+    route's name, x -> (K + beta B) x and the preconditioner.  A
+    :class:`RobinHierarchy` gives its finest matrix and one V-cycle; the
+    direct factor gives its exact solve, with K x + beta B x read from the
+    assembly, so that no second K + beta B is built."""
+    if isinstance(lu, RobinHierarchy):
+        return "multilevel", lu.matvec, _VCycle(lu)
+
+    def operator(x):
+        return system.matvec(system.stiffness, x) + beta * system.boundary_matvec(x)
+
+    return "direct", operator, lu.solve
+
+
 def solve_robin_eigen(mesh: MeasuredMesh, beta: float,
                       system: AssembledSystem | None = None, lu=None):
-    """Smallest Robin eigenpair: by inverse power iteration, zero shift,
-    from ones for a direct factor, and by :func:`_lobpcg` for a
-    :class:`RobinHierarchy`, from one V-cycle on M 1, a rough torsion
-    function.
+    """Smallest Robin eigenpair by :func:`_lobpcg` on every mesh, from one
+    preconditioned solve on M 1, a rough torsion function: preconditioned
+    by the direct factor's solve, which is exact, or by one V-cycle of a
+    :class:`RobinHierarchy`.
 
     Returns (lambda, eigenfield) with the field positive and normalized to
-    max = 1.  Inverse iteration stops once lambda moves by at most 1e-9
-    relative in a round, or once it stops falling: it falls in every round
-    in exact arithmetic, and for beta near 0 the rounding of its quotient,
-    up to 3e-7 relative on a 3k-vertex disk at beta = 1e-8, outweighs what
-    is left to gain.
-    ``system`` and ``lu`` may be those of a Poisson solve at the same
-    (mesh, beta), whatever its load, and ``lu`` defaults to the
+    max = 1.  ``system`` and ``lu`` may be those of a Poisson solve at the
+    same (mesh, beta), whatever its load, and ``lu`` defaults to the
     :func:`robin_solver`.  The mass matrix is built here, after the solver,
     by :func:`mass_matrix`.
     """
@@ -834,35 +842,10 @@ def solve_robin_eigen(mesh: MeasuredMesh, beta: float,
         system = assemble(RobinProblem(mesh=mesh, beta=beta))
     if lu is None:
         lu = robin_solver(mesh, system, beta)
-    K, M = system.stiffness, mass_matrix(mesh, system.pattern)
-    matvec = system.matvec
-
-    if isinstance(lu, RobinHierarchy):
-        start = lu.precondition(matvec(M, np.ones(len(system.load))))
-        lam, x = _lobpcg(lu, lambda y: matvec(M, y), start)
-        return lam, _ground_state(mesh, x)
-
-    def energy(x):  # x.(K + beta B)x, without building K + beta B again
-        return _dot(x, matvec(K, x)) + beta * _dot(x, system.boundary_matvec(x))
-
-    x = np.ones(len(system.load))
-    x /= math.sqrt(_dot(x, matvec(M, x)))
-    Mx = matvec(M, x)
-    lam = energy(x)
-    for _ in range(_EIGEN_MAX_ITERS):
-        y = lu.solve(Mx)
-        y /= math.sqrt(_dot(y, matvec(M, y)))
-        Mx = matvec(M, y)  # M x for the next round, x = y
-        lam_new = energy(y) / _dot(y, Mx)
-        x = y
-        if abs(lam_new - lam) <= 1e-9 * abs(lam_new) or lam_new >= lam:
-            lam = lam_new
-            break
-        lam = lam_new
-    else:
-        raise SolverConvergenceError(
-            f"inverse power iteration missed 1e-9 in {_EIGEN_MAX_ITERS} rounds"
-        )
+    M = mass_matrix(mesh, system.pattern)
+    route, operator, precondition = _eigen_route(system, beta, lu)
+    start = precondition(system.matvec(M, np.ones(len(system.load))))
+    lam, x = _lobpcg(route, operator, precondition, lambda y: system.matvec(M, y), start)
     return lam, _ground_state(mesh, x)
 
 

@@ -286,9 +286,12 @@ def isoperimetric_profile(space: ModelSpace, l):
 
     G is the derivative of the volume profile composed with its inverse; for
     kappa=0 it reduces to the closed form n*(omega_n*alpha)^(1/n) * l^((n-1)/n).
+    A float goes through the array path as a one-element array: on a numpy
+    float the power is libm's pow, which can differ from numpy's own loop
+    in the last bit, so G(l) would depend on whether l came alone.
     """
     scalar = np.ndim(l) == 0
-    l = np.asarray(l, dtype=float)
+    l = np.atleast_1d(np.asarray(l, dtype=float))
     if np.any(l < -1e-15):
         raise DomainRangeError("measure level must be nonnegative")
     l = np.maximum(l, 0.0)
@@ -304,7 +307,7 @@ def isoperimetric_profile(space: ModelSpace, l):
         flat = np.minimum(l, total).ravel()
         g = volume_profile_derivative(space, radii_for_volumes(space, flat))
         out = np.where(flat < total, g, 0.0).reshape(np.shape(l))
-    return float(out) if scalar else out
+    return float(out[0]) if scalar else out
 
 
 def profile_convexity_margin(space: ModelSpace, p: float, r):

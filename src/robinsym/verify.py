@@ -455,13 +455,10 @@ def check_lemma_31(rec: SolveRecord, t_grid) -> list:
     ts = np.atleast_1d(np.asarray(t_grid, dtype=float))
     skipped = [not (umin < t < umax) or t <= 0.0
                or bool(np.any(np.abs(breaks - t) <= 1e-12 * scale)) for t in ts.tolist()]
-    # mu, mu' and cum(mu) once, on the thresholds that are checked; G(mu) a
-    # threshold at a time, since on a float the flat profile's power is
-    # libm's pow, on an array numpy's own loop, and the two can differ in
-    # the last bit
+    # mu, G(mu), mu' and cum(mu) once, on the thresholds that are checked
     kept = ts[~np.array(skipped, dtype=bool)]
     mu = dist.evaluate(kept)
-    columns = zip([isoperimetric_profile(space, m) for m in mu.tolist()],
+    columns = zip(isoperimetric_profile(space, mu).tolist(),
                   cumulative(mu).tolist(), dist.derivative(kept).tolist())
     tol = 10.0 * h
     reports = []

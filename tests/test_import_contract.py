@@ -12,10 +12,10 @@ are numpy, so `scipy.special`, `scipy.optimize`, `scipy.integrate` and
 `scipy.interpolate` stay unloaded too.
 Nor does a run load what only other entry points use: the Gauss-Legendre
 rules are robinsym's own, so `numpy.polynomial` stays unloaded; `argparse`
-is imported by the command line's parser alone; and `concurrent.futures`
-by a run with `--jobs > 1` alone, the one run that may load it.
+is imported by the command line's parser alone; and a run solves and
+checks one cell after another, so `concurrent.futures` stays unloaded.
 
-`cli.run` itself imports nothing under `--jobs 1`: a module loaded on
+`cli.run` itself imports nothing: a module loaded on
 first use inside the run (as `numpy.ma` is by a flagless `np.unique`)
 would land in the run's time.  For the same reason the import leaves no
 BLAS thread pool spinning.
@@ -63,7 +63,7 @@ def _config(tmp_path, name, space, domain):
 
 def _steps(tmp_path):
     """[step, exit code, the _UNLOADED modules loaded, the modules the step
-    added] for the import and a `--jobs 1` run of the square and the cap
+    added] for the import and a run of the square and the cap
     config, in one fresh interpreter."""
     configs = [
         _config(tmp_path, "square", {"kappa": 0, "n": 2},

@@ -207,6 +207,17 @@ def test_isoperimetric_profile_frozen_sphere_values():
     assert isoperimetric_profile(sp2, 4.0 * math.pi) == pytest.approx(0.0, abs=1e-12)
 
 
+def test_isoperimetric_profile_of_a_float_is_that_of_an_array():
+    # on the flat plane G is a power of l: libm's pow on a numpy float gave
+    # 3.5353488265974375 at this l, numpy's loop on an array ...438
+    levels = [0.9946142533343751, 1e-6, 0.3, 1.0, 2.5, 7.0]
+    for space in (ModelSpace(kappa=0, n=2), ModelSpace(kappa=1, n=2)):
+        batch = isoperimetric_profile(space, np.array(levels))
+        alone = [isoperimetric_profile(space, l) for l in levels]
+        assert all(type(g) is float for g in alone)
+        assert alone == batch.tolist()
+
+
 def test_isoperimetric_profile_is_profile_derivative():
     # G(I(r)) must equal I'(r); differentiate I by Richardson-extrapolated
     # central differences as the independent route

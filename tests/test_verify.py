@@ -612,7 +612,7 @@ def test_eigen_record_builds_one_robin_matrix(monkeypatch):
     monkeypatch.setattr(fem.AssembledSystem, "robin_matrix", counted)
     rec = _record(_disk(0.2), FLAT, 2.0, eigen=True)
     assert rec.eigen[1] is not None
-    # the factor's; the inverse iteration's Rayleigh quotient reads K and B
+    # the factor's; LOBPCG's products with K + beta B read K and B
     assert built == [2.0]
 
 
