@@ -31,13 +31,16 @@ wide one.  There the Poisson solve is one back-substitution.  A mesh made
 by :func:`~robinsym.mesh.refine` gets a :class:`RobinHierarchy` over its
 refine chain: the nested P1 spaces give a V-cycle (Bramble-Pasciak-Xu)
 with the first mesh's factor as its coarse solve, which preconditions CG
-for the Poisson solve, at a cost linear in the mesh.  Either solver has
-``solve(b)``, and a caller needing both solves passes them the same
-assembly and solver; a Poisson solve on a solver built before reads the
-assembly's load alone (:meth:`AssembledSystem.load_only`).  The eigen
-solve is LOBPCG (Knyazev) on either route, preconditioned by the factor's
-exact solve or by one V-cycle.  CG and LOBPCG log their route, steps and
-final residual at DEBUG.
+for the Poisson solve, at a cost linear in the mesh.  The last solver
+built from a refined mesh's assembly takes over its stiffness's buffer
+for its K + beta B (:meth:`AssembledSystem.hand_over`), so that the level
+holds each mesh-sized array once.  Either solver has ``solve(b)``, and a
+caller needing both solves passes them the same assembly and solver; a
+Poisson solve on a solver built before reads the assembly's load alone
+(:meth:`AssembledSystem.load_only`).  The eigen solve is LOBPCG (Knyazev)
+on either route, preconditioned by the factor's exact solve or by one
+V-cycle.  CG and LOBPCG update their vectors in place, and log their
+route, steps and final residual at DEBUG.
 
 The matrices are numpy data arrays on the pattern, and a matrix handed to
 SuperLU or a hierarchy is its CSC triple (data, indices, indptr).  Of
@@ -57,7 +60,7 @@ import math
 import os
 import logging
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -204,13 +207,15 @@ class AssembledSystem:
     as its values on the slots where it can be nonzero, the diagonal slots
     of the boundary vertices and both slots of each boundary edge, in slot
     order; and the load.  The mass matrix is not here: the eigen solve
-    builds it with :func:`mass_matrix`.  Nothing here depends on beta."""
+    builds it with :func:`mass_matrix`.  Nothing here depends on beta,
+    until :meth:`hand_over` gives the stiffness's buffer to a solver."""
 
     pattern: MatrixPattern
     stiffness: np.ndarray
     boundary_slots: np.ndarray  # ascending slots of the pattern
     boundary_values: np.ndarray  # B at those slots
     load: np.ndarray
+    taken: bool = False  # set by hand_over: K + beta B overwrites the stiffness
 
     def matvec(self, matrix: np.ndarray, x: np.ndarray) -> np.ndarray:
         """The product of ``matrix``, a data array on the pattern, with the
@@ -246,37 +251,61 @@ class AssembledSystem:
     def _robin(self, beta: float):
         """:meth:`robin_matrix` and the diagonal of K + beta B, read at the
         pattern's diagonal slots, from one pass over blocks of BLOCK
-        columns, so that no temporary is larger than a block.  The count of
-        nonzero slots, which sizes the output, is the stiffness's, with the
-        boundary slots counted from their sums."""
+        columns.  An assembly from :meth:`hand_over` builds the matrix in the
+        stiffness's own buffer: beta B goes into the boundary slots, and each
+        block's nonzeros move down in place, never past the block's own
+        slots.  Any other assembly adds beta B to a copy of each block and
+        fills new arrays, sized by the count of nonzero slots: the
+        stiffness's, with the boundary slots counted from their sums.  Either
+        way no temporary is larger than a block, and the row array is new."""
         _check_beta(beta)
         indptr, indices, diag = self.pattern.indptr, self.pattern.indices, self.pattern.diag
-        slots = self.boundary_slots
-        sums = self.stiffness[slots] + beta * self.boundary_values
-        size = (np.count_nonzero(self.stiffness) - np.count_nonzero(self.stiffness[slots])
-                + np.count_nonzero(sums))
+        slots, stiffness = self.boundary_slots, self.stiffness
+        sums = stiffness[slots] + beta * self.boundary_values
+        if self.taken:
+            stiffness[slots] = sums
+            data, size = stiffness, np.count_nonzero(stiffness)
+        else:
+            size = (np.count_nonzero(stiffness) - np.count_nonzero(stiffness[slots])
+                    + np.count_nonzero(sums))
+            data = np.empty(size)
         n = len(indptr) - 1
         # the kept slots per column; every column of the pattern holds its
         # diagonal slot, so reduceat sees no empty segment
         kept = np.zeros(n + 1, dtype=np.int32)
-        matrix = (np.empty(size), np.empty(size, dtype=np.int32), kept)
+        rows = np.empty(size, dtype=np.int32)
         diagonal = np.empty(n)
         done = 0
         for cols in _blocks(n):
             start, stop = indptr[cols.start], indptr[cols.stop]
-            first, last = np.searchsorted(slots, (start, stop))
-            data = self.stiffness[start:stop].copy()
-            data[slots[first:last] - start] = sums[first:last]
-            diagonal[cols] = data[diag[cols] - start]
-            keep = data != 0.0
+            block = stiffness[start:stop]
+            if not self.taken:
+                first, last = np.searchsorted(slots, (start, stop))
+                block = block.copy()
+                block[slots[first:last] - start] = sums[first:last]
+            diagonal[cols] = block[diag[cols] - start]
+            keep = block != 0.0
             np.add.reduceat(keep, indptr[cols] - start, dtype=np.int32,
                             out=kept[cols.start + 1:cols.stop + 1])
             count = np.count_nonzero(keep)
-            matrix[0][done:done + count] = data[keep]
-            matrix[1][done:done + count] = indices[start:stop][keep]
+            data[done:done + count] = block[keep]
+            rows[done:done + count] = indices[start:stop][keep]
             done += count
         np.cumsum(kept, out=kept)
-        return matrix, diagonal
+        return (data[:size], rows, kept), diagonal
+
+    def hand_over(self) -> tuple["AssembledSystem", "AssembledSystem"]:
+        """This assembly split for the last solver built from it: the first
+        half is for :func:`robin_solver`, whose refined level takes over the
+        stiffness's buffer for K + beta B (:meth:`_robin`); the second, the
+        pattern and the load, takes this one's place, since the eigen solve
+        on a :class:`RobinHierarchy` reads the pattern for the mass matrix
+        and the Poisson solve the load.  So no assembly reads the buffer as
+        K once it holds K + beta B.  The direct route's LOBPCG reads K, so a
+        mesh that no refinement made keeps its assembly whole."""
+        return (replace(self, taken=True),
+                AssembledSystem(pattern=self.pattern, stiffness=None, boundary_slots=None,
+                                boundary_values=None, load=self.load))
 
     def load_only(self) -> "AssembledSystem":
         """This assembly with its load alone, all that a Poisson solve on a
@@ -520,7 +549,7 @@ class RobinHierarchy:
         """CG on (K + beta B) x = b from zero, to the relative residual tol
         of its recurrence: x, the steps and the recurrence's residual norm.
         ``work`` holds the residual, the direction, its product and a
-        scratch vector."""
+        scratch vector; b may be the residual vector itself."""
         x = np.zeros(len(b))
         r, p, q, scaled = work
         r[:] = b
@@ -553,7 +582,10 @@ class RobinHierarchy:
             raise ValueError(f"a system of {n} unknowns takes a vector of {n}, got {b.shape}")
         vcycle, work = _VCycle(self), np.empty((4, n))
         x, steps, _ = self._cg(b, _CG_TOL, vcycle, work)
-        dx, more, res = self._cg(b - self.matvec(x), _REFINE_TOL, vcycle, work)
+        # the true residual, formed in CG's own residual vector
+        r, _, q, _ = work
+        np.subtract(b, self.matvec(x, q), out=r)
+        dx, more, res = self._cg(r, _REFINE_TOL, vcycle, work)
         x += dx
         _LOG.debug("multilevel CG on %d dof: %d + %d iterations, relative residual %.3e",
                    len(b), steps, more, res / math.sqrt(_dot(b, b)))
@@ -781,13 +813,22 @@ def _lobpcg(route: str, A, precondition, mass, x) -> tuple:
                 break
         else:
             raise SolverConvergenceError(f"LOBPCG basis collapsed at step {step}")
-        # the new step p: the part of the new x off the old x, per product;
-        # each old vector is dropped once read
-        p = tuple(sum(c * part[m] for c, part in zip(coef[1:k], basis[1:k])) for m in range(3))
-        old = basis[0]
+        # the new step p = c1 w + c2 p, the part of the new x off the old
+        # x, and then x = c0 x + p, per product and in place; w is the
+        # V-cycle's own vector, which its next call overwrites, so p never
+        # takes w's place
+        if p is None:
+            p = tuple(np.empty_like(w_m) for w_m in basis[1])
+        for x_m, w_m, p_m in zip(basis[0], basis[1], p):
+            if k == 3:
+                p_m *= coef[2]
+                w_m *= coef[1]
+                p_m += w_m
+            else:
+                np.multiply(w_m, coef[1], out=p_m)
+            x_m *= coef[0]
+            x_m += p_m
         del basis
-        x, Ax, Mx = (coef[0] * old[m] + p[m] for m in range(3))
-        del old
         scale = 1.0 / math.sqrt(_dot(x, Mx))
         x *= scale
         Ax *= scale

@@ -653,38 +653,47 @@ def _matrix_pattern(edges: _EdgeTable, n_vertices, boundary_edges) -> MatrixPatt
     """Lay out column j as the rows lo of its edges (lo, j), then j, then the
     rows hi of its edges (j, hi).  The table numbers edges in (lo, hi) order,
     so the rows below the diagonal come in edge order; those above it take
-    one stable sort of the edges by hi."""
+    one stable sort of the edges by hi.  Its permutation is the one int64
+    array of edge length: the rest goes a block of edges at a time, since
+    numpy reads an int32 index through an intp copy."""
     n = n_vertices
-    ends = edges.ends
-    lo = np.minimum(ends[:, 0], ends[:, 1], dtype=np.int32)
-    hi = np.maximum(ends[:, 0], ends[:, 1], dtype=np.int32)
-    del ends
-    above = np.bincount(hi, minlength=n).astype(np.int32)
-    below = np.bincount(lo, minlength=n).astype(np.int32)
+    lo = np.empty(len(edges.first), dtype=np.int32)
+    hi = np.empty_like(lo)
+    for rows in _blocks(len(lo)):
+        ends = edges._gather(edges.first[rows])
+        np.minimum(ends[:, 0], ends[:, 1], out=lo[rows])
+        np.maximum(ends[:, 0], ends[:, 1], out=hi[rows])
+    above, below = np.zeros(n, dtype=np.int32), np.zeros(n, dtype=np.int32)
+    np.add.at(above, hi, np.int32(1))
+    np.add.at(below, lo, np.int32(1))
     indptr = np.zeros(n + 1, dtype=np.int32)
     np.cumsum(above + below + 1, out=indptr[1:])
     diag = indptr[:-1] + above
     # edge e is the (e - f)-th below the diagonal of column lo, f the first
     # edge of that column; above it, the edges by hi come column by column
-    lower = np.arange(len(lo), dtype=np.int32)
-    lower += (diag + 1 - (np.cumsum(below, dtype=np.int32) - below))[lo]
+    below = diag + 1 - (np.cumsum(below, dtype=np.int32) - below)
+    above = indptr[:-1] - (np.cumsum(above, dtype=np.int32) - above)
     by_hi = np.argsort(hi, kind="stable")
-    slot = np.arange(len(hi), dtype=np.int32)
-    slot += (indptr[:-1] - (np.cumsum(above, dtype=np.int32) - above))[hi[by_hi]]
-    upper = np.empty_like(lower)
-    upper[by_hi] = slot
-    del by_hi, slot, above, below
+    lower, upper = np.empty_like(lo), np.empty_like(lo)
+    for rows in _blocks(len(lo)):
+        slot = np.arange(rows.start, rows.stop, dtype=np.int32)
+        np.add(slot, below[lo[rows]], out=lower[rows])
+        slot += above[hi[by_hi[rows]]]
+        upper[by_hi[rows]] = slot
+    del by_hi, above, below
     indices = np.empty(indptr[-1], dtype=np.int32)
+    for rows in _blocks(len(lo)):
+        indices[lower[rows]] = hi[rows]
+        indices[upper[rows]] = lo[rows]
+    del lo, hi
     indices[diag] = np.arange(n, dtype=np.int32)
-    indices[lower] = hi
-    indices[upper] = lo
-    key = lo.astype(np.int64)
-    key *= n
-    key += hi
-    boundary = np.searchsorted(key, np.min(boundary_edges, axis=1) * n
-                               + np.max(boundary_edges, axis=1))
+    # a declared boundary edge's edge, read at its tail, the tail of one
+    # boundary edge only (MeasuredMesh.validate)
+    at_tail, edge = np.empty(n, dtype=np.int32), np.flatnonzero(edges.count == 1)
+    at_tail[edges.triangles.ravel()[edges.first[edge]]] = edge
     indptr.flags.writeable = indices.flags.writeable = False
-    return MatrixPattern(indptr, indices, diag, upper, lower, edges.edge, boundary)
+    return MatrixPattern(indptr, indices, diag, upper, lower, edges.edge,
+                         at_tail[boundary_edges[:, 0]].astype(np.int64))
 
 
 def _chart_lengths(vertices, ends) -> np.ndarray:

@@ -154,10 +154,12 @@ class DistributionData:
         Every vertex lies on a triangle (``MeasuredMesh.validate``), so the
         ranked values are exactly the corner values.
 
-        The working set is a few arrays of one value per triangle: int32
-        ranks sorted in place, and each kind of piece of mu added slot by
-        slot into the coefficients as it is formed, in the order one
-        ``np.bincount`` over all pieces would sum them.
+        The working set is the int32 ranks of the triangles' corners,
+        sorted in place, and a block of pieces: each kind of piece of mu is
+        formed a block of BLOCK triangles at a time, in one pass for its
+        start slots and one for its end slots, and added slot by slot into
+        the coefficients in the order one ``np.bincount`` over all pieces
+        would sum them.
         """
         mesh = field.mesh
         weights = mesh.chart_areas() * mesh.centroid_density()
@@ -177,17 +179,16 @@ class DistributionData:
         # value's lower neighbour is the last kept breakpoint at or below it
         lower = (np.cumsum(merged) - 1)[1:]
         upper = np.minimum(lower + 1, len(breaks) - 1)
-        up = np.abs(raw[1:] - breaks[lower]) > np.abs(breaks[upper] - raw[1:])
+        up = np.abs(raw[1:] - breaks.take(lower)) > np.abs(breaks.take(upper) - raw[1:])
         index = np.where(up, upper, lower)
-        snapped = np.concatenate([values[:zero], breaks[index]])
+        snapped = np.concatenate([values[:zero], breaks.take(index)])
         # slot j + 1 starts at breaks[j]; every value <= 0 starts slot 1
-        start = np.concatenate([np.ones(zero, dtype=np.int32), index + 1], dtype=np.int32)
+        start = np.concatenate([np.ones(zero, dtype=np.intp), index + 1], dtype=np.intp)
         del values, raw, merged, lower, upper, up, index
 
         # each part's triangles in mesh order, corner ranks sorted by a
-        # network of three compare-exchanges; a triangle with no positive
-        # corner adds nothing
-        ra, rb, rc = (rank[:, corner].ravel() for corner in mesh.triangles.T)
+        # network of three compare-exchanges
+        ra, rb, rc = (rank.take(corner, axis=1) for corner in mesh.triangles.T)
         del rank
         lo = np.minimum(ra, rb)
         np.maximum(ra, rb, out=rb)
@@ -196,51 +197,79 @@ class DistributionData:
         lo = np.minimum(rb, rc)
         np.maximum(rb, rc, out=rc)
         rb = lo
-        w = weights if len(parts) == 1 else np.tile(weights, len(parts))
-        keep = rc >= zero
-        if not keep.all():
-            ra, rb, rc, w = ra[keep], rb[keep], rc[keep], w[keep]
 
         K = len(breaks)
-        a, b, c = snapped[ra], snapped[rb], snapped[rc]
-        sa, sb, sc = start[ra], start[rb], start[rc]
-        del ra, rb, rc
         # the pieces of mu on each triangle, each A + B t + C t^2 from a
         # start slot to an end slot: the flat piece w on [0, a) for a > 0,
         # the rising one w * (1 - (t-a)^2/D1) on [max(a,0), b) and the
-        # falling one w * (c-t)^2/D2 on [max(b,0), c).  Each piece adds its
-        # coefficient at its start slot and takes it off at its end slot,
-        # one kind of piece after the other; the running sum is each slot's
-        # coefficient
+        # falling one w * (c-t)^2/D2 on [max(b,0), c); a triangle with no
+        # positive corner has none.  Each piece adds its coefficient at its
+        # start slot and takes it off at its end slot, one kind of piece
+        # after the other; the running sum is each slot's coefficient
         A, B, C = np.zeros(K + 1), np.zeros(K + 1), np.zeros(K + 1)
 
-        def add(coef, piece, begin, end):
-            # the piece's own temporary is negated in place: adding -x, not
-            # subtracting x, keeps the sign bit of a nan
-            np.add.at(coef, begin, piece)
-            np.add.at(coef, end, np.negative(piece, out=piece))
+        # a kind's pieces on the triangles of sorted corner ranks i, j, k
+        # and weights w, and their start (end = 0) or end (end = 1) slots.
+        # The snapped values rise with the rank, so a > 0 where i passes
+        # the last rank of a value <= 0
+        positive = int(np.searchsorted(snapped, 0.0, side="right"))
 
-        def rising(on):
-            ar, cr, wr = a[on], c[on], w[on]
-            d1 = (b[on] - ar) * (cr - ar)
-            begin, end = sa[on], sb[on]
-            add(A, wr - wr * ar**2 / d1, begin, end)
-            add(B, 2.0 * wr * ar / d1, begin, end)
-            add(C, -wr / d1, begin, end)
+        def flat(i, j, k, w, end):
+            on = np.flatnonzero(i >= positive)
+            slots = start.take(i.take(on)) if end else np.ones(len(on), dtype=np.intp)
+            return slots, [(A, w.take(on))]
 
-        def falling(on):
-            af, cf, wf = a[on], c[on], w[on]
-            d2 = (cf - b[on]) * (cf - af)
-            begin, end = sb[on], sc[on]
-            add(A, wf * cf**2 / d2, begin, end)
-            add(B, -2.0 * wf * cf / d2, begin, end)
-            add(C, wf / d2, begin, end)
+        # the pieces are formed in place on the gathered values, each
+        # product and quotient in the order of its formula:
+        # w - w a^2 / D1, 2 w a / D1 and -w / D1 with D1 = (b - a)(c - a),
+        # and w c^2 / D2, -2 w c / D2 and w / D2 with D2 = (c - b)(c - a)
+        def rising(i, j, k, w, end):
+            a, b = snapped.take(i), snapped.take(j)
+            on = np.flatnonzero(b > np.maximum(a, 0.0))
+            ar, d1, cr, wr = a.take(on), b.take(on), snapped.take(k.take(on)), w.take(on)
+            d1 -= ar
+            cr -= ar
+            d1 *= cr
+            pa = np.multiply(ar, ar, out=cr)
+            pa *= wr
+            pa /= d1
+            np.subtract(wr, pa, out=pa)
+            pb = np.multiply(wr, 2.0)
+            pb *= ar
+            pb /= d1
+            pc = np.negative(wr, out=wr)
+            pc /= d1
+            return start.take((i, j)[end].take(on)), [(A, pa), (B, pb), (C, pc)]
 
-        flat = a > 0.0
-        add(A, w[flat], np.ones(np.count_nonzero(flat), dtype=np.int32), sa[flat])
-        del flat
-        rising(b > np.maximum(a, 0.0))
-        falling(c > np.maximum(b, 0.0))
+        def falling(i, j, k, w, end):
+            b, c = snapped.take(j), snapped.take(k)
+            on = np.flatnonzero(c > np.maximum(b, 0.0))
+            af, d2, cf, wf = snapped.take(i.take(on)), b.take(on), c.take(on), w.take(on)
+            np.subtract(cf, d2, out=d2)
+            np.subtract(cf, af, out=af)
+            d2 *= af
+            pa = np.multiply(cf, cf, out=af)
+            pa *= wf
+            pa /= d2
+            pb = np.multiply(wf, -2.0)
+            pb *= cf
+            pb /= d2
+            pc = np.divide(wf, d2, out=wf)
+            return start.take((j, k)[end].take(on)), [(A, pa), (B, pb), (C, pc)]
+
+        # a pass over the blocks of each part's triangles per kind and end,
+        # so that each slot sums its terms in the order of one
+        # ``np.bincount`` over all pieces; a piece's own temporary is negated
+        # in place at its end slot: adding -x, not subtracting x, keeps the
+        # sign bit of a nan
+        for kind in (flat, rising, falling):
+            for end in (0, 1):
+                for part in range(len(parts)):
+                    for rows in _blocks(len(weights)):
+                        slots, pieces = kind(ra[part, rows], rb[part, rows], rc[part, rows],
+                                             weights[rows], end)
+                        for coef, piece in pieces:
+                            np.add.at(coef, slots, np.negative(piece, out=piece) if end else piece)
         for coef in (A, B, C):
             np.cumsum(coef, out=coef)
         A[0], B[0], C[0] = total, 0.0, 0.0  # mu = total below t = 0

@@ -297,7 +297,9 @@ def solve_level(problems: Sequence[RobinProblem], eigen: bool = False,
     The level is assembled once.  Per beta, one :func:`fem.robin_solver`
     serves the eigen solve and the Poisson solve: the direct factor on a
     mesh that no refinement made, the multilevel hierarchy on a refined
-    one.  The last Poisson solve reads the load alone, so the assembly's
+    one.  On a refined mesh the last beta's hierarchy takes over the
+    stiffness's buffer for its K + beta B (:meth:`fem.AssembledSystem.hand_over`),
+    and the last Poisson solve reads the load alone, so the assembly's
     matrices and pattern are freed before it.  ``coarse`` maps beta to the
     solver on the mesh this one refined, taken out as it is used; without
     it a refined mesh's solver assembles the coarser meshes again.  Each
@@ -309,7 +311,10 @@ def solve_level(problems: Sequence[RobinProblem], eigen: bool = False,
     solved = []
     for problem in problems:
         below = None if coarse is None else coarse.pop(problem.beta, None)
-        solver = fem.robin_solver(mesh, system, problem.beta, below)
+        given, system = (system.hand_over() if problem is problems[-1] and mesh.coarse is not None
+                         else (system, system))
+        solver = fem.robin_solver(mesh, given, problem.beta, below)
+        del given
         pair = None
         if eigen:
             try:

@@ -123,3 +123,23 @@ def pattern_by_unique(triangles, n_vertices, boundary_edges):
     b = boundary_edges.astype(np.int64)
     boundary = np.searchsorted(keys, b.min(axis=1) * n_vertices + b.max(axis=1))
     return csc.indptr, csc.indices, (lo, hi), boundary
+
+
+def pattern_arrays_by_unique(mesh):
+    """The arrays of ``mesh.matrix_pattern()`` from :func:`pattern_by_unique`
+    and :func:`edge_table_by_unique`, dtypes included: indptr, indices, the
+    diagonal, upper and lower slots, the edge of each half-edge and of each
+    boundary edge.  A slot is found by its (column, row) key among the
+    pattern's keys, which come sorted."""
+    n = len(mesh.vertices)
+    indptr, indices, (lo, hi), boundary = pattern_by_unique(mesh.triangles, n,
+                                                            mesh.boundary_edges)
+    keys = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr)) * n + indices
+
+    def slot(rows, cols):
+        return np.searchsorted(keys, cols.astype(np.int64) * n + rows).astype(np.int32)
+
+    diag = np.arange(n)
+    edge = edge_table_by_unique(mesh.triangles, n)[0]
+    return (indptr.astype(np.int32), indices.astype(np.int32), slot(diag, diag), slot(lo, hi),
+            slot(hi, lo), edge, boundary)

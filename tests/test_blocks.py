@@ -10,20 +10,27 @@ import pytest
 
 from robinsym import fem, rearrange, verify
 from robinsym import mesh as msh
+from robinsym import model_geometry as mg
 from robinsym.radial import _gauss_rule
+
+from mesh_oracles import pattern_arrays_by_unique
+from rearrange_oracles import corner_sort_distribution
 
 _MOMENTS = [(0.0, 1.0), (1.0, 2.0), (0.0, 1.0 / 1.5), (-0.5, 2.0), (2.5, 0.7)]
 
 
 def _meshes():
-    """Small refined meshes on the three charts, of over three blocks of 64
-    triangles."""
+    """Small refined meshes on the three charts and of the five generated
+    domains, of over three blocks of 64 triangles."""
     return {
         "square": msh.refine(msh.generate_domain("square", target_h=0.15, side=1.0)),
+        "disk": msh.refine(msh.generate_domain("disk", target_h=0.25, radius=1.0)),
         "cap": msh.refine(msh.generate_domain("spherical_cap", target_h=0.3, theta=1.0)),
         "cone": msh.refine(msh.generate_domain(
             "disk", target_h=0.3, radius=1.0, geometry="warped",
             warp=msh.warped_profile("cone", 0.6))),
+        "annulus": msh.refine(msh.generate_domain(
+            "annulus_sector", target_h=0.2, r_inner=1.0, r_outer=2.0, angle0=0.0, angle1=1.0)),
     }
 
 
@@ -160,6 +167,60 @@ def test_blocked_passes_match_one_pass_on_a_mesh_of_several_blocks(name):
         assert dist.moment(e, k) == _one_pass_moment(dist, e, k), (e, k)
 
 
+@pytest.mark.parametrize("block", [7, 64, None])
+@pytest.mark.parametrize("name", ["square", "disk", "cap", "cone", "annulus"])
+def test_pattern_matches_one_pass_in_any_block(name, block, monkeypatch):
+    # the blocked build, whose one int64 array of edge length is its sort
+    # of the edges by hi, against the pattern of the edges np.unique finds
+    if block is not None:
+        monkeypatch.setattr(msh, "BLOCK", block)
+    mesh = _meshes()[name]
+    assert len(mesh._edges.first) > 3 * 64
+    assert _bits(*mesh.matrix_pattern()) == _bits(*pattern_arrays_by_unique(mesh))
+
+
+@pytest.mark.parametrize("name", ["square", "disk", "cap"])
+def test_distribution_matches_one_pass_in_blocks(name, monkeypatch):
+    # each kind of piece of mu in two passes over blocks of 64 triangles,
+    # on fields of one sign, of both and with zeros, against the one-pass
+    # bincount build
+    mesh = _meshes()[name]
+    assert len(mesh.triangles) > 3 * 64
+    monkeypatch.setattr(msh, "BLOCK", 64)
+    rng = np.random.default_rng(11)
+    x, y = mesh.vertices.T
+    smooth = 1.0 - x * x - 0.5 * y * y
+    for values in (smooth - smooth.min() + 0.1, smooth - np.median(smooth),
+                   np.where(rng.random(len(x)) < 0.1, 0.0, rng.normal(size=len(x)))):
+        field = msh.ScalarField(mesh=mesh, values=values)
+        new, old = rearrange.distribution_function(field), corner_sort_distribution(field)
+        for attr in ("_breaks", "_A", "_B", "_C"):
+            assert _bits(getattr(new, attr)) == _bits(getattr(old, attr)), attr
+
+
+@pytest.mark.parametrize("beta", [1e-8, 1.0, 1e8])
+@pytest.mark.parametrize("name", ["square", "cap", "cone"])
+def test_level_in_the_stiffness_buffer_matches_a_copied_one(name, beta, monkeypatch):
+    # K + beta B compacted in place over blocks of 32 columns against the
+    # copy the earlier betas of a level build; the copy leaves K as it was
+    monkeypatch.setattr(msh, "BLOCK", 32)
+    mesh = _meshes()[name]
+    assert len(mesh.vertices) > 3 * 32
+    system = fem.assemble(fem.RobinProblem(mesh=mesh, beta=beta))
+    stiffness = system.stiffness.copy()
+    copied = fem._level(system, beta, mesh.parents)
+    assert _bits(system.stiffness) == _bits(stiffness)
+    handed, kept = system.hand_over()
+    taken = fem._level(handed, beta, mesh.parents)
+    assert _bits(*taken.matrix, taken.diagonal, taken.parents, taken.smoother) == \
+        _bits(*copied.matrix, copied.diagonal, copied.parents, copied.smoother)
+    # the level owns the stiffness's buffer; the assembly left in the
+    # caller's hands has no K to read
+    assert np.shares_memory(taken.matrix[0], system.stiffness)
+    assert kept.stiffness is kept.boundary_slots is kept.boundary_values is None
+    assert kept.pattern is system.pattern and kept.load is system.load
+
+
 # ---------------------------------------------------------------------------
 # scratch
 
@@ -199,3 +260,31 @@ def test_scratch_of_a_level_does_not_grow_with_the_mesh():
     # keys and permutation grow with it: they stay under half of what the
     # refined mesh keeps
     assert refined21 < 0.5 * kept21
+
+
+def test_working_set_of_the_finest_level_per_vertex():
+    # traced peak over the live meshes, in bytes per vertex of the level,
+    # on the square at 5,329 and 21,025 vertices.  Measured: solve_level
+    # 279 and 216, solve_records over the solutions 371 and 157.  With the
+    # Robin matrix copied out of the stiffness and from_field's pieces
+    # formed over all triangles at once: 306 and 269, 374 and 272.  At 5,329
+    # vertices the radial twin, whose grid does not grow with the mesh,
+    # sets solve_records' peak
+    budget = {5_329: (300, 400), 21_025: (235, 180)}
+    mesh = msh.refine(msh.generate_domain("square", target_h=0.04, side=1.0))
+    for size, (level, records) in budget.items():
+        assert len(mesh.vertices) == size
+        problems = [fem.RobinProblem(mesh=mesh, beta=1.0)]
+        tracemalloc.start()
+        try:
+            solved = verify.solve_level(problems)
+            solving = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            kept = tracemalloc.get_traced_memory()[0]
+            verify.solve_records(problems, mg.ModelSpace(kappa=0, n=2), solved=solved)
+            recording = tracemalloc.get_traced_memory()[1] - kept
+        finally:
+            tracemalloc.stop()
+        assert solving < level * size
+        assert recording < records * size
+        mesh = msh.refine(mesh)

@@ -18,6 +18,7 @@ from robinsym import cli, fem
 from robinsym import mesh as msh
 from robinsym import model_geometry as mg
 
+from fem_oracles import lobpcg_allocating, multilevel_solve_allocating
 from radial_oracles import flat_torsion_profile
 
 # first Robin eigenvalue of the unit disk, beta = 1 (root of k J1(k) = J0(k),
@@ -250,8 +251,9 @@ def test_square_21k_robin_matrix_and_assembly_memory():
     # the hypotenuse stiffness is exactly 0 and stays out of the factor's input
     assert A.format == "csc"
     assert np.count_nonzero(A.data) == A.nnz == 104_545
-    # 5.1 MB measured with the element values a block of triangles at a
-    # time and K + beta B a block of columns at a time; 6.6 MB over all
+    # 5.0 MB measured with the element values a block of triangles at a
+    # time and K + beta B a block of columns at a time (5.1 MB with the
+    # pattern's edge-length int64 scratch); 6.6 MB over all
     # triangles and columns at once, 7.6 MB with the mass matrix
     # and a full boundary mass array, 12.5 MB with a fresh (M, 3) array per
     # step of the element formulas and int64 pattern slots; summing COO
@@ -953,3 +955,51 @@ def test_lobpcg_drops_a_dependent_step_and_refuses_a_collapsed_basis(monkeypatch
     monkeypatch.setattr(fem, "_cholesky", dependent_above(1))
     with pytest.raises(fem.SolverConvergenceError, match="basis collapsed"):
         fem.solve_robin_eigen(mesh, 1.0)
+
+
+def _bits(*arrays):
+    return [(a.dtype, a.shape, a.tobytes()) for a in map(np.asarray, arrays)]
+
+
+@pytest.mark.parametrize("route", ["multilevel", "direct"])
+@pytest.mark.parametrize("beta", [1e-8, 1.0, 1e8])
+def test_in_place_solver_updates_match_fresh_arrays(route, beta, monkeypatch):
+    # LOBPCG's p = c1 w + c2 p and x = c0 x + p in place, and the refinement
+    # step's residual in CG's vectors, against the same sums into new
+    # arrays: the same eigenpair and solution bit for bit, also through a
+    # step whose basis drops p
+    mesh = msh.refine(msh.generate_domain("square", target_h=0.15, side=1.0))
+    if route == "direct":
+        mesh = msh.MeasuredMesh(mesh.vertices, mesh.triangles, mesh.boundary_edges)
+    system = fem.assemble(fem.RobinProblem(mesh=mesh, beta=beta))
+    lu = fem.robin_solver(mesh, system, beta)
+    name, A, precondition = fem._eigen_route(system, beta, lu)
+    assert name == route
+    M = fem.mass_matrix(mesh, system.pattern)
+
+    def mass(y):
+        return system.matvec(M, y)
+
+    start = precondition(mass(np.ones(len(mesh.vertices)))).copy()
+    cholesky = fem._cholesky
+
+    def dropping(at):
+        # _cholesky, taking the at-th 3 x 3 Gram matrix as dependent
+        def factor(gram):
+            sizes.append(len(gram))
+            return None if len(gram) == 3 and sizes.count(3) == at else cholesky(gram)
+        sizes = []
+        return factor, sizes
+
+    for at in (None, 1):
+        factor, sizes = dropping(at)
+        monkeypatch.setattr(fem, "_cholesky", factor)
+        got = fem._lobpcg(route, A, precondition, mass, start.copy())
+        # the second step drops p, and from beta = 1 on later steps take it
+        # up again; the direct route's exact solve stops in one step at 1e-8
+        assert at is None or sizes[1:3] == [3, 2] or (route, beta) == ("direct", 1e-8)
+        monkeypatch.setattr(fem, "_cholesky", dropping(at)[0])
+        assert _bits(*got) == _bits(*lobpcg_allocating(A, precondition, mass, start.copy()))
+    if route == "multilevel":
+        b = system.load
+        assert _bits(lu.solve(b)) == _bits(multilevel_solve_allocating(lu, b))

@@ -331,9 +331,11 @@ def test_square_21k_distribution_function_memory():
     finally:
         tracemalloc.stop()
     assert dist.total == m.total_measure() == pytest.approx(1.0)
-    # 4.7 MB measured; 15.9 MB with int64 corner ranks and every piece's
-    # index and term concatenated for one bincount
-    assert peak < 6.5e6
+    # 2.5 MB measured with each kind of piece formed a block of triangles
+    # at a time; 4.9 MB with the pieces over all triangles at once, 15.9 MB
+    # with int64 corner ranks and every piece's index and term concatenated
+    # for one bincount
+    assert peak < 3.5e6
 
 
 def test_an_exact_snapping_tie_goes_down():

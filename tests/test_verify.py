@@ -616,6 +616,41 @@ def test_eigen_record_builds_one_robin_matrix(monkeypatch):
     assert built == [2.0]
 
 
+def test_a_refined_level_hands_its_stiffness_to_its_last_solver(monkeypatch):
+    # the last beta's hierarchy builds K + beta B in the stiffness's buffer,
+    # and its Poisson solve reads the load alone; the first beta's copies
+    # K.  Each beta's u and lambda are those of the beta solved alone, whose
+    # hierarchy takes the buffer over, bit for bit
+    mesh = msh.refine(_square(0.15))
+    problems = [fem.RobinProblem(mesh=mesh, beta=beta) for beta in (0.5, 4.0)]
+    built, read = [], []
+    robin_solver, solve_robin_poisson = fem.robin_solver, fem.solve_robin_poisson
+
+    def solver(level_mesh, system, beta, coarse=None):
+        lu = robin_solver(level_mesh, system, beta, coarse)
+        if level_mesh is mesh:
+            built.append((system, lu))
+        return lu
+
+    def poisson(problem, system, lu):
+        read.append(system)
+        return solve_robin_poisson(problem, system, lu)
+
+    monkeypatch.setattr(fem, "robin_solver", solver)
+    monkeypatch.setattr(fem, "solve_robin_poisson", poisson)
+    both = verify.solve_level(problems, eigen=True)
+    (first, _), (last, hierarchy) = built
+    assert not first.taken and last.taken
+    assert np.shares_memory(hierarchy.levels[-1].matrix[0], last.stiffness)
+    assert read[0].stiffness is first.stiffness
+    assert read[1].stiffness is read[1].boundary_values is read[1].pattern is None
+    for problem, (u, (lam, ground)) in zip(problems, both):
+        [(alone, (lam_alone, ground_alone))] = verify.solve_level([problem], eigen=True)
+        assert u.values.tobytes() == alone.values.tobytes()
+        assert ground.values.tobytes() == ground_alone.values.tobytes()
+        assert lam == lam_alone
+
+
 def test_equality_gaps_shrink_with_order_one():
     gaps = {"iso": [], "sv": [], "bd": [], "min": []}
     for h in (0.2, 0.1):
