@@ -307,6 +307,15 @@ class AssembledSystem:
                 AssembledSystem(pattern=self.pattern, stiffness=None, boundary_slots=None,
                                 boundary_values=None, load=self.load))
 
+    def products_only(self) -> "AssembledSystem":
+        """This assembly with its pattern cut to indptr and indices, all
+        that its mat-vecs read: a caller that builds no more matrices on the
+        pattern frees its slot arrays, the diagonal, upper and lower slots,
+        by holding this in its place."""
+        pattern = MatrixPattern(self.pattern.indptr, self.pattern.indices,
+                                None, None, None, None, None)
+        return replace(self, pattern=pattern)
+
     def load_only(self) -> "AssembledSystem":
         """This assembly with its load alone, all that a Poisson solve on a
         solver built before reads: a caller done with the matrices frees
@@ -866,7 +875,7 @@ def _eigen_route(system: AssembledSystem, beta: float, lu) -> tuple:
 
 
 def solve_robin_eigen(mesh: MeasuredMesh, beta: float,
-                      system: AssembledSystem | None = None, lu=None):
+                      system: AssembledSystem | None = None, lu=None, mass=None):
     """Smallest Robin eigenpair by :func:`_lobpcg` on every mesh, from one
     preconditioned solve on M 1, a rough torsion function: preconditioned
     by the direct factor's solve, which is exact, or by one V-cycle of a
@@ -876,14 +885,17 @@ def solve_robin_eigen(mesh: MeasuredMesh, beta: float,
     max = 1.  ``system`` and ``lu`` may be those of a Poisson solve at the
     same (mesh, beta), whatever its load, and ``lu`` defaults to the
     :func:`robin_solver`.  The mass matrix is built here, after the solver,
-    by :func:`mass_matrix`.
+    by :func:`mass_matrix`, unless the caller built it on the system's
+    pattern and passes it as ``mass``: the system may then be
+    :meth:`AssembledSystem.products_only`.
     """
     _check_beta(beta)
     if system is None:
         system = assemble(RobinProblem(mesh=mesh, beta=beta))
     if lu is None:
         lu = robin_solver(mesh, system, beta)
-    M = mass_matrix(mesh, system.pattern)
+    M = mass_matrix(mesh, system.pattern) if mass is None else mass
+    del mass
     route, operator, precondition = _eigen_route(system, beta, lu)
     start = precondition(system.matvec(M, np.ones(len(system.load))))
     lam, x = _lobpcg(route, operator, precondition, lambda y: system.matvec(M, y), start)

@@ -18,8 +18,9 @@ polygons.  Meshes serialize to a small JSON schema.
 Passes over triangles, edges or half-edges run in blocks of :data:`BLOCK`
 rows, here and in the modules that read a mesh, so that their temporaries
 are a block long; each keeps the order of operations of one pass over all
-rows, so its result does not depend on the block.  Refinement still sorts
-the half-edges of the new mesh, once, to number its edges.
+rows, so its result does not depend on the block.  Refinement numbers the
+edges of the new mesh by sorting its half-edges one bucket of lower ends at
+a time (:func:`_edge_table`).
 """
 
 import itertools
@@ -69,6 +70,19 @@ def _blocks(n, width=1) -> list:
     when a row holds ``width`` values: BLOCK rows, or fewer of more."""
     size = max(BLOCK // width, 1)
     return [slice(start, min(start + size, n)) for start in range(0, n, size)]
+
+
+def _vertex_ids(ids, n_vertices) -> np.ndarray:
+    """``ids`` as a C-contiguous int32 array when each lies in [0, N), which
+    int32 holds; otherwise as int64, whose values ``validate`` refuses
+    (index-range).  So no id is cast that int32 would wrap, 2^32 + 1 to 1
+    say."""
+    ids = np.asarray(ids)
+    if ids.dtype != np.int32:
+        ids = np.asarray(ids, dtype=np.int64)
+        if ids.size and (ids.min() < 0 or ids.max() >= min(n_vertices, 2**31)):
+            return np.ascontiguousarray(ids)
+    return np.ascontiguousarray(ids, dtype=np.int32)
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +219,9 @@ class MeasuredMesh:
     vertices : (N, 2) array
         Chart coordinates.
     triangles : (M, 3) int array
-        Vertex indices, counterclockwise in the chart.
+        Vertex indices, counterclockwise in the chart.  The mesh keeps them
+        as int32; an index outside [0, N) is refused before the cast, so
+        none wraps.
     boundary_edges : (K, 2) int array
         Directed boundary edges with the domain on the left.
     geometry : str
@@ -215,6 +231,11 @@ class MeasuredMesh:
     density : (N,) array, optional
         Per-vertex area density; computed from the geometry when omitted.
 
+    A mesh keeps its vertices, int32 triangles, densities, chart areas and
+    edge table, about 103 bytes per vertex; the centroid density is formed
+    on each call.  Products of vertex ids, such as the edge keys
+    lo * N + hi, are formed in int64.
+
     A mesh made by :func:`refine` keeps the mesh it refined as ``coarse``,
     None on any other mesh.  The P1 space of ``coarse`` is then a subspace
     of this one, and :attr:`parents` gives the parent pair of each midpoint.
@@ -223,7 +244,7 @@ class MeasuredMesh:
     def __init__(self, vertices, triangles, boundary_edges, geometry="flat",
                  warp=None, density=None, *, _edges=None, _coarse=None):
         self.vertices = np.ascontiguousarray(vertices, dtype=float)
-        self.triangles = np.ascontiguousarray(triangles, dtype=np.int64)
+        self.triangles = _vertex_ids(triangles, len(self.vertices))
         self.boundary_edges = np.ascontiguousarray(boundary_edges, dtype=np.int64)
         if geometry not in GEOMETRIES:
             raise MeshFormatError(f"unknown geometry {geometry!r}")
@@ -312,7 +333,7 @@ class MeasuredMesh:
                 raise MeshInvariantError(f"edge-conformity: directed edge {key} repeats")
         del forward
         tail, head = edges.boundary.T
-        found = np.sort(tail * n + head)
+        found = np.sort(tail.astype(np.int64) * n + head)
         declared = sorted_unique(b[:, 0] * n + b[:, 1])
         if len(declared) != len(b):
             raise MeshInvariantError("boundary-match: duplicate boundary edge")
@@ -350,22 +371,13 @@ class MeasuredMesh:
                 )
 
         self._edges = edges
-        # the vertex mean, summed left to right as np.mean sums a row of three
-        d = self.density
-        rho = np.empty(len(t))
-        for rows in _blocks(len(t)):
-            corners = t[rows]
-            np.add(d[corners[:, 0]], d[corners[:, 1]], out=rho[rows])
-            rho[rows] += d[corners[:, 2]]
-        rho /= 3.0
-        areas.flags.writeable = rho.flags.writeable = False
+        areas.flags.writeable = False
         self._chart_areas = areas
-        self._centroid_density = rho
         # one rounding of the exact sum (a pairwise sum moved a refined annulus
         # sector's measure in its last bit between levels), so the order of
         # the blocks is free; the memoryviews hand fsum one float at a time
         self._total_measure = math.fsum(itertools.chain.from_iterable(
-            memoryview(areas[rows] * rho[rows]) for rows in _blocks(len(t))))
+            memoryview(areas[rows] * self.centroid_density(rows)) for rows in _blocks(len(t))))
         # the longest edge over blocks of edges, a max being exact in any
         # order.  length_factor sees the direction only through its square,
         # so one orientation per undirected edge measures both half-edges
@@ -414,11 +426,20 @@ class MeasuredMesh:
         """The sparsity of the P1 matrices, read off the edge table."""
         return _matrix_pattern(self._edges, len(self.vertices), self.boundary_edges)
 
-    def centroid_density(self) -> np.ndarray:
-        """Per-triangle density frozen at the centroid (equals the vertex mean
-        for the linear densities used throughout); read-only, computed once
-        by validate."""
-        return self._centroid_density
+    def centroid_density(self, rows=slice(None)) -> np.ndarray:
+        """Per-triangle density frozen at the centroid, of the triangles in
+        the slice ``rows`` (all of them by default): the vertex mean, which
+        equals it for the linear densities used throughout, summed left to
+        right as np.mean sums a row of three.  Formed on each call, a block
+        of triangles at a time, so a mesh does not hold it."""
+        d, t = self.density, self.triangles[rows]
+        rho = np.empty(len(t))
+        for block in _blocks(len(t)):
+            corners = t[block]
+            np.add(d[corners[:, 0]], d[corners[:, 1]], out=rho[block])
+            rho[block] += d[corners[:, 2]]
+        rho /= 3.0
+        return rho
 
     def total_measure(self) -> float:
         """Weighted area, per-triangle quadrature exact for linear density."""
@@ -526,26 +547,20 @@ class _EdgeTable(NamedTuple):
     i + 1 (mod 3), so the half-edges ab, bc, ca come in triangle order.  The
     table keeps the triangles it was read from, which are the mesh's own
     array, and gathers the ends of half-edges from them as they are asked
-    for: a (3M, 2) copy would be the largest array a mesh keeps.
+    for: a (3M, 2) copy would be the largest array a mesh keeps.  Its
+    arrays take 15 bytes per edge and 4 per half-edge.
     """
 
     triangles: np.ndarray  # (M, 3) the triangulation itself, not a copy
     edge: np.ndarray  # (3M,) int32, the undirected edge of each half-edge
     first: np.ndarray  # (E,) int32, the first half-edge on each edge
-    count: np.ndarray  # (E,) int32, half-edges on each edge: 1 on the boundary, 2 inside
+    # (E,) uint8, half-edges on each edge: 1 on the boundary, 2 inside, and
+    # 3 for three or more, which validate refuses as a repeated edge
+    count: np.ndarray
 
     def _gather(self, which) -> np.ndarray:
-        """(len(which), 2) tail and head of the given half-edges.  The head
-        of half-edge 3k + i is the tail of 3k + (i + 1) mod 3: one division
-        finds 3k, and a table lookup the next corner."""
-        corners = self.triangles.ravel()
-        nxt = which // 3
-        nxt *= 3
-        nxt += _NEXT_CORNER[which - nxt]
-        out = np.empty((len(which), 2), dtype=corners.dtype)
-        out[:, 0] = corners[which]
-        out[:, 1] = corners[nxt]
-        return out
+        """(len(which), 2) tail and head of the given half-edges."""
+        return _half_edge_ends(self.triangles, which)
 
     @property
     def ends(self) -> np.ndarray:
@@ -603,50 +618,105 @@ def _half_edges(triangles) -> np.ndarray:
     return triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
 
 
+def _half_edge_ends(triangles, which) -> np.ndarray:
+    """(len(which), 2) tail and head of the given half-edges of the (M, 3)
+    ``triangles``.  The head of half-edge 3k + i is the tail of
+    3k + (i + 1) mod 3: one division finds 3k, and a table lookup the next
+    corner."""
+    corners = triangles.ravel()
+    nxt = which // 3
+    nxt *= 3
+    nxt += _NEXT_CORNER.take(which - nxt)
+    out = np.empty((len(which), 2), dtype=corners.dtype)
+    out[:, 0] = corners.take(which)
+    out[:, 1] = corners.take(nxt)
+    return out
+
+
 def _edge_table(triangles, n_vertices) -> _EdgeTable:
     """The arrays ``np.unique(key, return_index=True, return_inverse=True,
-    return_counts=True)`` gives for the half-edges' keys lo * N + hi, from
-    the same stable sort, without the sorted keys it also returns, and as
-    int32, which holds every half-edge, edge and vertex id while 3M < 2^31
+    return_counts=True)`` gives for the half-edges' keys lo * N + hi, with
+    each count clipped at 3 and held in a byte, and the rest as int32,
+    which holds every half-edge, edge and vertex id while 3M < 2^31
     (generated meshes stop at MAX_VERTICES, far below; a larger array of
     triangles is refused).  The keys are int64, since N^2 passes 2^31 above
-    46,341 vertices.  The stable sort (timsort) puts each key's first
-    half-edge first in its group; on these keys, which come in long runs,
-    it is faster than numpy's default sort.  Each intermediate is dropped
-    once it is read."""
+    46,341 vertices.
+
+    The half-edges are sorted one bucket of lo at a time.  A counting pass
+    over blocks of half-edges puts them in an int32 order by lo, each
+    bucket in half-edge order.  Then each run of whole buckets of at most
+    BLOCK half-edges, or one larger bucket alone, is sorted stably by its
+    keys, and its edges are numbered.  So each key's first half-edge comes
+    first in its group, as in one stable sort of all the keys, the cost is
+    linear, and the one scratch array of mesh length is the int32 order."""
     if 3 * len(triangles) > np.iinfo(np.int32).max:
         raise MeshInvariantError(
             f"index-range: {len(triangles)} triangles have more half-edges than int32 ids")
-    head = triangles[:, [1, 2, 0]]
-    key = np.minimum(triangles, head, dtype=np.int64)
-    np.maximum(triangles, head, out=head)
-    key *= n_vertices
-    key += head
-    del head
-    key = key.ravel()
-    perm = np.argsort(key, kind="stable")
-    # whether each key in sorted order starts a new edge, the sorted keys
-    # gathered a block at a time
-    new = np.empty(len(key), dtype=bool)
+    # bucket v of the order holds the half-edges whose lower end is v, from
+    # start[v] to start[v + 1]
+    start = np.zeros(n_vertices + 1, dtype=np.int32)
+    for rows in _blocks(len(triangles), width=3):
+        np.add.at(start[1:], _lower_ends(triangles[rows]), np.int32(1))
+    np.cumsum(start, out=start)
+    fill = start[:-1].copy()  # the next free place in each bucket
+    order = np.empty(3 * len(triangles), dtype=np.int32)
+    for rows in _blocks(len(triangles), width=3):
+        lo = _lower_ends(triangles[rows])
+        by_lo = np.argsort(lo, kind="stable")
+        lo = lo[by_lo]
+        runs, sizes = _runs(lo)
+        # a half-edge's place: its bucket's next free place plus its rank
+        # among the block's half-edges of that bucket
+        buckets = lo[runs]
+        place = np.repeat(fill[buckets] - runs, sizes)
+        place += np.arange(len(lo))
+        by_lo += 3 * rows.start
+        order[place] = by_lo.astype(np.int32)
+        fill[buckets] += sizes.astype(np.int32)
+    del fill
+    edge = np.empty(len(order), dtype=np.int32)
+    firsts, counts = [], []
+    number, done = 0, 0  # the edges numbered, the half-edges sorted
+    while done < len(order):
+        # the whole buckets up to BLOCK half-edges on, or the next bucket
+        # (an int32 search value keeps searchsorted from copying start)
+        reach = np.int32(min(int(done) + BLOCK, len(order)))
+        stop = start[np.searchsorted(start, reach, side="right") - 1]
+        if stop == done:
+            stop = start[np.searchsorted(start, stop, side="right")]
+        which = order[done:stop].astype(np.intp)
+        ends = _half_edge_ends(triangles, which)
+        key = np.minimum(ends[:, 0], ends[:, 1], dtype=np.int64)
+        key *= n_vertices
+        key += np.maximum(ends[:, 0], ends[:, 1])
+        del ends
+        by_key = np.argsort(key, kind="stable")
+        which = which[by_key]
+        runs, sizes = _runs(key[by_key])
+        del key, by_key
+        firsts.append(which[runs].astype(np.int32))
+        counts.append(np.minimum(sizes, 3).astype(np.uint8))
+        edge[which] = np.repeat(np.arange(number, number + len(runs), dtype=np.int32), sizes)
+        number += len(runs)
+        done = stop
+    del order
+    return _EdgeTable(triangles, edge, np.concatenate(firsts), np.concatenate(counts))
+
+
+def _runs(values):
+    """The start of each run of equal values in the sorted (m,) ``values``,
+    and its length."""
+    new = np.empty(len(values), dtype=bool)
     new[:1] = True
-    for rows in _blocks(len(perm)):
-        ordered = key[perm[max(rows.start - 1, 0):rows.stop]]
-        np.not_equal(ordered[1:], ordered[:-1], out=new[max(rows.start, 1):rows.stop])
-    del key
-    starts = np.flatnonzero(new)
-    first = perm[starts].astype(np.int32)
-    count = np.diff(starts, append=len(new)).astype(np.int32)
-    del starts
-    # the edges numbered in sorted order, a block of sorted half-edges at a
-    # time
-    edge = np.empty(len(perm), dtype=np.int32)
-    number = -1
-    for rows in _blocks(len(perm)):
-        numbers = np.cumsum(new[rows], dtype=np.int32)
-        numbers += number
-        edge[perm[rows]] = numbers
-        number = int(numbers[-1])
-    return _EdgeTable(triangles, edge, first, count)
+    np.not_equal(values[1:], values[:-1], out=new[1:])
+    runs = np.flatnonzero(new)
+    return runs, np.diff(runs, append=len(values))
+
+
+def _lower_ends(triangles) -> np.ndarray:
+    """The lower end of each half-edge ab, bc, ca of the (m, 3) triangles,
+    in half-edge order."""
+    return np.minimum(triangles, triangles[:, [1, 2, 0]]).ravel()
 
 
 def _matrix_pattern(edges: _EdgeTable, n_vertices, boundary_edges) -> MatrixPattern:
@@ -1093,6 +1163,7 @@ def generate_domain(kind: str, target_h: float, geometry: str = "flat",
             raise DegenerateGeometryError(
                 f"domain reaches chart radius {rmax:.3f} > cap {CHART_RADIUS_CAP}"
             )
+    tris = np.ascontiguousarray(tris, dtype=np.int32)  # under MAX_VERTICES
     edges = _edge_table(tris, len(verts))
     return MeasuredMesh(verts, tris, _extract_boundary(edges),
                         geometry=geometry, warp=warp, _edges=edges)

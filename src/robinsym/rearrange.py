@@ -162,7 +162,8 @@ class DistributionData:
         would sum them.
         """
         mesh = field.mesh
-        weights = mesh.chart_areas() * mesh.centroid_density()
+        weights = mesh.centroid_density()
+        weights *= mesh.chart_areas()
         total = float(np.sum(weights))
         h = field.values
         tol = _VALUE_MERGE_TOL * max(float(np.max(np.abs(h))), 1.0)

@@ -300,7 +300,10 @@ def solve_level(problems: Sequence[RobinProblem], eigen: bool = False,
     one.  On a refined mesh the last beta's hierarchy takes over the
     stiffness's buffer for its K + beta B (:meth:`fem.AssembledSystem.hand_over`),
     and the last Poisson solve reads the load alone, so the assembly's
-    matrices and pattern are freed before it.  ``coarse`` maps beta to the
+    matrices and pattern are freed before it.  The last eigen solve gets
+    its mass matrix built here and the assembly cut to what its mat-vecs
+    read (:meth:`fem.AssembledSystem.products_only`), so the pattern's
+    slot arrays are freed before LOBPCG.  ``coarse`` maps beta to the
     solver on the mesh this one refined, taken out as it is used; without
     it a refined mesh's solver assembles the coarser meshes again.  Each
     beta's solver is freed before the next beta's unless ``solvers`` is
@@ -317,10 +320,14 @@ def solve_level(problems: Sequence[RobinProblem], eigen: bool = False,
         del given
         pair = None
         if eigen:
+            mass = fem.mass_matrix(mesh, system.pattern)
+            if problem is problems[-1]:
+                system = system.products_only()
             try:
-                pair = fem.solve_robin_eigen(mesh, problem.beta, system, solver)
+                pair = fem.solve_robin_eigen(mesh, problem.beta, system, solver, mass)
             except fem.EigenSignError:
                 pair = (math.nan, None)
+            del mass
         if problem is problems[-1]:
             system = system.load_only()
         u = fem.solve_robin_poisson(problem, system, solver)

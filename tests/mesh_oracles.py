@@ -97,14 +97,15 @@ def edge_table_by_unique(triangles, n_vertices):
     ``np.unique`` of the half-edge keys lo * N + hi, half-edge 3k + i running
     from corner i to corner i + 1 of triangle k: its stable sort makes each
     edge's first half-edge the first in triangle order.  The keys are int64
-    whatever the triangles' dtype; the three arrays come back as int32, the
-    table's index dtype."""
+    whatever the triangles' dtype; edge and first come back as int32, the
+    table's index dtype, and count clipped at 3 as uint8, the table's byte
+    count."""
     tail = triangles.ravel().astype(np.int64)
     head = np.roll(triangles, -1, axis=1).ravel().astype(np.int64)
     key = np.minimum(tail, head) * n_vertices + np.maximum(tail, head)
     _, first, edge, count = np.unique(key, return_index=True, return_inverse=True,
                                       return_counts=True)
-    return edge.astype(np.int32), first.astype(np.int32), count.astype(np.int32)
+    return edge.astype(np.int32), first.astype(np.int32), np.minimum(count, 3).astype(np.uint8)
 
 
 def pattern_by_unique(triangles, n_vertices, boundary_edges):

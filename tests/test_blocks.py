@@ -238,10 +238,11 @@ def _scratch(call, *args):
 
 def test_scratch_of_a_level_does_not_grow_with_the_mesh():
     # the square at 5,329 and 21,025 vertices.  Measured: assemble 0.82 and
-    # 0.94 MB, the thm1.2 moment 0.35 and 0.42 MB, refine 0.65 and 1.15 MB
-    # (keeping 0.81 and 3.19 MB).  One pass over all rows took assemble
+    # 0.94 MB, the thm1.2 moment 0.35 and 0.42 MB, refine 0.58 and 0.69 MB
+    # (keeping 0.55 and 2.17 MB).  One pass over all rows took assemble
     # from 0.99 to 3.96 MB, the moment from 0.54 to 3.69 MB and refine from
-    # 1.29 to 5.12 MB
+    # 1.29 to 5.12 MB; one stable sort of all the half-edges' int64 keys
+    # took refine to 0.65 and 1.15 MB
     mesh = msh.generate_domain("square", target_h=0.04, side=1.0)
     scratch = []
     for size in (5_329, 21_025):
@@ -256,10 +257,37 @@ def test_scratch_of_a_level_does_not_grow_with_the_mesh():
     # a block's temporaries, whatever the mesh
     assert assembled21 - assembled5 < 0.25e6
     assert moment21 - moment5 < 0.25e6
-    # refine's edge table sorts every half-edge of the new mesh, and its
-    # keys and permutation grow with it: they stay under half of what the
-    # refined mesh keeps
+    # refine's edge table orders every half-edge of the new mesh by its
+    # lower end in one int32 array, which grows with it: it stays under
+    # half of what the refined mesh keeps
     assert refined21 < 0.5 * kept21
+
+
+def test_what_a_refined_mesh_keeps_per_vertex():
+    # tracemalloc's count of what refine returns on the square at 5,329 and
+    # 21,025 vertices.  Measured: 103 bytes per vertex at both, the
+    # vertices 16, the int32 triangles 24, the density 8, the chart areas
+    # 16 and the edge table 39 (each half-edge's edge 24, each edge's first
+    # half-edge 12 and its byte count 3).  With int64 triangles, a cached
+    # centroid density and int32 counts: 151 and 152
+    mesh = msh.generate_domain("square", target_h=0.04, side=1.0)
+    for size in (5_329, 21_025):
+        mesh, _, kept = _scratch(msh.refine, mesh)
+        assert len(mesh.vertices) == size
+        assert kept < 110 * size
+
+
+def test_edge_table_holds_no_int64_array_of_the_half_edges():
+    # on the square at 80,656 vertices: the scratch of the bucketed sort is
+    # its int32 order of the half-edges, 4 bytes each, two int32 arrays of
+    # bucket starts and a block's temporaries, 2.8 MB measured; one int64
+    # array of the half-edges alone is 3.8 MB, and the stable sort of all
+    # keys held two of them, 7.3 MB
+    mesh = msh.generate_domain("square", target_h=0.005, side=1.0)
+    half_edges = 3 * len(mesh.triangles)
+    assert len(mesh.vertices) == 80_656
+    _, scratch, _ = _scratch(msh._edge_table, mesh.triangles, len(mesh.vertices))
+    assert scratch < 8 * half_edges
 
 
 def test_working_set_of_the_finest_level_per_vertex():

@@ -168,6 +168,22 @@ def test_mesh_subcommand_failures(tmp_path, capsys):
     assert not (tmp_path / "x.json").exists()
 
 
+def test_mesh_validate_refuses_triangle_indices_past_int32(tmp_path, capsys):
+    # a mesh keeps int32 triangles, where 2^32 + 1 would wrap to vertex 1:
+    # an index off the vertices is refused before the cast, and 2^64 is no
+    # int64 at all; each with exit 2 and one line
+    msh.save_mesh(msh.generate_domain("square", target_h=0.5, side=1.0),
+                  str(tmp_path / "square.json"))
+    obj = json.loads((tmp_path / "square.json").read_text())
+    for index in (2**32 + 1, -1, 2**64):
+        obj["triangles"][0][0] = index
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(obj))
+        assert cli.main(["mesh", "validate", str(path)]) == 2, index
+        err = capsys.readouterr().err
+        assert err.startswith("mesh validate: ") and err.count("\n") == 1, (index, err)
+
+
 # ---------------------------------------------------------------------------
 # config validation
 

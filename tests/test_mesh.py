@@ -415,6 +415,37 @@ def test_load_errors(tmp_path):
         load_mesh(p)
 
 
+@pytest.mark.parametrize("index", [2**32 + 1, 2**31, -1, 2**64])
+def test_load_mesh_refuses_triangle_indices_int32_cannot_hold(tmp_path, index):
+    # the mesh keeps int32 triangles, where 2^32 + 1 would wrap to vertex 1:
+    # an index outside [0, N) is refused before the cast, and 2^64 is no
+    # int64 at all
+    m = generate_domain("square", target_h=0.5, side=1.0)
+    path = tmp_path / "m.json"
+    save_mesh(m, path)
+    obj = json.loads(path.read_text())
+    obj["triangles"][0][0] = index
+    path.write_text(json.dumps(obj))
+    if index < 2**63:
+        with pytest.raises(MeshInvariantError, match="index-range: triangle"):
+            load_mesh(path)
+    else:
+        with pytest.raises(MeshFormatError, match="malformed content"):
+            load_mesh(path)
+
+
+def test_triangles_are_int32_and_refused_before_the_cast():
+    m = generate_domain("square", target_h=0.5, side=1.0)
+    for given in (m.triangles, m.triangles.astype(np.int64), m.triangles.tolist()):
+        mesh = MeasuredMesh(m.vertices, given, m.boundary_edges)
+        assert mesh.triangles.dtype == np.int32 and np.array_equal(mesh.triangles, m.triangles)
+    for index in (2**32 + 1, 2**31, -(2**32) + 1):
+        wide = m.triangles.astype(np.int64)
+        wide[0, 0] = index
+        with pytest.raises(MeshInvariantError, match="index-range: triangle"):
+            MeasuredMesh(m.vertices, wide, m.boundary_edges)
+
+
 def test_refine_preserves_and_halves():
     m = generate_domain("square", target_h=0.3, side=1.0)
     r = refine(m)
