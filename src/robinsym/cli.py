@@ -12,12 +12,13 @@ Exit codes: 0 all checks passed at the finest level, 1 a check failed there,
 """
 
 import dataclasses
+import functools
 import json
 import math
 import os
 import re
 import sys
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -179,7 +180,7 @@ class CheckDef:
     torsion_only: bool
     description: str
     ranges: str
-    run: object                 # (mesh, cell's solve record, space, params) -> reports
+    run: object                 # (mesh, cell's record, space, params, _Finer) -> reports
     # (space, params) -> None, or raises HypothesisRangeError; checked at load
     in_range: object = lambda sp, pm: None
 
@@ -191,7 +192,7 @@ _CHECKS = {
                     "symmetrized twin for a general non-negative source",
         ranges="q=1: 0 < p <= n/(2n-2); q=2: p <= n/(3n-4) (kappa=0), "
                "p <= n/(3n-3) (kappa=1, n>=3), p <= 1 (kappa=1, n=2)",
-        run=lambda m, r, sp, pm: [verify.check_theorem_main1(r, pm["p"], pm["q"])],
+        run=lambda m, r, sp, pm, fin: [verify.check_theorem_main1(r, pm["p"], pm["q"])],
         in_range=lambda sp, pm: verify._main1_range(sp, pm["p"], pm["q"])),
     "thm1.2": CheckDef(
         params=("p", "q"), torsion_only=True,
@@ -199,57 +200,57 @@ _CHECKS = {
                     "(unit source), with its wider admissible range",
         ranges="q=1: 0 < p <= n/(n-2), any p for n=2; q=2: same range, "
                "kappa=0 only",
-        run=lambda m, r, sp, pm: [verify.check_theorem_main2(r, pm["p"], pm["q"])],
+        run=lambda m, r, sp, pm, fin: [verify.check_theorem_main2(r, pm["p"], pm["q"])],
         in_range=lambda sp, pm: verify._main2_range(sp, pm["p"], pm["q"])),
     "thm1.2-pointwise": CheckDef(
         params=(), torsion_only=True,
         description="Pointwise bound of the rearranged torsion solution by "
                     "the symmetrized profile",
         ranges="n=2, kappa=0 only",
-        run=lambda m, r, sp, pm: [verify.check_theorem_main2(r, pointwise=True)],
+        run=lambda m, r, sp, pm, fin: [verify.check_theorem_main2(r, pointwise=True)],
         in_range=lambda sp, pm: verify._pointwise_range(sp)),
     "min-comparison": CheckDef(
         params=(), torsion_only=False,
         description="Minimum of the solution against the boundary value of "
                     "the symmetrized profile",
         ranges="any space",
-        run=lambda m, r, sp, pm: [verify.check_min_comparison(r)]),
+        run=lambda m, r, sp, pm, fin: [verify.check_min_comparison(r)]),
     "measure-bound": CheckDef(
         params=(), torsion_only=False,
         description="Superlevel measures of the solution bounded by the "
                     "matched ball volumes at every threshold",
         ranges="any space",
-        run=lambda m, r, sp, pm: [verify.check_measure_bound(r)]),
+        run=lambda m, r, sp, pm, fin: [verify.check_measure_bound(r)]),
     "level-set-chain": CheckDef(
         params=(), torsion_only=False,
         description="Differential level-set inequality at 20 thresholds "
                     "evenly spaced between the minimum and maximum of u",
         ranges="any space",
-        run=lambda m, r, sp, pm: verify.check_lemma_31(r, _auto_thresholds(r))),
+        run=lambda m, r, sp, pm, fin: verify.check_lemma_31(r, _auto_thresholds(r))),
     "flux-identity": CheckDef(
         params=(), torsion_only=False,
         description="Integrated level-set identity at threshold infinity: "
                     "boundary flux equals the source integral over beta",
         ranges="any space",
-        run=lambda m, r, sp, pm: [verify.check_lemma_32(r, math.inf)]),
+        run=lambda m, r, sp, pm, fin: [verify.check_lemma_32(r, math.inf)]),
     "isoperimetric": CheckDef(
         params=(), torsion_only=False,
         description="Weighted boundary measure against the isoperimetric "
                     "profile at the domain's weighted volume",
         ranges="any space",
-        run=lambda m, r, sp, pm: [verify.check_isoperimetric(m, sp)]),
+        run=lambda m, r, sp, pm, fin: [verify.check_isoperimetric(m, sp, fin.mesh)]),
     "saint-venant": CheckDef(
         params=(), torsion_only=True,
         description="Torsional rigidity bounded by the matched ball's "
                     "weighted rigidity",
         ranges="any space",
-        run=lambda m, r, sp, pm: [verify.check_saint_venant(r)]),
+        run=lambda m, r, sp, pm, fin: [verify.check_saint_venant(r, fin.record)]),
     "bossel-daners": CheckDef(
         params=(), torsion_only=False,
         description="First Robin eigenvalue bounded below by the matched "
                     "ball's eigenvalue",
         ranges="any space",
-        run=lambda m, r, sp, pm: [verify.check_bossel_daners(r)]),
+        run=lambda m, r, sp, pm, fin: [verify.check_bossel_daners(r, fin.record)]),
 }
 
 
@@ -560,11 +561,17 @@ def _level_problems(config, mesh) -> dict:
         raise ConfigError(str(exc)) from exc
 
 
-def _run_cell(cell, mesh, rec, space) -> list:
+class _Finer(NamedTuple):
+    """The refined level on which a failed check of a cell retries."""
+    mesh: object                # () -> its mesh
+    record: object              # () -> its record of the cell's beta
+
+
+def _run_cell(cell, mesh, rec, space, finer) -> list:
     beta, level, request = cell
     cid = request.check_id
     try:
-        reports = _CHECKS[cid].run(mesh, rec, space, request.params)
+        reports = _CHECKS[cid].run(mesh, rec, space, request.params, finer)
     except _SOLVER_ERRORS as exc:
         raise SolverStageError(f"check {cid} (beta={beta}, level={level})", exc)
     tagged = []
@@ -584,9 +591,7 @@ def _write_plot(path, header, columns):
         fh.writelines(",".join(map(repr, row)) + "\n" for row in rows)
 
 
-def _write_plots(config, solves, out_dir):
-    plots = os.path.join(out_dir, "plots")
-    os.makedirs(plots, exist_ok=True)
+def _write_plots(config, solves, plots):
     for ib, beta in enumerate(config.beta):
         for level, records in enumerate(solves):
             if beta not in records:
@@ -604,9 +609,7 @@ def _write_plots(config, solves, out_dir):
                          np.interp(r, v.grid, v.values)))
 
 
-def _write_gap_tables(config, reports, out_dir):
-    plots = os.path.join(out_dir, "plots")
-    os.makedirs(plots, exist_ok=True)
+def _write_gap_tables(config, reports, plots):
     for ib, beta in enumerate(config.beta):
         for request in config.checks:
             rows = [(r.context.get("h", math.nan), r.gap)
@@ -615,8 +618,7 @@ def _write_gap_tables(config, reports, out_dir):
                     and r.context.get("beta") == beta]
             if not rows:
                 continue
-            hs = np.array([row[0] for row in rows])
-            gaps = np.array([row[1] for row in rows])
+            hs, gaps = np.array(rows, dtype=float).T
             order = np.argsort(-hs, kind="stable")
             _write_plot(
                 os.path.join(plots, f"gap_{request.check_id}_b{ib}.csv"),
@@ -636,8 +638,9 @@ def _solve_stage(call, problems, *args):
 def run(config: ExperimentConfig, stream=None, *, jobs: int = 1) -> int:
     """Run ``config``'s checks on every level and beta, one cell after
     another, and write the summary, reports and plots; the exit code is 0,
-    or 1 when a check fails at the finest level.  ``jobs`` takes 1 alone:
-    the benchmark harness in ``perfbench/`` still passes it."""
+    or 1 when a check fails at the finest level, its retry on the refined
+    mesh included.  ``jobs`` takes 1 alone: the benchmark harness in
+    ``perfbench/`` still passes it."""
     if jobs != 1:
         raise ValueError(f"run takes jobs=1 alone, got {jobs}")
     stream = stream or sys.stdout
@@ -649,14 +652,13 @@ def run(config: ExperimentConfig, stream=None, *, jobs: int = 1) -> int:
 
     meshes = [_build_domain(config.domain, config.h)]
     _check_refined_size(meshes[0], config.refine_levels)
-    problems = [_level_problems(config, meshes[0])]
     for _ in range(config.refine_levels):
         meshes.append(refine(meshes[-1]))
-        problems.append(_level_problems(config, meshes[-1]))
+    problems = [_level_problems(config, mesh) for mesh in meshes]
 
     cells = [(beta, level, request) for beta in config.beta
              for level in range(len(meshes)) for request in config.checks]
-    space = config.space
+    space, finest = config.space, len(meshes) - 1
 
     # every record is built before any check runs, and the cells only read
     # them.  Levels are solved coarsest first: a refined level's solver is
@@ -665,11 +667,11 @@ def run(config: ExperimentConfig, stream=None, *, jobs: int = 1) -> int:
     # built finest first, so that no level's records are held while a finer
     # level solves.  Levels on one ball share their twins through one table.
     solves = [{} for _ in meshes]
+    eigen = any(c.check_id == "bossel-daners" for c in config.checks)
     if any(c.check_id != "isoperimetric" for c in config.checks):
-        eigen = any(c.check_id == "bossel-daners" for c in config.checks)
         solved, coarse = [], None
         for level in range(len(meshes)):
-            solvers = {} if level < len(meshes) - 1 else None
+            solvers = {} if level < finest else None
             solved.append(_solve_stage(verify.solve_level, list(problems[level].values()),
                                        eigen, coarse, solvers))
             coarse = solvers
@@ -680,16 +682,30 @@ def run(config: ExperimentConfig, stream=None, *, jobs: int = 1) -> int:
             solved[level] = None
             solves[level] = dict(zip(problems[level], records))
 
-    results = [_run_cell((beta, level, request), meshes[level], solves[level].get(beta), space)
+    # a failed check of level L retries on level L + 1, which past the finest
+    # level is built on first read: its mesh once, by refine, which refuses
+    # a mesh past the vertex ceiling, and each beta's record once
+    retry_mesh = functools.cache(lambda: refine(meshes[-1]))
+    retry_record = functools.cache(lambda beta: _solve_stage(
+        verify.solve_records, [RobinProblem(mesh=retry_mesh(), beta=beta)], space, eigen)[0])
+
+    def finer(level, beta) -> _Finer:
+        if level == finest:
+            return _Finer(retry_mesh, lambda: retry_record(beta))
+        return _Finer(lambda: meshes[level + 1], lambda: solves[level + 1][beta])
+
+    results = [_run_cell((beta, level, request), meshes[level], solves[level].get(beta),
+                         space, finer(level, beta))
                for beta, level, request in cells]
 
     reports = [rep for cell_reports in results for rep in cell_reports]
     verify.reports_to_csv(reports, os.path.join(out_dir, "summary.csv"))
     verify.reports_to_jsonl(reports, os.path.join(out_dir, "reports.jsonl"))
-    _write_plots(config, solves, out_dir)
-    _write_gap_tables(config, reports, out_dir)
+    plots = os.path.join(out_dir, "plots")
+    os.makedirs(plots, exist_ok=True)
+    _write_plots(config, solves, plots)
+    _write_gap_tables(config, reports, plots)
 
-    finest = len(meshes) - 1
     failed = [
         rep for (_, level, _), reps in zip(cells, results) if level == finest
         for rep in reps if not rep.skipped and not rep.passed

@@ -1087,6 +1087,12 @@ def _polygon_points(points, target_h):
 # public generation and serialization
 
 
+# the parameters of each domain kind; all are required but a disk's n_boundary
+_DOMAIN_PARAMETERS = {"spherical_cap": ("theta",), "disk": ("radius", "n_boundary"),
+                      "square": ("side",), "polygon": ("points",),
+                      "annulus_sector": ("r_inner", "r_outer", "angle0", "angle1")}
+
+
 def generate_domain(kind: str, target_h: float, geometry: str = "flat",
                     warp: WarpedSurfaceSpec | None = None, **params) -> MeasuredMesh:
     """Generate a structured measured mesh.
@@ -1109,11 +1115,13 @@ def generate_domain(kind: str, target_h: float, geometry: str = "flat",
     """
     if not target_h > 0.0:
         raise DegenerateGeometryError("target_h must be positive")
+    if kind not in _DOMAIN_PARAMETERS:
+        raise DegenerateGeometryError(f"unknown domain kind {kind!r}")
+    if unexpected := sorted(set(params) - set(_DOMAIN_PARAMETERS[kind])):
+        raise DegenerateGeometryError(f"unexpected parameters {unexpected}")
 
     if kind == "spherical_cap":
-        theta = params.pop("theta")
-        if params:
-            raise DegenerateGeometryError(f"unexpected parameters {sorted(params)}")
+        theta = params["theta"]
         if geometry not in ("flat", "sphere_stereographic"):
             raise DegenerateGeometryError("spherical_cap implies the sphere chart")
         if not (0.0 < theta <= 2.0 * math.atan(CHART_RADIUS_CAP)):
@@ -1124,10 +1132,8 @@ def generate_domain(kind: str, target_h: float, geometry: str = "flat",
         verts, tris = _disk_points(math.tan(0.5 * theta), target_h)
         geometry = "sphere_stereographic"
     elif kind == "disk":
-        radius = params.pop("radius")
-        n_boundary = params.pop("n_boundary", None)
-        if params:
-            raise DegenerateGeometryError(f"unexpected parameters {sorted(params)}")
+        radius = params["radius"]
+        n_boundary = params.get("n_boundary")
         if not radius > 0.0:
             raise DegenerateGeometryError("disk radius must be positive")
         if n_boundary is not None and not (
@@ -1136,26 +1142,15 @@ def generate_domain(kind: str, target_h: float, geometry: str = "flat",
                 f"n_boundary must be an integer >= 3, got {n_boundary!r}")
         verts, tris = _disk_points(radius, target_h, n_boundary)
     elif kind == "square":
-        side = params.pop("side")
-        if params:
-            raise DegenerateGeometryError(f"unexpected parameters {sorted(params)}")
+        side = params["side"]
         if not side > 0.0:
             raise DegenerateGeometryError("square side must be positive")
         verts, tris = _square_points(side, target_h)
     elif kind == "polygon":
-        points = params.pop("points")
-        if params:
-            raise DegenerateGeometryError(f"unexpected parameters {sorted(params)}")
-        verts, tris = _polygon_points(points, target_h)
-    elif kind == "annulus_sector":
-        verts, tris = _annulus_sector_points(
-            params.pop("r_inner"), params.pop("r_outer"),
-            params.pop("angle0"), params.pop("angle1"), target_h,
-        )
-        if params:
-            raise DegenerateGeometryError(f"unexpected parameters {sorted(params)}")
+        verts, tris = _polygon_points(params["points"], target_h)
     else:
-        raise DegenerateGeometryError(f"unknown domain kind {kind!r}")
+        verts, tris = _annulus_sector_points(
+            params["r_inner"], params["r_outer"], params["angle0"], params["angle1"], target_h)
 
     if geometry == "sphere_stereographic":
         rmax = float(np.max(np.hypot(verts[:, 0], verts[:, 1])))
@@ -1172,7 +1167,11 @@ def generate_domain(kind: str, target_h: float, geometry: str = "flat",
 def refine(mesh: MeasuredMesh) -> MeasuredMesh:
     """Uniform midpoint refinement; densities recomputed from the geometry
     (interpolated when the mesh carries a custom density).  The refined
-    mesh keeps ``mesh`` as its ``coarse`` mesh."""
+    mesh keeps ``mesh`` as its ``coarse`` mesh; one past MAX_VERTICES is
+    refused before it is allocated."""
+    if (vertices := len(mesh.vertices) + len(mesh._edges.first)) > MAX_VERTICES:
+        raise DegenerateGeometryError(f"refine: the refined mesh would have {vertices} "
+                                      f"vertices, more than the ceiling of {MAX_VERTICES} (2**21)")
     verts, tris, parents = _refine4(mesh.vertices, mesh.triangles, mesh._edges)
     edges = _edge_table(tris, len(verts))
     density = None

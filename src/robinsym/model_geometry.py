@@ -169,17 +169,11 @@ def _sin_power_integral(m, r):
         out[small] = rs ** (m + 1) * acc
     if np.any(~small):
         rl = np.where(~small, r, 1.0)
-        s_even = rl.copy()                      # S_0
-        s_odd = 2.0 * np.sin(0.5 * rl) ** 2     # S_1
+        # S_0 or S_1, then the recursion along m's parity alone
+        s_m = rl.copy() if m % 2 == 0 else 2.0 * np.sin(0.5 * rl) ** 2
         sin_r, cos_r = np.sin(rl), np.cos(rl)
-        for mm in range(2, m + 1):
-            nxt = ((mm - 1) * (s_even if mm % 2 == 0 else s_odd)
-                   - sin_r ** (mm - 1) * cos_r) / mm
-            if mm % 2 == 0:
-                s_even = nxt
-            else:
-                s_odd = nxt
-        s_m = s_even if m % 2 == 0 else s_odd
+        for mm in range(2 + m % 2, m + 1, 2):
+            s_m = ((mm - 1) * s_m - sin_r ** (mm - 1) * cos_r) / mm
         out[~small] = s_m[~small]
     return out
 
@@ -190,10 +184,11 @@ def volume_profile(space: ModelSpace, r):
     Closed forms are used for kappa=0 (all n) and the 2-sphere; S^n with
     n >= 3 evaluates the sine-power integral exactly by recursion
     (series-stabilized near zero), keeping full precision so the profile
-    can be inverted to relative 1e-12.
+    can be inverted to relative 1e-12.  A float takes the array path, as in
+    :func:`isoperimetric_profile`: numpy's loops differ from libm's.
     """
     scalar = np.ndim(r) == 0
-    r = _check_radius(space, r)
+    r = _check_radius(space, np.atleast_1d(r))
     n, a = space.n, space.alpha
     if space.kappa == 0:
         out = a * space.omega_n * r**n
@@ -202,13 +197,14 @@ def volume_profile(space: ModelSpace, r):
         out = 4.0 * math.pi * a * np.sin(0.5 * r) ** 2
     else:
         out = a * n * space.omega_n * _sin_power_integral(n - 1, r)
-    return float(out) if scalar else out
+    return float(out[0]) if scalar else out
 
 
 def volume_profile_derivative(space: ModelSpace, r, order: int = 1):
-    """First or second radial derivative of the volume profile."""
+    """First or second radial derivative of the volume profile; a float
+    takes the array path, as in :func:`volume_profile`."""
     scalar = np.ndim(r) == 0
-    r = _check_radius(space, r)
+    r = _check_radius(space, np.atleast_1d(r))
     n, a = space.n, space.alpha
     coef = a * n * space.omega_n
     s = sn_kappa(space.kappa, r)
@@ -216,13 +212,10 @@ def volume_profile_derivative(space: ModelSpace, r, order: int = 1):
         out = coef * s ** (n - 1)
     elif order == 2:
         ds = np.ones_like(r) if space.kappa == 0 else np.cos(r)
-        if n == 2:
-            out = coef * ds
-        else:
-            out = coef * (n - 1) * s ** (n - 2) * ds
+        out = coef * (n - 1) * s ** (n - 2) * ds
     else:
         raise ValueError(f"order must be 1 or 2, got {order}")
-    return float(out) if scalar else out
+    return float(out[0]) if scalar else out
 
 
 def radius_for_volume(space: ModelSpace, vol: float) -> float:

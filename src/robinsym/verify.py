@@ -18,9 +18,10 @@ before any distribution function is built.
 The record checks on construction that u lives on the problem's mesh and
 that the ball matches the mesh measure, so no check repeats either guard.
 The twin is read on its own grid, from its values and its exact slope.
-Checks that own their mesh (isoperimetric, torsional rigidity, eigenvalue)
-retry once on a uniformly refined mesh before finalizing a failure; that
-separates discretization artifacts from genuine violations.
+The isoperimetric, torsional rigidity and eigenvalue checks retry a failure
+once on the uniformly refined level, which their caller hands them as
+``finer``: that separates discretization artifacts from genuine violations,
+and no check refines or solves.
 
 Mesh integrals read the P1 element kernel of the mesh module (chart areas,
 ``basis_gradients``, ``dirichlet_weighted``, ``edge_midpoints``).  The
@@ -35,13 +36,14 @@ import json
 import logging
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import fem
 from .fem import _GAUSS2, RobinProblem
-from .mesh import MeasuredMesh, ScalarField, _blocks, edge_midpoints, length_factor, refine
+from .mesh import (DegenerateGeometryError, MeasuredMesh, ScalarField, _blocks,
+                   edge_midpoints, length_factor)
 from .model_geometry import (
     GeodesicBall,
     ModelSpace,
@@ -120,21 +122,10 @@ def reports_to_csv(reports, path: str):
         writer = csv.writer(fh)
         writer.writerow(_CSV_COLUMNS)
         for rep in reports:
-            ctx = rep.context
-            writer.writerow([
-                rep.check_id,
-                _csv_cell(rep.lhs),
-                _csv_cell(rep.rhs),
-                _csv_cell(rep.gap),
-                _csv_cell(rep.tolerance),
-                _csv_cell(rep.passed),
-                _csv_cell(ctx.get("h")),
-                _csv_cell(ctx.get("beta")),
-                _csv_cell(ctx.get("p")),
-                _csv_cell(ctx.get("q")),
-                _csv_cell(ctx.get("kappa")),
-                _csv_cell(ctx.get("n")),
-            ])
+            # the columns after "passed" are context fields
+            writer.writerow([rep.check_id] + [_csv_cell(value) for value in (
+                rep.lhs, rep.rhs, rep.gap, rep.tolerance, rep.passed,
+                *map(rep.context.get, _CSV_COLUMNS[6:]))])
 
 
 def _jsonable(value):
@@ -384,9 +375,17 @@ def solve_record(problem: RobinProblem, space: ModelSpace,
     return solve_records([problem], space, eigen)[0]
 
 
-def _refined_record(rec: SolveRecord, eigen: bool = False) -> SolveRecord:
-    problem = RobinProblem(mesh=refine(rec.problem.mesh), beta=rec.problem.beta)
-    return solve_record(problem, rec.ball.space, eigen)
+def _retry(report: ComparisonReport, finer, once) -> ComparisonReport:
+    """``once`` of ``finer()``, the refined level, when ``report`` failed and
+    ``finer`` is given; a level refused past the vertex ceiling leaves the
+    failure, with the refusal as ``retry_refused``."""
+    if report.passed or finer is None:
+        return report
+    try:
+        level = finer()
+    except DegenerateGeometryError as exc:
+        return replace(report, context=dict(report.context, retry_refused=str(exc)))
+    return once(level)
 
 
 # ---------------------------------------------------------------------------
@@ -407,13 +406,12 @@ def _isoperimetric_once(mesh: MeasuredMesh, space: ModelSpace,
     )
 
 
-def check_isoperimetric(mesh: MeasuredMesh, space: ModelSpace) -> ComparisonReport:
+def check_isoperimetric(mesh: MeasuredMesh, space: ModelSpace, finer=None) -> ComparisonReport:
     """Weighted boundary length against the isoperimetric bound for the
-    mesh's weighted volume."""
-    report = _isoperimetric_once(mesh, space, retried=False)
-    if not report.passed:
-        report = _isoperimetric_once(refine(mesh), space, retried=True)
-    return report
+    mesh's weighted volume; a failure retries once on ``finer()``, the
+    refined mesh, when ``finer`` is given."""
+    return _retry(_isoperimetric_once(mesh, space, retried=False), finer,
+                  lambda fine: _isoperimetric_once(fine, space, retried=True))
 
 
 def check_min_comparison(rec: SolveRecord) -> ComparisonReport:
@@ -734,19 +732,20 @@ def _saint_venant_once(rec: SolveRecord, retried: bool) -> ComparisonReport:
         context=_space_context(space, h=h, beta=beta, retried=retried))
 
 
-def check_saint_venant(rec: SolveRecord) -> ComparisonReport:
+def check_saint_venant(rec: SolveRecord, finer=None) -> ComparisonReport:
     """Torsional rigidity of the mesh against the matched ball, from a
-    unit-source record; a failure retries once on the refined mesh."""
+    unit-source record; a failure retries once on ``finer()``, the record
+    of the same problem on the refined mesh, when ``finer`` is given."""
     if rec.problem.source is not None:
         raise ValueError("torsional rigidity needs the unit-source record")
-    report = _saint_venant_once(rec, retried=False)
-    if not report.passed:
-        report = _saint_venant_once(_refined_record(rec), retried=True)
-    return report
+    return _retry(_saint_venant_once(rec, retried=False), finer,
+                  lambda fine: _saint_venant_once(fine, retried=True))
 
 
 def _bossel_daners_once(rec: SolveRecord, retried: bool) -> ComparisonReport:
     lhs, rhs = rec.eigen[0], rec.ball_eigenvalue
+    if retried and math.isnan(lhs):  # the ground state changes sign on the refined mesh too
+        raise fem.EigenSignError("computed ground state changes sign")
     h = rec.u.mesh.mesh_size()
     return ComparisonReport(
         check_id="bossel_daners",
@@ -756,20 +755,15 @@ def _bossel_daners_once(rec: SolveRecord, retried: bool) -> ComparisonReport:
                                retried=retried))
 
 
-def check_bossel_daners(rec: SolveRecord) -> ComparisonReport:
+def check_bossel_daners(rec: SolveRecord, finer=None) -> ComparisonReport:
     """First Robin eigenvalue of the mesh against the matched ball, from a
     record solved with ``eigen``.  A failed comparison, or a sign-changed
-    ground state (a coarseness symptom too), retries once on the refined
-    mesh."""
+    ground state (a coarseness symptom too), retries once on ``finer()``,
+    the same beta's record on the refined mesh, when ``finer`` is given."""
     if rec.eigen is None:
         raise ValueError("the record holds no eigenpair; solve it with eigen=True")
-    report = _bossel_daners_once(rec, retried=False)
-    if not report.passed:
-        fine = _refined_record(rec, eigen=True)
-        if math.isnan(fine.eigen[0]):
-            raise fem.EigenSignError("computed ground state changes sign")
-        report = _bossel_daners_once(fine, retried=True)
-    return report
+    return _retry(_bossel_daners_once(rec, retried=False), finer,
+                  lambda fine: _bossel_daners_once(fine, retried=True))
 
 
 # ---------------------------------------------------------------------------
@@ -787,11 +781,9 @@ def eigen_test_field(u: ScalarField, beta: float) -> ScalarField:
     grad_norm = np.sqrt(np.maximum(quad / rho, 0.0))
 
     areas = mesh.chart_areas() * rho
-    num = np.zeros(len(mesh.vertices))
-    den = np.zeros(len(mesh.vertices))
-    np.add.at(num, mesh.triangles.ravel(),
-              np.repeat(areas * grad_norm, 3))
-    np.add.at(den, mesh.triangles.ravel(), np.repeat(areas, 3))
+    corners, n = mesh.triangles.ravel(), len(mesh.vertices)
+    num = np.bincount(corners, np.repeat(areas * grad_norm, 3), n)
+    den = np.bincount(corners, np.repeat(areas, 3), n)
     floor = 1e-12 * float(np.max(u.values))
     phi = (num / den) / np.maximum(u.values, floor)
 

@@ -650,18 +650,139 @@ def test_run_field_source(tmp_path, capsys):
         cli.load_config(path)
 
 
+_CONE_DISK = {"kind": "disk", "radius": 1.0, "geometry": "warped",
+              "warp": {"profile": "cone", "c": 0.8}}
+
+
 def test_run_failing_check_exits_one(tmp_path, capsys):
     # a cone-weighted mesh matched against the unweighted space genuinely
-    # violates the isoperimetric comparison once the tolerance tightens
-    path = _write_config(
-        tmp_path, domain={"kind": "disk", "radius": 1.0, "geometry": "warped",
-                          "warp": {"profile": "cone", "c": 0.8}},
-        h=0.02, checks=[{"id": "isoperimetric"}])
+    # violates the isoperimetric comparison once the tolerance tightens;
+    # the finest level's failure retries on the refined mesh, and fails
+    path = _write_config(tmp_path, domain=_CONE_DISK, h=0.02,
+                         checks=[{"id": "isoperimetric"}])
     assert cli.main(["run", path]) == 1
     out = capsys.readouterr().out
     assert "FAILED isoperimetric" in out
     summary = (tmp_path / "out" / "summary.csv").read_text().splitlines()
     assert summary[1].split(",")[5] == "False"
+    [report] = _reports(tmp_path / "out")
+    assert report["context"]["retried"] is True
+    finest = cli._build_domain(_CONE_DISK, 0.02)
+    assert report["context"]["h"] == pytest.approx(0.5 * finest.mesh_size())
+
+
+def _reports(out):
+    return [json.loads(line) for line in (out / "reports.jsonl").read_text().splitlines()]
+
+
+def _failing_first_passes(monkeypatch, fails):
+    """Make the saint-venant and bossel-daners first passes fail on the
+    meshes that ``fails`` picks; retries keep their own verdicts."""
+    def failing(once):
+        def wrapped(rec, retried):
+            report = once(rec, retried)
+            if not retried and fails(rec.u.mesh):
+                report = dataclasses.replace(report, passed=False)
+            return report
+        return wrapped
+
+    for name in ("_saint_venant_once", "_bossel_daners_once"):
+        monkeypatch.setattr(verify, name, failing(getattr(verify, name)))
+
+
+def _counting(monkeypatch, counts, module, *names):
+    """Count the calls of ``module``'s functions ``names`` into ``counts``."""
+    counts.update(dict.fromkeys(names, 0))
+    for name in names:
+        def wrapped(*args, _name=name, _fn=getattr(module, name), **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapped)
+
+
+_RIGIDITY = [{"id": "saint-venant"}, {"id": "bossel-daners"}]
+_VALUES = ("lhs", "rhs", "gap", "tolerance", "passed")
+
+
+def test_run_retries_below_the_finest_level_on_the_next_levels_records(
+        tmp_path, monkeypatch):
+    # the retry of a level-0 failure reads level 1's records, which the run
+    # holds: it equals level 1's own first pass, and it assembles, factors,
+    # refines and solves nothing more
+    counts, reports = [], []
+    for forced in (False, True):
+        with monkeypatch.context() as patch:
+            if forced:
+                _failing_first_passes(patch, lambda mesh: mesh.coarse is None)
+            counts.append({})
+            _counting(patch, counts[-1], fem, "assemble", "factor_robin")
+            _counting(patch, counts[-1], cli, "refine")
+            out = tmp_path / f"out_{forced}"
+            config = cli.load_config(_write_config(
+                tmp_path, beta=[0.5, 2.0], refine_levels=1, checks=_RIGIDITY,
+                output_dir=str(out)))
+            assert cli.run(config, stream=io.StringIO()) == 0
+        reports.append(_reports(out))
+    assert counts[0] == counts[1] == {"assemble": 2, "factor_robin": 2, "refine": 1}
+    plain, retried = ({(r["context"]["beta"], r["check_id"], r["context"]["level"]): r
+                       for r in run} for run in reports)
+    assert len(retried) == 8
+    for (beta, check, level), report in retried.items():
+        if level == 1:
+            assert report == plain[beta, check, 1]
+            continue
+        above = retried[beta, check, 1]
+        assert report["context"]["retried"] is True and above["context"]["retried"] is False
+        assert {k: report[k] for k in _VALUES} == {k: above[k] for k in _VALUES}
+        assert report["context"]["h"] == above["context"]["h"]
+
+
+def test_run_retries_the_finest_level_on_one_refined_level(tmp_path, monkeypatch):
+    # past the finest level the run refines its mesh once and solves each
+    # beta's record once on it, for both checks: the retried reports are
+    # those of a record solved on the refined mesh alone
+    _failing_first_passes(monkeypatch, lambda mesh: mesh.coarse is None)
+    counts = {}
+    _counting(monkeypatch, counts, cli, "refine")
+    _counting(monkeypatch, counts, verify, "solve_records")
+    config = cli.load_config(_write_config(tmp_path, beta=[0.5, 2.0], checks=_RIGIDITY))
+    assert cli.run(config, stream=io.StringIO()) == 0
+    assert counts == {"refine": 1, "solve_records": 3}
+    fine = msh.refine(cli._build_domain(config.domain, config.h))
+    for report in _reports(tmp_path / "out"):
+        beta = report["context"]["beta"]
+        problem = fem.RobinProblem(mesh=fine, beta=beta)
+        if report["check_id"] == "saint-venant":
+            direct = verify._saint_venant_once(
+                verify.solve_record(problem, config.space), retried=True)
+        else:
+            direct = verify._bossel_daners_once(
+                verify.solve_record(problem, config.space, eigen=True), retried=True)
+        assert report["context"]["retried"] is True
+        assert [report[k] for k in _VALUES] == [
+            direct.lhs, direct.rhs, direct.gap, direct.tolerance, direct.passed]
+        assert report["context"]["h"] == direct.context["h"]
+
+
+def test_run_refuses_a_retry_past_the_ceiling_without_refining(tmp_path, capsys,
+                                                               monkeypatch):
+    # the finest level's retry would pass a lowered vertex ceiling: it is not
+    # run, no refined mesh is allocated, and the failed check exits 1
+    vertices = len(cli._build_domain(_CONE_DISK, 0.02).vertices)
+    monkeypatch.setattr(msh, "MAX_VERTICES", vertices)
+    split = []
+    monkeypatch.setattr(msh, "_refine4", lambda *args: split.append(args))
+    path = _write_config(tmp_path, domain=_CONE_DISK, h=0.02,
+                         checks=[{"id": "isoperimetric"}])
+    assert cli.main(["run", path]) == 1
+    captured = capsys.readouterr()
+    assert "FAILED isoperimetric" in captured.out
+    assert "Traceback" not in captured.out + captured.err
+    assert split == []
+    [report] = _reports(tmp_path / "out")
+    assert not report["passed"] and report["context"]["retried"] is False
+    assert report["context"]["retry_refused"].endswith(
+        f"vertices, more than the ceiling of {vertices} (2**21)")
 
 
 def test_run_tiny_beta_eigen_on_the_direct_route_exits_zero(tmp_path, capsys):

@@ -465,6 +465,18 @@ def test_refine_preserves_and_halves():
         r.vertices[n:], 0.5 * (m.vertices[r.parents[:, 0]] + m.vertices[r.parents[:, 1]]))
 
 
+def test_refine_refuses_a_mesh_past_the_ceiling_before_allocating(monkeypatch):
+    m = generate_domain("square", target_h=0.3, side=1.0)
+    fine = len(refine(m).vertices)
+    split = []
+    monkeypatch.setattr(mesh_module, "_refine4", lambda *args: split.append(args))
+    monkeypatch.setattr(mesh_module, "MAX_VERTICES", fine - 1)
+    with pytest.raises(DegenerateGeometryError,
+                       match=f"would have {fine} vertices, more than the ceiling of {fine - 1}"):
+        refine(m)
+    assert split == []
+
+
 def test_refine_interpolates_custom_density():
     m = generate_domain("square", target_h=0.3, side=1.0)
     dens = 1.0 + m.vertices[:, 0]
@@ -706,6 +718,20 @@ CEILING_DOMAINS = [
     dict(kind="annulus_sector", r_inner=1.0, r_outer=2.0, angle0=0.0, angle1=1.0),
     dict(kind="polygon", points=L_SHAPE),
 ]
+
+
+@pytest.mark.parametrize("params", CEILING_DOMAINS)
+def test_generators_refuse_unknown_kinds_and_parameters_before_building(params, monkeypatch):
+    params = dict(params)
+    kind = params.pop("kind")
+    built = []
+    for name in ("_disk_points", "_square_points", "_polygon_points", "_annulus_sector_points"):
+        monkeypatch.setattr(mesh_module, name, lambda *args, **kw: built.append(args))
+    with pytest.raises(DegenerateGeometryError, match=r"unexpected parameters \['side2'\]"):
+        generate_domain(kind, 0.05, side2=1.0, **params)
+    with pytest.raises(DegenerateGeometryError, match="unknown domain kind 'ring'"):
+        generate_domain("ring", 0.05, **params)
+    assert built == []
 
 
 @pytest.mark.parametrize("params", CEILING_DOMAINS)

@@ -1,5 +1,6 @@
 """The package's public names."""
 
+import ast
 import dataclasses
 import inspect
 
@@ -57,16 +58,17 @@ def test_two_step_solve_api_is_gone():
 
 def test_every_twin_check_reads_its_solve_record():
     # a comparison of u with its twin takes the record and its own
-    # parameters; the record validates the mesh and the match once
+    # parameters; the record validates the mesh and the match once.  A check
+    # that retries on the refined mesh takes that level as ``finer``
     own = {
         "check_min_comparison": [], "check_measure_bound": [],
         "check_theorem_main1": ["p", "q"],
         "check_theorem_main2": ["p", "q", "pointwise"],
         "check_lemma_31": ["t_grid"], "check_lemma_32": ["t"],
-        "check_saint_venant": [], "check_bossel_daners": [],
+        "check_saint_venant": ["finer"], "check_bossel_daners": ["finer"],
     }
     # neither needs a solve: a mesh and a space, or a space alone
-    solveless = {"check_isoperimetric": ["mesh", "space"],
+    solveless = {"check_isoperimetric": ["mesh", "space", "finer"],
                  "check_profile_monotonicity": ["space", "p", "which"]}
     checks = {name for name in vars(verify) if name.startswith("check_")}
     assert checks == set(own) | set(solveless)
@@ -78,3 +80,16 @@ def test_every_twin_check_reads_its_solve_record():
         assert list(inspect.signature(getattr(verify, name)).parameters) == params
     for name in ("_source_cumulative", "_require_match"):
         assert not hasattr(verify, name)
+
+
+def test_only_the_solve_functions_of_verify_refine_or_solve():
+    # a check reads the records and meshes its caller hands it, its retry's
+    # included: no function of verify but the three solves names a solve,
+    # an assembly or a refinement
+    solves = {"solve_level", "solve_records", "solve_record"}
+    assert not hasattr(verify, "refine") and not hasattr(verify, "_refined_record")
+    for node in ast.walk(ast.parse(inspect.getsource(verify))):
+        if isinstance(node, ast.FunctionDef) and node.name not in solves:
+            names = {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+                     if isinstance(n, (ast.Name, ast.Attribute))}
+            assert not names & (solves | {"refine", "assemble"}), node.name

@@ -472,19 +472,52 @@ def test_bossel_daners_beta_sweep():
 def test_rigidity_retries_solve_on_the_refined_mesh():
     sq = _square(0.15)
     rec = _record(sq, FLAT, 1.0, eigen=True)
+    fine = _record(msh.refine(sq), FLAT, 1.0, eigen=True)
     # a violated comparison (doubled torsion function, zero eigenvalue) and a
-    # sign-changed ground state (nan) each solve once more on the refined mesh
+    # sign-changed ground state (nan) each read the refined mesh's record
     doubled = msh.ScalarField(mesh=sq, values=2.0 * rec.u.values)
-    report = verify.check_saint_venant(dataclasses.replace(rec, u=doubled))
+    report = verify.check_saint_venant(dataclasses.replace(rec, u=doubled), lambda: fine)
     assert report.passed and report.context["retried"] is True
     assert report.context["h"] == pytest.approx(0.5 * sq.mesh_size())
     lam_fine = fem.solve_robin_eigen(msh.refine(sq), 1.0)[0]
     for lam in (0.0, math.nan):
-        report = verify.check_bossel_daners(dataclasses.replace(rec, eigen=(lam, None)))
+        report = verify.check_bossel_daners(dataclasses.replace(rec, eigen=(lam, None)),
+                                            lambda: fine)
         assert report.passed and report.context["retried"] is True
         assert report.lhs == lam_fine
     with pytest.raises(ValueError):
         verify.check_bossel_daners(_record(sq, FLAT, 1.0))
+
+
+def test_a_check_reads_finer_only_after_a_failure():
+    sq = _square(0.15)
+    rec = _record(sq, FLAT, 1.0, eigen=True)
+    failing = dataclasses.replace(rec, eigen=(0.0, None))
+    report = verify.check_bossel_daners(failing)
+    assert not report.passed and report.context["retried"] is False
+    assert "retry_refused" not in report.context
+
+    def unread():
+        raise AssertionError("a passing check read its refined level")
+
+    assert verify.check_bossel_daners(rec, unread).context["retried"] is False
+    assert verify.check_saint_venant(rec, unread).context["retried"] is False
+    assert verify.check_isoperimetric(sq, FLAT, unread).context["retried"] is False
+
+
+def test_a_retry_refused_past_the_ceiling_keeps_the_failure(monkeypatch):
+    # the cone-weighted disk against the unweighted plane fails the
+    # isoperimetric comparison; its refined mesh is past a lowered ceiling
+    disk = _disk(0.02, geometry="warped", warp=msh.warped_profile("cone", 0.8))
+    monkeypatch.setattr(msh, "MAX_VERTICES", len(disk.vertices))
+    report = verify.check_isoperimetric(disk, FLAT, lambda: msh.refine(disk))
+    first = verify.check_isoperimetric(disk, FLAT)
+    assert not first.passed and first.context["retried"] is False
+    edges = (3 * len(disk.triangles) + len(disk.boundary_edges)) // 2
+    refused = (f"refine: the refined mesh would have {len(disk.vertices) + edges} "
+               f"vertices, more than the ceiling of {len(disk.vertices)} (2**21)")
+    assert report == dataclasses.replace(
+        first, context=dict(first.context, retry_refused=refused))
 
 
 def test_solve_record_on_a_refined_mesh_factors_only_the_coarsest(tmp_path, monkeypatch):
